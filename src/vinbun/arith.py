@@ -121,6 +121,11 @@ class Laurent:
         return self.coeffs == other.coeffs
 
     def __hash__(self):
+        # constants compare equal to ints, so they must hash like them
+        if not self.coeffs:
+            return hash(0)
+        if len(self.coeffs) == 1 and 0 in self.coeffs:
+            return hash(self.coeffs[0])
         return hash(frozenset(self.coeffs.items()))
 
     def is_zero(self):
@@ -772,40 +777,64 @@ class EffectiveDivisor:
         ) + ")"
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def enumerate_closed_points(field, max_degree):
     """All closed points of A^1 of degree <= max_degree, i.e. all monic
-    irreducibles, by trial division.  Counts obey the necklace formula."""
+    irreducibles, sorted by (degree, coefficients).  A sieve: a monic
+    polynomial of degree d is a point exactly when it is not a product of
+    points of lower degree.  Counts obey the necklace formula."""
     if max_degree < 1:
         raise ValueError("max_degree must be >= 1")
-    out = []
-    for d in range(1, max_degree + 1):
-        for f in monic_polys(field, d):
-            if is_irreducible(field, f):
-                out.append(ClosedPoint(degree=d, poly=f))
-    return tuple(out)
+    lower = enumerate_closed_points(field, max_degree - 1) if max_degree > 1 else ()
+    reducible = {poly for _, poly in _point_multisets(field, lower, max_degree)}
+    return lower + tuple(
+        ClosedPoint(degree=max_degree, poly=f)
+        for f in monic_polys(field, max_degree)
+        if f not in reducible
+    )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def enumerate_divisors(field, n):
     """All degree-n effective divisors on A^1 over F_q.
 
-    These are exactly the monic degree-n polynomials (q^n of them), sent to
-    multisets of irreducible factors.
+    These are exactly the monic degree-n polynomials (q^n of them): the
+    multisets of closed points of total degree n, ordered as their products
+    are by `monic_polys`.
     """
     if n < 0:
         raise ValueError("degree must be >= 0")
     if n == 0:
         return (EffectiveDivisor.empty(),)
+    found = _point_multisets(field, enumerate_closed_points(field, n), n)
+    found.sort(key=lambda parts_poly: parts_poly[1])
+    return tuple(EffectiveDivisor(parts=parts) for parts, _ in found)
+
+
+def _point_multisets(field, points, n):
+    """(parts, product polynomial) for every multiset of the given points
+    of total degree n.  points must be sorted by sort key; parts come out in
+    the same canonical order."""
     out = []
-    for f in monic_polys(field, n):
-        fact = poly_factor(field, f)
-        out.append(
-            EffectiveDivisor.from_pairs(
-                (ClosedPoint(degree=poly_deg(g), poly=g), m) for g, m in fact.items()
-            )
-        )
-    return tuple(out)
+    parts = []
+
+    def extend(start, remaining, poly):
+        if not remaining:
+            out.append((tuple(parts), poly))
+            return
+        for i in range(start, len(points)):
+            pt = points[i]
+            if pt.degree > remaining:
+                break
+            power = poly
+            for m in range(1, remaining // pt.degree + 1):
+                power = poly_mul(field, power, pt.poly)
+                parts.append((pt, m))
+                extend(i + 1, remaining - m * pt.degree, power)
+                parts.pop()
+
+    extend(0, n, (1,))
+    return out
 
 
 def decompositions(divisor, constraint, degree_split):

@@ -15,6 +15,19 @@ functions of effective divisors, with values in Z[v, v^-1] (v^2 = q):
 * formal IC symbols (S_k representation, Tate twist) with the inductive
   reconstruction of G from G - G(-1), and their partial stalk evaluation.
 
+The trace classes above are factorizable: each trace at D is a product of
+local factors over the closed points x of D, taken with multiplicity m (the
+Zastava and nearby-cycles factors are cached):
+
+* oscillator:      the exterior factor above, times (-1)^k v^(-k) overall;
+* open Zastava:    prod over distinct x of (1 - v^(-2 deg x));
+* nearby cycles:   v^(-2n) prod over (x, m) of L(deg x, m), where
+  L(d, m) = sum_{b=0}^{min(m, 2)} (m - b + 1) (-v)^(d b) e_b(d) and e_b(d)
+  is the rank-2 exterior factor with eigenvalues (v, v^-1).
+
+The splitting sums they come from survive as the spec AST (`evaluate_spec`
+of `omega_tilde_spec` / `gr_psi_spec`), which the tests use as the oracle.
+
 The m >= 2, d >= 2 Frobenius sign in the local factor is a calibrated
 convention, pinned by requiring the nearby-vs-boundary identity to hold on
 divisors containing a degree-2 point with multiplicity 2; alternative sign
@@ -23,15 +36,14 @@ rules are kept around so the suite can demonstrate that they fail.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from vinbun.arith import (
     EffectiveDivisor,
     ClosedPoint,
     Laurent,
-    decompositions,
     elementary_symmetric,
     iter_decompositions,
 )
@@ -110,13 +122,16 @@ def trace_ext_exterior(n, eigenvalues, divisor, shift=0, twist=0, sign_rule="cal
     return out * scale
 
 
+_STANDARD_EIGENVALUES = (Laurent.v(1), Laurent.v(-1))
+
+
 def trace_plo(k, divisor, sign_rule="calibrated"):
     """Trace of the k-th Picard-Lefschetz oscillator: the external exterior
     power of the standard rank-2 system (eigenvalues v, v^-1) normalized by
     [k](k/2)."""
     return trace_ext_exterior(
         k,
-        (Laurent.v(1), Laurent.v(-1)),
+        _STANDARD_EIGENVALUES,
         divisor,
         shift=k,
         twist=Fraction(k, 2),
@@ -126,38 +141,57 @@ def trace_plo(k, divisor, sign_rule="calibrated"):
 
 def trace_omega_tilde(n, divisor):
     """Trace of the compactly-supported pushforward class of the open Zastava
-    space: sum over splittings i + j = n and D = D1 + D2 with D2
-    multiplicity-free of (-1)^j v^(-2j) prod_{x in D2} (-1)^(deg x + 1)."""
+    space (`omega_tilde_spec`): the sum over splittings D = D1 + D2 with D2
+    multiplicity-free factors over the points of D as
+
+        prod over distinct x in D of (1 - v^(-2 deg x)),
+
+    each point either staying in D1 or entering D2 once with the weight
+    (-1)^(deg x) v^(-2 deg x) (-1)^(deg x + 1)."""
     if divisor.degree != n:
         raise ValueError(f"degree mismatch: deg D = {divisor.degree}, expected {n}")
-    total = Laurent.zero()
-    for j in range(n + 1):
-        for _, d2 in decompositions(divisor, "secondMultiplicityFree", (n - j, j)):
-            sign = 1
-            for pt, _ in d2:
-                if (pt.degree + 1) % 2:
-                    sign = -sign
-            term = Laurent.monomial(-2 * j, sign)
-            if j % 2:
-                term = -term
-            total = total + term
-    return total
+    out = Laurent.one()
+    for pt, _ in divisor:
+        out = out * _omega_tilde_factor(pt.degree)
+    return out
 
 
 def trace_gr_psi(n, divisor, sign_rule="calibrated"):
     """Trace of the weight-graded nearby-cycles class on the fiber over the
-    divisor: sum over strata triples (n1, k, n2) and splittings
-    D = D1 + D'' + D2 of v^(-2(n-k)) times the oscillator trace at D''."""
+    divisor (`gr_psi_spec`): the sum over strata triples (n1, k, n2) and
+    splittings D = D1 + D'' + D2 of v^(-2(n-k)) times the oscillator trace
+    at D''.  It factors over the points of D as
+
+        v^(-2n) * prod over (x, m) in D of L(deg x, m),
+        L(d, m) = sum_{b=0}^{min(m, 2)} (m - b + 1) (-v)^(d b) e_b(d),
+
+    with e_b(d) the rank-2 exterior factor `local_exterior_factor(d, b)`
+    at x taken b times in D''; m - b + 1 counts the ways to share the rest
+    of the multiplicity between D1 and D2."""
     if divisor.degree != n:
         raise ValueError(f"degree mismatch: deg D = {divisor.degree}, expected {n}")
+    out = Laurent.monomial(-2 * n)
+    for pt, m in divisor:
+        out = out * _gr_psi_factor(pt.degree, m, sign_rule)
+    return out
+
+
+# The cached factors are Laurent values, whose coefficient dicts are
+# mutable: they never reach a caller, since every trace is a fresh product.
+@lru_cache(maxsize=64)
+def _omega_tilde_factor(degree):
+    return Laurent.one() - Laurent.monomial(-2 * degree)
+
+
+@lru_cache(maxsize=256)
+def _gr_psi_factor(degree, multiplicity, sign_rule):
     total = Laurent.zero()
-    for n1 in range(n + 1):
-        for k in range(n - n1 + 1):
-            n2 = n - n1 - k
-            for _, d_mid, _ in iter_decompositions(divisor, (n1, k, n2)):
-                total = total + Laurent.monomial(-2 * (n - k)) * trace_plo(
-                    k, d_mid, sign_rule
-                )
+    for b in range(min(multiplicity, 2) + 1):
+        sign = (-1) ** (degree * b)
+        weight = Laurent.monomial(degree * b, sign * (multiplicity - b + 1))
+        total = total + weight * local_exterior_factor(
+            degree, b, _STANDARD_EIGENVALUES, sign_rule
+        )
     return total
 
 

@@ -1,6 +1,38 @@
-"""Shared randomized-divisor helpers for the test suite (seeded by callers)."""
+"""Shared divisor helpers for the test suite: randomized divisors (seeded by
+callers) and the factoring oracle for divisor enumeration."""
 
-from vinbun.arith import EffectiveDivisor, enumerate_closed_points
+from vinbun.arith import (
+    ClosedPoint,
+    EffectiveDivisor,
+    enumerate_closed_points,
+    is_irreducible,
+    monic_polys,
+    poly_deg,
+    poly_factor,
+)
+
+
+def factored_divisors(field, n):
+    """Oracle for `enumerate_divisors`: factor every monic polynomial of
+    degree n by trial division, in `monic_polys` order."""
+    return tuple(
+        EffectiveDivisor.from_pairs(
+            (ClosedPoint(degree=poly_deg(g), poly=g), m)
+            for g, m in poly_factor(field, f).items()
+        )
+        for f in monic_polys(field, n)
+    )
+
+
+def trial_division_points(field, max_degree):
+    """Oracle for `enumerate_closed_points`: every monic polynomial of
+    degree <= max_degree that trial division finds irreducible."""
+    return tuple(
+        ClosedPoint(degree=d, poly=f)
+        for d in range(1, max_degree + 1)
+        for f in monic_polys(field, d)
+        if is_irreducible(field, f)
+    )
 
 
 class DeadEnd(Exception):

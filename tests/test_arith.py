@@ -2,6 +2,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from divisor_utils import factored_divisors, trial_division_points
 
 from vinbun.arith import (
     EffectiveDivisor,
@@ -114,6 +115,16 @@ def test_laurent_ring_laws():
     assert (a * Laurent.zero()).is_zero()
 
 
+def test_laurent_constants_hash_like_ints():
+    # == and hash agree: a constant Laurent value is interchangeable with its int
+    assert Laurent.from_int(5) == 5 and Laurent.zero() == 0
+    assert len({Laurent.from_int(5), 5}) == 1
+    assert len({Laurent.zero(), 0}) == 1
+    assert len({Laurent.from_int(-1), -1, Laurent.one() - 2}) == 1
+    assert {Laurent.from_int(7): "seven"}[7] == "seven"
+    assert hash(Laurent.from_int(3)) == hash(3)
+
+
 def test_laurent_twist_and_specialize():
     one = Laurent.one()
     assert one.twist(1) == Laurent.monomial(-2)
@@ -189,6 +200,32 @@ def test_divisors_degree_two_over_f2():
     # 2*x0, 2*x1, x0+x1, one degree-2 point
     assert shapes == [((1, 1), (1, 1)), ((1, 2),), ((1, 2),), ((2, 1),)]
     assert EffectiveDivisor.from_pairs([(x0, 1), (x1, 1)]) in divs
+
+
+# (p, e, degree up to which the factoring oracles stay cheap)
+ORACLE_GRID = [(2, 1, 6), (3, 1, 5), (2, 2, 4), (5, 1, 3), (7, 1, 3), (2, 3, 3), (3, 2, 3)]
+
+
+@pytest.mark.parametrize("p,e,max_d", ORACLE_GRID)
+def test_divisors_match_factoring_oracle(p, e, max_d):
+    # same divisors in the same order as factoring every monic polynomial
+    fld = build_field(p, e)
+    for n in range(max_d + 1):
+        assert enumerate_divisors(fld, n) == factored_divisors(fld, n)
+
+
+@pytest.mark.parametrize("p,e,max_d", ORACLE_GRID)
+def test_closed_point_sieve_matches_trial_division(p, e, max_d):
+    fld = build_field(p, e)
+    pts = enumerate_closed_points(fld, max_d)
+    assert pts == trial_division_points(fld, max_d)
+    for d in range(1, max_d + 1):
+        assert sum(1 for pt in pts if pt.degree == d) == necklace_count(fld.q, d)
+
+
+def test_divisor_caches_are_bounded():
+    for fn in (enumerate_divisors, enumerate_closed_points):
+        assert fn.cache_info().maxsize is not None
 
 
 def test_counts_invariant_under_modulus_choice():

@@ -12,6 +12,7 @@ from vinbun.arith import (
     rational_point,
 )
 from vinbun.kcalc import (
+    SIGN_RULES,
     IcSymbol,
     KElement,
     NormLedger,
@@ -34,10 +35,13 @@ from vinbun.kcalc import (
     trace_k_element,
     trace_omega_tilde,
     trace_plo,
+    _gr_psi_factor,
+    _omega_tilde_factor,
 )
 
 F2 = build_field(2, 1)
 F3 = build_field(3, 1)
+F4 = build_field(2, 2)
 F5 = build_field(5, 1)
 
 
@@ -133,15 +137,24 @@ def test_spec_degrees():
     assert spec_degree(plo_spec(4)) == 4
 
 
-@pytest.mark.parametrize("field", [F2, F3])
+@pytest.mark.parametrize("field", [F2, F3, F4])
 def test_spec_ast_matches_direct_formulas(field):
-    for n in range(1, 4):
+    # the splitting sums of the spec AST are the oracle for the per-point
+    # products, on every divisor and under both sign rules
+    for n in range(5):
         omega = omega_tilde_spec(n)
         psi = gr_psi_spec(n)
+        plo = plo_spec(n)
         for d in enumerate_divisors(field, n):
             assert evaluate_spec(omega, d) == trace_omega_tilde(n, d)
-            assert evaluate_spec(psi, d) == trace_gr_psi(n, d)
-            assert evaluate_spec(plo_spec(n), d) == trace_plo(n, d)
+            for rule in SIGN_RULES:
+                assert evaluate_spec(psi, d, rule) == trace_gr_psi(n, d, rule)
+                assert evaluate_spec(plo, d, rule) == trace_plo(n, d, rule)
+
+
+def test_per_point_factor_caches_are_bounded():
+    for fn in (_gr_psi_factor, _omega_tilde_factor):
+        assert fn.cache_info().maxsize is not None
 
 
 # ---------------------------------------------------------------------------
