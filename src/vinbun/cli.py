@@ -406,6 +406,8 @@ def cmd_verify(args):
 
 
 def cmd_count(args):
+    if args.jobs < 1 or (args.budget is not None and args.budget < 1):
+        raise ValueError("jobs and budget must be positive")
     field = field_from_q(args.q)
     mults = [int(x) for x in args.n.split(",")]
     system = localmodel.build_system(mults)

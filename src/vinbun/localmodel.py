@@ -16,12 +16,15 @@ the single-point fibers over the d-line, i.e. one block of coordinates per
 point with all the d-expressions forced equal.
 
 Point counts are exact exhaustive enumeration over integer-encoded field
-elements.  The optimized path solves the equations for b_1, ..., b_{m-1}
-when the pivot a_{-m} is nonzero (they are linear in b with that pivot) and
-falls back to plain iteration otherwise; it is checked bit-identical against
-the fully naive nested loop.  Workers partition the a-coordinate space into
-disjoint integer ranges and contribute order-independent sums, so counts do
-not depend on the worker count.
+elements, output-sensitive: the solver pivots on the first nonzero
+a-coordinate a_{-m+s} of a factor.  For s = 0 the equations are linear in b
+with an invertible pivot and fix b_1, ..., b_{m-1} from b_0; for 1 <= s < m
+they force b_0 = ... = b_{m-1-s} = 0 and leave the rest free; for a = 0
+every b solves.  A factor thus costs its q^m a-codes plus its
+q^(m+1) + (m-1)(q-1)q^(m-1) points, which is also what the budgets charge;
+the fully naive loop over F_q^(2m) is the test oracle.  Per-factor d-tables
+can be built as a sum over a partition of the a-codes into `jobs` disjoint
+ranges, run one after another, so counts do not depend on the partition.
 
 The defect of a B-locus point (d = 0) of a multiplicity-m factor is the
 t-adic valuation of the first determinantal ideal of the 2x2 matrix
@@ -31,10 +34,11 @@ the minimum of m, ord(f), ord(g t^m) and ord of the polynomial part of -g f.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
+from types import MappingProxyType
 
 from vinbun.arith import EffectiveDivisor
 from vinbun.budget import POINT_COUNT_BUDGET, check_budget
@@ -148,7 +152,14 @@ def _decode(code, q, m):
 
 def _iter_factor_solutions(field, m, a_range=None):
     """All ((a), (b)) solving the m-1 factor equations, a-space restricted to
-    the given code range.  a[0] encodes a_{-m} (the pivot), b[j] encodes b_j."""
+    the given code range.  a[0] encodes a_{-m}, b[j] encodes b_j.
+
+    Yields in a-code order, and per a in b-code order, exactly as the naive
+    loop does.  Equation r reads sum_{j <= r} a[r-j] b[j] = 0; with s the
+    index of the first nonzero a[s], equations r < s are empty and r = s..m-1
+    force b_0 .. b_{m-1-s} to zero in turn, so b_{m-s} .. b_{m-1} are free.
+    For s = 0 that leaves only b_0 free, and b is b_0 times the solution with
+    b_0 = 1."""
     q = field.q
     mul, add, neg, inv = field.mul, field.add, field.neg, field.inv
     lo, hi = a_range if a_range is not None else (0, q**m)
@@ -156,32 +167,26 @@ def _iter_factor_solutions(field, m, a_range=None):
         a = _decode(a_code, q, m)
         if a[0]:
             inv0 = neg(inv(a[0]))
-            for b0 in range(q):
-                b = [b0]
-                for r in range(1, m):
-                    acc = 0
-                    for j in range(r):
-                        acc = add(acc, mul(a[r - j], b[j]))
-                    b.append(mul(inv0, acc))
-                yield a, tuple(b)
+            unit = [1]
+            for r in range(1, m):
+                acc = 0
+                for j in range(r):
+                    acc = add(acc, mul(a[r - j], unit[j]))
+                unit.append(mul(inv0, acc))
+            rows = [tuple([mul(b0, x) for x in unit]) for b0 in range(q)]
+            rows.sort(key=lambda b: b[::-1])  # b-code order: last digit leads
+            for b in rows:
+                yield a, b
         else:
-            for b_code in range(q**m):
-                b = _decode(b_code, q, m)
-                ok = True
-                for r in range(1, m):
-                    acc = 0
-                    for j in range(r + 1):
-                        acc = add(acc, mul(a[r - j], b[j]))
-                    if acc != 0:
-                        ok = False
-                        break
-                if ok:
-                    yield a, b
+            s = next((i for i, x in enumerate(a) if x), m)
+            zeros = (0,) * (m - s)
+            for free in product(range(q), repeat=s):
+                yield a, zeros + free[::-1]
 
 
 def _iter_factor_solutions_naive(field, m):
     """Fully naive double loop over all of F_q^(2m); the optimized iterator
-    must be bit-identical in counts to this one."""
+    must yield exactly the same sequence."""
     q = field.q
     mul, add = field.mul, field.add
     for a_code in range(q**m):
@@ -200,33 +205,49 @@ def _iter_factor_solutions_naive(field, m):
                 yield a, b
 
 
-def _table_chunk(field, m, a_range):
-    table = {}
+def enumeration_cost(q, multiplicities, naive=False):
+    """Work a point count over F_q does, as charged against its budget: per
+    distinct multiplicity m, the q^m a-codes visited plus the
+    q^(m+1) + (m-1)(q-1)q^(m-1) factor points yielded; the naive path visits
+    all q^(2n) coordinate assignments.  Depends only on its arguments, never
+    on which d-tables are already cached."""
+    if naive:
+        return q ** (2 * sum(multiplicities))
+    return sum(
+        q**m + q ** (m + 1) + (m - 1) * (q - 1) * q ** (m - 1)
+        for m in set(multiplicities)
+    )
+
+
+def _table_chunk(field, m, a_range, table):
     for a, b in _iter_factor_solutions(field, m, a_range):
         d = field.mul(a[0], b[0])
         table[d] = table.get(d, 0) + 1
-    return table
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
+def _factor_d_table(field, m, jobs):
+    space = field.q**m
+    jobs = min(jobs, space)  # past one code per range, ranges are empty
+    table = {}
+    for i in range(jobs):
+        _table_chunk(field, m, (space * i // jobs, space * (i + 1) // jobs), table)
+    return MappingProxyType(table)
+
+
 def factor_d_table(field, m, jobs=1):
-    """Count of factor solutions per d-value, as a dict d -> count.
+    """Count of factor solutions per d-value, as a read-only mapping
+    d -> count, cached per (field, m, jobs).
 
-    jobs > 1 partitions the a-coordinate codes into disjoint ranges handled
-    by independent workers; the merge is an order-independent sum.
+    The a-coordinate codes are split into `jobs` disjoint ranges counted one
+    after another; the sum does not depend on the split.
     """
-    q = field.q
-    space = q**m
-    if jobs <= 1:
-        return dict(_table_chunk(field, m, (0, space)))
-    bounds = [space * i // jobs for i in range(jobs + 1)]
-    ranges = [(bounds[i], bounds[i + 1]) for i in range(jobs)]
-    merged = {}
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        for chunk in pool.map(lambda r: _table_chunk(field, m, r), ranges):
-            for d, c in chunk.items():
-                merged[d] = merged.get(d, 0) + c
-    return merged
+    if jobs < 1:
+        raise ValueError("jobs must be positive")
+    return _factor_d_table(field, m, jobs)
+
+
+factor_d_table.cache_info = _factor_d_table.cache_info
 
 
 def count_points(system, field, d_constraint="any", jobs=1, naive=False, budget=None):
@@ -238,8 +259,8 @@ def count_points(system, field, d_constraint="any", jobs=1, naive=False, budget=
     over all coordinates instead.
     """
     q = field.q
-    space = q ** (2 * system.n)
-    check_budget(space, budget if budget is not None else POINT_COUNT_BUDGET,
+    check_budget(enumeration_cost(q, system.multiplicities, naive),
+                 budget if budget is not None else POINT_COUNT_BUDGET,
                  f"count_points{system.multiplicities}")
     if naive:
         return _count_points_naive(system, field, d_constraint)
@@ -344,7 +365,8 @@ def defect_profile(system, field, point):
 def strata_counts(n, field, budget=None):
     """Classify all d = 0 points of the single factor [n] by defect."""
     q = field.q
-    check_budget(q ** (2 * n), budget if budget is not None else POINT_COUNT_BUDGET,
+    check_budget(enumeration_cost(q, (n,)),
+                 budget if budget is not None else POINT_COUNT_BUDGET,
                  f"strata_counts[{n}]")
     counts = {}
     for a, b in _iter_factor_solutions(field, n):

@@ -54,6 +54,15 @@ def test_count_command_naive_and_jobs_agree(capsys):
     assert results[0] == results[1] == results[2]
 
 
+@pytest.mark.parametrize("option", ["--jobs", "--budget"])
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_count_rejects_nonpositive_jobs_and_budget(capsys, option, value):
+    code, out, err = run_cli(capsys, "count", "--n", "2", "--q", "3", option, value)
+    assert code == 2
+    assert out == ""
+    assert "jobs and budget must be positive" in err
+
+
 def test_trace_command(capsys):
     code, out, _ = run_cli(
         capsys, "trace", "--object", "omega", "--q", "3", "--divisor", "t:1"

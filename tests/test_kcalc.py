@@ -152,6 +152,34 @@ def test_spec_ast_matches_direct_formulas(field):
                 assert evaluate_spec(plo, d, rule) == trace_plo(n, d, rule)
 
 
+def plo_closed_form(k, divisor, sign_rule):
+    """trace_plo from its stated values, without the exterior-power code: a
+    point of degree d with multiplicity m contributes s (v^d + v^-d) at m = 1,
+    s at m = 2 and 0 beyond the rank, with s = (-1)^((d+1) m) flipped for
+    d, m >= 2 under "flip-deep"; the whole is scaled by (-1)^k v^-k."""
+    out = Laurent.monomial(-k, (-1) ** k)
+    for pt, m in divisor:
+        d = pt.degree
+        if m > 2:
+            return Laurent.zero()
+        sign = (-1) ** ((d + 1) * m)
+        if sign_rule == "flip-deep" and d >= 2 and m >= 2:
+            sign = -sign
+        if m == 1:
+            out = out * Laurent({d: sign, -d: sign})
+        else:
+            out = out * Laurent.from_int(sign)
+    return out
+
+
+@pytest.mark.parametrize("field", [F2, F3, F4])
+def test_plo_matches_closed_form_oracle(field):
+    for k in range(6 if field.q < 4 else 5):
+        for d in enumerate_divisors(field, k):
+            for rule in SIGN_RULES:
+                assert trace_plo(k, d, rule) == plo_closed_form(k, d, rule), (k, d, rule)
+
+
 def test_per_point_factor_caches_are_bounded():
     for fn in (_gr_psi_factor, _omega_tilde_factor):
         assert fn.cache_info().maxsize is not None

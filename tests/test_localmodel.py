@@ -18,6 +18,7 @@ from vinbun.localmodel import (
     build_system,
     count_points,
     defect_profile,
+    enumeration_cost,
     expected_strata_counts,
     factor_d_table,
     factor_defect,
@@ -36,6 +37,9 @@ F2 = build_field(2, 1)
 F3 = build_field(3, 1)
 F4 = build_field(2, 2)
 F5 = build_field(5, 1)
+F7 = build_field(7, 1)
+F8 = build_field(2, 3)
+F9 = build_field(3, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -112,12 +116,16 @@ def test_optimized_matches_naive(field):
             ), (mults, constraint)
 
 
-@pytest.mark.parametrize("field", [F2, F3])
+@pytest.mark.parametrize("field", [F2, F3, F4, F5, F7, F8, F9])
 def test_factor_iterators_agree(field):
-    for m in (1, 2, 3):
-        fast = sorted(_iter_factor_solutions(field, m))
-        naive = sorted(_iter_factor_solutions_naive(field, m))
-        assert fast == naive
+    # order-exact: a-code outer, then the b-codes the naive loop accepts
+    q = field.q
+    m = 1
+    while q ** (2 * m) <= 5 * 10**5:
+        fast = list(_iter_factor_solutions(field, m))
+        assert fast == list(_iter_factor_solutions_naive(field, m)), m
+        assert len(fast) == q ** (m + 1) + (m - 1) * (q - 1) * q ** (m - 1)
+        m += 1
 
 
 def test_factorization_in_families_literal():
@@ -144,6 +152,67 @@ def test_jobs_partitioning_deterministic():
 def test_budget_exceeded():
     with pytest.raises(BudgetExceededError):
         count_points(build_system([4]), F5, "any", budget=1000)
+
+
+def test_factor_d_table_one_cache_entry_per_call_shape():
+    before = factor_d_table.cache_info()
+    tables = [
+        factor_d_table(F9, 2),
+        factor_d_table(F9, 2, 1),
+        factor_d_table(F9, m=2),
+        factor_d_table(field=F9, m=2, jobs=1),
+    ]
+    after = factor_d_table.cache_info()
+    assert after.misses - before.misses <= 1
+    assert after.hits - before.hits >= 3
+    assert all(t is tables[0] for t in tables)
+
+
+def test_factor_d_table_is_read_only():
+    with pytest.raises(TypeError):
+        factor_d_table(F9, 1, 1)[0] = 999
+    assert count_points(build_system([1]), F9, "zero") == 17
+
+
+def test_factor_d_table_cache_is_bounded():
+    assert factor_d_table.cache_info().maxsize is not None
+
+
+def test_factor_d_table_rejects_nonpositive_jobs():
+    for jobs in (0, -3):
+        with pytest.raises(ValueError):
+            factor_d_table(F3, 2, jobs)
+
+
+def test_enumeration_cost_counts_a_codes_and_points():
+    for field in (F2, F3, F4, F5):
+        q = field.q
+        for m in (1, 2, 3, 4):
+            points = list(_iter_factor_solutions(field, m))
+            a_codes = len({a for a, _ in points})
+            assert enumeration_cost(q, (m,)) == a_codes + len(points)
+        assert enumeration_cost(q, (2, 1, 2)) == enumeration_cost(
+            q, (2,)
+        ) + enumeration_cost(q, (1,))
+        assert enumeration_cost(q, (2, 1, 2), naive=True) == q**10
+
+
+def test_budget_charges_the_path_taken_not_the_cache():
+    system = build_system([3])
+    cost = enumeration_cost(5, (3,))
+    for _ in range(2):  # cold, then with the d-table cached
+        assert count_points(system, F5, "any", budget=cost) == 5**4 + 2 * 4 * 25
+        with pytest.raises(BudgetExceededError):
+            count_points(system, F5, "any", budget=cost - 1)
+        assert sum(strata_counts(3, F5, budget=cost).values()) > 0
+        with pytest.raises(BudgetExceededError):
+            strata_counts(3, F5, budget=cost - 1)
+    with pytest.raises(BudgetExceededError):
+        count_points(system, F5, "any", naive=True, budget=5**6 - 1)
+
+
+def test_g_locus_count_many_points_within_default_budget():
+    assert g_locus_count(F9, (1, 1, 1, 1, 1)) == 8**6
 
 
 # ---------------------------------------------------------------------------
