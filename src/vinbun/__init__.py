@@ -20,7 +20,6 @@ equality); see `vinbun.cli` for the batch verification driver.
 from vinbun.arith import (
     Laurent,
     PrimePowerField,
-    FieldElement,
     ClosedPoint,
     EffectiveDivisor,
     build_field,
@@ -32,7 +31,6 @@ from vinbun.arith import (
 __all__ = [
     "Laurent",
     "PrimePowerField",
-    "FieldElement",
     "ClosedPoint",
     "EffectiveDivisor",
     "build_field",

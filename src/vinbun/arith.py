@@ -403,9 +403,6 @@ class PrimePowerField:
 
     # -- conveniences -------------------------------------------------------
 
-    def element(self, a):
-        return FieldElement(self, a % self.q if self.e == 1 else a)
-
     def __eq__(self, other):
         return (
             isinstance(other, PrimePowerField)
@@ -435,17 +432,6 @@ def _fp_poly_mod(f, g, p):
     while f and f[-1] % p == 0:
         f.pop()
     return tuple(c % p for c in f)
-
-
-def _fp_poly_mul(f, g, p):
-    if not f or not g:
-        return ()
-    prod = [0] * (len(f) + len(g) - 1)
-    for i, x in enumerate(f):
-        if x:
-            for j, y in enumerate(g):
-                prod[i + j] = (prod[i + j] + x * y) % p
-    return tuple(prod)
 
 
 def _fp_poly_irreducible(f, p):
@@ -489,49 +475,6 @@ def alternative_moduli(p, e):
         if _fp_poly_irreducible(f, p):
             out.append(f)
     return out
-
-
-@dataclass(frozen=True)
-class FieldElement:
-    """Operator-overloaded wrapper around an integer-encoded field element."""
-
-    field: PrimePowerField
-    value: int
-
-    def _check(self, other):
-        if isinstance(other, int):
-            other = FieldElement(self.field, other % self.field.q)
-        if self.field != other.field:
-            raise ValueError("field mismatch")
-        return other
-
-    def __add__(self, other):
-        other = self._check(other)
-        return FieldElement(self.field, self.field.add(self.value, other.value))
-
-    def __sub__(self, other):
-        other = self._check(other)
-        return FieldElement(self.field, self.field.sub(self.value, other.value))
-
-    def __mul__(self, other):
-        other = self._check(other)
-        return FieldElement(self.field, self.field.mul(self.value, other.value))
-
-    def __truediv__(self, other):
-        other = self._check(other)
-        return FieldElement(self.field, self.field.div(self.value, other.value))
-
-    def __neg__(self):
-        return FieldElement(self.field, self.field.neg(self.value))
-
-    def __pow__(self, n):
-        return FieldElement(self.field, self.field.pow(self.value, n))
-
-    def __bool__(self):
-        return self.value != 0
-
-    def __repr__(self):
-        return f"F{self.field.q}({self.value})"
 
 
 # ---------------------------------------------------------------------------
@@ -613,13 +556,6 @@ def poly_gcd(field, f, g):
     while g:
         f, g = g, poly_mod(field, f, g)
     return poly_monic(field, f)
-
-
-def poly_eval(field, f, x):
-    out = 0
-    for c in reversed(f):
-        out = field.add(field.mul(out, x), c)
-    return out
 
 
 def monic_polys(field, degree):

@@ -87,6 +87,9 @@ class RunConfig:
             raise ValueError(f"unknown suites: {sorted(unknown)}")
         if self.jobs < 1 or (self.budget is not None and self.budget < 1):
             raise ValueError("jobs and budget must be positive")
+        if min(self.max_n, self.max_degree, self.max_k) < 1 or self.max_q < 2:
+            raise ValueError("max_n, max_degree and max_k must be >= 1 "
+                             "and max_q >= 2")
 
 
 def _check(suite, name, params, lhs, rhs, ok):
@@ -470,6 +473,8 @@ def cmd_schur_weyl(args):
 
 
 def cmd_drinfeld(args):
+    if args.budget is not None and args.budget < 1:
+        raise ValueError("budget must be positive")
     field = field_from_q(args.q)
     res = drinfeld.drinfeld_value(
         args.a1, args.a2, field, budget=args.budget, histogram=args.histogram
@@ -491,6 +496,8 @@ def cmd_drinfeld(args):
 
 
 def cmd_character_table(args):
+    if args.k < 1:
+        raise ValueError("k must be >= 1")
     cts, lams, rows = symrep.character_table(args.k)
     writer = csv.writer(sys.stdout)
     writer.writerow(["irrep\\class"] + [str(list(c)) for c in cts])

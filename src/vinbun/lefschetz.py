@@ -7,13 +7,14 @@ through e (y -> x), f (x -> y) and h = [e, f].  On V^(tensor k) the symmetric
 group acts by permuting tensor slots *times the sign of the permutation*,
 and sl2 acts diagonally; the two actions commute.
 
-Everything here is exact integer linear algebra in the standard tensor basis
-(basis vectors indexed by bit masks, bit j set = letter y in slot j).  The
-sl2 multiplicity of the irreducible U_m is read off as dim W_m - dim W_{m+2}
-from the h-weight spaces W_m, and the symmetric-group content of each
-multiplicity space is recovered by decomposing the layer-by-layer traces of
-the signed permutation matrices - no eigenvalue numerics, no explicit
-highest-weight vectors.
+Everything here is exact integer and rational arithmetic in the standard
+tensor basis (basis vectors indexed by bit masks, bit j set = letter y in
+slot j); matrices are nested tuples of ints.  A permutation sends a mask to
+a signed mask, so its trace on an h-weight space W_m is its sign times the
+number of masks it fixes there.  The sl2 multiplicity of U_m is
+dim W_m - dim W_{m+2}, and the symmetric-group content of each multiplicity
+space comes from decomposing these layer traces - no eigenvalue numerics,
+no explicit highest-weight vectors.  ker(f) is found by row reduction.
 
 Tate twists ride along as half-integers: the lowest-weight line of U_m
 carries twist +m/2 (the Weil weight of a subquotient matches its Cartan
@@ -24,19 +25,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
-import sympy
+from itertools import combinations
 
 from vinbun.arith import Laurent
 from vinbun.symrep import (
     TwoColumnDiagram,
-    VirtualRep,
     cycle_types,
     decompose_class_function,
     dimension,
     hook_length_dimension,
-    two_column_diagrams,
 )
 
 MAX_BRUTE_K = 8
@@ -52,17 +49,19 @@ class StandardRep:
     """The 2-dimensional space V with its sl2 operators and Frobenius
     eigenvalues (v on the weight +1 line, v^-1 on the weight -1 line)."""
 
-    e: np.ndarray
-    f: np.ndarray
-    h: np.ndarray
+    e: tuple
+    f: tuple
+    h: tuple
     frobenius: tuple
 
 
 def standard_rep():
-    e = np.array([[0, 1], [0, 0]], dtype=np.int64)
-    f = np.array([[0, 0], [1, 0]], dtype=np.int64)
-    h = e @ f - f @ e
-    return StandardRep(e=e, f=f, h=h, frobenius=(Laurent.v(1), Laurent.v(-1)))
+    return StandardRep(
+        e=((0, 1), (0, 0)),
+        f=((0, 0), (1, 0)),
+        h=((1, 0), (0, -1)),
+        frobenius=(Laurent.v(1), Laurent.v(-1)),
+    )
 
 
 def weight_of_index(idx, k):
@@ -79,40 +78,33 @@ def weight_layers(k):
     return layers
 
 
+def _act(perm, idx, signed=True):
+    """A permutation on one tensor basis vector: (sign, image mask).  Slot
+    perm[i] of the image holds the letter from slot i; the sign is
+    sign(perm) for the sign-twisted action and 1 for the plain one."""
+    out = 0
+    for i, p in enumerate(perm):
+        if (idx >> i) & 1:
+            out |= 1 << p
+    return (perm_sign(perm) if signed else 1), out
+
+
 def permutation_matrix(k, perm, signed=True):
     """Matrix of a permutation acting on V^(tensor k): slot s of the image
     holds the letter from slot perm^{-1}(s), scaled by sign(perm) when the
     sign-twisted action is requested."""
     n = 1 << k
-    inv = [0] * k
-    for i, p in enumerate(perm):
-        inv[p] = i
-    sign = perm_sign(perm) if signed else 1
-    mat = np.zeros((n, n), dtype=np.int64)
+    mat = [[0] * n for _ in range(n)]
     for idx in range(n):
-        out = 0
-        for s in range(k):
-            if (idx >> inv[s]) & 1:
-                out |= 1 << s
-        mat[out, idx] = sign
-    return mat
+        sign, out = _act(perm, idx, signed)
+        mat[out][idx] = sign
+    return tuple(map(tuple, mat))
 
 
 def perm_sign(perm):
-    seen = [False] * len(perm)
-    sign = 1
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        length = 0
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
+    """(-1)^(number of inversions)."""
+    inversions = sum(a > b for a, b in combinations(perm, 2))
+    return -1 if inversions % 2 else 1
 
 
 def perm_from_cycle_type(cycle_type):
@@ -125,33 +117,34 @@ def perm_from_cycle_type(cycle_type):
     return tuple(perm)
 
 
-def raising_matrix(k):
-    """e acting diagonally: flips one y (bit 1) to x (bit 0) per summand."""
+def _slot_flips(k, letter):
+    """Sum over the slots j of the operator that changes `letter` (bit value
+    0 = x, 1 = y) in slot j to the other letter and kills the rest."""
     n = 1 << k
-    mat = np.zeros((n, n), dtype=np.int64)
+    mat = [[0] * n for _ in range(n)]
     for idx in range(n):
         for j in range(k):
-            if (idx >> j) & 1:
-                mat[idx & ~(1 << j), idx] += 1
-    return mat
+            if (idx >> j) & 1 == letter:
+                mat[idx ^ (1 << j)][idx] += 1
+    return tuple(map(tuple, mat))
+
+
+def raising_matrix(k):
+    """e acting diagonally: flips one y (bit 1) to x (bit 0) per summand."""
+    return _slot_flips(k, 1)
 
 
 def lowering_matrix(k):
     """f acting diagonally: flips one x to y per summand (the monodromy
     operator on the associated graded)."""
-    n = 1 << k
-    mat = np.zeros((n, n), dtype=np.int64)
-    for idx in range(n):
-        for j in range(k):
-            if not (idx >> j) & 1:
-                mat[idx | (1 << j), idx] += 1
-    return mat
+    return _slot_flips(k, 0)
 
 
 def cartan_matrix(k):
     n = 1 << k
-    return np.diag(
-        np.array([weight_of_index(i, k) for i in range(n)], dtype=np.int64)
+    return tuple(
+        tuple(weight_of_index(i, k) if i == j else 0 for j in range(n))
+        for i in range(n)
     )
 
 
@@ -194,7 +187,7 @@ class GradedBiRep:
 
 def brute_force_schur_weyl(k):
     """Decompose V^(tensor k) under the commuting (sign-twisted S_k, sl2)
-    actions by explicit integer matrices.
+    actions by explicit signed permutations of the tensor basis.
 
     Returns the exact bimodule multiplicities, computed from h-weight space
     dimensions (U_m multiplicity = dim W_m - dim W_{m+2}) and from the
@@ -202,14 +195,15 @@ def brute_force_schur_weyl(k):
     """
     if not 1 <= k <= MAX_BRUTE_K:
         raise ValueError(f"k = {k} out of range (1..{MAX_BRUTE_K})")
-    layers = weight_layers(k)
     layer_traces = {}  # cycle type -> {weight: trace of signed permutation}
     for c in cycle_types(k):
-        mat = permutation_matrix(k, perm_from_cycle_type(c), signed=True)
-        diag = np.diagonal(mat)
-        layer_traces[c] = {
-            w: int(sum(diag[i] for i in idxs)) for w, idxs in layers.items()
-        }
+        perm = perm_from_cycle_type(c)
+        traces = layer_traces[c] = {}
+        for idx in range(1 << k):
+            sign, out = _act(perm, idx)
+            if out == idx:
+                w = weight_of_index(idx, k)
+                traces[w] = traces.get(w, 0) + sign
     out = {}
     for m in range(k % 2, k + 1, 2):
         # class function of the multiplicity space of U_m
@@ -219,10 +213,8 @@ def brute_force_schur_weyl(k):
             values[c] = tr
         rep = decompose_class_function(values, k)
         for lam, mult in rep.mults.items():
-            if mult < 0:
-                raise AssertionError(f"negative multiplicity for {lam} in U_{m}")
-            if mult:
-                out[(lam, m)] = mult
+            out[(lam, m)] = mult
+    # from_dict rejects a negative multiplicity
     result = GradedBiRep.from_dict(k, out)
     if result.total_dimension() != 1 << k:
         raise AssertionError("bimodule dimensions do not add up to 2^k")
@@ -260,80 +252,75 @@ def kernel_of_n(k):
     )
 
 
+def _kernel_traces(k, w, perms, signed=True):
+    """Traces of permutations on ker(f) intersected with the h-weight w
+    space (which every permutation preserves, as the actions commute).
+
+    The block of f from layer w to layer w - 2 is brought to reduced row
+    echelon form over the rationals, once for all perms.  Its nullspace
+    basis vector b_s has 1 on free column s and 0 on the other free
+    columns, so the coefficient of b_s in P b_s is (P b_s)[s] and the
+    trace of P is the sum of these.
+    """
+    layers, f = weight_layers(k), lowering_matrix(k)
+    cols = layers[w]
+    pos = {idx: j for j, idx in enumerate(cols)}
+    rows = [[Fraction(f[i][j]) for j in cols] for i in layers.get(w - 2, [])]
+    pivots = []  # pivots[i] = pivot column of reduced row i
+    for c in range(len(cols)):
+        r = len(pivots)
+        p = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if p is None:
+            continue
+        rows[r], rows[p] = rows[p], rows[r]
+        rows[r] = [x / rows[r][c] for x in rows[r]]
+        for i, row in enumerate(rows):
+            if i != r and row[c]:
+                rows[i] = [x - row[c] * y if y else x for x, y in zip(row, rows[r])]
+        pivots.append(c)
+    free = [s for s in range(len(cols)) if s not in pivots]
+    traces = []
+    for perm in perms:
+        inverse = tuple(sorted(range(k), key=perm.__getitem__))
+        trace = 0
+        for s in free:
+            # (P b_s)[s] = sign * b_s[j] for the column j that P sends onto s
+            sign, pre = _act(inverse, cols[s], signed)
+            j = pos[pre]
+            if j == s:
+                trace += sign
+            elif j in pivots:
+                trace -= sign * rows[pivots.index(j)][s]
+        if trace.denominator != 1:
+            raise AssertionError("non-integral trace on kernel subspace")
+        traces.append(int(trace))
+    return traces
+
+
 def lowering_kernel_reps(k):
     """Literal matrix kernel of f on V^(tensor k), decomposed under S_k layer
     by layer: maps each highest weight m = k - 2r to the S_k content of
     ker(f) intersected with the h-weight -m space."""
     if not 1 <= k <= MAX_BRUTE_K:
         raise ValueError(f"k = {k} out of range (1..{MAX_BRUTE_K})")
-    layers = weight_layers(k)
-    f_mat = lowering_matrix(k)
-    out = {}
-    for r in range(k // 2 + 1):
-        m = k - 2 * r
-        w = -m
-        cols = layers[w]
-        rows = layers.get(w - 2, [])
-        if rows:
-            sub = sympy.Matrix([[int(f_mat[i, j]) for j in cols] for i in rows])
-            kernel_vecs = sub.nullspace()
-        else:
-            kernel_vecs = [
-                sympy.Matrix([1 if t == s else 0 for t in range(len(cols))])
-                for s in range(len(cols))
-            ]
-        if not kernel_vecs:
-            out[m] = VirtualRep(k, {})
-            continue
-        basis = sympy.Matrix.hstack(*kernel_vecs)
-        gram_inv = (basis.T * basis).inv()
-        values = {}
-        for c in cycle_types(k):
-            perm_mat = permutation_matrix(k, perm_from_cycle_type(c), signed=True)
-            sub_perm = sympy.Matrix(
-                [[int(perm_mat[i, j]) for j in cols] for i in cols]
-            )
-            # matrix of the permutation in the kernel basis (the kernel is
-            # S_k-stable because the actions commute)
-            action = gram_inv * basis.T * (sub_perm * basis)
-            tr = action.trace()
-            if tr != int(tr):
-                raise AssertionError("non-integral trace on kernel subspace")
-            values[c] = int(tr)
-        out[m] = decompose_class_function(values, k)
-    return out
+    cts = cycle_types(k)
+    perms = [perm_from_cycle_type(c) for c in cts]
+    return {
+        m: decompose_class_function(dict(zip(cts, _kernel_traces(k, -m, perms))), k)
+        for m in range(k, -1, -2)
+    }
 
 
 def sign_on_lowest_lines(twisted=True):
     """How the transposition acts on the lowest weight lines M_0 of U_0 and
     M_2 of U_2 inside V tensor V.  The sign-twisted action gives
     {0: +1, 2: -1}; the plain permutation action flips both signs."""
-    k = 2
-    layers = weight_layers(k)
-    f_mat = lowering_matrix(k)
-    swap = permutation_matrix(k, (1, 0), signed=twisted)
     out = {}
-    for m, w in ((0, 0), (2, -2)):
-        cols = layers[w]
-        rows = layers.get(w - 2, [])
-        if rows:
-            sub = sympy.Matrix([[int(f_mat[i, j]) for j in cols] for i in rows])
-            vecs = sub.nullspace()
-        else:
-            vecs = [sympy.Matrix([1 if t == s else 0 for t in range(len(cols))])
-                    for s in range(len(cols))]
-        assert len(vecs) == 1
-        u = vecs[0]
-        sub_swap = sympy.Matrix([[int(swap[i, j]) for j in cols] for i in cols])
-        image = sub_swap * u
-        # the line is swap-stable, so image = lambda * u
-        lam = None
-        for a, b in zip(image, u):
-            if b != 0:
-                lam = sympy.Rational(a, b)
-                break
-        assert lam is not None and image == lam * u
-        out[m] = int(lam)
+    for m in (0, 2):
+        # the identity's trace is the kernel's dimension; on a line the
+        # transposition's trace is its eigenvalue
+        dim, out[m] = _kernel_traces(2, -m, ((0, 1), (1, 0)), signed=twisted)
+        assert dim == 1
     return out
 
 
@@ -355,6 +342,13 @@ def operators_commute(k):
         perm[i], perm[i + 1] = perm[i + 1], perm[i]
         p = permutation_matrix(k, tuple(perm), signed=True)
         for op in (e, f, h):
-            if not np.array_equal(p @ op, op @ p):
+            if _matmul(p, op) != _matmul(op, p):
                 return False
     return True
+
+
+def _matmul(a, b):
+    cols = tuple(zip(*b))
+    return tuple(
+        tuple(sum(x * y for x, y in zip(row, col)) for col in cols) for row in a
+    )

@@ -328,10 +328,6 @@ def decompose_class_function(values, k):
     return rep
 
 
-def regular_class_function(k):
-    return {c: (factorial(k) if c == sign_partition(k) else 0) for c in cycle_types(k)}
-
-
 def character_table(k):
     """(cycle_types, partitions, matrix) with matrix[i][j] = chi_{lam_i}(c_j)."""
     cts = cycle_types(k)

@@ -1,7 +1,11 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import vinbun
 from vinbun.cli import (
     RunConfig,
     field_from_q,
@@ -33,6 +37,9 @@ def test_run_config_validation():
         RunConfig(suites=("bogus",))
     with pytest.raises(ValueError):
         RunConfig(jobs=0)
+    for bad in ({"max_n": 0}, {"max_q": 1}, {"max_degree": 0}, {"max_k": 0}):
+        with pytest.raises(ValueError):
+            RunConfig(**bad)
 
 
 def test_count_command(capsys):
@@ -122,6 +129,24 @@ def test_drinfeld_command(capsys):
     assert payload["histogram"]["[]"] == 6
 
 
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_drinfeld_rejects_nonpositive_budget(capsys, value):
+    code, out, err = run_cli(
+        capsys, "drinfeld", "--a1", "0", "--a2", "0", "--q", "3", "--budget", value
+    )
+    assert code == 2
+    assert out == ""
+    assert "budget must be positive" in err
+
+
+@pytest.mark.parametrize("k", ["0", "-1"])
+def test_character_table_rejects_nonpositive_k(capsys, k):
+    code, out, err = run_cli(capsys, "character-table", "--k", k)
+    assert code == 2
+    assert out == ""
+    assert "k must be >= 1" in err
+
+
 def test_character_table_command(capsys):
     code, out, _ = run_cli(capsys, "character-table", "--k", "2")
     assert code == 0
@@ -183,13 +208,15 @@ def test_verify_csv_format(capsys):
     assert header == "suite,name,params,lhs,rhs,status"
 
 
-def test_verify_empty_grid_exits_zero(capsys):
-    code, out, _ = run_cli(
-        capsys, "verify", "--suites", "uniformity", "--max-n", "0"
-    )
-    assert code == 0
-    report = json.loads(out)
-    assert report["checks"] == []
+@pytest.mark.parametrize("option,value", [
+    ("--max-n", "0"), ("--max-q", "1"), ("--max-degree", "-1"), ("--max-k", "0"),
+])
+def test_verify_rejects_empty_grid(capsys, option, value):
+    # a grid with no points would report no checks and pass vacuously
+    code, out, err = run_cli(capsys, "verify", "--suites", "uniformity", option, value)
+    assert code == 2
+    assert out == ""
+    assert "must be >= 1" in err
 
 
 def test_env_var_budget_override(capsys, monkeypatch):
@@ -207,3 +234,16 @@ def test_verify_output_file(tmp_path, capsys):
     )
     assert code == 0
     assert json.loads(path.read_text()) == json.loads(out)
+
+
+def test_cli_import_needs_no_numpy_or_sympy():
+    # a fresh interpreter, so modules other tests imported do not count
+    src = str(Path(vinbun.__file__).resolve().parent.parent)
+    probe = (
+        f"import json, sys; sys.path.insert(0, {src!r}); import vinbun.cli; "
+        "print(json.dumps([m in sys.modules "
+        "for m in ('numpy', 'sympy', 'vinbun.lefschetz')]))"
+    )
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, check=True)
+    assert json.loads(done.stdout) == [False, False, True]

@@ -1,6 +1,5 @@
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from vinbun.lefschetz import (
@@ -25,10 +24,31 @@ from vinbun.lefschetz import (
 from vinbun.symrep import TwoColumnDiagram, VirtualRep, cycle_types
 
 
+# integer matrices as nested tuples, as the module builds them
+
+
+def matmul(a, b):
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in zip(*b))
+                 for row in a)
+
+
+def scale(c, a):
+    return tuple(tuple(c * x for x in row) for row in a)
+
+
+def commutator(a, b):
+    return tuple(tuple(x - y for x, y in zip(r, s))
+                 for r, s in zip(matmul(a, b), matmul(b, a)))
+
+
+def diagonal(mat):
+    return [mat[i][i] for i in range(len(mat))]
+
+
 def test_standard_rep_relations():
     V = standard_rep()
-    assert np.array_equal(V.e @ V.f - V.f @ V.e, V.h)
-    assert sorted(np.diagonal(V.h)) == [-1, 1]
+    assert commutator(V.e, V.f) == V.h
+    assert sorted(diagonal(V.h)) == [-1, 1]
     assert V.frobenius[0] * V.frobenius[1] == 1  # v * v^-1
 
 
@@ -62,7 +82,7 @@ def test_signed_permutation_trace_oracle():
                             out |= 1 << s
                     if out == idx:
                         fixed += 1
-                assert sum(int(mat[i, i]) for i in idxs) == sign * fixed
+                assert sum(mat[i][i] for i in idxs) == sign * fixed
 
 
 def test_actions_commute():
@@ -73,9 +93,9 @@ def test_actions_commute():
 def test_sl2_relations_on_tensor_power():
     for k in (2, 3):
         e, f, h = raising_matrix(k), lowering_matrix(k), cartan_matrix(k)
-        assert np.array_equal(e @ f - f @ e, h)
-        assert np.array_equal(h @ e - e @ h, 2 * e)
-        assert np.array_equal(h @ f - f @ h, -2 * f)
+        assert commutator(e, f) == h
+        assert commutator(h, e) == scale(2, e)
+        assert commutator(h, f) == scale(-2, f)
 
 
 def test_brute_force_k1():
@@ -140,7 +160,7 @@ def test_kernel_of_n_closed_form():
 def test_lowering_kernel_matches_closed_form():
     # ker(f) within the h-weight -(k-2r) layer carries exactly one copy of
     # the (k-r, r) two-column irreducible and nothing else
-    for k in range(1, 7):
+    for k in range(1, 9):
         reps = lowering_kernel_reps(k)
         for r in range(k // 2 + 1):
             m = k - 2 * r
@@ -155,10 +175,10 @@ def test_sign_on_lowest_lines():
 
 def test_transposition_trace_via_matrices():
     mat = permutation_matrix(2, (1, 0), signed=True)
-    assert mat.shape == (4, 4)
+    assert len(mat) == 4 and all(len(row) == 4 for row in mat)
     # full-space trace agrees with the bimodule character:
     # dim(U_0) * chi_triv + dim(U_2) * chi_sign = 1 - 3
-    assert int(np.trace(mat)) == -2
+    assert sum(diagonal(mat)) == -2
     # on ker(f) = M_0 + M_2 the signs +1 and -1 cancel
     signs = sign_on_lowest_lines(twisted=True)
     assert signs[0] + signs[2] == 0
