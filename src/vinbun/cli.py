@@ -90,6 +90,8 @@ class RunConfig:
         if min(self.max_n, self.max_degree, self.max_k) < 1 or self.max_q < 2:
             raise ValueError("max_n, max_degree and max_k must be >= 1 "
                              "and max_q >= 2")
+        if self.max_k > lefschetz.MAX_BRUTE_K:
+            raise ValueError(f"max_k must be <= {lefschetz.MAX_BRUTE_K}")
 
 
 def _check(suite, name, params, lhs, rhs, ok):
@@ -496,8 +498,6 @@ def cmd_drinfeld(args):
 
 
 def cmd_character_table(args):
-    if args.k < 1:
-        raise ValueError("k must be >= 1")
     cts, lams, rows = symrep.character_table(args.k)
     writer = csv.writer(sys.stdout)
     writer.writerow(["irrep\\class"] + [str(list(c)) for c in cts])

@@ -12,7 +12,7 @@ functions of effective divisors, with values in Z[v, v^-1] (v^2 = q):
 * the oscillator trace and the three-stratum nearby-cycles trace built from
   it, together with the boundary-stalk comparison that calibrates the
   normalization constant c(n) = q^(-n) at n = 1 and then freezes it;
-* formal IC symbols (S_k representation, Tate twist) with the inductive
+* formal IC symbols (S_k representation, Tate twist) with the closed-form
   reconstruction of G from G - G(-1), and their partial stalk evaluation.
 
 The trace classes above are factorizable: each trace at D is a product of
@@ -39,6 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import itemgetter
 
 from vinbun.arith import (
     EffectiveDivisor,
@@ -412,6 +413,15 @@ def boundary_stalk_trace(divisor):
 # ---------------------------------------------------------------------------
 
 
+def _twist_value(t):
+    """A Tate twist as stored in symbols: an int when integral, otherwise a
+    Fraction (ints hash and compare like the equal Fractions)."""
+    if type(t) is int:
+        return t
+    t = Fraction(t)
+    return t.numerator if t.denominator == 1 else t
+
+
 @dataclass(frozen=True)
 class IcSymbol:
     """IC-extension symbol on X^(k): an S_k irreducible (by partition) with a
@@ -419,14 +429,15 @@ class IcSymbol:
 
     k: int
     rep: tuple
-    twist: Fraction
+    twist: int | Fraction
 
     @property
     def weight(self):
         return -2 * self.twist
 
     def twisted(self, m):
-        return IcSymbol(self.k, self.rep, self.twist + Fraction(m))
+        t = self.twist + m if type(m) is int else _twist_value(self.twist + Fraction(m))
+        return IcSymbol(self.k, self.rep, t)
 
     def __repr__(self):
         if self.rep == trivial_partition(self.k):
@@ -435,9 +446,7 @@ class IcSymbol:
             name = "sign"
         else:
             name = f"IC{self.rep}"
-        t = self.twist
-        t_str = str(t) if t.denominator == 1 else f"{t.numerator}/{t.denominator}"
-        return f"{name}({t_str})"
+        return f"{name}({self.twist})"
 
 
 def symbol(k, rep, twist):
@@ -448,7 +457,7 @@ def symbol(k, rep, twist):
     rep = normalize_partition(rep)
     if sum(rep) != k:
         raise ValueError(f"{rep} is not a partition of {k}")
-    return IcSymbol(k=k, rep=rep, twist=Fraction(twist))
+    return IcSymbol(k=k, rep=rep, twist=_twist_value(twist))
 
 
 class KElement:
@@ -457,12 +466,7 @@ class KElement:
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        clean = {}
-        if terms:
-            for sym, c in terms.items():
-                if c:
-                    clean[sym] = clean.get(sym, 0) + c
-        self.terms = {s: c for s, c in clean.items() if c}
+        self.terms = {s: c for s, c in terms.items() if c} if terms else {}
 
     @staticmethod
     def zero():
@@ -526,7 +530,7 @@ def plo_k_element(k):
         rep = (2,) * r + (1,) * (k - 2 * r)
         m = k - 2 * r
         for i in range(m + 1):
-            terms[IcSymbol(k, rep, Fraction(m, 2) - i)] = 1
+            terms[IcSymbol(k, rep, _twist_value(Fraction(m, 2) - i))] = 1
     return KElement(terms)
 
 
@@ -538,33 +542,49 @@ def ic_kernel_k_element(k):
     terms = {}
     for r in range(k // 2 + 1):
         rep = (2,) * r + (1,) * (k - 2 * r)
-        terms[IcSymbol(k, rep, Fraction(k, 2) - r)] = 1
+        terms[IcSymbol(k, rep, _twist_value(Fraction(k, 2) - r))] = 1
     return KElement(terms)
 
 
 def reconstruct_from_difference(delta):
     """Solve G - G(-1) = delta for the unique finitely supported G.
 
-    Works down the twist grading (lowest Weil weight = highest twist first):
-    move each extremal term of the remainder into G and subtract its (-1)
-    twist.  If the remainder survives below the original support it can never
-    clear, and the input was not a difference.
+    Symbols that differ by an integral twist form a class (k, rep, twist
+    mod 1), and within a class G is the prefix sum from the top:
+
+        G[t] = sum over j >= 0 of delta[t + j],
+
+    constant across the gaps between the twists of delta.  G is finitely
+    supported iff every class sums to 0; otherwise the input was not a
+    difference, and the residual holds each nonzero class total one step
+    below that class's lowest twist.
     """
-    if delta.is_zero():
-        return KElement.zero()
-    floor = min(s.twist for s in delta.terms)
-    g = KElement.zero()
-    remainder = delta
-    while not remainder.is_zero():
-        top = remainder.max_twist()
-        if top < floor:
-            raise ReconstructionError("input is not a difference G - G(-1)", remainder)
-        batch = KElement(
-            {s: c for s, c in remainder.terms.items() if s.twist == top}
+    classes = {}
+    for s, c in delta.terms.items():
+        classes.setdefault((s.k, s.rep, s.twist % 1), []).append((s.twist, c, s))
+    terms = {}
+    residual = {}
+    for (k, rep, _), column in classes.items():
+        column.sort(key=itemgetter(0), reverse=True)
+        running = 0
+        above = None
+        for t, c, s in column:
+            if running:
+                gap = above - 1
+                while gap > t:
+                    terms[IcSymbol(k, rep, gap)] = running
+                    gap -= 1
+            running += c
+            if running:
+                terms[s] = running
+            above = t
+        if running:
+            residual[IcSymbol(k, rep, above - 1)] = running
+    if residual:
+        raise ReconstructionError(
+            "input is not a difference G - G(-1)", KElement(residual)
         )
-        g = g + batch
-        remainder = remainder - (batch - batch.twisted(-1))
-    return g
+    return KElement(terms)
 
 
 # ---------------------------------------------------------------------------

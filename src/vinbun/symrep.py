@@ -328,8 +328,16 @@ def decompose_class_function(values, k):
     return rep
 
 
+# The table has p(k)^2 Murnaghan-Nakayama entries: p(14) = 135 takes a few
+# tenths of a second, p(20) = 627 several seconds.
+MAX_TABLE_K = 14
+
+
 def character_table(k):
-    """(cycle_types, partitions, matrix) with matrix[i][j] = chi_{lam_i}(c_j)."""
+    """(cycle_types, partitions, matrix) with matrix[i][j] = chi_{lam_i}(c_j),
+    for 1 <= k <= MAX_TABLE_K."""
+    if not 1 <= k <= MAX_TABLE_K:
+        raise ValueError(f"k must be >= 1 and <= {MAX_TABLE_K}, got {k}")
     cts = cycle_types(k)
     lams = partitions(k)
     rows = [[murnaghan_nakayama(lam, c) for c in cts] for lam in lams]

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -6,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import vinbun
+from vinbun import lefschetz, symrep
 from vinbun.cli import (
     RunConfig,
     field_from_q,
@@ -13,6 +15,10 @@ from vinbun.cli import (
     prime_powers_up_to,
     render_report,
     run_suite,
+)
+
+DEFAULT_REPORT_SHA256 = (
+    "9f0407a883c102f4b9afe6b9717ff378e6a067cf54732eb5bad9ecf229a2d068"
 )
 
 
@@ -147,6 +153,16 @@ def test_character_table_rejects_nonpositive_k(capsys, k):
     assert "k must be >= 1" in err
 
 
+def test_character_table_rejects_k_beyond_limit(capsys):
+    k = symrep.MAX_TABLE_K
+    code, out, err = run_cli(capsys, "character-table", "--k", str(k + 1))
+    assert code == 2
+    assert out == ""
+    assert f"<= {k}" in err
+    with pytest.raises(ValueError):
+        symrep.character_table(k + 1)
+
+
 def test_character_table_command(capsys):
     code, out, _ = run_cli(capsys, "character-table", "--k", "2")
     assert code == 0
@@ -217,6 +233,31 @@ def test_verify_rejects_empty_grid(capsys, option, value):
     assert code == 2
     assert out == ""
     assert "must be >= 1" in err
+
+
+def test_verify_rejects_max_k_beyond_brute_force(capsys, monkeypatch):
+    # refused before any suite runs, not after the decompositions up to k = 8
+    def no_brute_force(k):
+        raise AssertionError(f"brute force ran for k = {k}")
+
+    monkeypatch.setattr(lefschetz, "brute_force_schur_weyl", no_brute_force)
+    code, out, err = run_cli(
+        capsys, "verify", "--suites", "schurweyl",
+        "--max-k", str(lefschetz.MAX_BRUTE_K + 1),
+    )
+    assert code == 2
+    assert out == ""
+    assert f"max_k must be <= {lefschetz.MAX_BRUTE_K}" in err
+    with pytest.raises(ValueError):
+        RunConfig(max_k=lefschetz.MAX_BRUTE_K + 1)
+    RunConfig(max_k=lefschetz.MAX_BRUTE_K)
+
+
+def test_default_verify_report_is_pinned(capsys):
+    # the default-grid report stays byte-identical across changes
+    code, out, _ = run_cli(capsys, "verify")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == DEFAULT_REPORT_SHA256
 
 
 def test_env_var_budget_override(capsys, monkeypatch):

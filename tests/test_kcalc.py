@@ -285,6 +285,35 @@ def test_ic_kernel_k_element():
     assert ic_kernel_k_element(2) == KElement({s2_sign(1): 1, s2_triv(0): 1})
 
 
+def test_ic_symbol_twists_compare_and_hash_across_types():
+    # integral twists are stored as int, half-integral ones as Fraction;
+    # an explicit Fraction(1) twist must still be the same symbol
+    a = symbol(2, "sign", 1)
+    b = IcSymbol(2, (1, 1), Fraction(1))
+    same = [a, b, a.twisted(0), b.twisted(0), symbol(2, "sign", Fraction(1))]
+    for x in same:
+        for y in same:
+            assert x == y
+            assert hash(x) == hash(y)
+    assert {a: 5}[b] == 5
+    assert {b: 7}[a.twisted(0)] == 7
+    assert len(set(same)) == 1
+    assert KElement({a: 1}) == KElement({b: 1})
+    assert a.twisted(Fraction(1, 2)) == IcSymbol(2, (1, 1), Fraction(3, 2))
+    assert a.twisted(Fraction(1, 2)).twisted(Fraction(1, 2)) == symbol(2, "sign", 2)
+    assert type(symbol(2, "sign", Fraction(4, 2)).twist) is int
+    assert type(a.twisted(Fraction(1, 2)).twisted(Fraction(1, 2)).twist) is int
+    assert type(plo_k_element(2).max_twist()) is int
+
+
+def test_ic_symbol_repr_unchanged():
+    assert repr(plo_k_element(1)) == "Ql(1/2) + Ql(-1/2)"
+    assert repr(ic_kernel_k_element(3)) == "sign(3/2) + IC(2, 1)(1/2)"
+    assert repr(symbol(2, "sign", -2)) == "sign(-2)"
+    assert repr(IcSymbol(2, (2,), Fraction(-3))) == "Ql(-3)"
+    assert repr(symbol(1, (1,), Fraction(-1, 2)).twisted(-1)) == "Ql(-3/2)"
+
+
 def test_reconstruction_golden_case():
     delta = KElement(
         {s2_triv(0): 1, s2_triv(-1): -1, s2_sign(1): 1, s2_sign(-2): -1}

@@ -1,14 +1,27 @@
-"""Property-based tests: Laurent ring laws, exact division, hashing, and the
-multiplicativity of the traces over disjoint supports."""
+"""Property-based tests: Laurent ring laws, exact division, hashing, the
+multiplicativity of the traces over disjoint supports, and the K-element
+reconstruction solver against its descending-loop oracle."""
 
 import random
+from fractions import Fraction
 
+import pytest
 from divisor_utils import random_disjoint_pair
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vinbun.arith import Laurent, build_field
-from vinbun.kcalc import SIGN_RULES, trace_gr_psi, trace_omega_tilde, trace_plo
+from vinbun.kcalc import (
+    SIGN_RULES,
+    KElement,
+    ReconstructionError,
+    reconstruct_from_difference,
+    symbol,
+    trace_gr_psi,
+    trace_omega_tilde,
+    trace_plo,
+)
+from vinbun.symrep import partitions
 
 # small and derandomized, so the suite stays fast and repeatable
 PROPERTY_SETTINGS = settings(
@@ -90,3 +103,89 @@ def test_traces_multiply_over_disjoint_supports(field, n, n1, seed):
             n2, d2, rule
         )
         assert trace_plo(n, d, rule) == trace_plo(n1, d1, rule) * trace_plo(n2, d2, rule)
+
+
+def reconstruct_descending(delta):
+    """Oracle for `reconstruct_from_difference`: work down the twist grading
+    (highest twist first), move each extremal term of the remainder into G
+    and subtract its (-1) twist.  A remainder that survives below the
+    original support can never clear, and the input was not a difference."""
+    if delta.is_zero():
+        return KElement.zero()
+    floor = min(s.twist for s in delta.terms)
+    g = KElement.zero()
+    remainder = delta
+    while not remainder.is_zero():
+        top = remainder.max_twist()
+        if top < floor:
+            raise ReconstructionError("input is not a difference G - G(-1)", remainder)
+        batch = KElement({s: c for s, c in remainder.terms.items() if s.twist == top})
+        g = g + batch
+        remainder = remainder - (batch - batch.twisted(-1))
+    return g
+
+
+def _k_element(raw):
+    terms = {}
+    for k, rep_index, half_twist, c in raw:
+        reps = partitions(k)
+        sym = symbol(k, reps[rep_index % len(reps)], Fraction(half_twist, 2))
+        terms[sym] = terms.get(sym, 0) + c
+    return KElement(terms)
+
+
+# k <= 4, every S_k irreducible, integral and half-integral twists mixed in
+# one element, and zero coefficients among the terms
+k_elements = st.lists(
+    st.tuples(
+        st.integers(1, 4), st.integers(0, 4), st.integers(-8, 8), st.integers(-3, 3)
+    ),
+    max_size=8,
+).map(_k_element)
+differences = k_elements.map(lambda g: g - g.twisted(-1))
+
+
+def _class_sums(element):
+    sums = {}
+    for s, c in element.terms.items():
+        cls = (s.k, s.rep, s.twist % 1)
+        sums[cls] = sums.get(cls, 0) + c
+    return {cls: total for cls, total in sums.items() if total}
+
+
+@PROPERTY_SETTINGS
+@given(st.one_of(k_elements, differences))
+def test_reconstruction_matches_descending_oracle(delta):
+    try:
+        expected = reconstruct_descending(delta)
+    except ReconstructionError:
+        with pytest.raises(ReconstructionError):
+            reconstruct_from_difference(delta)
+    else:
+        assert reconstruct_from_difference(delta) == expected
+
+
+@PROPERTY_SETTINGS
+@given(k_elements)
+def test_reconstruction_inverts_the_difference(g):
+    assert reconstruct_from_difference(g - g.twisted(-1)) == g
+
+
+@PROPERTY_SETTINGS
+@given(k_elements)
+def test_reconstruction_residual_holds_the_nonzero_class_sums(delta):
+    sums = _class_sums(delta)
+    if not sums:
+        reconstruct_from_difference(delta)
+        return
+    with pytest.raises(ReconstructionError) as err:
+        reconstruct_from_difference(delta)
+    residual = err.value.residual
+    assert not residual.is_zero()
+    assert _class_sums(residual) == sums
+    for s, c in residual.terms.items():
+        lowest = min(
+            t.twist for t in delta.terms
+            if (t.k, t.rep, t.twist % 1) == (s.k, s.rep, s.twist % 1)
+        )
+        assert (s.twist, c) == (lowest - 1, sums[(s.k, s.rep, s.twist % 1)])
