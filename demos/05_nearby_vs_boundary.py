@@ -13,19 +13,12 @@ breaks the identity on the divisor 2 * (degree-2 point), as shown below.
 
 from vinbun.arith import enumerate_divisors, format_divisor
 from vinbun.cli import field_from_q
-from vinbun.kcalc import (
-    NormLedger,
-    boundary_stalk_trace,
-    nearby_vs_boundary_check,
-    trace_gr_psi,
-)
-from vinbun.arith import Laurent
+from vinbun.kcalc import NormLedger, nearby_vs_boundary
 
 ledger = NormLedger.calibrated()
 print(f"calibrated at n = 1: c(1) = {ledger.c(1)!r}, frozen c(n) = c(1)^n")
 print()
 
-one_minus_q = Laurent.one() - Laurent.monomial(2)
 total = 0
 for q in (2, 3, 4):
     field = field_from_q(q)
@@ -35,7 +28,8 @@ for q in (2, 3, 4):
             if all(pt.degree <= 2 for pt, _ in d)
         ]
         for d in divisors:
-            assert nearby_vs_boundary_check(n, d, ledger=ledger)
+            lhs, rhs = nearby_vs_boundary(n, d, ledger=ledger)
+            assert lhs == rhs
         total += len(divisors)
     print(f"q = {q}: identity holds on all divisors with residue degrees <= 2")
 print(f"({total} divisors checked in total)")
@@ -44,8 +38,7 @@ print()
 field = field_from_q(2)
 example = [d for d in enumerate_divisors(field, 2)
            if len(d.parts) == 1 and d.parts[0][0].degree == 2][0]
-lhs = one_minus_q * trace_gr_psi(2, example)
-rhs = ledger.c(2) * boundary_stalk_trace(example)
+lhs, rhs = nearby_vs_boundary(2, example, ledger=ledger)
 print(f"sample, D = {format_divisor(field, example)} over F_2:")
 print(f"  (1-q) * grPsi trace  = {lhs!r}")
 print(f"  c(2) * boundary stalk = {rhs!r}")
@@ -54,7 +47,7 @@ print()
 deep = [d for d in enumerate_divisors(field, 4)
         if len(d.parts) == 1 and d.parts[0][0].degree == 2][0]
 print(f"sign convention experiment on D = {format_divisor(field, deep)}:")
-print("  calibrated sign rule :",
-      nearby_vs_boundary_check(4, deep, ledger=ledger))
-print("  flipped deep stalks  :",
-      nearby_vs_boundary_check(4, deep, ledger=ledger, sign_rule="flip-deep"))
+calibrated = nearby_vs_boundary(4, deep, ledger=ledger)
+flipped = nearby_vs_boundary(4, deep, ledger=ledger, sign_rule="flip-deep")
+print("  calibrated sign rule :", calibrated[0] == calibrated[1])
+print("  flipped deep stalks  :", flipped[0] == flipped[1])

@@ -284,7 +284,7 @@ class PrimePowerField:
                 raise ValueError("prime field modulus must be linear and monic")
         else:
             if modulus is None:
-                modulus = _default_modulus(p, e)
+                modulus = alternative_moduli(p, e)[0]
             modulus = tuple(c % p for c in modulus)
             if len(modulus) != e + 1 or modulus[-1] != 1:
                 raise ValueError(f"modulus must be monic of degree {e}")
@@ -451,24 +451,15 @@ def _fp_poly_irreducible(f, p):
     return True
 
 
-def _default_modulus(p, e):
-    """Smallest monic irreducible of degree e over F_p in lexicographic order
-    of (constant term, ..., leading term)."""
-    for tail in itertools.product(range(p), repeat=e):
-        f = tuple(tail) + (1,)
-        if _fp_poly_irreducible(f, p):
-            return f
-    raise AssertionError("no irreducible modulus found")
-
-
 def build_field(p, e, modulus=None):
     """Construct F_{p^e}.  Raises ValueError for composite p or e outside 1..3."""
     return PrimePowerField(p, e, modulus)
 
 
 def alternative_moduli(p, e):
-    """All monic irreducibles of degree e over F_p (to re-run suites with a
-    different defining modulus)."""
+    """All monic irreducibles of degree e over F_p in lexicographic order of
+    (constant term, ..., leading term); the first is the default modulus.
+    The others re-run suites with a different defining modulus."""
     out = []
     for tail in itertools.product(range(p), repeat=e):
         f = tuple(tail) + (1,)

@@ -1,7 +1,8 @@
 """Enumeration budget plumbing.
 
-Brute-force counters refuse candidate spaces larger than their budget; the
-VINBUN_BUDGET environment variable overrides the per-module defaults.
+Brute-force counters refuse candidate spaces larger than their budget.  The
+limit is resolved in one place: an explicit budget argument wins, then the
+VINBUN_BUDGET environment variable, then the per-module default.
 """
 
 import os
@@ -14,14 +15,11 @@ class BudgetExceededError(RuntimeError):
     """Candidate space larger than the enumeration budget."""
 
 
-def effective_budget(default):
-    env = os.environ.get("VINBUN_BUDGET")
-    return int(env) if env else default
-
-
-def check_budget(space, default, what):
-    limit = effective_budget(default)
-    if space > limit:
+def check_budget(space, budget, default, what):
+    if budget is None:
+        env = os.environ.get("VINBUN_BUDGET")
+        budget = int(env) if env else default
+    if space > budget:
         raise BudgetExceededError(
-            f"{what}: {space} candidates exceed the budget {limit}"
+            f"{what}: {space} candidates exceed the budget {budget}"
         )

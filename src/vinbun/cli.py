@@ -3,10 +3,11 @@ direct access to the counters and trace functions.
 
 Commands: verify, count, trace, equations, schur-weyl, drinfeld,
 character-table.  Reports are deterministic (entries order-normalized, fixed
-RNG seeds), so repeated runs and different --jobs values emit byte-identical
-output; the process exits nonzero iff some check failed.  Budget overruns
-are reported as "skipped", never as failures.  The VINBUN_BUDGET environment
-variable overrides the enumeration budgets.
+RNG seeds), so repeated runs emit byte-identical output; the process exits
+nonzero iff some check failed.  Each suite compares the two sides that the
+library's identity functions return.  Budget overruns are reported as
+"skipped", never as failures.  An explicit --budget wins over the
+VINBUN_BUDGET environment variable, which wins over the default budgets.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import json
 import random
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 from vinbun import arith, drinfeld, kcalc, lefschetz, localmodel, symrep
@@ -74,7 +76,6 @@ class RunConfig:
     max_q: int = 4
     max_degree: int = 2
     max_k: int = 4
-    jobs: int = 1
     budget: int | None = None
     output: str | None = None
     fmt: str = "json"
@@ -85,8 +86,8 @@ class RunConfig:
         unknown = set(self.suites) - set(ALL_SUITES)
         if unknown:
             raise ValueError(f"unknown suites: {sorted(unknown)}")
-        if self.jobs < 1 or (self.budget is not None and self.budget < 1):
-            raise ValueError("jobs and budget must be positive")
+        if self.budget is not None and self.budget < 1:
+            raise ValueError("budget must be positive")
         if min(self.max_n, self.max_degree, self.max_k) < 1 or self.max_q < 2:
             raise ValueError("max_n, max_degree and max_k must be >= 1 "
                              "and max_q >= 2")
@@ -105,15 +106,21 @@ def _check(suite, name, params, lhs, rhs, ok):
     }
 
 
-def _skip(suite, name, params, reason):
-    return {
-        "suite": suite,
-        "name": name,
-        "params": params,
-        "lhs": reason,
-        "rhs": "",
-        "status": "skipped",
-    }
+@contextmanager
+def _skip_over_budget(checks, suite, name, params):
+    """Run the block; if an enumeration in it exceeds its budget, record one
+    `skipped` entry instead of the block's checks."""
+    try:
+        yield
+    except BudgetExceededError as exc:
+        checks.append({
+            "suite": suite,
+            "name": name,
+            "params": params,
+            "lhs": str(exc),
+            "rhs": "",
+            "status": "skipped",
+        })
 
 
 def suite_nearby(config):
@@ -122,15 +129,13 @@ def suite_nearby(config):
         ledger = kcalc.NormLedger.calibrated()
     except CalibrationError as exc:
         return [_check("nearby", "calibration", "n=1", str(exc), "", False)]
-    one_minus_q = arith.Laurent.one() - arith.Laurent.monomial(2)
     for q in prime_powers_up_to(config.max_q):
         fld = field_from_q(q)
         for n in range(1, config.max_n + 1):
             for d in arith.enumerate_divisors(fld, n):
                 if any(pt.degree > config.max_degree for pt, _ in d):
                     continue
-                lhs = one_minus_q * kcalc.trace_gr_psi(n, d)
-                rhs = ledger.c(n) * kcalc.boundary_stalk_trace(d)
+                lhs, rhs = kcalc.nearby_vs_boundary(n, d, ledger)
                 checks.append(
                     _check(
                         "nearby",
@@ -153,29 +158,20 @@ def suite_omega(config):
                 if any(pt.degree != 1 for pt, _ in d):
                     continue
                 params = f"q={q} n={n} D={arith.format_divisor(fld, d)}"
-                try:
-                    count = localmodel.g_locus_count(
-                        fld, tuple(m for _, m in d.parts), jobs=config.jobs,
-                        budget=config.budget,
+                with _skip_over_budget(checks, "omega", "g-locus-count", params):
+                    count, predicted, closed_form = localmodel.omega_point_count(
+                        n, d, fld, config.budget
                     )
-                except BudgetExceededError as exc:
-                    checks.append(_skip("omega", "g-locus-count", params, str(exc)))
-                    continue
-                trace = kcalc.trace_omega_tilde(n, d).at_q(q)
-                predicted = q**n * (q - 1) * trace
-                m = len(d.parts)
-                closed_form = (q - 1) ** (m + 1) * q ** (n - m)
-                ok = count == predicted and count == closed_form
-                checks.append(
-                    _check(
-                        "omega",
-                        "omega-point-count",
-                        params,
-                        count,
-                        f"{predicted} (closed form {closed_form})",
-                        ok,
+                    checks.append(
+                        _check(
+                            "omega",
+                            "omega-point-count",
+                            params,
+                            count,
+                            f"{predicted} (closed form {closed_form})",
+                            count == predicted == closed_form,
+                        )
                     )
-                )
     return checks
 
 
@@ -185,25 +181,25 @@ def suite_strata(config):
         fld = field_from_q(q)
         for n in range(1, config.max_n + 1):
             params = f"q={q} n={n}"
-            try:
-                counts = localmodel.strata_counts(n, fld, budget=config.budget)
-            except BudgetExceededError as exc:
-                checks.append(_skip("strata", "defect-strata", params, str(exc)))
-                continue
-            expected = {
-                k: v for k, v in localmodel.expected_strata_counts(n, q).items() if v
-            }
-            checks.append(
-                _check("strata", "defect-strata", params, counts, expected,
-                       counts == expected)
-            )
-            total = localmodel.count_points(
-                localmodel.build_system([n]), fld, "zero", jobs=config.jobs
-            )
-            checks.append(
-                _check("strata", "b-locus-total", params, sum(counts.values()),
-                       total, sum(counts.values()) == total)
-            )
+            with _skip_over_budget(checks, "strata", "defect-strata", params):
+                counts = localmodel.strata_counts(n, fld, config.budget)
+                total = localmodel.count_points(
+                    localmodel.build_system([n]), fld, "zero", config.budget
+                )
+                expected = {
+                    k: v
+                    for k, v in localmodel.expected_strata_counts(n, q).items()
+                    if v
+                }
+                checks.append(
+                    _check("strata", "defect-strata", params, counts, expected,
+                           counts == expected)
+                )
+                checks.append(
+                    _check("strata", "b-locus-total", params,
+                           sum(counts.values()), total,
+                           sum(counts.values()) == total)
+                )
     return checks
 
 
@@ -271,23 +267,18 @@ def suite_drinfeld(config):
     for q in prime_powers_up_to(min(config.max_q, 5)):
         fld = field_from_q(q)
         params = f"a1=0 a2=0 q={q}"
-        try:
+        with _skip_over_budget(checks, "drinfeld", "value-0-0", params):
             res = drinfeld.drinfeld_value(0, 0, fld, budget=config.budget)
-        except BudgetExceededError as exc:
-            checks.append(_skip("drinfeld", "value-0-0", params, str(exc)))
-            continue
-        checks.append(
-            _check("drinfeld", "value-0-0", params, res.value, 1 - q * q,
-                   res.value == 1 - q * q)
-        )
-    try:
+            checks.append(
+                _check("drinfeld", "value-0-0", params, res.value, 1 - q * q,
+                       res.value == 1 - q * q)
+            )
+    params = "a1=1 a2=0 q=2"
+    with _skip_over_budget(checks, "drinfeld", "value-1-0", params):
         res = drinfeld.drinfeld_value(1, 0, field_from_q(2), budget=config.budget)
         checks.append(
-            _check("drinfeld", "value-1-0", "a1=1 a2=0 q=2", res.value, 3,
-                   res.value == 3)
+            _check("drinfeld", "value-1-0", params, res.value, 3, res.value == 3)
         )
-    except BudgetExceededError as exc:
-        checks.append(_skip("drinfeld", "value-1-0", "a1=1 a2=0 q=2", str(exc)))
     return checks
 
 
@@ -304,22 +295,17 @@ def suite_quadric(config):
         fld = field_from_q(q)
         expected = q**3 + q**2 - q
         params = f"q={q}"
-        try:
-            total = localmodel.count_points(sys2, fld, "any", jobs=config.jobs,
-                                            budget=config.budget)
-            coupled = localmodel.count_points(sys11, fld, "any", jobs=config.jobs,
-                                              budget=config.budget)
-        except BudgetExceededError as exc:
-            checks.append(_skip("quadric", "cone-count", params, str(exc)))
-            continue
-        checks.append(
-            _check("quadric", "cone-count", params, total, expected,
-                   total == expected)
-        )
-        checks.append(
-            _check("quadric", "fiber-product-count", params, coupled, expected,
-                   coupled == expected)
-        )
+        with _skip_over_budget(checks, "quadric", "cone-count", params):
+            total = localmodel.count_points(sys2, fld, "any", config.budget)
+            coupled = localmodel.count_points(sys11, fld, "any", config.budget)
+            checks.append(
+                _check("quadric", "cone-count", params, total, expected,
+                       total == expected)
+            )
+            checks.append(
+                _check("quadric", "fiber-product-count", params, coupled,
+                       expected, coupled == expected)
+            )
     return checks
 
 
@@ -329,15 +315,12 @@ def suite_uniformity(config):
         fld = field_from_q(q)
         for n in range(1, config.max_n + 1):
             params = f"q={q} n={n}"
-            try:
-                ok = localmodel.per_fiber_uniformity(n, fld, jobs=config.jobs)
-            except BudgetExceededError as exc:
-                checks.append(_skip("uniformity", "g-fibers-equal", params, str(exc)))
-                continue
-            checks.append(
-                _check("uniformity", "g-fibers-equal", params,
-                       "uniform" if ok else "non-uniform", "uniform", ok)
-            )
+            with _skip_over_budget(checks, "uniformity", "g-fibers-equal", params):
+                ok = localmodel.per_fiber_uniformity(n, fld, config.budget)
+                checks.append(
+                    _check("uniformity", "g-fibers-equal", params,
+                           "uniform" if ok else "non-uniform", "uniform", ok)
+                )
     return checks
 
 
@@ -396,7 +379,6 @@ def cmd_verify(args):
         max_q=args.max_q,
         max_degree=args.max_degree,
         max_k=args.max_k,
-        jobs=args.jobs,
         budget=args.budget,
         output=args.output,
         fmt=args.format,
@@ -411,8 +393,8 @@ def cmd_verify(args):
 
 
 def cmd_count(args):
-    if args.jobs < 1 or (args.budget is not None and args.budget < 1):
-        raise ValueError("jobs and budget must be positive")
+    if args.budget is not None and args.budget < 1:
+        raise ValueError("budget must be positive")
     field = field_from_q(args.q)
     mults = [int(x) for x in args.n.split(",")]
     system = localmodel.build_system(mults)
@@ -421,10 +403,7 @@ def cmd_count(args):
     else:
         constraint = int(args.d)
     start = time.perf_counter()
-    count = localmodel.count_points(
-        system, field, constraint, jobs=args.jobs, naive=args.naive,
-        budget=args.budget,
-    )
+    count = localmodel.count_points(system, field, constraint, args.budget)
     elapsed = time.perf_counter() - start
     print(json.dumps({"count": count, "elapsed": round(elapsed, 6)}))
     return 0
@@ -521,7 +500,6 @@ def build_parser():
     p.add_argument("--max-q", type=int, default=4)
     p.add_argument("--max-degree", type=int, default=2)
     p.add_argument("--max-k", type=int, default=4)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--budget", type=int, default=None)
     p.add_argument("--output", default=None)
     p.add_argument("--format", choices=("json", "csv"), default="json")
@@ -531,8 +509,6 @@ def build_parser():
     p.add_argument("--n", required=True, help="multiplicities, e.g. 2,1")
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--d", default="any", help="any|zero|nonzero|<element code>")
-    p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--naive", action="store_true")
     p.add_argument("--budget", type=int, default=None)
     p.set_defaults(func=cmd_count)
 

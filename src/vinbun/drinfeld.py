@@ -109,7 +109,7 @@ def iter_hom_matrices(field, a1, a2, budget=None):
     """Exhaustive enumeration of Hom(E1, E2)(F_q)."""
     dims = hom_space_dims(a1, a2)
     total = sum(dims)
-    check_budget(field.q**total, budget if budget is not None else HOM_ENUM_BUDGET,
+    check_budget(field.q**total, budget, HOM_ENUM_BUDGET,
                  f"hom space ({a1},{a2}) over F_{field.q}")
     spaces = [
         list(itertools.product(field.elements(), repeat=d)) for d in dims

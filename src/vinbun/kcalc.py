@@ -124,6 +124,7 @@ def trace_ext_exterior(n, eigenvalues, divisor, shift=0, twist=0, sign_rule="cal
 
 
 _STANDARD_EIGENVALUES = (Laurent.v(1), Laurent.v(-1))
+_ONE_MINUS_Q = Laurent.one() - Laurent.monomial(2)  # 1 - q at v^2 = q
 
 
 def trace_plo(k, divisor, sign_rule="calibrated"):
@@ -349,9 +350,8 @@ class NormLedger:
             [(ClosedPoint(degree=1, poly=(0, 1)), 1)]
         )
         lhs = trace_gr_psi(1, anchor)
-        boundary = Laurent.one() - Laurent.monomial(2)
         try:
-            c1 = lhs.exact_div(boundary)
+            c1 = lhs.exact_div(_ONE_MINUS_Q)
         except ValueError as exc:
             raise CalibrationError(f"n=1 anchor is not divisible: {exc}") from exc
         if len(c1.coeffs) != 1:
@@ -383,26 +383,23 @@ def default_ledger():
     return _LEDGER
 
 
-def nearby_vs_boundary_check(n, divisor, ledger=None, sign_rule="calibrated"):
-    """Verify (1-q) * grPsi trace = c(n) * (1-q) * prod over the *distinct*
-    points x of D of (1 - q^(deg x)), with c(n) frozen from the n=1 anchor."""
+def nearby_vs_boundary(n, divisor, ledger=None, sign_rule="calibrated"):
+    """Both sides of the headline identity, (lhs, rhs): (1-q) times the
+    grPsi trace, and c(n) times the boundary stalk trace, with c(n) frozen
+    from the n=1 anchor.  The identity holds iff lhs == rhs."""
     if divisor.degree != n:
         raise ValueError(f"degree mismatch: deg D = {divisor.degree}, expected {n}")
     if ledger is None:
         ledger = default_ledger()
-    one_minus_q = Laurent.one() - Laurent.monomial(2)
-    lhs = one_minus_q * trace_gr_psi(n, divisor, sign_rule)
-    rhs = ledger.c(n) * one_minus_q
-    for pt, _ in divisor:
-        rhs = rhs * (Laurent.one() - Laurent.monomial(2 * pt.degree))
-    return lhs == rhs
+    lhs = _ONE_MINUS_Q * trace_gr_psi(n, divisor, sign_rule)
+    return lhs, ledger.c(n) * boundary_stalk_trace(divisor)
 
 
 def boundary_stalk_trace(divisor):
     """(1-q) * prod over distinct points of (1 - q^(deg x)), as a Laurent
     value: the *-stalk trace of the extension of the constant sheaf at a
     maximal-defect point, before the c(n) normalization."""
-    out = Laurent.one() - Laurent.monomial(2)
+    out = _ONE_MINUS_Q
     for pt, _ in divisor:
         out = out * (Laurent.one() - Laurent.monomial(2 * pt.degree))
     return out

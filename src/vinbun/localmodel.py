@@ -21,10 +21,9 @@ a-coordinate a_{-m+s} of a factor.  For s = 0 the equations are linear in b
 with an invertible pivot and fix b_1, ..., b_{m-1} from b_0; for 1 <= s < m
 they force b_0 = ... = b_{m-1-s} = 0 and leave the rest free; for a = 0
 every b solves.  A factor thus costs its q^m a-codes plus its
-q^(m+1) + (m-1)(q-1)q^(m-1) points, which is also what the budgets charge;
-the fully naive loop over F_q^(2m) is the test oracle.  Per-factor d-tables
-can be built as a sum over a partition of the a-codes into `jobs` disjoint
-ranges, run one after another, so counts do not depend on the partition.
+q^(m+1) + (m-1)(q-1)q^(m-1) points, which is also what the budgets charge.
+Coupled counts compose cached per-factor d-tables; the fully naive loop over
+all coordinates lives in the tests as the oracle.
 
 The defect of a B-locus point (d = 0) of a multiplicity-m factor is the
 t-adic valuation of the first determinantal ideal of the 2x2 matrix
@@ -35,12 +34,10 @@ the minimum of m, ord(f), ord(g t^m) and ord of the polynomial part of -g f.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from types import MappingProxyType
 
-from vinbun.arith import EffectiveDivisor
 from vinbun.budget import POINT_COUNT_BUDGET, check_budget
 from vinbun.kcalc import trace_omega_tilde
 
@@ -150,9 +147,9 @@ def _decode(code, q, m):
     return tuple(out)
 
 
-def _iter_factor_solutions(field, m, a_range=None):
-    """All ((a), (b)) solving the m-1 factor equations, a-space restricted to
-    the given code range.  a[0] encodes a_{-m}, b[j] encodes b_j.
+def _iter_factor_solutions(field, m):
+    """All ((a), (b)) solving the m-1 factor equations.  a[0] encodes
+    a_{-m}, b[j] encodes b_j.
 
     Yields in a-code order, and per a in b-code order, exactly as the naive
     loop does.  Equation r reads sum_{j <= r} a[r-j] b[j] = 0; with s the
@@ -162,8 +159,7 @@ def _iter_factor_solutions(field, m, a_range=None):
     b_0 = 1."""
     q = field.q
     mul, add, neg, inv = field.mul, field.add, field.neg, field.inv
-    lo, hi = a_range if a_range is not None else (0, q**m)
-    for a_code in range(lo, hi):
+    for a_code in range(q**m):
         a = _decode(a_code, q, m)
         if a[0]:
             inv0 = neg(inv(a[0]))
@@ -184,87 +180,38 @@ def _iter_factor_solutions(field, m, a_range=None):
                 yield a, zeros + free[::-1]
 
 
-def _iter_factor_solutions_naive(field, m):
-    """Fully naive double loop over all of F_q^(2m); the optimized iterator
-    must yield exactly the same sequence."""
-    q = field.q
-    mul, add = field.mul, field.add
-    for a_code in range(q**m):
-        a = _decode(a_code, q, m)
-        for b_code in range(q**m):
-            b = _decode(b_code, q, m)
-            ok = True
-            for r in range(1, m):
-                acc = 0
-                for j in range(r + 1):
-                    acc = add(acc, mul(a[r - j], b[j]))
-                if acc != 0:
-                    ok = False
-                    break
-            if ok:
-                yield a, b
-
-
-def enumeration_cost(q, multiplicities, naive=False):
+def enumeration_cost(q, multiplicities):
     """Work a point count over F_q does, as charged against its budget: per
     distinct multiplicity m, the q^m a-codes visited plus the
-    q^(m+1) + (m-1)(q-1)q^(m-1) factor points yielded; the naive path visits
-    all q^(2n) coordinate assignments.  Depends only on its arguments, never
-    on which d-tables are already cached."""
-    if naive:
-        return q ** (2 * sum(multiplicities))
+    q^(m+1) + (m-1)(q-1)q^(m-1) factor points yielded.  Depends only on its
+    arguments, never on which d-tables are already cached."""
     return sum(
         q**m + q ** (m + 1) + (m - 1) * (q - 1) * q ** (m - 1)
         for m in set(multiplicities)
     )
 
 
-def _table_chunk(field, m, a_range, table):
-    for a, b in _iter_factor_solutions(field, m, a_range):
+@lru_cache(maxsize=64)
+def factor_d_table(field, m, /):
+    """Count of factor solutions per d-value, as a read-only mapping
+    d -> count, cached per (field, m).  The arguments are positional-only,
+    so every call shape shares one cache entry."""
+    table = {}
+    for a, b in _iter_factor_solutions(field, m):
         d = field.mul(a[0], b[0])
         table[d] = table.get(d, 0) + 1
-
-
-@lru_cache(maxsize=64)
-def _factor_d_table(field, m, jobs):
-    space = field.q**m
-    jobs = min(jobs, space)  # past one code per range, ranges are empty
-    table = {}
-    for i in range(jobs):
-        _table_chunk(field, m, (space * i // jobs, space * (i + 1) // jobs), table)
     return MappingProxyType(table)
 
 
-def factor_d_table(field, m, jobs=1):
-    """Count of factor solutions per d-value, as a read-only mapping
-    d -> count, cached per (field, m, jobs).
-
-    The a-coordinate codes are split into `jobs` disjoint ranges counted one
-    after another; the sum does not depend on the split.
-    """
-    if jobs < 1:
-        raise ValueError("jobs must be positive")
-    return _factor_d_table(field, m, jobs)
-
-
-factor_d_table.cache_info = _factor_d_table.cache_info
-
-
-def count_points(system, field, d_constraint="any", jobs=1, naive=False, budget=None):
+def count_points(system, field, d_constraint="any", budget=None):
     """Exact number of F_q-points of the coupled system with the d-value
-    filtered by the constraint ("any" | "zero" | "nonzero" | an element code).
-
-    The default path composes per-factor d-tables (the factorization of the
-    fiber product over the d-line); naive=True runs the literal nested loop
-    over all coordinates instead.
-    """
+    filtered by the constraint ("any" | "zero" | "nonzero" | an element code),
+    composed from per-factor d-tables (the factorization of the fiber product
+    over the d-line)."""
     q = field.q
-    check_budget(enumeration_cost(q, system.multiplicities, naive),
-                 budget if budget is not None else POINT_COUNT_BUDGET,
-                 f"count_points{system.multiplicities}")
-    if naive:
-        return _count_points_naive(system, field, d_constraint)
-    tables = [factor_d_table(field, m, jobs) for m in system.multiplicities]
+    check_budget(enumeration_cost(q, system.multiplicities), budget,
+                 POINT_COUNT_BUDGET, f"count_points{system.multiplicities}")
+    tables = [factor_d_table(field, m) for m in system.multiplicities]
 
     def combined(c):
         total = 1
@@ -285,33 +232,6 @@ def count_points(system, field, d_constraint="any", jobs=1, naive=False, budget=
             raise ValueError(f"d-value {d_constraint} outside F_{q}")
         return combined(d_constraint)
     raise ValueError(f"unknown d-constraint {d_constraint!r}")
-
-
-def _count_points_naive(system, field, d_constraint):
-    mults = system.multiplicities
-    total = 0
-    iters = [list(_iter_factor_solutions_naive(field, m)) for m in mults]
-
-    def rec(idx, d):
-        nonlocal total
-        if idx == len(mults):
-            if d_constraint == "any":
-                total += 1
-            elif d_constraint == "zero":
-                total += d == 0
-            elif d_constraint == "nonzero":
-                total += d != 0
-            else:
-                total += d == d_constraint
-            return
-        for a, b in iters[idx]:
-            d_here = field.mul(a[0], b[0])
-            if idx > 0 and d_here != d:
-                continue
-            rec(idx + 1, d_here)
-
-    rec(0, None)
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -365,8 +285,7 @@ def defect_profile(system, field, point):
 def strata_counts(n, field, budget=None):
     """Classify all d = 0 points of the single factor [n] by defect."""
     q = field.q
-    check_budget(enumeration_cost(q, (n,)),
-                 budget if budget is not None else POINT_COUNT_BUDGET,
+    check_budget(enumeration_cost(q, (n,)), budget, POINT_COUNT_BUDGET,
                  f"strata_counts[{n}]")
     counts = {}
     for a, b in _iter_factor_solutions(field, n):
@@ -395,10 +314,12 @@ def expected_strata_counts(n, q):
 # ---------------------------------------------------------------------------
 
 
-def per_fiber_uniformity(n, field, jobs=1):
+def per_fiber_uniformity(n, field, budget=None):
     """True iff the count over d = c is the same for every c != 0 (the
     product-decomposition shadow of the G-locus)."""
-    table = factor_d_table(field, n, jobs)
+    check_budget(enumeration_cost(field.q, (n,)), budget, POINT_COUNT_BUDGET,
+                 f"per_fiber_uniformity[{n}]")
+    table = factor_d_table(field, n)
     nonzero = {table.get(c, 0) for c in range(1, field.q)}
     return len(nonzero) == 1
 
@@ -421,15 +342,16 @@ def gm_orbit_check(system, field, point, c):
     )
 
 
-def g_locus_count(field, multiplicities, jobs=1, budget=None):
+def g_locus_count(field, multiplicities, budget=None):
     """Points of the coupled fiber with d != 0."""
     system = build_system(multiplicities)
-    return count_points(system, field, "nonzero", jobs=jobs, budget=budget)
+    return count_points(system, field, "nonzero", budget=budget)
 
 
-def omega_point_count_identity(n, divisor, field, jobs=1, budget=None):
-    """Check #(G-locus of the fiber over D) = q^n (q-1) * omega-trace at
-    v^2 = q, and the closed form (q-1)^(m+1) q^(n-m) for m distinct points.
+def omega_point_count(n, divisor, field, budget=None):
+    """Both sides of #(G-locus of the fiber over D) = q^n (q-1) * omega-trace
+    at v^2 = q, plus the closed form (q-1)^(m+1) q^(n-m) for m distinct
+    points: returns (count, predicted, closed_form).
 
     D must be supported on rational points (fibers over higher-degree points
     would need coordinates the equations do not provide)."""
@@ -438,10 +360,7 @@ def omega_point_count_identity(n, divisor, field, jobs=1, budget=None):
     if any(pt.degree != 1 or pt.is_infinity for pt, _ in divisor):
         raise ValueError("divisor must be supported on rational points of A^1")
     q = field.q
-    mults = tuple(m for _, m in divisor.parts)
-    count = g_locus_count(field, mults, jobs=jobs, budget=budget)
-    trace = trace_omega_tilde(n, divisor).at_q(q)
-    predicted = Fraction(q**n * (q - 1)) * trace
+    count = g_locus_count(field, tuple(m for _, m in divisor.parts), budget)
+    predicted = q**n * (q - 1) * trace_omega_tilde(n, divisor).at_q(q)
     m = len(divisor.parts)
-    closed_form = (q - 1) ** (m + 1) * q ** (n - m)
-    return Fraction(count) == predicted and count == closed_form
+    return count, predicted, (q - 1) ** (m + 1) * q ** (n - m)

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import vinbun
-from vinbun import lefschetz, symrep
+from vinbun import lefschetz, localmodel, symrep
 from vinbun.cli import (
     RunConfig,
     field_from_q,
@@ -19,6 +19,9 @@ from vinbun.cli import (
 
 DEFAULT_REPORT_SHA256 = (
     "9f0407a883c102f4b9afe6b9717ff378e6a067cf54732eb5bad9ecf229a2d068"
+)
+STARVED_REPORT_SHA256 = (
+    "f9e5202f9e52b2aa56aa37d24d0a27593a00e1ad3df15de1ec231954015b035a"
 )
 
 
@@ -42,7 +45,7 @@ def test_run_config_validation():
     with pytest.raises(ValueError):
         RunConfig(suites=("bogus",))
     with pytest.raises(ValueError):
-        RunConfig(jobs=0)
+        RunConfig(budget=0)
     for bad in ({"max_n": 0}, {"max_q": 1}, {"max_degree": 0}, {"max_k": 0}):
         with pytest.raises(ValueError):
             RunConfig(**bad)
@@ -56,24 +59,25 @@ def test_count_command(capsys):
     assert "elapsed" in payload
 
 
-def test_count_command_naive_and_jobs_agree(capsys):
-    results = []
-    for extra in ([], ["--naive"], ["--jobs", "4"]):
-        code, out, _ = run_cli(
-            capsys, "count", "--n", "1,1", "--q", "3", "--d", "nonzero", *extra
-        )
-        assert code == 0
-        results.append(json.loads(out)["count"])
-    assert results[0] == results[1] == results[2]
+@pytest.mark.parametrize("argv", [
+    ["verify", "--jobs", "2"],
+    ["count", "--n", "1,1", "--q", "3", "--jobs", "4"],
+    ["count", "--n", "1,1", "--q", "3", "--naive"],
+])
+def test_removed_jobs_and_naive_options_exit_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("option", ["--jobs", "--budget"])
+@pytest.mark.parametrize("option", ["--budget"])
 @pytest.mark.parametrize("value", ["0", "-3"])
 def test_count_rejects_nonpositive_jobs_and_budget(capsys, option, value):
     code, out, err = run_cli(capsys, "count", "--n", "2", "--q", "3", option, value)
     assert code == 2
     assert out == ""
-    assert "jobs and budget must be positive" in err
+    assert "budget must be positive" in err
 
 
 def test_trace_command(capsys):
@@ -192,26 +196,46 @@ def test_verify_reconstruct_suite(capsys):
 
 def test_verify_budget_skips_not_fails(capsys):
     code, out, _ = run_cli(
-        capsys, "verify", "--suites", "omega", "--max-n", "3", "--max-q", "3",
-        "--budget", "10",
+        capsys, "verify", "--suites", "omega,uniformity", "--max-n", "3",
+        "--max-q", "3", "--budget", "10",
     )
     assert code == 0
     report = json.loads(out)
     # the big fibers blow the tiny budget and must be skipped, not failed
-    assert report["summary"]["skipped"] > 0
+    skipped = {c["suite"] for c in report["checks"] if c["status"] == "skipped"}
+    assert skipped == {"omega", "uniformity"}
     assert report["summary"]["fail"] == 0
     assert report["summary"]["pass"] + report["summary"]["skipped"] == len(
         report["checks"]
     )
 
 
-def test_verify_reports_byte_identical_across_runs_and_jobs():
-    config1 = RunConfig(suites=("quadric", "uniformity"), max_q=4, jobs=1)
-    config4 = RunConfig(suites=("quadric", "uniformity"), max_q=4, jobs=4)
-    r1 = render_report(run_suite(config1), "json")
-    r2 = render_report(run_suite(config1), "json")
-    r4 = render_report(run_suite(config4), "json")
-    assert r1 == r2 == r4
+def test_strata_suite_forwards_budget_to_b_locus_total(monkeypatch):
+    # a budget above the module default must reach every count of the suite
+    monkeypatch.setattr(localmodel, "POINT_COUNT_BUDGET", 20)
+    report = run_suite(
+        RunConfig(suites=("strata",), max_n=3, max_q=2, budget=10**6)
+    )
+    assert report["summary"] == {"pass": 6, "fail": 0, "skipped": 0}
+
+
+def test_budget_starved_report_is_pinned(capsys):
+    # pins the layout of skipped entries across every budgeted suite
+    code, out, _ = run_cli(
+        capsys, "verify", "--suites", "omega,strata,quadric,drinfeld",
+        "--max-n", "3", "--max-q", "4", "--budget", "10",
+    )
+    assert code == 0
+    summary = json.loads(out)["summary"]
+    assert (summary["pass"], summary["skipped"], summary["fail"]) == (6, 74, 0)
+    assert hashlib.sha256(out.encode()).hexdigest() == STARVED_REPORT_SHA256
+
+
+def test_verify_reports_byte_identical_across_runs():
+    config = RunConfig(suites=("quadric", "uniformity"), max_q=4)
+    r1 = render_report(run_suite(config), "json")
+    r2 = render_report(run_suite(config), "json")
+    assert r1 == r2
 
 
 def test_verify_csv_format(capsys):
@@ -265,6 +289,16 @@ def test_env_var_budget_override(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "count", "--n", "3", "--q", "5")
     assert code == 3
     assert "budget" in err
+    # an explicit --budget wins over the environment, either way round
+    monkeypatch.setenv("VINBUN_BUDGET", "100000")
+    code, _, err = run_cli(capsys, "count", "--n", "3", "--q", "5", "--budget", "10")
+    assert code == 3
+    assert "exceed the budget 10" in err
+    monkeypatch.setenv("VINBUN_BUDGET", "10")
+    code, out, _ = run_cli(capsys, "count", "--n", "3", "--q", "5",
+                           "--budget", "100000")
+    assert code == 0
+    assert json.loads(out)["count"] == 5**4 + 2 * 4 * 25
 
 
 def test_verify_output_file(tmp_path, capsys):

@@ -23,7 +23,7 @@ from vinbun.kcalc import (
     evaluate_spec,
     gr_psi_spec,
     ic_kernel_k_element,
-    nearby_vs_boundary_check,
+    nearby_vs_boundary,
     omega_tilde_spec,
     plo_k_element,
     plo_spec,
@@ -222,10 +222,10 @@ def test_calibration_constant():
 
 def test_nearby_vs_boundary_small_cases():
     x = rational_point(F3, 0)
-    assert nearby_vs_boundary_check(1, div([(x, 1)]))
-    assert nearby_vs_boundary_check(2, div([(x, 2)]))
     y = point_of_degree(F3, 2)
-    assert nearby_vs_boundary_check(2, div([(y, 1)]))
+    for n, d in ((1, div([(x, 1)])), (2, div([(x, 2)])), (2, div([(y, 1)]))):
+        lhs, rhs = nearby_vs_boundary(n, d)
+        assert lhs == rhs, d
 
 
 def test_nearby_vs_boundary_numeric_example():
@@ -246,8 +246,10 @@ def test_flip_deep_sign_rule_breaks_the_identity():
     # the m >= 2, d >= 2 sign is pinned by divisors containing 2*(degree-2 point)
     y = point_of_degree(F2, 2)
     d = div([(y, 2)])
-    assert nearby_vs_boundary_check(4, d, sign_rule="calibrated")
-    assert not nearby_vs_boundary_check(4, d, sign_rule="flip-deep")
+    lhs, rhs = nearby_vs_boundary(4, d, sign_rule="calibrated")
+    assert lhs == rhs
+    lhs, rhs = nearby_vs_boundary(4, d, sign_rule="flip-deep")
+    assert lhs != rhs
     # and is invisible on the divisors the paper fixes directly
     x = rational_point(F2, 0)
     assert trace_plo(2, div([(x, 2)]), sign_rule="flip-deep") == trace_plo(

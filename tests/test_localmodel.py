@@ -25,12 +25,12 @@ from vinbun.localmodel import (
     g_locus_count,
     gm_orbit_check,
     make_solution_point,
-    omega_point_count_identity,
+    omega_point_count,
     per_fiber_uniformity,
     point_satisfies,
     strata_counts,
+    _decode,
     _iter_factor_solutions,
-    _iter_factor_solutions_naive,
 )
 
 F2 = build_field(2, 1)
@@ -40,6 +40,61 @@ F5 = build_field(5, 1)
 F7 = build_field(7, 1)
 F8 = build_field(2, 3)
 F9 = build_field(3, 2)
+
+
+# ---------------------------------------------------------------------------
+# naive oracles: literal loops over all coordinates
+# ---------------------------------------------------------------------------
+
+
+def iter_factor_solutions_naive(field, m):
+    """Fully naive double loop over all of F_q^(2m); the optimized iterator
+    must yield exactly the same sequence."""
+    q = field.q
+    mul, add = field.mul, field.add
+    for a_code in range(q**m):
+        a = _decode(a_code, q, m)
+        for b_code in range(q**m):
+            b = _decode(b_code, q, m)
+            ok = True
+            for r in range(1, m):
+                acc = 0
+                for j in range(r + 1):
+                    acc = add(acc, mul(a[r - j], b[j]))
+                if acc != 0:
+                    ok = False
+                    break
+            if ok:
+                yield a, b
+
+
+def count_points_naive(system, field, d_constraint):
+    """Points of the coupled system by the nested loop over every factor's
+    naive solutions, with the d-expressions forced equal."""
+    mults = system.multiplicities
+    total = 0
+    iters = [list(iter_factor_solutions_naive(field, m)) for m in mults]
+
+    def rec(idx, d):
+        nonlocal total
+        if idx == len(mults):
+            if d_constraint == "any":
+                total += 1
+            elif d_constraint == "zero":
+                total += d == 0
+            elif d_constraint == "nonzero":
+                total += d != 0
+            else:
+                total += d == d_constraint
+            return
+        for a, b in iters[idx]:
+            d_here = field.mul(a[0], b[0])
+            if idx > 0 and d_here != d:
+                continue
+            rec(idx + 1, d_here)
+
+    rec(0, None)
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -111,8 +166,8 @@ def test_optimized_matches_naive(field):
     for mults in ([1], [2], [3], [1, 1], [2, 1]):
         system = build_system(mults)
         for constraint in ("any", "zero", "nonzero", 1):
-            assert count_points(system, field, constraint) == count_points(
-                system, field, constraint, naive=True
+            assert count_points(system, field, constraint) == count_points_naive(
+                system, field, constraint
             ), (mults, constraint)
 
 
@@ -123,7 +178,7 @@ def test_factor_iterators_agree(field):
     m = 1
     while q ** (2 * m) <= 5 * 10**5:
         fast = list(_iter_factor_solutions(field, m))
-        assert fast == list(_iter_factor_solutions_naive(field, m)), m
+        assert fast == list(iter_factor_solutions_naive(field, m)), m
         assert len(fast) == q ** (m + 1) + (m - 1) * (q - 1) * q ** (m - 1)
         m += 1
 
@@ -136,17 +191,7 @@ def test_factorization_in_families_literal():
         t2 = factor_d_table(field, 2)
         system = build_system([2, 1])
         for c in range(field.q):
-            assert count_points(system, field, c, naive=True) == t2.get(c, 0) * t1.get(
-                c, 0
-            )
-
-
-def test_jobs_partitioning_deterministic():
-    for field in (F3, F4):
-        for m in (1, 2, 3):
-            base = factor_d_table(field, m, jobs=1)
-            assert factor_d_table(field, m, jobs=4) == base
-            assert factor_d_table(field, m, jobs=16) == base
+            assert count_points_naive(system, field, c) == t2.get(c, 0) * t1.get(c, 0)
 
 
 def test_budget_exceeded():
@@ -155,33 +200,27 @@ def test_budget_exceeded():
 
 
 def test_factor_d_table_one_cache_entry_per_call_shape():
+    # keyword calls would key a second cache entry, so they are refused
     before = factor_d_table.cache_info()
-    tables = [
-        factor_d_table(F9, 2),
-        factor_d_table(F9, 2, 1),
-        factor_d_table(F9, m=2),
-        factor_d_table(field=F9, m=2, jobs=1),
-    ]
+    tables = [factor_d_table(F9, 2) for _ in range(3)]
     after = factor_d_table.cache_info()
     assert after.misses - before.misses <= 1
-    assert after.hits - before.hits >= 3
+    assert after.hits - before.hits >= 2
     assert all(t is tables[0] for t in tables)
+    with pytest.raises(TypeError):
+        factor_d_table(F9, m=2)
+    with pytest.raises(TypeError):
+        factor_d_table(field=F9, m=2)
 
 
 def test_factor_d_table_is_read_only():
     with pytest.raises(TypeError):
-        factor_d_table(F9, 1, 1)[0] = 999
+        factor_d_table(F9, 1)[0] = 999
     assert count_points(build_system([1]), F9, "zero") == 17
 
 
 def test_factor_d_table_cache_is_bounded():
     assert factor_d_table.cache_info().maxsize is not None
-
-
-def test_factor_d_table_rejects_nonpositive_jobs():
-    for jobs in (0, -3):
-        with pytest.raises(ValueError):
-            factor_d_table(F3, 2, jobs)
 
 
 def test_enumeration_cost_counts_a_codes_and_points():
@@ -194,7 +233,6 @@ def test_enumeration_cost_counts_a_codes_and_points():
         assert enumeration_cost(q, (2, 1, 2)) == enumeration_cost(
             q, (2,)
         ) + enumeration_cost(q, (1,))
-        assert enumeration_cost(q, (2, 1, 2), naive=True) == q**10
 
 
 def test_budget_charges_the_path_taken_not_the_cache():
@@ -207,8 +245,9 @@ def test_budget_charges_the_path_taken_not_the_cache():
         assert sum(strata_counts(3, F5, budget=cost).values()) > 0
         with pytest.raises(BudgetExceededError):
             strata_counts(3, F5, budget=cost - 1)
-    with pytest.raises(BudgetExceededError):
-        count_points(system, F5, "any", naive=True, budget=5**6 - 1)
+        assert per_fiber_uniformity(3, F5, budget=cost)
+        with pytest.raises(BudgetExceededError):
+            per_fiber_uniformity(3, F5, budget=cost - 1)
 
 
 def test_g_locus_count_many_points_within_default_budget():
@@ -352,17 +391,17 @@ def test_omega_identity_examples():
     x3 = rational_point(F3, 0)
     d = EffectiveDivisor.from_pairs([(x3, 1)])
     assert g_locus_count(F3, (1,)) == 4  # (q-1)^2 = 3*2*(2/3)
-    assert omega_point_count_identity(1, d, F3)
+    assert omega_point_count(1, d, F3) == (4, 4, 4)
 
     x2 = rational_point(F2, 0)
     d2 = EffectiveDivisor.from_pairs([(x2, 2)])
     assert g_locus_count(F2, (2,)) == 2  # 4 * 1 * (1/2)
-    assert omega_point_count_identity(2, d2, F2)
+    assert omega_point_count(2, d2, F2) == (2, 2, 2)
 
     y1, y2 = rational_point(F3, 0), rational_point(F3, 1)
     dsplit = EffectiveDivisor.from_pairs([(y1, 1), (y2, 1)])
     assert g_locus_count(F3, (1, 1)) == 8  # 9 * 2 * (4/9)
-    assert omega_point_count_identity(2, dsplit, F3)
+    assert omega_point_count(2, dsplit, F3) == (8, 8, 8)
 
 
 def test_omega_identity_rejects_irrational_support():
@@ -371,7 +410,7 @@ def test_omega_identity_rejects_irrational_support():
     y = [p for p in enumerate_closed_points(F2, 2) if p.degree == 2][0]
     d = EffectiveDivisor.from_pairs([(y, 1)])
     with pytest.raises(ValueError):
-        omega_point_count_identity(2, d, F2)
+        omega_point_count(2, d, F2)
 
 
 def test_open_zastava_count_vs_omega_trace():
