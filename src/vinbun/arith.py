@@ -284,7 +284,7 @@ class PrimePowerField:
                 raise ValueError("prime field modulus must be linear and monic")
         else:
             if modulus is None:
-                modulus = alternative_moduli(p, e)[0]
+                modulus = next(_irreducibles(p, e))
             modulus = tuple(c % p for c in modulus)
             if len(modulus) != e + 1 or modulus[-1] != 1:
                 raise ValueError(f"modulus must be monic of degree {e}")
@@ -460,12 +460,14 @@ def alternative_moduli(p, e):
     """All monic irreducibles of degree e over F_p in lexicographic order of
     (constant term, ..., leading term); the first is the default modulus.
     The others re-run suites with a different defining modulus."""
-    out = []
+    return list(_irreducibles(p, e))
+
+
+def _irreducibles(p, e):
     for tail in itertools.product(range(p), repeat=e):
         f = tuple(tail) + (1,)
         if _fp_poly_irreducible(f, p):
-            out.append(f)
-    return out
+            yield f
 
 
 # ---------------------------------------------------------------------------
@@ -805,7 +807,7 @@ def iter_decompositions(divisor, degrees):
     pts = divisor.parts
     per_point = []
     for _, m in pts:
-        per_point.append(list(_compositions(m, k)))
+        per_point.append(list(compositions(m, k)))
     for choice in itertools.product(*per_point):
         degs = [0] * k
         for (pt, _), comp in zip(pts, choice):
@@ -825,13 +827,13 @@ def iter_decompositions(divisor, degrees):
         yield tuple(pieces)
 
 
-def _compositions(m, k):
+def compositions(m, k):
     """All ways to write m as an ordered sum of k non-negative integers."""
     if k == 1:
         yield (m,)
         return
     for first in range(m + 1):
-        for rest in _compositions(m - first, k - 1):
+        for rest in compositions(m - first, k - 1):
             yield (first,) + rest
 
 

@@ -2,7 +2,9 @@
 
 Brute-force counters refuse candidate spaces larger than their budget.  The
 limit is resolved in one place: an explicit budget argument wins, then the
-VINBUN_BUDGET environment variable, then the per-module default.
+VINBUN_BUDGET environment variable, then the per-module default.  A
+resolved limit that is not a positive integer is a ValueError naming its
+source.
 """
 
 import os
@@ -16,9 +18,16 @@ class BudgetExceededError(RuntimeError):
 
 
 def check_budget(space, budget, default, what):
+    source = budget
     if budget is None:
         env = os.environ.get("VINBUN_BUDGET")
-        budget = int(env) if env else default
+        source = f"VINBUN_BUDGET={env!r}"
+        try:
+            budget = int(env) if env else default
+        except ValueError:
+            budget = 0
+    if budget < 1:
+        raise ValueError(f"budget must be positive, got {source}")
     if space > budget:
         raise BudgetExceededError(
             f"{what}: {space} candidates exceed the budget {budget}"

@@ -16,6 +16,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import random
 import sys
 import time
@@ -40,17 +41,18 @@ ALL_SUITES = (
 
 def field_from_q(q, modulus=None):
     """F_q from the prime power q (q = p^e with e <= 3)."""
-    for p in range(2, q + 1):
-        if q % p == 0:
-            e = 0
-            m = q
-            while m % p == 0:
-                m //= p
-                e += 1
-            if m != 1:
-                raise ValueError(f"{q} is not a prime power")
-            return arith.build_field(p, e, modulus)
-    raise ValueError(f"bad q = {q}")
+    if q < 2:
+        raise ValueError(f"bad q = {q}")
+    # the least prime factor, by trial division up to sqrt(q)
+    p = next((f for f in range(2, math.isqrt(q) + 1) if q % f == 0), q)
+    e = 0
+    m = q
+    while m % p == 0:
+        m //= p
+        e += 1
+    if m != 1:
+        raise ValueError(f"{q} is not a prime power")
+    return arith.build_field(p, e, modulus)
 
 
 def prime_powers_up_to(limit):
@@ -393,8 +395,6 @@ def cmd_verify(args):
 
 
 def cmd_count(args):
-    if args.budget is not None and args.budget < 1:
-        raise ValueError("budget must be positive")
     field = field_from_q(args.q)
     mults = [int(x) for x in args.n.split(",")]
     system = localmodel.build_system(mults)
@@ -454,8 +454,6 @@ def cmd_schur_weyl(args):
 
 
 def cmd_drinfeld(args):
-    if args.budget is not None and args.budget < 1:
-        raise ValueError("budget must be positive")
     field = field_from_q(args.q)
     res = drinfeld.drinfeld_value(
         args.a1, args.a2, field, budget=args.budget, histogram=args.histogram

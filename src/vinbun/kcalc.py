@@ -1,32 +1,31 @@
 """Trace-function calculus on symmetric powers.
 
 Everything here evaluates weight-graded Grothendieck-group classes as
-functions of effective divisors, with values in Z[v, v^-1] (v^2 = q):
+functions of effective divisors, with values in Z[v, v^-1] (v^2 = q).
 
-* external exterior powers of a local system with prescribed Frobenius
-  eigenvalues, whose local factor at a closed point of degree d taken with
-  multiplicity m is (-1)^((d+1) m) e_m(alpha_1^d, ..., alpha_r^d) - zero
-  beyond the rank, the signed power sum at m = 1;
-* the pushforward class of the open Zastava spaces (a sum over splittings
-  D = D1 + D2 with D2 multiplicity-free);
-* the oscillator trace and the three-stratum nearby-cycles trace built from
-  it, together with the boundary-stalk comparison that calibrates the
-  normalization constant c(n) = q^(-n) at n = 1 and then freezes it;
-* formal IC symbols (S_k representation, Tate twist) with the closed-form
-  reconstruction of G from G - G(-1), and their partial stalk evaluation.
+A trace class is a `Spec`: a tuple of slots and an overall power
+v^(scale n).  A slot is the constant sheaf, or an external exterior power
+of a local system with prescribed Frobenius eigenvalues, shifted by
+[shift j] and twisted by (twist j) on its degree-j piece.  The class on
+X^(n) sums, over every split of n among the slots, the add_* pushforward of
+the external product of the slots.  It is factorizable: `evaluate` reads its
+trace at D as v^(scale n) times a product, over the points x of D taken with
+multiplicity m, of one cached local factor.  The specs:
 
-The trace classes above are factorizable: each trace at D is a product of
-local factors over the closed points x of D, taken with multiplicity m (the
-Zastava and nearby-cycles factors are cached):
+* `PLO`, the oscillator: eigenvalues (v, v^-1) with [1](1/2) per degree;
+* `OMEGA_TILDE`, the open Zastava pushforward: constant, then rank 1 with
+  [1](1); its local factor is 1 - v^(-2 deg x);
+* `GR_PSI`, the three-stratum nearby cycles: constant, oscillator,
+  constant, with each stratum's v^(-2(n-k)) folded into the middle twist;
+* `BOUNDARY`, the boundary stalk before its (1 - q): `OMEGA_TILDE` with
+  twist -1, so its local factor is 1 - q^(deg x).
 
-* oscillator:      the exterior factor above, times (-1)^k v^(-k) overall;
-* open Zastava:    prod over distinct x of (1 - v^(-2 deg x));
-* nearby cycles:   v^(-2n) prod over (x, m) of L(deg x, m), where
-  L(d, m) = sum_{b=0}^{min(m, 2)} (m - b + 1) (-v)^(d b) e_b(d) and e_b(d)
-  is the rank-2 exterior factor with eigenvalues (v, v^-1).
-
-The splitting sums they come from survive as the spec AST (`evaluate_spec`
-of `omega_tilde_spec` / `gr_psi_spec`), which the tests use as the oracle.
+The boundary comparison calibrates the normalization constant
+c(n) = q^(-n) at n = 1 and then freezes it.  The tests keep the
+splitting-sum definition of each spec as the evaluator's oracle.  The rest
+of the module holds formal IC symbols (S_k representation, Tate twist),
+the closed-form reconstruction of G from G - G(-1), and their partial
+stalk evaluation.
 
 The m >= 2, d >= 2 Frobenius sign in the local factor is a calibrated
 convention, pinned by requiring the nearby-vs-boundary identity to hold on
@@ -45,8 +44,8 @@ from vinbun.arith import (
     EffectiveDivisor,
     ClosedPoint,
     Laurent,
+    compositions,
     elementary_symmetric,
-    iter_decompositions,
 )
 from vinbun.symrep import (
     murnaghan_nakayama,
@@ -73,7 +72,7 @@ class StalkNotDeterminedError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# external exterior power traces
+# external exterior power factors
 # ---------------------------------------------------------------------------
 
 def _calibrated_sign(d, m):
@@ -104,63 +103,102 @@ def local_exterior_factor(degree, multiplicity, eigenvalues, sign_rule="calibrat
     return rule(degree, multiplicity) * elementary_symmetric(powered, multiplicity)
 
 
-def trace_ext_exterior(n, eigenvalues, divisor, shift=0, twist=0, sign_rule="calibrated"):
-    """Trace of the n-th external exterior power of a local system with the
-    given Frobenius eigenvalues, shifted by [shift] and twisted by (twist),
-    at the divisor."""
-    if divisor.degree != n:
-        raise ValueError(f"degree mismatch: deg D = {divisor.degree}, expected {n}")
-    eigenvalues = [e if isinstance(e, Laurent) else Laurent.from_int(e) for e in eigenvalues]
-    out = Laurent.one()
-    for pt, m in divisor:
-        factor = local_exterior_factor(pt.degree, m, eigenvalues, sign_rule)
-        if factor.is_zero():
-            return Laurent.zero()
-        out = out * factor
-    scale = Laurent.one().twist(twist)
-    if shift % 2:
-        scale = -scale
-    return out * scale
+# ---------------------------------------------------------------------------
+# trace specs and their one evaluator
+# ---------------------------------------------------------------------------
+
+# Specs and slots hash by identity (eq=False), so a cache lookup costs nothing.
+
+CONSTANT = None  # the constant-sheaf slot: local factor 1 at every multiplicity
+
+
+@dataclass(frozen=True, eq=False)
+class Exterior:
+    """External exterior power slot of a local system with the given
+    Frobenius eigenvalues, shifted by [shift j] and twisted by (twist j) on
+    its degree-j piece."""
+
+    eigenvalues: tuple
+    shift: int
+    twist: Fraction
+
+
+@dataclass(frozen=True, eq=False)
+class Spec:
+    """v^(scale n) times the sum over splittings D = D_1 + ... + D_s, of any
+    degrees, of the product of the slot traces at the pieces."""
+
+    slots: tuple
+    scale: int = 0
 
 
 _STANDARD_EIGENVALUES = (Laurent.v(1), Laurent.v(-1))
-_ONE_MINUS_Q = Laurent.one() - Laurent.monomial(2)  # 1 - q at v^2 = q
+_TRIVIAL_EIGENVALUE = (Laurent.one(),)
+
+PLO = Spec((Exterior(_STANDARD_EIGENVALUES, 1, Fraction(1, 2)),))
+OMEGA_TILDE = Spec((CONSTANT, Exterior(_TRIVIAL_EIGENVALUE, 1, Fraction(1))))
+GR_PSI = Spec(
+    (CONSTANT, Exterior(_STANDARD_EIGENVALUES, 1, Fraction(-1, 2)), CONSTANT),
+    scale=-2,
+)
+BOUNDARY = Spec((CONSTANT, Exterior(_TRIVIAL_EIGENVALUE, 1, Fraction(-1))))
+
+
+def evaluate(spec, n, divisor, sign_rule="calibrated"):
+    """Trace of the spec on X^(n) at the divisor: v^(scale n) times the
+    product of the local factors over the points of D."""
+    if divisor.degree != n:
+        raise ValueError(f"degree mismatch: deg D = {divisor.degree}, expected {n}")
+    out = Laurent.monomial(spec.scale * n)
+    for pt, m in divisor:
+        out = out * _point_factor(spec, pt.degree, m, sign_rule)
+    return out
+
+
+# The cached factors are Laurent values, whose coefficient dicts are
+# mutable: they never reach a caller, since every trace is a fresh product.
+@lru_cache(maxsize=512)
+def _point_factor(spec, degree, multiplicity, sign_rule):
+    """Local factor of the spec at a point of degree d with multiplicity m:
+    the sum over the compositions of m into the slots of the product of
+    the slot factors.  A constant slot contributes 1; an exterior slot that
+    takes b of m contributes the exterior factor times
+    (-1)^(shift d b) v^(-2 twist d b)."""
+    total = Laurent.zero()
+    for parts in compositions(multiplicity, len(spec.slots)):
+        term = Laurent.one()
+        for slot, b in zip(spec.slots, parts):
+            if slot is CONSTANT or not b:
+                continue
+            factor = local_exterior_factor(degree, b, slot.eigenvalues, sign_rule)
+            factor = factor.twist(slot.twist * degree * b)
+            term = term * (-factor if slot.shift * degree * b % 2 else factor)
+        total = total + term
+    return total
 
 
 def trace_plo(k, divisor, sign_rule="calibrated"):
     """Trace of the k-th Picard-Lefschetz oscillator: the external exterior
     power of the standard rank-2 system (eigenvalues v, v^-1) normalized by
     [k](k/2)."""
-    return trace_ext_exterior(
-        k,
-        _STANDARD_EIGENVALUES,
-        divisor,
-        shift=k,
-        twist=Fraction(k, 2),
-        sign_rule=sign_rule,
-    )
+    return evaluate(PLO, k, divisor, sign_rule)
 
 
 def trace_omega_tilde(n, divisor):
     """Trace of the compactly-supported pushforward class of the open Zastava
-    space (`omega_tilde_spec`): the sum over splittings D = D1 + D2 with D2
+    space (`OMEGA_TILDE`): the sum over splittings D = D1 + D2 with D2
     multiplicity-free factors over the points of D as
 
         prod over distinct x in D of (1 - v^(-2 deg x)),
 
     each point either staying in D1 or entering D2 once with the weight
     (-1)^(deg x) v^(-2 deg x) (-1)^(deg x + 1)."""
-    if divisor.degree != n:
-        raise ValueError(f"degree mismatch: deg D = {divisor.degree}, expected {n}")
-    out = Laurent.one()
-    for pt, _ in divisor:
-        out = out * _omega_tilde_factor(pt.degree)
-    return out
+    return evaluate(OMEGA_TILDE, n, divisor)
 
 
 def trace_gr_psi(n, divisor, sign_rule="calibrated"):
     """Trace of the weight-graded nearby-cycles class on the fiber over the
-    divisor (`gr_psi_spec`): the sum over strata triples (n1, k, n2) and
+    divisor (`GR_PSI`): the sum over strata triples (n1, k, n2) and
     splittings D = D1 + D'' + D2 of v^(-2(n-k)) times the oscillator trace
     at D''.  It factors over the points of D as
 
@@ -170,174 +208,20 @@ def trace_gr_psi(n, divisor, sign_rule="calibrated"):
     with e_b(d) the rank-2 exterior factor `local_exterior_factor(d, b)`
     at x taken b times in D''; m - b + 1 counts the ways to share the rest
     of the multiplicity between D1 and D2."""
-    if divisor.degree != n:
-        raise ValueError(f"degree mismatch: deg D = {divisor.degree}, expected {n}")
-    out = Laurent.monomial(-2 * n)
-    for pt, m in divisor:
-        out = out * _gr_psi_factor(pt.degree, m, sign_rule)
-    return out
-
-
-# The cached factors are Laurent values, whose coefficient dicts are
-# mutable: they never reach a caller, since every trace is a fresh product.
-@lru_cache(maxsize=64)
-def _omega_tilde_factor(degree):
-    return Laurent.one() - Laurent.monomial(-2 * degree)
-
-
-@lru_cache(maxsize=256)
-def _gr_psi_factor(degree, multiplicity, sign_rule):
-    total = Laurent.zero()
-    for b in range(min(multiplicity, 2) + 1):
-        sign = (-1) ** (degree * b)
-        weight = Laurent.monomial(degree * b, sign * (multiplicity - b + 1))
-        total = total + weight * local_exterior_factor(
-            degree, b, _STANDARD_EIGENVALUES, sign_rule
-        )
-    return total
-
-
-# ---------------------------------------------------------------------------
-# trace specifications (the Grothendieck-group classes as an AST)
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Constant:
-    """Constant sheaf class on X^(n), shifted/twisted."""
-
-    n: int
-    shift: int = 0
-    twist: Fraction = Fraction(0)
-
-
-@dataclass(frozen=True)
-class ExtExterior:
-    """External exterior power class on X^(n) with given eigenvalues."""
-
-    n: int
-    eigenvalues: tuple
-    shift: int = 0
-    twist: Fraction = Fraction(0)
-
-
-@dataclass(frozen=True)
-class PushforwardAdd:
-    """add_* of an external product: degrees are additive."""
-
-    specs: tuple
-
-
-@dataclass(frozen=True)
-class Scale:
-    factor: Laurent
-    spec: object
-
-
-@dataclass(frozen=True)
-class TraceSum:
-    specs: tuple
-
-
-def spec_degree(spec):
-    if isinstance(spec, (Constant, ExtExterior)):
-        return spec.n
-    if isinstance(spec, PushforwardAdd):
-        return sum(spec_degree(s) for s in spec.specs)
-    if isinstance(spec, Scale):
-        return spec_degree(spec.spec)
-    if isinstance(spec, TraceSum):
-        degrees = {spec_degree(s) for s in spec.specs}
-        if len(degrees) != 1:
-            raise ValueError(f"summands of mixed degree {degrees}")
-        return degrees.pop()
-    raise TypeError(f"not a trace spec: {spec!r}")
-
-
-def evaluate_spec(spec, divisor, sign_rule="calibrated"):
-    """Evaluate a trace specification at an effective divisor."""
-    if isinstance(spec, Constant):
-        if divisor.degree != spec.n:
-            raise ValueError("degree mismatch")
-        out = Laurent.one().twist(spec.twist)
-        return -out if spec.shift % 2 else out
-    if isinstance(spec, ExtExterior):
-        return trace_ext_exterior(
-            spec.n, spec.eigenvalues, divisor, spec.shift, spec.twist, sign_rule
-        )
-    if isinstance(spec, PushforwardAdd):
-        degrees = tuple(spec_degree(s) for s in spec.specs)
-        total = Laurent.zero()
-        for pieces in iter_decompositions(divisor, degrees):
-            term = Laurent.one()
-            for sub, piece in zip(spec.specs, pieces):
-                term = term * evaluate_spec(sub, piece, sign_rule)
-                if term.is_zero():
-                    break
-            total = total + term
-        return total
-    if isinstance(spec, Scale):
-        return spec.factor * evaluate_spec(spec.spec, divisor, sign_rule)
-    if isinstance(spec, TraceSum):
-        total = Laurent.zero()
-        for sub in spec.specs:
-            total = total + evaluate_spec(sub, divisor, sign_rule)
-        return total
-    raise TypeError(f"not a trace spec: {spec!r}")
-
-
-def plo_spec(k):
-    return ExtExterior(
-        n=k,
-        eigenvalues=(Laurent.v(1), Laurent.v(-1)),
-        shift=k,
-        twist=Fraction(k, 2),
-    )
-
-
-def omega_tilde_spec(n):
-    """sum over i + j = n of add_*(constant on X^(i) x Lambda^(j)[j](j)).
-    The multiplicity-free support condition of the direct formula emerges
-    here from the rank-1 vanishing of the exterior factor."""
-    terms = []
-    for j in range(n + 1):
-        terms.append(
-            PushforwardAdd(
-                (
-                    Constant(n - j),
-                    ExtExterior(j, (Laurent.one(),), shift=j, twist=Fraction(j)),
-                )
-            )
-        )
-    return TraceSum(tuple(terms))
-
-
-def gr_psi_spec(n):
-    """sum over (n1, k, n2) of add_*(constant x oscillator x constant)
-    shifted by [2n-2k] and twisted by (n-k)."""
-    terms = []
-    for n1 in range(n + 1):
-        for k in range(n - n1 + 1):
-            n2 = n - n1 - k
-            terms.append(
-                Scale(
-                    Laurent.monomial(-2 * (n - k)),
-                    PushforwardAdd((Constant(n1), plo_spec(k), Constant(n2))),
-                )
-            )
-    return TraceSum(tuple(terms))
+    return evaluate(GR_PSI, n, divisor, sign_rule)
 
 
 # ---------------------------------------------------------------------------
 # normalization ledger and the boundary identity
 # ---------------------------------------------------------------------------
 
+_ONE_MINUS_Q = Laurent.one() - Laurent.monomial(2)  # 1 - q at v^2 = q
+
 
 @dataclass(frozen=True)
 class NormLedger:
-    """Normalization bookkeeping: IC shift/twist per dimension, the factor of
-    the [-1](-1/2) triangle renormalization, and the calibration constant
-    c(1) from which c(n) = c(1)^n is frozen."""
+    """Normalization bookkeeping: IC shift/twist per dimension and the
+    calibration constant c(1) from which c(n) = c(1)^n is frozen."""
 
     c1: Laurent
 
@@ -359,18 +243,15 @@ class NormLedger:
         return NormLedger(c1=c1)
 
     def c(self, n):
-        return self.c1**n
+        """c(1)^n, read off the monomial c(1)."""
+        ((exponent, coeff),) = self.c1.coeffs.items()
+        return Laurent.monomial(exponent * n, coeff**n)
 
     @staticmethod
     def ic_shift_twist(dim):
         """Shift sign and twist monomial of the pure IC normalization on a
         dim-dimensional space: [dim](dim/2)."""
         return ((-1) ** dim, Laurent.monomial(-dim))
-
-    @property
-    def triangle_factor(self):
-        """[-1](-1/2) contributes a sign flip and one power of v."""
-        return Laurent.monomial(1, -1)
 
 
 _LEDGER = None
@@ -399,10 +280,7 @@ def boundary_stalk_trace(divisor):
     """(1-q) * prod over distinct points of (1 - q^(deg x)), as a Laurent
     value: the *-stalk trace of the extension of the constant sheaf at a
     maximal-defect point, before the c(n) normalization."""
-    out = _ONE_MINUS_Q
-    for pt, _ in divisor:
-        out = out * (Laurent.one() - Laurent.monomial(2 * pt.degree))
-    return out
+    return _ONE_MINUS_Q * evaluate(BOUNDARY, divisor.degree, divisor)
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,10 @@ def test_field_from_q():
     with pytest.raises(ValueError):
         field_from_q(6)
     assert prime_powers_up_to(9) == [2, 3, 4, 5, 7, 8, 9]
+    # trial division stops at sqrt(q), and the default modulus is the first
+    # irreducible found, so neither step is linear in q
+    assert field_from_q(2**31 - 1).p == 2**31 - 1
+    assert field_from_q(211**2).modulus == (1, 0, 1)
 
 
 def test_run_config_validation():
@@ -299,6 +303,21 @@ def test_env_var_budget_override(capsys, monkeypatch):
                            "--budget", "100000")
     assert code == 0
     assert json.loads(out)["count"] == 5**4 + 2 * 4 * 25
+
+
+@pytest.mark.parametrize("value", ["-1", "0", "abc"])
+@pytest.mark.parametrize("argv", [
+    ("count", "--n", "2", "--q", "3"),
+    ("verify", "--suites", "omega,quadric"),
+    ("drinfeld", "--a1", "0", "--a2", "0", "--q", "3"),
+])
+def test_invalid_env_var_budget_exits_2(capsys, monkeypatch, argv, value):
+    monkeypatch.setenv("VINBUN_BUDGET", value)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "budget must be positive" in err
+    assert f"VINBUN_BUDGET={value!r}" in err
 
 
 def test_verify_output_file(tmp_path, capsys):

@@ -7,11 +7,18 @@ from vinbun.arith import (
     EffectiveDivisor,
     Laurent,
     build_field,
+    compositions,
     enumerate_closed_points,
     enumerate_divisors,
+    iter_decompositions,
     rational_point,
 )
 from vinbun.kcalc import (
+    BOUNDARY,
+    CONSTANT,
+    GR_PSI,
+    OMEGA_TILDE,
+    PLO,
     SIGN_RULES,
     IcSymbol,
     KElement,
@@ -20,23 +27,17 @@ from vinbun.kcalc import (
     StalkNotDeterminedError,
     boundary_stalk_trace,
     default_ledger,
-    evaluate_spec,
-    gr_psi_spec,
     ic_kernel_k_element,
+    local_exterior_factor,
     nearby_vs_boundary,
-    omega_tilde_spec,
     plo_k_element,
-    plo_spec,
     reconstruct_from_difference,
-    spec_degree,
     symbol,
-    trace_ext_exterior,
     trace_gr_psi,
     trace_k_element,
     trace_omega_tilde,
     trace_plo,
-    _gr_psi_factor,
-    _omega_tilde_factor,
+    _point_factor,
 )
 
 F2 = build_field(2, 1)
@@ -56,6 +57,43 @@ def div(pairs):
 
 V = Laurent.v()
 ONE = Laurent.one()
+ONE_MINUS_Q = ONE - Laurent.monomial(2)
+
+
+# ---------------------------------------------------------------------------
+# the splitting-sum definition of the traces (the evaluator's oracle)
+# ---------------------------------------------------------------------------
+
+
+def trace_ext_exterior(n, eigenvalues, divisor, shift=0, twist=0, sign_rule="calibrated"):
+    """Trace of the n-th external exterior power of a local system with the
+    given Frobenius eigenvalues, shifted by [shift] and twisted by (twist),
+    at the divisor."""
+    if divisor.degree != n:
+        raise ValueError(f"degree mismatch: deg D = {divisor.degree}, expected {n}")
+    out = Laurent.one()
+    for pt, m in divisor:
+        out = out * local_exterior_factor(pt.degree, m, eigenvalues, sign_rule)
+    out = out.twist(twist)
+    return -out if shift % 2 else out
+
+
+def splitting_sum(spec, n, divisor, sign_rule="calibrated"):
+    """A spec's trace by its definition: v^(scale n) times the sum over every
+    split of n into slot degrees and every splitting of D into pieces of
+    those degrees of the product of the slot traces, 1 on a constant slot
+    and the exterior trace of the whole piece on an exterior slot."""
+    total = Laurent.zero()
+    for degrees in compositions(n, len(spec.slots)):
+        for pieces in iter_decompositions(divisor, degrees):
+            term = Laurent.one()
+            for slot, j, piece in zip(spec.slots, degrees, pieces):
+                if slot is not CONSTANT:
+                    term = term * trace_ext_exterior(
+                        j, slot.eigenvalues, piece, slot.shift * j, slot.twist * j, sign_rule
+                    )
+            total = total + term
+    return Laurent.monomial(spec.scale * n) * total
 
 
 # ---------------------------------------------------------------------------
@@ -127,29 +165,21 @@ def test_gr_psi_frozen_values():
 
 
 # ---------------------------------------------------------------------------
-# trace specification AST agrees with the direct formulas
+# the one evaluator agrees with the splitting-sum definition
 # ---------------------------------------------------------------------------
-
-
-def test_spec_degrees():
-    assert spec_degree(omega_tilde_spec(3)) == 3
-    assert spec_degree(gr_psi_spec(2)) == 2
-    assert spec_degree(plo_spec(4)) == 4
 
 
 @pytest.mark.parametrize("field", [F2, F3, F4])
 def test_spec_ast_matches_direct_formulas(field):
-    # the splitting sums of the spec AST are the oracle for the per-point
+    # the splitting sums of every spec are the oracle for the per-point
     # products, on every divisor and under both sign rules
     for n in range(5):
-        omega = omega_tilde_spec(n)
-        psi = gr_psi_spec(n)
-        plo = plo_spec(n)
         for d in enumerate_divisors(field, n):
-            assert evaluate_spec(omega, d) == trace_omega_tilde(n, d)
+            assert splitting_sum(OMEGA_TILDE, n, d) == trace_omega_tilde(n, d)
+            assert ONE_MINUS_Q * splitting_sum(BOUNDARY, n, d) == boundary_stalk_trace(d)
             for rule in SIGN_RULES:
-                assert evaluate_spec(psi, d, rule) == trace_gr_psi(n, d, rule)
-                assert evaluate_spec(plo, d, rule) == trace_plo(n, d, rule)
+                assert splitting_sum(GR_PSI, n, d, rule) == trace_gr_psi(n, d, rule)
+                assert splitting_sum(PLO, n, d, rule) == trace_plo(n, d, rule)
 
 
 def plo_closed_form(k, divisor, sign_rule):
@@ -181,8 +211,17 @@ def test_plo_matches_closed_form_oracle(field):
 
 
 def test_per_point_factor_caches_are_bounded():
-    for fn in (_gr_psi_factor, _omega_tilde_factor):
-        assert fn.cache_info().maxsize is not None
+    assert _point_factor.cache_info().maxsize is not None
+
+
+def test_traces_do_not_alias_cached_factors():
+    x = rational_point(F3, 0)
+    d = div([(x, 1)])
+    for trace in (lambda: trace_omega_tilde(1, d), lambda: boundary_stalk_trace(d),
+                  lambda: trace_gr_psi(1, d), lambda: trace_plo(1, d)):
+        before = trace()
+        trace().coeffs[0] = 99
+        assert trace() == before
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +256,6 @@ def test_calibration_constant():
     assert ledger.c(3) == Laurent.monomial(-6)
     assert ledger.ic_shift_twist(2) == (1, Laurent.monomial(-2))
     assert ledger.ic_shift_twist(3)[0] == -1
-    assert ledger.triangle_factor == Laurent.monomial(1, -1)
 
 
 def test_nearby_vs_boundary_small_cases():

@@ -1,6 +1,7 @@
 """Property-based tests: Laurent ring laws, exact division, hashing, the
-multiplicativity of the traces over disjoint supports, and the K-element
-reconstruction solver against its descending-loop oracle."""
+divisor text round trip, the multiplicativity of the traces over disjoint
+supports, and the K-element reconstruction solver against its
+descending-loop oracle."""
 
 import random
 from fractions import Fraction
@@ -10,7 +11,15 @@ from divisor_utils import random_disjoint_pair
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vinbun.arith import Laurent, build_field
+from vinbun.arith import (
+    INFINITY,
+    EffectiveDivisor,
+    Laurent,
+    build_field,
+    enumerate_closed_points,
+    format_divisor,
+    parse_divisor,
+)
 from vinbun.kcalc import (
     SIGN_RULES,
     KElement,
@@ -40,6 +49,30 @@ small_values = st.one_of(
 )
 
 FIELDS = [build_field(2, 1), build_field(3, 1), build_field(2, 2)]
+
+# closed points of degree <= 3 (<= 2 over F8 and F9) for random divisors
+DIVISOR_FIELDS = [
+    (field, enumerate_closed_points(field, 3 if field.q <= 5 else 2))
+    for field in (build_field(p, e) for p, e in ((2, 1), (3, 1), (2, 2), (5, 1), (2, 3), (3, 2)))
+]
+
+
+@st.composite
+def divisors_over_small_fields(draw):
+    field, points = draw(st.sampled_from(DIVISOR_FIELDS))
+    pairs = draw(st.dictionaries(st.sampled_from(points), st.integers(1, 4), max_size=4))
+    at_infinity = draw(st.integers(0, 2))
+    return field, EffectiveDivisor.from_pairs([*pairs.items(), (INFINITY, at_infinity)])
+
+
+@PROPERTY_SETTINGS
+@given(divisors_over_small_fields())
+def test_parse_divisor_inverts_format_divisor(case):
+    field, divisor = case
+    text = format_divisor(field, divisor)
+    assert parse_divisor(field, text, allow_infinity=True) == divisor
+    if INFINITY not in dict(divisor.parts):
+        assert parse_divisor(field, text) == divisor
 
 
 @PROPERTY_SETTINGS
