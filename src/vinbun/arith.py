@@ -11,6 +11,10 @@ twist (m) contributes v^(-2m) and a cohomological shift [s] contributes
 (-1)^s.  Keeping traces formal avoids both floating point and premature
 choices of sqrt(q).
 
+Polynomials over F_q are coefficient tuples of integer codes, handled by
+one set of `poly_*` functions; F_{p^e} itself multiplies residues with them
+over its prime field.  Irreducibility is Ben-Or's test.
+
 Divisors on the affine line are multisets of closed points, i.e. monic
 irreducible polynomials in t; the distinguished point at infinity is allowed
 so that the projective-line module can reuse the same type.
@@ -19,6 +23,7 @@ so that the projective-line module can reuse the same type.
 from __future__ import annotations
 
 import itertools
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -138,11 +143,6 @@ class Laurent:
             raise ValueError("zero has no valuation")
         return min(self.coeffs)
 
-    def degree(self):
-        if not self.coeffs:
-            raise ValueError("zero has no degree")
-        return max(self.coeffs)
-
     def shift(self, k):
         """Multiply by v^k."""
         return Laurent({e + k: c for e, c in self.coeffs.items()})
@@ -244,37 +244,29 @@ def elementary_symmetric(values, m):
 # ---------------------------------------------------------------------------
 
 _TABLE_LIMIT = 1 << 10  # build q x q tables only for small fields
+MAX_EXTENSION_DEGREE = 3
 
 
-def _is_prime(n):
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+def least_prime_factor(n):
+    """The least prime factor of n >= 2, by trial division up to sqrt(n)."""
+    return next((f for f in range(2, math.isqrt(n) + 1) if n % f == 0), n)
 
 
 class PrimePowerField:
     """The field F_q, q = p^e, with integer-encoded elements.
 
     Equality and hashing go by (p, e, modulus) so fields can key caches.
-    The multiplication/addition tables are read-only shared data; every
-    operation is pure, so field objects are safe to use from concurrent
-    workers.
+    For e > 1 the field holds its prime field and multiplies residue
+    polynomials with the shared `poly_*` code; small fields read products
+    and inverses from tables built once.
     """
 
     def __init__(self, p, e, modulus=None):
-        if not _is_prime(p):
+        if p < 2 or least_prime_factor(p) != p:
             raise ValueError(f"{p} is not prime")
-        if not 1 <= e <= 3:
-            raise ValueError(f"extension degree {e} out of range (need 1 <= e <= 3)")
+        if not 1 <= e <= MAX_EXTENSION_DEGREE:
+            raise ValueError(f"extension degree {e} out of range "
+                             f"(need 1 <= e <= {MAX_EXTENSION_DEGREE})")
         self.p = p
         self.e = e
         self.q = p**e
@@ -283,12 +275,13 @@ class PrimePowerField:
             if modulus is not None and (len(self.modulus) != 2 or self.modulus[1] != 1):
                 raise ValueError("prime field modulus must be linear and monic")
         else:
+            self.prime_field = base = PrimePowerField(p, 1)
             if modulus is None:
-                modulus = next(_irreducibles(p, e))
+                modulus = next(f for f in monic_polys(base, e) if is_irreducible(base, f))
             modulus = tuple(c % p for c in modulus)
             if len(modulus) != e + 1 or modulus[-1] != 1:
                 raise ValueError(f"modulus must be monic of degree {e}")
-            if not _fp_poly_irreducible(modulus, p):
+            if not is_irreducible(base, modulus):
                 raise ValueError(f"modulus {modulus} is reducible over F_{p}")
             self.modulus = modulus
         self._mul_table = None
@@ -353,15 +346,9 @@ class PrimePowerField:
     def _mul_slow(self, a, b):
         if self.e == 1:
             return (a * b) % self.p
-        p = self.p
-        ca, cb = self.to_coeffs(a), self.to_coeffs(b)
-        prod = [0] * (2 * self.e - 1)
-        for i, x in enumerate(ca):
-            if x:
-                for j, y in enumerate(cb):
-                    prod[i + j] = (prod[i + j] + x * y) % p
-        red = _fp_poly_mod(tuple(prod), self.modulus, p)
-        return self.from_coeffs(red + (0,) * (self.e - len(red)))
+        base = self.prime_field
+        product = poly_mul(base, self.to_coeffs(a), self.to_coeffs(b))
+        return self.from_coeffs(poly_mod(base, product, self.modulus))
 
     def inv(self, a):
         if a == 0:
@@ -394,12 +381,7 @@ class PrimePowerField:
                 v = self._mul_slow(a, b)
                 row[b] = v
                 self._mul_table[b][a] = v
-        self._inv_table = [0] * q
-        for a in range(1, q):
-            for b in range(1, q):
-                if self._mul_table[a][b] == 1:
-                    self._inv_table[a] = b
-                    break
+        self._inv_table = [0] + [row.index(1) for row in self._mul_table[1:]]
 
     # -- conveniences -------------------------------------------------------
 
@@ -418,56 +400,32 @@ class PrimePowerField:
         return f"F_{self.q}<{format_poly(self, self.modulus)}>"
 
 
-def _fp_poly_mod(f, g, p):
-    """f mod g over F_p, coefficient tuples, g monic."""
-    f = list(f)
-    dg = len(g) - 1
-    while len(f) >= len(g):
-        lead = f[-1] % p
-        if lead:
-            shift = len(f) - len(g)
-            for i in range(dg + 1):
-                f[shift + i] = (f[shift + i] - lead * g[i]) % p
-        f.pop()
-    while f and f[-1] % p == 0:
-        f.pop()
-    return tuple(c % p for c in f)
-
-
-def _fp_poly_irreducible(f, p):
-    """Trial division over F_p (degrees here are at most 3)."""
-    d = len(f) - 1
-    if d <= 0:
-        return False
-    if d == 1:
-        return True
-    # degree 2 or 3: irreducible iff no roots in F_p
-    for a in range(p):
-        val = 0
-        for c in reversed(f):
-            val = (val * a + c) % p
-        if val == 0:
-            return False
-    return True
-
-
 def build_field(p, e, modulus=None):
     """Construct F_{p^e}.  Raises ValueError for composite p or e outside 1..3."""
     return PrimePowerField(p, e, modulus)
+
+
+def field_from_q(q, modulus=None):
+    """F_q from the prime power q (q = p^e with e <= 3)."""
+    if q < 2:
+        raise ValueError(f"bad q = {q}")
+    p = least_prime_factor(q)
+    e = 0
+    m = q
+    while m % p == 0:
+        m //= p
+        e += 1
+    if m != 1:
+        raise ValueError(f"{q} is not a prime power")
+    return build_field(p, e, modulus)
 
 
 def alternative_moduli(p, e):
     """All monic irreducibles of degree e over F_p in lexicographic order of
     (constant term, ..., leading term); the first is the default modulus.
     The others re-run suites with a different defining modulus."""
-    return list(_irreducibles(p, e))
-
-
-def _irreducibles(p, e):
-    for tail in itertools.product(range(p), repeat=e):
-        f = tuple(tail) + (1,)
-        if _fp_poly_irreducible(f, p):
-            yield f
+    base = PrimePowerField(p, 1)
+    return [f for f in monic_polys(base, e) if is_irreducible(base, f)]
 
 
 # ---------------------------------------------------------------------------
@@ -560,24 +518,37 @@ def monic_polys(field, degree):
         yield tuple(tail) + (1,)
 
 
+def poly_powmod(field, f, n, g):
+    """f^n mod g, by repeated squaring."""
+    out, f = (1,), poly_mod(field, f, g)
+    while n:
+        if n & 1:
+            out = poly_mod(field, poly_mul(field, out, f), g)
+        f = poly_mod(field, poly_mul(field, f, f), g)
+        n >>= 1
+    return out
+
+
 def is_irreducible(field, f):
-    """Trial division by lower-degree monic polynomials."""
+    """Ben-Or's test: f of degree d is irreducible iff
+    gcd(t^(q^i) - t mod f, f) = 1 for every 1 <= i <= d/2, i.e. iff f has
+    no irreducible factor of degree i <= d/2."""
     f = poly_normalize(f)
-    d = poly_deg(f)
-    if d <= 0:
+    if poly_deg(f) <= 0:
         return False
-    if d == 1:
-        return True
-    for e in range(1, d // 2 + 1):
-        for g in monic_polys(field, e):
-            if not poly_mod(field, f, g):
-                return False
+    t = power = (0, 1)
+    for _ in range(poly_deg(f) // 2):
+        power = poly_powmod(field, power, field.q, f)
+        if poly_deg(poly_gcd(field, poly_sub(field, power, t), f)) > 0:
+            return False
     return True
 
 
 def poly_factor(field, f):
     """Factor a nonzero polynomial into monic irreducibles: {poly: mult}.
-    The unit leading coefficient is discarded."""
+    The unit leading coefficient is discarded.  Trial division by the monic
+    polynomials in order of increasing degree: once every factor of lower
+    degree is divided out, a monic divisor of degree d is irreducible."""
     f = poly_monic(field, f)
     if not f:
         raise ValueError("cannot factor the zero polynomial")
@@ -589,8 +560,6 @@ def poly_factor(field, f):
             out[f] = out.get(f, 0) + 1
             break
         for g in monic_polys(field, d):
-            if not is_irreducible(field, g):
-                continue
             while True:
                 quot, rem = poly_divmod(field, f, g)
                 if rem:
@@ -671,12 +640,6 @@ class EffectiveDivisor:
     @property
     def degree(self):
         return sum(pt.degree * m for pt, m in self.parts)
-
-    def multiplicity(self, pt):
-        for q, m in self.parts:
-            if q == pt:
-                return m
-        return 0
 
     def support(self):
         return tuple(pt for pt, _ in self.parts)
@@ -768,7 +731,8 @@ def _point_multisets(field, points, n):
 
 def decompositions(divisor, constraint, degree_split):
     """All F_q-rational splittings divisor = D1 + D2 with deg D2 = the second
-    entry of degree_split.
+    entry of degree_split, in increasing order of the multiplicities on D2
+    (the first point varying slowest).
 
     constraint is "none" (any multiplicities on D2) or
     "secondMultiplicityFree" (each point enters D2 at most once).
@@ -778,24 +742,12 @@ def decompositions(divisor, constraint, degree_split):
         raise ValueError(f"split {degree_split} does not sum to deg D = {divisor.degree}")
     if constraint not in ("none", "secondMultiplicityFree"):
         raise ValueError(f"unknown constraint {constraint!r}")
-    out = []
-    pts = divisor.parts
-    ranges = []
-    for pt, m in pts:
-        cap = min(m, 1) if constraint == "secondMultiplicityFree" else m
-        ranges.append(range(cap + 1))
-    for choice in itertools.product(*ranges):
-        deg2 = sum(pt.degree * c for (pt, _), c in zip(pts, choice))
-        if deg2 != j:
-            continue
-        d2 = EffectiveDivisor.from_pairs(
-            (pt, c) for (pt, _), c in zip(pts, choice) if c
-        )
-        d1 = EffectiveDivisor.from_pairs(
-            (pt, m - c) for (pt, m), c in zip(pts, choice) if m - c
-        )
-        out.append((d1, d2))
-    return out
+    free = constraint == "secondMultiplicityFree"
+    return [
+        pair
+        for pair in reversed(list(iter_decompositions(divisor, degree_split)))
+        if not free or pair[1].is_multiplicity_free()
+    ]
 
 
 def iter_decompositions(divisor, degrees):

@@ -16,7 +16,6 @@ import argparse
 import csv
 import io
 import json
-import math
 import random
 import sys
 import time
@@ -24,7 +23,8 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 
 from vinbun import arith, drinfeld, kcalc, lefschetz, localmodel, symrep
-from vinbun.budget import BudgetExceededError
+from vinbun.arith import field_from_q
+from vinbun.budget import BudgetExceededError, check_budget
 from vinbun.kcalc import CalibrationError
 
 ALL_SUITES = (
@@ -39,31 +39,11 @@ ALL_SUITES = (
 )
 
 
-def field_from_q(q, modulus=None):
-    """F_q from the prime power q (q = p^e with e <= 3)."""
-    if q < 2:
-        raise ValueError(f"bad q = {q}")
-    # the least prime factor, by trial division up to sqrt(q)
-    p = next((f for f in range(2, math.isqrt(q) + 1) if q % f == 0), q)
-    e = 0
-    m = q
-    while m % p == 0:
-        m //= p
-        e += 1
-    if m != 1:
-        raise ValueError(f"{q} is not a prime power")
-    return arith.build_field(p, e, modulus)
-
-
 def prime_powers_up_to(limit):
-    out = []
-    for q in range(2, limit + 1):
-        try:
-            field_from_q(q)
-        except ValueError:
-            continue
-        out.append(q)
-    return out
+    """Every q <= limit that `field_from_q` accepts: p^e with e <= 3."""
+    exponents = range(1, arith.MAX_EXTENSION_DEGREE + 1)
+    return [q for q in range(2, limit + 1)
+            if q in {arith.least_prime_factor(q) ** e for e in exponents}]
 
 
 # ---------------------------------------------------------------------------
@@ -88,8 +68,8 @@ class RunConfig:
         unknown = set(self.suites) - set(ALL_SUITES)
         if unknown:
             raise ValueError(f"unknown suites: {sorted(unknown)}")
-        if self.budget is not None and self.budget < 1:
-            raise ValueError("budget must be positive")
+        # resolves --budget or VINBUN_BUDGET, so a bad one fails before any suite
+        check_budget(0, self.budget, 1, "verify")
         if min(self.max_n, self.max_degree, self.max_k) < 1 or self.max_q < 2:
             raise ValueError("max_n, max_degree and max_k must be >= 1 "
                              "and max_q >= 2")

@@ -5,7 +5,6 @@ from vinbun.arith import (
     ClosedPoint,
     EffectiveDivisor,
     enumerate_closed_points,
-    is_irreducible,
     monic_polys,
     poly_deg,
     poly_factor,
@@ -25,13 +24,14 @@ def factored_divisors(field, n):
 
 
 def trial_division_points(field, max_degree):
-    """Oracle for `enumerate_closed_points`: every monic polynomial of
-    degree <= max_degree that trial division finds irreducible."""
+    """Oracle for `enumerate_closed_points` and `is_irreducible`: every
+    monic polynomial of degree <= max_degree that trial division leaves as
+    its own only factor."""
     return tuple(
         ClosedPoint(degree=d, poly=f)
         for d in range(1, max_degree + 1)
         for f in monic_polys(field, d)
-        if is_irreducible(field, f)
+        if poly_factor(field, f) == {f: 1}
     )
 
 

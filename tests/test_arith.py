@@ -16,6 +16,9 @@ from vinbun.arith import (
     enumerate_divisors,
     format_divisor,
     format_poly,
+    is_irreducible,
+    least_prime_factor,
+    monic_polys,
     necklace_count,
     parse_divisor,
     parse_poly,
@@ -35,11 +38,17 @@ ALL_Q = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)]
 
 def test_build_field_errors():
     with pytest.raises(ValueError):
+        build_field(1, 1)
+    with pytest.raises(ValueError):
         build_field(4, 1)
     with pytest.raises(ValueError):
         build_field(2, 0)
     with pytest.raises(ValueError):
         build_field(2, 4)
+
+
+def test_least_prime_factor():
+    assert [least_prime_factor(n) for n in (2, 9, 15, 49, 97)] == [2, 3, 3, 7, 97]
 
 
 def test_f2_and_f4_basic():
@@ -223,6 +232,25 @@ def test_closed_point_sieve_matches_trial_division(p, e, max_d):
         assert sum(1 for pt in pts if pt.degree == d) == necklace_count(fld.q, d)
 
 
+@pytest.mark.parametrize("p,e,max_d", [(2, 1, 8), (3, 1, 6), (2, 2, 5)])
+def test_is_irreducible_matches_closed_point_sieve(p, e, max_d):
+    fld = build_field(p, e)
+    points = {pt.poly for pt in enumerate_closed_points(fld, max_d)}
+    for d in range(1, max_d + 1):
+        for f in monic_polys(fld, d):
+            assert is_irreducible(fld, f) == (f in points)
+
+
+def test_irreducibility_test_is_polynomial_in_the_degree():
+    # trial division would try every monic divisor up to degree 63 or 31
+    f2 = build_field(2, 1)
+    assert closed_point(f2, parse_poly(f2, "t^127+t+1")).degree == 127
+    a, b = parse_poly(f2, "t^31+t^3+1"), parse_poly(f2, "t^31+t^13+1")
+    assert is_irreducible(f2, a) and is_irreducible(f2, b)
+    with pytest.raises(ValueError, match="reducible"):
+        closed_point(f2, poly_mul(f2, a, b))
+
+
 def test_divisor_caches_are_bounded():
     for fn in (enumerate_divisors, enumerate_closed_points):
         assert fn.cache_info().maxsize is not None
@@ -250,6 +278,33 @@ def test_counts_invariant_under_modulus_choice():
 # ---------------------------------------------------------------------------
 # decompositions
 # ---------------------------------------------------------------------------
+
+
+def product_decompositions(divisor, constraint, j):
+    """Oracle for `decompositions`: every choice of a multiplicity on D2 for
+    each point, in `itertools.product` order, kept when deg D2 = j."""
+    pts = divisor.parts
+    caps = [min(m, 1) if constraint == "secondMultiplicityFree" else m for _, m in pts]
+    out = []
+    for choice in itertools.product(*(range(cap + 1) for cap in caps)):
+        if sum(pt.degree * c for (pt, _), c in zip(pts, choice)) == j:
+            out.append((
+                EffectiveDivisor.from_pairs((pt, m - c) for (pt, m), c in zip(pts, choice)),
+                EffectiveDivisor.from_pairs((pt, c) for (pt, _), c in zip(pts, choice)),
+            ))
+    return out
+
+
+@pytest.mark.parametrize("p,e,max_d", [(2, 1, 4), (3, 1, 4), (2, 2, 3)])
+def test_decompositions_match_product_oracle(p, e, max_d):
+    # same splittings in the same order, under both constraints and every split
+    fld = build_field(p, e)
+    for n in range(max_d + 1):
+        for d in enumerate_divisors(fld, n):
+            for constraint in ("none", "secondMultiplicityFree"):
+                for j in range(n + 1):
+                    assert (decompositions(d, constraint, (n - j, j))
+                            == product_decompositions(d, constraint, j))
 
 
 def test_decompositions_basic():

@@ -37,6 +37,10 @@ def test_field_from_q():
     with pytest.raises(ValueError):
         field_from_q(6)
     assert prime_powers_up_to(9) == [2, 3, 4, 5, 7, 8, 9]
+    # 16 = 2^4 is a prime power, but its extension degree is out of range
+    with pytest.raises(ValueError):
+        field_from_q(16)
+    assert 16 not in prime_powers_up_to(16)
     # trial division stops at sqrt(q), and the default modulus is the first
     # irreducible found, so neither step is linear in q
     assert field_from_q(2**31 - 1).p == 2**31 - 1
@@ -309,6 +313,8 @@ def test_env_var_budget_override(capsys, monkeypatch):
 @pytest.mark.parametrize("argv", [
     ("count", "--n", "2", "--q", "3"),
     ("verify", "--suites", "omega,quadric"),
+    # no budgeted suite: refused by RunConfig before any suite runs
+    ("verify", "--suites", "nearby,schurweyl,reconstruct"),
     ("drinfeld", "--a1", "0", "--a2", "0", "--q", "3"),
 ])
 def test_invalid_env_var_budget_exits_2(capsys, monkeypatch, argv, value):

@@ -1,5 +1,5 @@
-"""Property-based tests: Laurent ring laws, exact division, hashing, the
-divisor text round trip, the multiplicativity of the traces over disjoint
+"""Property-based tests: field axioms over every defining modulus, Laurent
+ring laws, exact division, hashing, the divisor text round trip, the multiplicativity of the traces over disjoint
 supports, and the K-element reconstruction solver against its
 descending-loop oracle."""
 
@@ -15,6 +15,7 @@ from vinbun.arith import (
     INFINITY,
     EffectiveDivisor,
     Laurent,
+    alternative_moduli,
     build_field,
     enumerate_closed_points,
     format_divisor,
@@ -55,6 +56,35 @@ DIVISOR_FIELDS = [
     (field, enumerate_closed_points(field, 3 if field.q <= 5 else 2))
     for field in (build_field(p, e) for p, e in ((2, 1), (3, 1), (2, 2), (5, 1), (2, 3), (3, 2)))
 ]
+
+
+# every defining modulus of these fields; 37^2 and 11^3 are above the table
+# limit, so they multiply per call through the polynomial code
+AXIOM_MODULI = {
+    (p, e): alternative_moduli(p, e)
+    for p, e in ((2, 2), (2, 3), (3, 2), (3, 3), (5, 2), (37, 2), (11, 3))
+}
+
+
+@st.composite
+def field_element_triples(draw):
+    p, e = draw(st.sampled_from(sorted(AXIOM_MODULI)))
+    field = build_field(p, e, draw(st.sampled_from(AXIOM_MODULI[p, e])))
+    a, b, c = (draw(st.integers(0, field.q - 1)) for _ in range(3))
+    return field, a, b, c
+
+
+@PROPERTY_SETTINGS
+@given(field_element_triples())
+def test_field_axioms_over_every_modulus(case):
+    field, a, b, c = case
+    add, mul = field.add, field.mul
+    assert add(add(a, b), c) == add(a, add(b, c))
+    assert mul(mul(a, b), c) == mul(a, mul(b, c))
+    assert mul(a, add(b, c)) == add(mul(a, b), mul(a, c))
+    if a:
+        assert mul(a, field.inv(a)) == 1
+    assert field.pow(a, field.q) == a
 
 
 @st.composite
