@@ -17,7 +17,8 @@ class BudgetExceededError(RuntimeError):
     """Candidate space larger than the enumeration budget."""
 
 
-def check_budget(space, budget, default, what):
+def budget_limit(budget, default):
+    """The limit in force, validated positive."""
     source = budget
     if budget is None:
         env = os.environ.get("VINBUN_BUDGET")
@@ -28,7 +29,24 @@ def check_budget(space, budget, default, what):
             budget = 0
     if budget < 1:
         raise ValueError(f"budget must be positive, got {source}")
-    if space > budget:
+    return budget
+
+
+def check_budget(space, budget, default, what):
+    limit = budget_limit(budget, default)
+    if space > limit:
         raise BudgetExceededError(
-            f"{what}: {space} candidates exceed the budget {budget}"
+            f"{what}: {space} candidates exceed the budget {limit}"
         )
+
+
+def check_power_budget(exponent, space, budget, default, what):
+    """`check_budget` for a space of at least 2^exponent candidates whose
+    exact size `space()` is computed only when the exponent alone does not
+    put it over the limit, so a huge exponent is refused at once."""
+    limit = budget_limit(budget, default)
+    if exponent > limit.bit_length():
+        raise BudgetExceededError(
+            f"{what}: at least 2^{exponent} candidates exceed the budget {limit}"
+        )
+    check_budget(space(), limit, default, what)

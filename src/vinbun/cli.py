@@ -2,12 +2,14 @@
 direct access to the counters and trace functions.
 
 Commands: verify, count, trace, equations, schur-weyl, drinfeld,
-character-table.  Reports are deterministic (entries order-normalized, fixed
-RNG seeds), so repeated runs emit byte-identical output; the process exits
-nonzero iff some check failed.  Each suite compares the two sides that the
-library's identity functions return.  Budget overruns are reported as
-"skipped", never as failures.  An explicit --budget wins over the
-VINBUN_BUDGET environment variable, which wins over the default budgets.
+character-table.  A bare `verify` runs DEFAULT_SUITES; the opt-in suites of
+ALL_SUITES run only when named.  Reports are deterministic (entries
+order-normalized, fixed RNG seeds), so repeated runs emit byte-identical
+output; the process exits nonzero iff some check failed.  Each suite
+compares the two sides that the library's identity functions return.
+Budget overruns are reported as "skipped", never as failures.  An explicit
+--budget wins over the VINBUN_BUDGET environment variable, which wins over
+the default budgets.
 """
 
 from __future__ import annotations
@@ -21,13 +23,14 @@ import sys
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import product
 
 from vinbun import arith, drinfeld, kcalc, lefschetz, localmodel, symrep
 from vinbun.arith import field_from_q
 from vinbun.budget import BudgetExceededError, check_budget
 from vinbun.kcalc import CalibrationError
 
-ALL_SUITES = (
+DEFAULT_SUITES = (
     "nearby",
     "omega",
     "strata",
@@ -37,6 +40,7 @@ ALL_SUITES = (
     "quadric",
     "uniformity",
 )
+ALL_SUITES = DEFAULT_SUITES + ("rankone",)
 
 
 def prime_powers_up_to(limit):
@@ -53,7 +57,7 @@ def prime_powers_up_to(limit):
 
 @dataclass
 class RunConfig:
-    suites: tuple = ALL_SUITES
+    suites: tuple = DEFAULT_SUITES
     max_n: int = 3
     max_q: int = 4
     max_degree: int = 2
@@ -264,6 +268,30 @@ def suite_drinfeld(config):
     return checks
 
 
+def suite_rankone(config):
+    """The rank-one sum against the Hom sweep on every result field, and
+    against the observed closed form on a grid the sweep cannot reach."""
+    checks = []
+    for q in prime_powers_up_to(min(config.max_q, 5)):
+        fld = field_from_q(q)
+        for a1, a2 in product(range(4), repeat=2):
+            params = f"a1={a1} a2={a2} q={q}"
+            with _skip_over_budget(checks, "rankone", "sweep-vs-rank-one", params):
+                sweep = drinfeld.drinfeld_value(a1, a2, fld, budget=config.budget)
+                fast = drinfeld.rank_one_value(a1, a2, q, budget=config.budget)
+                checks.append(_check("rankone", "sweep-vs-rank-one", params,
+                                     sweep, fast, sweep == fast))
+    for q in prime_powers_up_to(13):
+        for a1, a2 in product(range(12), repeat=2):
+            params = f"a1={a1} a2={a2} q={q}"
+            with _skip_over_budget(checks, "rankone", "closed-form", params):
+                value = drinfeld.rank_one_value(a1, a2, q, budget=config.budget).value
+                expected = drinfeld.closed_form_value(a1, a2, q)
+                checks.append(_check("rankone", "closed-form", params,
+                                     value, expected, value == expected))
+    return checks
+
+
 def suite_quadric(config):
     checks = []
     sys2 = localmodel.build_system([2])
@@ -315,6 +343,7 @@ _SUITE_RUNNERS = {
     "drinfeld": suite_drinfeld,
     "quadric": suite_quadric,
     "uniformity": suite_uniformity,
+    "rankone": suite_rankone,
 }
 
 
@@ -356,7 +385,7 @@ def render_report(report, fmt):
 
 def cmd_verify(args):
     config = RunConfig(
-        suites=tuple(args.suites.split(",")) if args.suites else ALL_SUITES,
+        suites=tuple(args.suites.split(",")) if args.suites else DEFAULT_SUITES,
         max_n=args.max_n,
         max_q=args.max_q,
         max_degree=args.max_degree,
@@ -435,9 +464,12 @@ def cmd_schur_weyl(args):
 
 def cmd_drinfeld(args):
     field = field_from_q(args.q)
-    res = drinfeld.drinfeld_value(
-        args.a1, args.a2, field, budget=args.budget, histogram=args.histogram
-    )
+    if args.histogram:  # the profile of each map needs the sweep
+        res = drinfeld.drinfeld_value(
+            args.a1, args.a2, field, budget=args.budget, histogram=True
+        )
+    else:
+        res = drinfeld.rank_one_value(args.a1, args.a2, field.q, budget=args.budget)
     payload = {
         "isom": res.isom,
         "boundary_sum": res.boundary_sum,
@@ -473,7 +505,8 @@ def build_parser():
 
     p = sub.add_parser("verify", help="run named verification suites")
     p.add_argument("--suites", default=None,
-                   help=f"comma-separated subset of {','.join(ALL_SUITES)}")
+                   help=f"comma-separated subset of {','.join(ALL_SUITES)} "
+                   f"(default: {','.join(DEFAULT_SUITES)})")
     p.add_argument("--max-n", type=int, default=3)
     p.add_argument("--max-q", type=int, default=4)
     p.add_argument("--max-degree", type=int, default=2)

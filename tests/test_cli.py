@@ -1,14 +1,21 @@
 import hashlib
+import io
 import json
 import subprocess
 import sys
+import time
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import vinbun
-from vinbun import lefschetz, localmodel, symrep
+from vinbun import drinfeld, lefschetz, localmodel, symrep
 from vinbun.cli import (
+    ALL_SUITES,
+    DEFAULT_SUITES,
     RunConfig,
     field_from_q,
     main,
@@ -147,6 +154,51 @@ def test_drinfeld_command(capsys):
     assert payload["histogram"]["[]"] == 6
 
 
+def test_drinfeld_without_histogram_sweeps_nothing(capsys, monkeypatch):
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("Hom space swept")
+
+    monkeypatch.setattr(drinfeld, "iter_hom_matrices", no_sweep)
+    code, out, _ = run_cli(capsys, "drinfeld", "--a1", "1", "--a2", "1", "--q", "7")
+    assert code == 0
+    assert json.loads(out) == {"boundary_sum": 3828, "isom": 2058, "value": -1770}
+
+
+@pytest.mark.parametrize("extra", [(), ("--include-nonunit-isos",)])
+@pytest.mark.parametrize("a1,a2,q", [(0, 0, 3), (1, 1, 7), (2, 1, 4), (1, 0, 5)])
+def test_drinfeld_output_matches_the_sweep(capsys, monkeypatch, a1, a2, q, extra):
+    argv = ("drinfeld", "--a1", str(a1), "--a2", str(a2), "--q", str(q)) + extra
+    fast = run_cli(capsys, *argv)
+    monkeypatch.setattr(
+        drinfeld, "rank_one_value",
+        lambda a1, a2, q, budget: drinfeld.drinfeld_value(
+            a1, a2, field_from_q(q), budget=budget),
+    )
+    assert run_cli(capsys, *argv) == fast
+
+
+def test_drinfeld_rejects_negative_a(capsys):
+    for argv in (("--a1", "-1", "--a2", "0"), ("--a1", "0", "--a2", "-1")):
+        code, out, err = run_cli(capsys, "drinfeld", *argv, "--q", "3")
+        assert code == 2
+        assert out == ""
+        assert "need a >= 0" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("drinfeld", "--a1", "1000000", "--a2", "0", "--q", "7"),
+    ("drinfeld", "--a1", str(10**18), "--a2", "1", "--q", "7", "--histogram"),
+    ("count", "--n", str(10**18), "--q", "7"),
+])
+def test_huge_sizes_exit_3_at_once(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert code == 3
+    assert out == ""
+    assert "budget exceeded" in err
+
+
 @pytest.mark.parametrize("value", ["0", "-3"])
 def test_drinfeld_rejects_nonpositive_budget(capsys, value):
     code, out, err = run_cli(
@@ -199,6 +251,34 @@ def test_verify_reconstruct_suite(capsys):
     report = json.loads(out)
     names = {c["name"] for c in report["checks"]}
     assert "golden-case" in names and "random-roundtrips" in names
+    assert report["summary"]["fail"] == 0
+
+
+def test_opt_in_suites_stay_out_of_the_default_run():
+    # the default report is pinned; a bare verify lists exactly these
+    assert ALL_SUITES[:len(DEFAULT_SUITES)] == DEFAULT_SUITES
+    assert "rankone" in ALL_SUITES and "rankone" not in DEFAULT_SUITES
+    assert RunConfig().suites == DEFAULT_SUITES
+
+
+def test_verify_rankone_suite(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--suites", "rankone", "--max-q", "2")
+    assert code == 0
+    report = json.loads(out)
+    names = [c["name"] for c in report["checks"]]
+    # 16 sweeps over F_2, 9 fields x 144 pairs against the closed form
+    assert names.count("sweep-vs-rank-one") == 16
+    assert names.count("closed-form") == 1296
+    assert report["summary"] == {"pass": 1312, "fail": 0, "skipped": 0}
+
+
+def test_verify_rankone_suite_skips_sweeps_over_budget(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--suites", "rankone",
+                           "--max-q", "3", "--budget", "600")
+    assert code == 0
+    report = json.loads(out)
+    skipped = {c["name"] for c in report["checks"] if c["status"] == "skipped"}
+    assert skipped == {"sweep-vs-rank-one"}
     assert report["summary"]["fail"] == 0
 
 
@@ -347,3 +427,55 @@ def test_cli_import_needs_no_numpy_or_sympy():
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                           text=True, check=True)
     assert json.loads(done.stdout) == [False, False, True]
+
+
+# exit codes under hostile input: integer options from negative to huge, q
+# that are not prime powers.  Options are passed as --name=value, so that
+# argparse reads a value like "-3,1" as a value.  Budgets stay at most 10^4, so every run the
+# budget admits is short; an unbudgeted run may rightly take long.
+FUZZ_SETTINGS = settings(max_examples=150, deadline=None, database=None,
+                         derandomize=True)
+fuzz_ints = st.one_of(st.integers(0, 6), st.integers(-5, 20),
+                      st.integers(-(10**30), 10**30))
+# half the draws are fields, so that runs get past field_from_q
+fuzz_qs = st.booleans().flatmap(lambda field: st.sampled_from(
+    prime_powers_up_to(9)) if field else st.one_of(
+    st.integers(-5, 64),
+    st.integers(1, 10**18).map(lambda k: 6 * k),  # never a prime power
+    st.integers(-(10**30), 1),
+))
+fuzz_budgets = st.one_of(st.integers(1, 10**4),
+                         st.integers(-(10**18), 10**4)).map(str)
+
+
+def exit_code(argv):
+    """main's exit code, argparse errors included; stdout and stderr are
+    dropped.  Any exception other than SystemExit propagates."""
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        try:
+            return main(argv)
+        except SystemExit as exc:
+            return exc.code
+
+
+@FUZZ_SETTINGS
+@given(a1=fuzz_ints, a2=fuzz_ints, q=fuzz_qs, budget=fuzz_budgets,
+       flags=st.lists(st.sampled_from(["--histogram", "--include-nonunit-isos"]),
+                      unique=True))
+def test_drinfeld_fuzzed_argv_exits_0_2_or_3(a1, a2, q, budget, flags):
+    argv = ["drinfeld", f"--a1={a1}", f"--a2={a2}", f"--q={q}",
+            f"--budget={budget}", *flags]
+    assert exit_code(argv) in (0, 2, 3), argv
+
+
+@FUZZ_SETTINGS
+@given(ns=st.lists(st.one_of(st.integers(1, 4), fuzz_ints), min_size=1,
+                   max_size=3),
+       q=fuzz_qs,
+       d=st.one_of(st.sampled_from(["any", "zero", "nonzero", "x"]),
+                   st.integers(0, 3).map(str), fuzz_ints.map(str)),
+       budget=fuzz_budgets)
+def test_count_fuzzed_argv_exits_0_2_or_3(ns, q, d, budget):
+    argv = ["count", f"--n={','.join(map(str, ns))}", f"--q={q}", f"--d={d}",
+            f"--budget={budget}"]
+    assert exit_code(argv) in (0, 2, 3), argv

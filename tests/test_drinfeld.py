@@ -1,13 +1,23 @@
+import itertools
 import random
 
 import pytest
 
-from vinbun.arith import INFINITY, build_field, closed_point, rational_point
+from vinbun.arith import (
+    INFINITY,
+    build_field,
+    closed_point,
+    poly_deg,
+    poly_gcd,
+    poly_normalize,
+    rational_point,
+)
 from vinbun.budget import BudgetExceededError
 from vinbun.drinfeld import (
     HomMatrix,
     SplitBundle,
     boundary_factor,
+    closed_form_value,
     compose,
     defect_divisor_of_hom,
     drinfeld_value,
@@ -16,6 +26,8 @@ from vinbun.drinfeld import (
     isom_count,
     iter_hom_matrices,
     random_automorphism,
+    rank_one_value,
+    saturated_pairs,
 )
 
 F2 = build_field(2, 1)
@@ -162,3 +174,78 @@ def test_boundary_factor():
     # multiplicities do not enter: distinct points only
     assert boundary_factor(2, d) == (1 - 2) * (1 - 4)
     assert boundary_factor(2, EffectiveDivisor.from_pairs([(INFINITY, 3)])) == -1
+
+
+# ---------------------------------------------------------------------------
+# the rank-one sum
+# ---------------------------------------------------------------------------
+
+
+def saturated_pairs_naive(field, x, y):
+    """Pairs of forms of degrees (x, y), as polynomials in t of degree <= x
+    and <= y, with constant gcd and not both vanishing at infinity."""
+    total = 0
+    forms = [
+        [poly_normalize(c) for c in itertools.product(field.elements(), repeat=d + 1)]
+        if d >= 0 else [()]
+        for d in (x, y)
+    ]
+    for f, g in itertools.product(*forms):
+        if not (f or g) or poly_deg(poly_gcd(field, f, g)) > 0:
+            continue
+        if (not f or poly_deg(f) < x) and (not g or poly_deg(g) < y):
+            continue  # common zero at infinity
+        total += 1
+    return total
+
+
+@pytest.mark.parametrize("field", [F2, F3])
+def test_saturated_pairs_against_enumeration(field):
+    for x in range(-2, 4):
+        for y in range(-2, 4):
+            assert saturated_pairs(x, y, field.q) == saturated_pairs_naive(field, x, y)
+
+
+def rank_one_grid():
+    """Every pair up to (5, 5) over F_2, plus the pairs with a1, a2 <= 3 and
+    q^(dim Hom) <= 3000 for 3 <= q <= 5; the `rankone` suite sweeps the rest
+    of a1, a2 <= 3."""
+    for field in (F2, F3, F4, F5):
+        top = 5 if field.q == 2 else 3
+        for a1, a2 in itertools.product(range(top + 1), repeat=2):
+            if field.q == 2 or field.q ** sum(hom_space_dims(a1, a2)) <= 3000:
+                yield field, a1, a2
+
+
+@pytest.mark.parametrize("field,a1,a2", list(rank_one_grid()),
+                         ids=lambda v: getattr(v, "q", v))
+def test_rank_one_value_matches_sweep(field, a1, a2):
+    # every field of the result, the histogram aside
+    assert rank_one_value(a1, a2, field.q) == drinfeld_value(a1, a2, field)
+
+
+def test_rank_one_value_matches_closed_form():
+    for q in (2, 3, 4, 5, 7, 8, 9, 11, 13):
+        for a1, a2 in itertools.product(range(12), repeat=2):
+            assert rank_one_value(a1, a2, q).value == closed_form_value(a1, a2, q)
+
+
+def test_rank_one_value_rejects_negative_a():
+    with pytest.raises(ValueError):
+        rank_one_value(-1, 0, 3)
+    with pytest.raises(ValueError):
+        rank_one_value(0, -2, 3)
+
+
+def test_rank_one_value_charges_its_terms():
+    # (a1 + a2 + 1)(a1 + a2 + 2)/2 terms of the (c, e) double sum
+    rank_one_value(2, 1, 3, budget=10)
+    with pytest.raises(BudgetExceededError, match="10 candidates exceed the budget 9"):
+        rank_one_value(2, 1, 3, budget=9)
+    with pytest.raises(BudgetExceededError):
+        rank_one_value(10**6, 0, 7)
+
+
+def test_huge_hom_space_refused_without_its_size():
+    with pytest.raises(BudgetExceededError, match="at least 2\\^"):
+        next(iter_hom_matrices(F2, 10**18, 10**18))

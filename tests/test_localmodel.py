@@ -27,6 +27,7 @@ from vinbun.localmodel import (
     make_solution_point,
     omega_point_count,
     per_fiber_uniformity,
+    pivot_defect,
     point_satisfies,
     strata_counts,
     _decode,
@@ -345,6 +346,39 @@ def test_strata_match_closed_form(field):
         assert counts == {k: v for k, v in expected.items() if v}
         # totals partition the B-locus
         assert sum(counts.values()) == count_points(build_system([n]), field, "zero")
+
+
+def strata_counts_naive(n, field):
+    """Every factor point, G-locus dropped, classified by `factor_defect`."""
+    counts = {}
+    for a, b in _iter_factor_solutions(field, n):
+        if field.mul(a[0], b[0]) == 0:
+            k = factor_defect(field, n, a, b)
+            counts[k] = counts.get(k, 0) + 1
+    return dict(sorted(counts.items()))
+
+
+def test_pivot_defect_matches_factor_defect():
+    # every B-locus point with q <= 7, m <= 5 and q^(2m) <= 4 * 10^5
+    points = 0
+    for field in (F2, F3, F4, F5, F7):
+        q = field.q
+        for m in range(1, 6):
+            if q ** (2 * m) > 4 * 10**5:
+                continue
+            for a, b in _iter_factor_solutions(field, m):
+                if field.mul(a[0], b[0]):
+                    continue
+                s = next((i for i, x in enumerate(a) if x), m)
+                assert pivot_defect(m, s, b) == factor_defect(field, m, a, b), (q, a, b)
+                points += 1
+    assert points == 7422
+
+
+@pytest.mark.parametrize("field", [F2, F3, F4, F5, F7])
+def test_strata_match_factor_defect_oracle(field):
+    for n in range(1, 5):
+        assert strata_counts(n, field) == strata_counts_naive(n, field)
 
 
 def test_strata_n2_formula():
