@@ -20,14 +20,14 @@ irreducible polynomials in t; the distinguished point at infinity is allowed
 so that the projective-line module can reuse the same type.
 """
 
-from __future__ import annotations
-
 import itertools
 import math
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
+
+from vinbun.frozen import FrozenValue
 
 
 # ---------------------------------------------------------------------------
@@ -245,11 +245,33 @@ def elementary_symmetric(values, m):
 
 _TABLE_LIMIT = 1 << 10  # build q x q tables only for small fields
 MAX_EXTENSION_DEGREE = 3
+# Miller-Rabin on these witnesses is exact below 3.3 * 10^24 > MAX_Q
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MAX_Q = 1 << 80
 
 
-def least_prime_factor(n):
-    """The least prime factor of n >= 2, by trial division up to sqrt(n)."""
-    return next((f for f in range(2, math.isqrt(n) + 1) if n % f == 0), n)
+def is_prime(n):
+    """Deterministic Miller-Rabin; n above MAX_Q is a ValueError."""
+    if n > MAX_Q:
+        raise ValueError(f"{n} is above the limit MAX_Q = 2^80")
+    if n < 2 or any(n % a == 0 for a in _WITNESSES):
+        return n in _WITNESSES
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    d = (n - 1) >> s
+    for a in _WITNESSES:  # n - 1 = d 2^s: a^d = 1 or some a^(d 2^r) = -1
+        x = pow(a, d, n)
+        if x != 1 and all(pow(x, 1 << r, n) != n - 1 for r in range(s)):
+            return False
+    return True
+
+
+def prime_power(q):
+    """(p, e) with q = p^e, p prime and e <= 3, or None.  Only q, its
+    integer square root and its integer cube root can be p."""
+    for e, p in ((1, q), (2, math.isqrt(q)), (3, round(q ** (1 / 3)))):
+        if p**e == q and is_prime(p):
+            return p, e
+    return None
 
 
 class PrimePowerField:
@@ -262,7 +284,7 @@ class PrimePowerField:
     """
 
     def __init__(self, p, e, modulus=None):
-        if p < 2 or least_prime_factor(p) != p:
+        if not is_prime(p):
             raise ValueError(f"{p} is not prime")
         if not 1 <= e <= MAX_EXTENSION_DEGREE:
             raise ValueError(f"extension degree {e} out of range "
@@ -277,7 +299,10 @@ class PrimePowerField:
         else:
             self.prime_field = base = PrimePowerField(p, 1)
             if modulus is None:
-                modulus = next(f for f in monic_polys(base, e) if is_irreducible(base, f))
+                # the first irreducible of monic_polys(base, e), found lazily from
+                # f(0) = 1 on (x divides the others), so F_p is never listed
+                tails = (self.to_coeffs(c)[::-1] for c in range(p ** (e - 1), self.q))
+                modulus = next(t + (1,) for t in tails if is_irreducible(base, t + (1,)))
             modulus = tuple(c % p for c in modulus)
             if len(modulus) != e + 1 or modulus[-1] != 1:
                 raise ValueError(f"modulus must be monic of degree {e}")
@@ -406,18 +431,11 @@ def build_field(p, e, modulus=None):
 
 
 def field_from_q(q, modulus=None):
-    """F_q from the prime power q (q = p^e with e <= 3)."""
-    if q < 2:
-        raise ValueError(f"bad q = {q}")
-    p = least_prime_factor(q)
-    e = 0
-    m = q
-    while m % p == 0:
-        m //= p
-        e += 1
-    if m != 1:
-        raise ValueError(f"{q} is not a prime power")
-    return build_field(p, e, modulus)
+    """F_q from the prime power q (q = p^e with e <= 3 and q <= MAX_Q)."""
+    found = prime_power(q) if q >= 2 else None
+    if found is None:
+        raise ValueError(f"{q} is not a prime power p^e with e <= 3")
+    return build_field(*found, modulus)
 
 
 def alternative_moduli(p, e):
@@ -577,13 +595,11 @@ def poly_factor(field, f):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ClosedPoint:
+class ClosedPoint(namedtuple("ClosedPoint", "degree poly")):
     """A closed point of A^1 (a monic irreducible in t) or the point at
     infinity on P^1 (poly is None, degree 1)."""
 
-    degree: int
-    poly: tuple | None
+    __slots__ = ()
 
     @property
     def is_infinity(self):
@@ -616,11 +632,14 @@ def rational_point(field, c):
     return ClosedPoint(degree=1, poly=(field.neg(c), 1))
 
 
-@dataclass(frozen=True)
-class EffectiveDivisor:
-    """A multiset of closed points with positive multiplicities."""
+class EffectiveDivisor(FrozenValue):
+    """A multiset of closed points with positive multiplicities.  Not a
+    tuple: iterating and adding go over the parts."""
 
-    parts: tuple  # tuple of (ClosedPoint, multiplicity), canonically sorted
+    __slots__ = ("parts",)  # tuple of (ClosedPoint, multiplicity), canonically sorted
+
+    def __init__(self, parts):
+        self._init(parts)
 
     @staticmethod
     def from_pairs(pairs):

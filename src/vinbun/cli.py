@@ -12,8 +12,6 @@ Budget overruns are reported as "skipped", never as failures.  An explicit
 the default budgets.
 """
 
-from __future__ import annotations
-
 import argparse
 import csv
 import io
@@ -22,7 +20,6 @@ import random
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass
 from itertools import product
 
 from vinbun import arith, drinfeld, kcalc, lefschetz, localmodel, symrep
@@ -41,13 +38,14 @@ DEFAULT_SUITES = (
     "uniformity",
 )
 ALL_SUITES = DEFAULT_SUITES + ("rankone",)
+# verify refuses larger grids (README, "Budgets and determinism")
+MAX_GRID_N = 64
+MAX_GRID_Q = 1024
 
 
 def prime_powers_up_to(limit):
     """Every q <= limit that `field_from_q` accepts: p^e with e <= 3."""
-    exponents = range(1, arith.MAX_EXTENSION_DEGREE + 1)
-    return [q for q in range(2, limit + 1)
-            if q in {arith.least_prime_factor(q) ** e for e in exponents}]
+    return [q for q in range(2, limit + 1) if arith.prime_power(q)]
 
 
 # ---------------------------------------------------------------------------
@@ -55,18 +53,14 @@ def prime_powers_up_to(limit):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class RunConfig:
-    suites: tuple = DEFAULT_SUITES
-    max_n: int = 3
-    max_q: int = 4
-    max_degree: int = 2
-    max_k: int = 4
-    budget: int | None = None
-    output: str | None = None
-    fmt: str = "json"
+    __slots__ = "suites max_n max_q max_degree max_k budget output fmt".split()
 
-    def __post_init__(self):
+    def __init__(self, suites=DEFAULT_SUITES, max_n=3, max_q=4, max_degree=2,
+                 max_k=4, budget=None, output=None, fmt="json"):
+        self.suites, self.max_n, self.max_q = suites, max_n, max_q
+        self.max_degree, self.max_k, self.budget = max_degree, max_k, budget
+        self.output, self.fmt = output, fmt
         if not self.suites:
             raise ValueError("suites must be nonempty")
         unknown = set(self.suites) - set(ALL_SUITES)
@@ -77,6 +71,8 @@ class RunConfig:
         if min(self.max_n, self.max_degree, self.max_k) < 1 or self.max_q < 2:
             raise ValueError("max_n, max_degree and max_k must be >= 1 "
                              "and max_q >= 2")
+        if self.max_n > MAX_GRID_N or self.max_q > MAX_GRID_Q:
+            raise ValueError(f"max_n must be <= {MAX_GRID_N} and max_q <= {MAX_GRID_Q}")
         if self.max_k > lefschetz.MAX_BRUTE_K:
             raise ValueError(f"max_k must be <= {lefschetz.MAX_BRUTE_K}")
 

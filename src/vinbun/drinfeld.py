@@ -44,10 +44,8 @@ one onto those of determinant 1, so there are (q-2) #Aut_SL2 of nonunit
 determinant.
 """
 
-from __future__ import annotations
-
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 
 from vinbun.arith import (
     INFINITY,
@@ -62,17 +60,18 @@ from vinbun.arith import (
     poly_sub,
 )
 from vinbun.budget import HOM_ENUM_BUDGET, check_budget, check_power_budget
+from vinbun.frozen import FrozenValue
 
 
-@dataclass(frozen=True)
-class SplitBundle:
+class SplitBundle(FrozenValue):
     """O(a) + O(-a) with trivialized determinant."""
 
-    a: int
+    __slots__ = ("a",)
 
-    def __post_init__(self):
-        if self.a < 0:
+    def __init__(self, a):
+        if a < 0:
             raise ValueError("need a >= 0")
+        self._init(a)
 
     @property
     def summand_degrees(self):
@@ -96,14 +95,11 @@ def hom_space_dims(a1, a2):
     return tuple(h0_dim(b) for b in entry_bounds(a1, a2))
 
 
-@dataclass(frozen=True)
-class HomMatrix:
+class HomMatrix(namedtuple("HomMatrix", "a1 a2 entries")):
     """2x2 matrix of bounded-degree polynomials in t, row-major entries.
     Entry k is a coefficient tuple of length hom_space_dims(a1, a2)[k]."""
 
-    a1: int
-    a2: int
-    entries: tuple
+    __slots__ = ()
 
     @property
     def bounds(self):
@@ -223,14 +219,10 @@ def expected_isom_count(a, q):
     return q**3 - q if a == 0 else (q - 1) * q ** (2 * a + 1)
 
 
-@dataclass(frozen=True)
-class DrinfeldResult:
-    isom: int
-    boundary_sum: int
-    value: int
-    nonunit_isoms: int
-    value_including_nonunit_isos: int
-    histogram: tuple | None
+class DrinfeldResult(namedtuple("DrinfeldResult", [
+        "isom", "boundary_sum", "value", "nonunit_isoms",
+        "value_including_nonunit_isos", "histogram"])):
+    __slots__ = ()
 
 
 def drinfeld_value(a1, a2, field, budget=None, histogram=False):

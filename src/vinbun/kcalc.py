@@ -33,9 +33,7 @@ divisors containing a degree-2 point with multiplicity 2; alternative sign
 rules are kept around so the suite can demonstrate that they fail.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from operator import itemgetter
@@ -53,6 +51,7 @@ from vinbun.symrep import (
     sign_partition,
     trivial_partition,
 )
+from vinbun.frozen import Frozen
 
 
 class CalibrationError(RuntimeError):
@@ -107,29 +106,30 @@ def local_exterior_factor(degree, multiplicity, eigenvalues, sign_rule="calibrat
 # trace specs and their one evaluator
 # ---------------------------------------------------------------------------
 
-# Specs and slots hash by identity (eq=False), so a cache lookup costs nothing.
+# Specs and slots hash by identity, so a cache lookup costs nothing.
 
 CONSTANT = None  # the constant-sheaf slot: local factor 1 at every multiplicity
 
 
-@dataclass(frozen=True, eq=False)
-class Exterior:
+class Exterior(Frozen):
     """External exterior power slot of a local system with the given
     Frobenius eigenvalues, shifted by [shift j] and twisted by (twist j) on
     its degree-j piece."""
 
-    eigenvalues: tuple
-    shift: int
-    twist: Fraction
+    __slots__ = ("eigenvalues", "shift", "twist")
+
+    def __init__(self, eigenvalues, shift, twist):
+        self._init(eigenvalues, shift, twist)
 
 
-@dataclass(frozen=True, eq=False)
-class Spec:
+class Spec(Frozen):
     """v^(scale n) times the sum over splittings D = D_1 + ... + D_s, of any
     degrees, of the product of the slot traces at the pieces."""
 
-    slots: tuple
-    scale: int = 0
+    __slots__ = ("slots", "scale")
+
+    def __init__(self, slots, scale=0):
+        self._init(slots, scale)
 
 
 _STANDARD_EIGENVALUES = (Laurent.v(1), Laurent.v(-1))
@@ -218,12 +218,11 @@ def trace_gr_psi(n, divisor, sign_rule="calibrated"):
 _ONE_MINUS_Q = Laurent.one() - Laurent.monomial(2)  # 1 - q at v^2 = q
 
 
-@dataclass(frozen=True)
-class NormLedger:
+class NormLedger(namedtuple("NormLedger", "c1")):
     """Normalization bookkeeping: IC shift/twist per dimension and the
     calibration constant c(1) from which c(n) = c(1)^n is frozen."""
 
-    c1: Laurent
+    __slots__ = ()
 
     @staticmethod
     def calibrated():
@@ -297,14 +296,11 @@ def _twist_value(t):
     return t.numerator if t.denominator == 1 else t
 
 
-@dataclass(frozen=True)
-class IcSymbol:
+class IcSymbol(namedtuple("IcSymbol", "k rep twist")):
     """IC-extension symbol on X^(k): an S_k irreducible (by partition) with a
     Tate twist.  The Weil weight of the symbol is -2 * twist."""
 
-    k: int
-    rep: tuple
-    twist: int | Fraction
+    __slots__ = ()
 
     @property
     def weight(self):

@@ -21,9 +21,7 @@ carries twist +m/2 (the Weil weight of a subquotient matches its Cartan
 weight, and a line of Cartan weight w has twist -w/2).
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations
 
@@ -44,15 +42,11 @@ MAX_BRUTE_K = 8
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class StandardRep:
+class StandardRep(namedtuple("StandardRep", "e f h frobenius")):
     """The 2-dimensional space V with its sl2 operators and Frobenius
     eigenvalues (v on the weight +1 line, v^-1 on the weight -1 line)."""
 
-    e: tuple
-    f: tuple
-    h: tuple
-    frobenius: tuple
+    __slots__ = ()
 
 
 def standard_rep():
@@ -153,13 +147,12 @@ def cartan_matrix(k):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GradedBiRep:
+class GradedBiRep(namedtuple("GradedBiRep", "k mults")):
     """Multiplicities of (S_k irreducible, sl2 highest weight) pairs inside a
-    bimodule of total dimension 2^k."""
+    bimodule of total dimension 2^k; mults is the sorted tuple of
+    ((partition, highest_weight), multiplicity)."""
 
-    k: int
-    mults: tuple  # sorted tuple of ((partition, highest_weight), multiplicity)
+    __slots__ = ()
 
     @staticmethod
     def from_dict(k, d):

@@ -33,14 +33,12 @@ the minimum of m, ord(f), ord(g t^m) and ord of the polynomial part of -g f.
 pivots instead (`pivot_defect`), in O(m) per point.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from itertools import product
 from types import MappingProxyType
 
-from vinbun.budget import POINT_COUNT_BUDGET, check_budget, check_power_budget
+from vinbun.budget import POINT_COUNT_BUDGET, check_power_budget
 from vinbun.kcalc import trace_omega_tilde
 
 _INF = float("inf")
@@ -51,14 +49,13 @@ _INF = float("inf")
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EquationSystem:
+class EquationSystem(namedtuple("EquationSystem", "multiplicities")):
     """Bilinear equations of a local-model fiber over a divisor with rational
     support and the given multiplicities.  A factor of multiplicity m carries
     variables a_{-m..-1}, b_{0..m-1}, exactly m-1 equations, and the
     d-expression a_{-m} b_0; the d-expressions of all factors are equated."""
 
-    multiplicities: tuple
+    __slots__ = ()
 
     @property
     def n(self):
@@ -100,14 +97,12 @@ def build_system(multiplicities):
     return EquationSystem(multiplicities=multiplicities)
 
 
-@dataclass(frozen=True)
-class SolutionPoint:
+class SolutionPoint(namedtuple("SolutionPoint", "factors d_value")):
     """Coordinate assignment for every factor, with the common d-value.
 
     Factor coordinates are ((a_{-m}, ..., a_{-1}), (b_0, ..., b_{m-1}))."""
 
-    factors: tuple
-    d_value: int
+    __slots__ = ()
 
 
 def make_solution_point(field, factors):
@@ -251,9 +246,8 @@ def count_points(system, field, d_constraint="any", budget=None):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DefectProfile:
-    per_factor: tuple
+class DefectProfile(namedtuple("DefectProfile", "per_factor")):
+    __slots__ = ()
 
     @property
     def total(self):
@@ -309,8 +303,8 @@ def strata_counts(n, field, budget=None):
     """Classify all d = 0 points of the single factor [n] by defect,
     enumerating only those points: for a_{-n} != 0, d = 0 forces b = 0."""
     q = field.q
-    check_budget(enumeration_cost(q, (n,)), budget, POINT_COUNT_BUDGET,
-                 f"strata_counts[{n}]")
+    check_power_budget(n, lambda: enumeration_cost(q, (n,)), budget,
+                       POINT_COUNT_BUDGET, f"strata_counts[{n}]")
     counts = {}
     for a_code in range(q**n):
         a = _decode(a_code, q, n)
@@ -343,8 +337,8 @@ def expected_strata_counts(n, q):
 def per_fiber_uniformity(n, field, budget=None):
     """True iff the count over d = c is the same for every c != 0 (the
     product-decomposition shadow of the G-locus)."""
-    check_budget(enumeration_cost(field.q, (n,)), budget, POINT_COUNT_BUDGET,
-                 f"per_fiber_uniformity[{n}]")
+    check_power_budget(n, lambda: enumeration_cost(field.q, (n,)), budget,
+                       POINT_COUNT_BUDGET, f"per_fiber_uniformity[{n}]")
     table = factor_d_table(field, n)
     nonzero = {table.get(c, 0) for c in range(1, field.q)}
     return len(nonzero) == 1

@@ -13,11 +13,10 @@ lengths, removing a strip of length t means replacing some b in the set by
 b - t, and the sign is (-1)^(number of set elements jumped over).
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
+
+from vinbun.frozen import FrozenValue
 
 
 # ---------------------------------------------------------------------------
@@ -87,17 +86,16 @@ def sign_partition(k):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TwoColumnDiagram:
+class TwoColumnDiagram(FrozenValue):
     """Young diagram with k - r boxes in the first column and r in the second
     (so 0 <= r <= k/2).  As a partition of row lengths this is (2^r, 1^(k-2r))."""
 
-    k: int
-    r: int
+    __slots__ = ("k", "r")
 
-    def __post_init__(self):
-        if not (0 <= 2 * self.r <= self.k):
-            raise ValueError(f"invalid two-column diagram k={self.k}, r={self.r}")
+    def __init__(self, k, r):
+        if not (0 <= 2 * r <= k):
+            raise ValueError(f"invalid two-column diagram k={k}, r={r}")
+        self._init(k, r)
 
     @property
     def partition(self):

@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -16,8 +17,10 @@ from vinbun.arith import (
     enumerate_divisors,
     format_divisor,
     format_poly,
+    MAX_Q,
+    field_from_q,
     is_irreducible,
-    least_prime_factor,
+    is_prime,
     monic_polys,
     necklace_count,
     parse_divisor,
@@ -25,6 +28,7 @@ from vinbun.arith import (
     poly_deg,
     poly_gcd,
     poly_mul,
+    prime_power,
     rational_point,
 )
 
@@ -47,8 +51,63 @@ def test_build_field_errors():
         build_field(2, 4)
 
 
+def least_prime_factor(n):
+    """The least prime factor of n >= 2, by trial division up to sqrt(n):
+    the oracle for `is_prime` and `prime_power`."""
+    return next((f for f in range(2, math.isqrt(n) + 1) if n % f == 0), n)
+
+
 def test_least_prime_factor():
     assert [least_prime_factor(n) for n in (2, 9, 15, 49, 97)] == [2, 3, 3, 7, 97]
+
+
+def test_is_prime_matches_trial_division():
+    assert all(is_prime(n) == (n >= 2 and least_prime_factor(n) == n)
+               for n in range(-3, 30000))
+    assert is_prime(2**31 - 19) == (least_prime_factor(2**31 - 19) == 2**31 - 19)
+
+
+# the least strong pseudoprime to the witnesses 2, then 2 and 3, and so on up
+# to 2..37 (OEIS A014233): each is caught only by a later witness
+STRONG_PSEUDOPRIMES = (2047, 1373653, 25326001, 3215031751, 2152302898747,
+                       3474749660383, 341550071728321, 3825123056546413051,
+                       318665857834031151167461)
+
+
+def test_is_prime_on_large_numbers():
+    for p in (2**31 - 1, 2**61 - 1, 10**9 + 7, 998244353, 2**79 - 67):
+        assert is_prime(p)
+    for n in STRONG_PSEUDOPRIMES + ((2**31 - 1) * (10**9 + 7), (10**9 + 7) ** 2):
+        assert not is_prime(n), n
+    assert MAX_Q < 3317044064679887385961981  # the first that fools all 13 witnesses
+    with pytest.raises(ValueError):
+        is_prime(MAX_Q + 1)
+
+
+def test_prime_power_matches_trial_division():
+    def oracle(q):
+        p = least_prime_factor(q)
+        return next(((p, e) for e in (1, 2, 3) if p**e == q), None)
+
+    assert all(prime_power(q) == oracle(q) for q in range(2, 20000))
+    p = 10**6 + 3
+    assert [prime_power(p**e) for e in (1, 2, 3, 4)] == [(p, 1), (p, 2), (p, 3), None]
+    assert prime_power((2**31 - 1) * (2**31 - 19)) is None
+    with pytest.raises(ValueError):
+        prime_power(MAX_Q + 1)
+
+
+def test_field_from_large_q_is_fast():
+    # primality is decided by Miller-Rabin, so neither a large prime nor a
+    # product of two large primes is factored by trial division
+    assert field_from_q(2**61 - 1).p == 2**61 - 1
+    assert field_from_q((2**31 - 1) ** 2).e == 2
+    with pytest.raises(ValueError, match="not a prime power"):
+        field_from_q((2**31 - 1) * (2**31 - 19))
+    with pytest.raises(ValueError, match="limit"):
+        field_from_q(2**89 - 1)
+    with pytest.raises(ValueError, match="limit"):
+        build_field(2**89 - 1, 1)
 
 
 def test_f2_and_f4_basic():

@@ -1,6 +1,7 @@
 import hashlib
 import io
 import json
+import re
 import subprocess
 import sys
 import time
@@ -16,6 +17,8 @@ from vinbun import drinfeld, lefschetz, localmodel, symrep
 from vinbun.cli import (
     ALL_SUITES,
     DEFAULT_SUITES,
+    MAX_GRID_N,
+    MAX_GRID_Q,
     RunConfig,
     field_from_q,
     main,
@@ -48,7 +51,7 @@ def test_field_from_q():
     with pytest.raises(ValueError):
         field_from_q(16)
     assert 16 not in prime_powers_up_to(16)
-    # trial division stops at sqrt(q), and the default modulus is the first
+    # primality is a Miller-Rabin test, and the default modulus is the first
     # irreducible found, so neither step is linear in q
     assert field_from_q(2**31 - 1).p == 2**31 - 1
     assert field_from_q(211**2).modulus == (1, 0, 1)
@@ -61,9 +64,52 @@ def test_run_config_validation():
         RunConfig(suites=("bogus",))
     with pytest.raises(ValueError):
         RunConfig(budget=0)
-    for bad in ({"max_n": 0}, {"max_q": 1}, {"max_degree": 0}, {"max_k": 0}):
+    for bad in ({"max_n": 0}, {"max_q": 1}, {"max_degree": 0}, {"max_k": 0},
+                {"max_n": MAX_GRID_N + 1}, {"max_q": MAX_GRID_Q + 1}):
         with pytest.raises(ValueError):
             RunConfig(**bad)
+    RunConfig(max_n=MAX_GRID_N, max_q=MAX_GRID_Q)
+
+
+def test_prime_powers_up_to_1000_is_unchanged():
+    # the definition before primality became a Miller-Rabin test
+    def least_prime_factor(n):
+        return next(f for f in range(2, n + 1) if n % f == 0)
+
+    expected = [q for q in range(2, 1001)
+                if q in {least_prime_factor(q) ** e for e in (1, 2, 3)}]
+    assert prime_powers_up_to(1000) == expected
+    assert len(expected) == 183
+
+
+LARGE_PRIME = 2**61 - 1
+SEMIPRIME = (2**31 - 1) * (2**31 - 19)
+
+
+@pytest.mark.parametrize("argv", [
+    ("drinfeld", "--a1", "0", "--a2", "0", "--q", str(SEMIPRIME)),
+    ("count", "--n", "2", "--q", str(SEMIPRIME)),
+    ("drinfeld", "--a1", "0", "--a2", "0", "--q", str(2**89 - 1)),
+    ("verify", "--suites", "strata", "--max-n", "1000000", "--budget", "10"),
+    ("verify", "--suites", "uniformity", "--max-q", str(LARGE_PRIME)),
+])
+def test_huge_arguments_exit_2_within_a_second(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "4300" not in err and len(err) < 200
+
+
+def test_drinfeld_at_a_large_prime_answers_within_a_second(capsys):
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "drinfeld", "--a1", "0", "--a2", "0",
+                           "--q", str(LARGE_PRIME))
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    assert json.loads(out)["value"] == 1 - LARGE_PRIME**2
 
 
 def test_count_command(capsys):
@@ -416,6 +462,27 @@ def test_verify_output_file(tmp_path, capsys):
     assert json.loads(path.read_text()) == json.loads(out)
 
 
+def test_cli_import_loads_no_dataclasses_or_inspect():
+    # the value types are built without dataclasses, which pulls in inspect,
+    # ast, dis and tokenize when imported
+    src = str(Path(vinbun.__file__).resolve().parent.parent)
+    probe = (
+        f"import json, sys; sys.path.insert(0, {src!r}); import vinbun.cli; "
+        "print(json.dumps([m in sys.modules for m in ('dataclasses', 'inspect')]))"
+    )
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, check=True)
+    assert json.loads(done.stdout) == [False, False]
+
+
+def test_no_module_imports_typing_or_dataclasses():
+    package = Path(vinbun.__file__).resolve().parent
+    pattern = re.compile(r"^\s*(from|import)\s+(typing|dataclasses)\b", re.M)
+    offenders = [path.name for path in sorted(package.glob("*.py"))
+                 if pattern.search(path.read_text())]
+    assert offenders == []
+
+
 def test_cli_import_needs_no_numpy_or_sympy():
     # a fresh interpreter, so modules other tests imported do not count
     src = str(Path(vinbun.__file__).resolve().parent.parent)
@@ -430,7 +497,7 @@ def test_cli_import_needs_no_numpy_or_sympy():
 
 
 # exit codes under hostile input: integer options from negative to huge, q
-# that are not prime powers.  Options are passed as --name=value, so that
+# that are not prime powers or are large.  Options are passed as --name=value, so that
 # argparse reads a value like "-3,1" as a value.  Budgets stay at most 10^4, so every run the
 # budget admits is short; an unbudgeted run may rightly take long.
 FUZZ_SETTINGS = settings(max_examples=150, deadline=None, database=None,
@@ -443,6 +510,12 @@ fuzz_qs = st.booleans().flatmap(lambda field: st.sampled_from(
     st.integers(-5, 64),
     st.integers(1, 10**18).map(lambda k: 6 * k),  # never a prime power
     st.integers(-(10**30), 1),
+    # large primes, their squares and cubes (some over MAX_Q), products of
+    # two large primes, and any large number
+    st.sampled_from([2**31 - 1, 2**31 - 19, 10**9 + 7, LARGE_PRIME,
+                     2**89 - 1]).flatmap(lambda p: st.sampled_from(
+                         [p, p * p, p**3, p * (2**31 - 1), p * LARGE_PRIME])),
+    st.integers(2**40, 2**90),
 ))
 fuzz_budgets = st.one_of(st.integers(1, 10**4),
                          st.integers(-(10**18), 10**4)).map(str)

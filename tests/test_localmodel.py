@@ -251,6 +251,14 @@ def test_budget_charges_the_path_taken_not_the_cache():
             per_fiber_uniformity(3, F5, budget=cost - 1)
 
 
+@pytest.mark.parametrize("enumerate_fiber", [strata_counts, per_fiber_uniformity])
+def test_huge_degree_is_refused_before_its_size_is_computed(enumerate_fiber):
+    # q^(n+1) for n = 10^6 has about 300,000 digits: formatting it in the
+    # message would raise, and computing it costs time
+    with pytest.raises(BudgetExceededError, match=r"at least 2\^1000000 "):
+        enumerate_fiber(10**6, F2, budget=10)
+
+
 def test_g_locus_count_many_points_within_default_budget():
     assert g_locus_count(F9, (1, 1, 1, 1, 1)) == 8**6
 

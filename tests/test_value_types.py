@@ -1,0 +1,147 @@
+"""The value types: namedtuple records and slotted classes.
+
+Each keeps the behaviour a frozen record had: field access, positional and
+keyword construction, equality and hashing by field values (or by identity
+for trace specs), validation, and immutability."""
+
+import copy
+import pickle
+from fractions import Fraction
+
+import pytest
+
+from vinbun.arith import (
+    INFINITY,
+    ClosedPoint,
+    EffectiveDivisor,
+    enumerate_divisors,
+    field_from_q,
+    rational_point,
+)
+from vinbun.cli import RunConfig
+from vinbun.drinfeld import DrinfeldResult, HomMatrix, SplitBundle
+from vinbun.kcalc import PLO, Exterior, Spec, default_ledger, evaluate, symbol
+from vinbun.lefschetz import GradedBiRep, standard_rep
+from vinbun.localmodel import DefectProfile, SolutionPoint, build_system
+from vinbun.symrep import TwoColumnDiagram
+
+F3 = field_from_q(3)
+
+
+def frozen_instances():
+    """One instance of every immutable value type."""
+    return [
+        rational_point(F3, 1),
+        EffectiveDivisor.from_pairs([(rational_point(F3, 1), 2)]),
+        symbol(2, "sign", Fraction(1, 2)),
+        default_ledger(),
+        HomMatrix(0, 0, ((1,), (0,), (0,), (1,))),
+        DrinfeldResult(1, 2, 3, 4, 5, None),
+        SplitBundle(1),
+        standard_rep(),
+        GradedBiRep.from_dict(2, {((2,), 2): 1}),
+        build_system([2, 1]),
+        SolutionPoint((((1,), (0,)),), 0),
+        DefectProfile((0, 1)),
+        TwoColumnDiagram(4, 1),
+        PLO,
+        PLO.slots[0],
+    ]
+
+
+def field_names(obj):
+    return getattr(type(obj), "_fields", None) or type(obj).__slots__
+
+
+def field_values(obj):
+    return tuple(getattr(obj, n) for n in field_names(obj))
+
+
+@pytest.mark.parametrize("obj", frozen_instances(), ids=lambda o: type(o).__name__)
+def test_fields_cannot_be_assigned_deleted_or_added(obj):
+    for name in field_names(obj):
+        before = getattr(obj, name)
+        with pytest.raises(AttributeError):
+            setattr(obj, name, before)
+        with pytest.raises(AttributeError):
+            delattr(obj, name)
+        assert getattr(obj, name) is before
+    with pytest.raises(AttributeError):
+        obj.extra = 1
+    assert not hasattr(obj, "__dict__")
+
+
+@pytest.mark.parametrize("obj", frozen_instances(), ids=lambda o: type(o).__name__)
+def test_copy_and_pickle_rebuild_the_value(obj):
+    assert field_values(copy.copy(obj)) == field_values(obj)
+    for clone in (copy.deepcopy(obj), pickle.loads(pickle.dumps(obj))):
+        assert type(clone) is type(obj)
+        if isinstance(obj, (Spec, Exterior)):  # compared by identity
+            assert clone != obj
+        else:
+            assert clone == obj
+
+
+def test_keyword_construction():
+    assert ClosedPoint(degree=1, poly=None) == INFINITY
+    assert EffectiveDivisor(parts=()) == EffectiveDivisor.empty()
+    assert SplitBundle(a=2) == SplitBundle(2)
+    assert TwoColumnDiagram(k=3, r=1) == TwoColumnDiagram(3, 1)
+    spec = Spec(slots=PLO.slots, scale=-1)
+    assert (spec.slots, spec.scale) == (PLO.slots, -1)
+    assert Spec(PLO.slots).scale == 0
+    slot = Exterior(eigenvalues=(), shift=1, twist=Fraction(1))
+    assert (slot.eigenvalues, slot.shift, slot.twist) == ((), 1, Fraction(1))
+    config = RunConfig(suites=("quadric",), max_n=2, max_q=3, max_degree=1,
+                       max_k=2, budget=10, output=None, fmt="csv")
+    assert (config.suites, config.max_n, config.fmt) == (("quadric",), 2, "csv")
+
+
+def test_specs_and_slots_compare_and_hash_by_identity():
+    divisor = EffectiveDivisor.from_pairs([(rational_point(F3, 0), 2)])
+    for obj, twin in ((PLO, Spec(PLO.slots, PLO.scale)),
+                      (PLO.slots[0], Exterior(*field_values(PLO.slots[0])))):
+        assert obj == obj and obj != twin
+        assert hash(obj) == object.__hash__(obj)
+        assert len({obj, twin}) == 2
+    # the per-point cache keys on the spec object; a twin gets its own entries
+    twin = Spec(PLO.slots, PLO.scale)
+    assert evaluate(twin, 2, divisor) == evaluate(PLO, 2, divisor)
+
+
+def test_validation_still_raises():
+    with pytest.raises(ValueError):
+        SplitBundle(-1)
+    with pytest.raises(ValueError):
+        TwoColumnDiagram(3, 2)
+    with pytest.raises(ValueError):
+        RunConfig(max_n=0)
+    config = RunConfig()
+    config.max_n = 5  # RunConfig is mutable, but has no room for new fields
+    with pytest.raises(AttributeError):
+        config.max_m = 5
+
+
+def test_value_equality_is_by_class_and_fields():
+    assert SplitBundle(1) != (1,) and SplitBundle(1) != SplitBundle(2)
+    assert TwoColumnDiagram(3, 1) != (3, 1)
+    assert hash(TwoColumnDiagram(3, 1)) == hash((3, 1))
+    assert symbol(2, "trivial", 0) == symbol(2, "trivial", Fraction(0))
+    assert hash(symbol(2, "trivial", 0)) == hash((2, (2,), 0))
+
+
+def test_effective_divisor_equality_and_hash_match_the_field_tuple():
+    # a frozen record with the single field `parts` was equal exactly when
+    # the parts were, and hashed as the 1-tuple (parts,)
+    grid = [d for q in (2, 3, 4) for n in range(4)
+            for d in enumerate_divisors(field_from_q(q), n)]
+    assert len(grid) == 15 + 40 + 85  # q^0 + ... + q^3 monic polynomials each
+    for d in grid:
+        assert hash(d) == hash((d.parts,))
+        rebuilt = EffectiveDivisor(d.parts)
+        assert rebuilt == d and hash(rebuilt) == hash(d)
+        assert d != d.parts and tuple(d) == d.parts and len(d) == len(d.parts)
+    for d1 in grid:
+        for d2 in grid:
+            assert (d1 == d2) == (d1.parts == d2.parts)
+            assert (d1 != d2) == (d1.parts != d2.parts)
