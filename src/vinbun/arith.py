@@ -338,6 +338,8 @@ class PrimePowerField:
     def add(self, a, b):
         if self.e == 1:
             return (a + b) % self.p
+        if self.p == 2:  # digit-wise addition mod 2
+            return a ^ b
         p = self.p
         out = 0
         mult = 1
@@ -351,6 +353,8 @@ class PrimePowerField:
     def neg(self, a):
         if self.e == 1:
             return (-a) % self.p
+        if self.p == 2:
+            return a
         p = self.p
         out = 0
         mult = 1
@@ -528,12 +532,19 @@ def poly_gcd(field, f, g):
 
 
 def monic_polys(field, degree):
-    """All monic polynomials of the exact given degree (q^degree of them)."""
-    if degree == 0:
-        yield (1,)
-        return
-    for tail in itertools.product(field.elements(), repeat=degree):
-        yield tuple(tail) + (1,)
+    """All monic polynomials of the exact given degree (q^degree of them),
+    lexicographic from the constant term up, counted out lazily."""
+    top = field.q - 1
+    f = [0] * degree + [1]
+    while True:
+        yield tuple(f)
+        i = degree - 1
+        while i >= 0 and f[i] == top:
+            f[i] = 0
+            i -= 1
+        if i < 0:
+            return
+        f[i] += 1
 
 
 def poly_powmod(field, f, n, g):

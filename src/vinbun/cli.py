@@ -24,7 +24,8 @@ from itertools import product
 
 from vinbun import arith, drinfeld, kcalc, lefschetz, localmodel, symrep
 from vinbun.arith import field_from_q
-from vinbun.budget import BudgetExceededError, check_budget
+from vinbun.budget import (DIVISOR_BUDGET, BudgetExceededError, check_budget,
+                           check_power_budget)
 from vinbun.kcalc import CalibrationError
 
 DEFAULT_SUITES = (
@@ -105,29 +106,37 @@ def _skip_over_budget(checks, suite, name, params):
         })
 
 
+def budgeted_divisors(fld, n, budget):
+    """`arith.enumerate_divisors(fld, n)`, refused before any divisor is built
+    when its q^n divisors exceed the budget."""
+    check_power_budget(n * (fld.q.bit_length() - 1), lambda: fld.q**n, budget,
+                       DIVISOR_BUDGET, f"divisors of degree {n} over F_{fld.q}")
+    return arith.enumerate_divisors(fld, n)
+
+
 def suite_nearby(config):
     checks = []
     try:
         ledger = kcalc.NormLedger.calibrated()
     except CalibrationError as exc:
         return [_check("nearby", "calibration", "n=1", str(exc), "", False)]
+    by_type = {}  # divisor type -> its check, rendered once per run
     for q in prime_powers_up_to(config.max_q):
         fld = field_from_q(q)
         for n in range(1, config.max_n + 1):
-            for d in arith.enumerate_divisors(fld, n):
-                if any(pt.degree > config.max_degree for pt, _ in d):
-                    continue
-                lhs, rhs = kcalc.nearby_vs_boundary(n, d, ledger)
-                checks.append(
-                    _check(
-                        "nearby",
-                        "nearby-vs-boundary",
-                        f"q={q} n={n} D={arith.format_divisor(fld, d)}",
-                        lhs,
-                        rhs,
-                        lhs == rhs,
-                    )
-                )
+            params = f"q={q} n={n}"
+            with _skip_over_budget(checks, "nearby", "nearby-vs-boundary", params):
+                for d in budgeted_divisors(fld, n, config.budget):
+                    dtype = kcalc.divisor_type(d)
+                    if dtype[-1][0] > config.max_degree:  # sorted by degree
+                        continue
+                    check = by_type.get(dtype)
+                    if check is None:
+                        lhs, rhs = kcalc.nearby_vs_boundary(n, d, ledger)
+                        check = by_type[dtype] = _check("nearby", "nearby-vs-boundary",
+                                                        None, lhs, rhs, lhs == rhs)
+                    d_text = arith.format_divisor(fld, d)
+                    checks.append(dict(check, params=f"{params} D={d_text}"))
     return checks
 
 

@@ -8,9 +8,10 @@ v^(scale n).  A slot is the constant sheaf, or an external exterior power
 of a local system with prescribed Frobenius eigenvalues, shifted by
 [shift j] and twisted by (twist j) on its degree-j piece.  The class on
 X^(n) sums, over every split of n among the slots, the add_* pushforward of
-the external product of the slots.  It is factorizable: `evaluate` reads its
-trace at D as v^(scale n) times a product, over the points x of D taken with
-multiplicity m, of one cached local factor.  The specs:
+the external product of the slots.  It is factorizable: its trace at D is
+v^(scale n) times a product of cached local factors, one per point x of D
+taken with multiplicity m, so `evaluate` caches it by the type of D, the
+multiset of the pairs (deg x, m).  The specs:
 
 * `PLO`, the oscillator: eigenvalues (v, v^-1) with [1](1/2) per degree;
 * `OMEGA_TILDE`, the open Zastava pushforward: constant, then rank 1 with
@@ -144,19 +145,30 @@ GR_PSI = Spec(
 BOUNDARY = Spec((CONSTANT, Exterior(_TRIVIAL_EIGENVALUE, 1, Fraction(-1))))
 
 
+def divisor_type(divisor):
+    """The sorted tuple of (deg x, m) over the points x of D with multiplicity
+    m: every factorizable trace at D depends on D only through it."""
+    return tuple(sorted((pt.degree, m) for pt, m in divisor))
+
+
 def evaluate(spec, n, divisor, sign_rule="calibrated"):
     """Trace of the spec on X^(n) at the divisor: v^(scale n) times the
-    product of the local factors over the points of D."""
+    product of the local factors over the points of D, cached by type."""
     if divisor.degree != n:
         raise ValueError(f"degree mismatch: deg D = {divisor.degree}, expected {n}")
-    out = Laurent.monomial(spec.scale * n)
-    for pt, m in divisor:
-        out = out * _point_factor(spec, pt.degree, m, sign_rule)
+    return Laurent(_type_trace(spec, divisor_type(divisor), sign_rule).coeffs)
+
+
+# The caches hold Laurent values, whose coefficient dicts are mutable: no
+# cached value reaches a caller, who gets a copy or a fresh product.
+@lru_cache(maxsize=1024)
+def _type_trace(spec, dtype, sign_rule):
+    out = Laurent.monomial(spec.scale * sum(d * m for d, m in dtype))
+    for d, m in dtype:
+        out = out * _point_factor(spec, d, m, sign_rule)
     return out
 
 
-# The cached factors are Laurent values, whose coefficient dicts are
-# mutable: they never reach a caller, since every trace is a fresh product.
 @lru_cache(maxsize=512)
 def _point_factor(spec, degree, multiplicity, sign_rule):
     """Local factor of the spec at a point of degree d with multiplicity m:
@@ -266,13 +278,20 @@ def default_ledger():
 def nearby_vs_boundary(n, divisor, ledger=None, sign_rule="calibrated"):
     """Both sides of the headline identity, (lhs, rhs): (1-q) times the
     grPsi trace, and c(n) times the boundary stalk trace, with c(n) frozen
-    from the n=1 anchor.  The identity holds iff lhs == rhs."""
+    from the n=1 anchor, both cached by divisor type.  The identity holds
+    iff lhs == rhs."""
     if divisor.degree != n:
         raise ValueError(f"degree mismatch: deg D = {divisor.degree}, expected {n}")
     if ledger is None:
         ledger = default_ledger()
-    lhs = _ONE_MINUS_Q * trace_gr_psi(n, divisor, sign_rule)
-    return lhs, ledger.c(n) * boundary_stalk_trace(divisor)
+    lhs, rhs = _sides(n, divisor_type(divisor), ledger, sign_rule)
+    return Laurent(lhs.coeffs), Laurent(rhs.coeffs)
+
+
+@lru_cache(maxsize=1024)
+def _sides(n, dtype, ledger, sign_rule):
+    lhs = _ONE_MINUS_Q * _type_trace(GR_PSI, dtype, sign_rule)
+    return lhs, ledger.c(n) * _ONE_MINUS_Q * _type_trace(BOUNDARY, dtype, "calibrated")
 
 
 def boundary_stalk_trace(divisor):

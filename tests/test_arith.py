@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -158,6 +159,21 @@ def test_f9_multiplicative_group_cyclic_order_8():
     assert sorted(orders.values()).count(8) == 4  # phi(8) generators
 
 
+def digit_add(fld, a, b):
+    """Addition in F_{p^e} digit by digit in base p: the oracle for `add`."""
+    return fld.from_coeffs([x + y for x, y in zip(fld.to_coeffs(a), fld.to_coeffs(b))])
+
+
+@pytest.mark.parametrize("e", [2, 3])
+def test_characteristic_two_add_matches_digit_loop(e):
+    fld = build_field(2, e)
+    for a, b in itertools.product(fld.elements(), repeat=2):
+        assert fld.add(a, b) == digit_add(fld, a, b)
+        assert fld.sub(a, b) == digit_add(fld, a, b)
+    for a in fld.elements():
+        assert fld.neg(a) == fld.from_coeffs([-x for x in fld.to_coeffs(a)])
+
+
 def test_frobenius_identity_all_fields():
     for p, e in ALL_Q:
         fld = build_field(p, e)
@@ -308,6 +324,24 @@ def test_irreducibility_test_is_polynomial_in_the_degree():
     assert is_irreducible(f2, a) and is_irreducible(f2, b)
     with pytest.raises(ValueError, match="reducible"):
         closed_point(f2, poly_mul(f2, a, b))
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_monic_polys_order_matches_product_oracle(q):
+    fld = field_from_q(q)
+    for d in range(4 if q < 7 else 3):
+        expected = [tail + (1,) for tail in itertools.product(range(q), repeat=d)]
+        assert list(monic_polys(fld, d)) == expected
+
+
+def test_monic_polys_yields_before_touching_the_field():
+    # a generator that first copied the q elements would not finish here
+    fld = build_field(2**61 - 1, 1)
+    start = time.perf_counter()
+    polys = monic_polys(fld, 2)
+    assert next(polys) == (0, 0, 1)
+    assert next(polys) == (0, 1, 1)
+    assert time.perf_counter() - start < 1
 
 
 def test_divisor_caches_are_bounded():

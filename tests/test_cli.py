@@ -13,13 +13,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import vinbun
-from vinbun import drinfeld, lefschetz, localmodel, symrep
+from vinbun import arith, drinfeld, lefschetz, localmodel, symrep
+from vinbun.budget import BudgetExceededError
 from vinbun.cli import (
     ALL_SUITES,
     DEFAULT_SUITES,
     MAX_GRID_N,
     MAX_GRID_Q,
     RunConfig,
+    budgeted_divisors,
     field_from_q,
     main,
     prime_powers_up_to,
@@ -32,6 +34,11 @@ DEFAULT_REPORT_SHA256 = (
 )
 STARVED_REPORT_SHA256 = (
     "f9e5202f9e52b2aa56aa37d24d0a27593a00e1ad3df15de1ec231954015b035a"
+)
+
+
+TRACES_REPORT_SHA256 = (
+    "90bcc9c2dea4ee835c22bae86b45a26898c072f87fe4df7fc2082645f4cc095f"
 )
 
 
@@ -416,6 +423,38 @@ def test_default_verify_report_is_pinned(capsys):
     code, out, _ = run_cli(capsys, "verify")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == DEFAULT_REPORT_SHA256
+
+
+def test_nearby_traces_report_is_pinned(capsys):
+    # the nearby grid of the verify-traces benchmark: 1789 checks, 36 types
+    code, out, _ = run_cli(capsys, "verify", "--suites", "nearby", "--max-n", "5",
+                           "--max-q", "4", "--max-degree", "5")
+    assert code == 0
+    assert json.loads(out)["summary"] == {"pass": 1789, "fail": 0, "skipped": 0}
+    assert hashlib.sha256(out.encode()).hexdigest() == TRACES_REPORT_SHA256
+
+
+def test_nearby_suite_skips_degrees_over_the_divisor_budget(capsys):
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "verify", "--suites", "nearby", "--max-n", "30",
+                           "--max-q", "2", "--budget", "1000")
+    assert time.perf_counter() - start < 5
+    assert code == 0
+    skipped = [c for c in json.loads(out)["checks"] if c["status"] == "skipped"]
+    assert [c["params"] for c in skipped] == [f"q=2 n={n}" for n in range(10, 31)]
+    assert skipped[0]["lhs"] == (
+        "divisors of degree 10 over F_2: 1024 candidates exceed the budget 1000"
+    )
+
+
+def test_divisor_budget_refuses_before_enumerating(monkeypatch):
+    monkeypatch.delenv("VINBUN_BUDGET", raising=False)
+    f2 = field_from_q(2)
+    misses = arith.enumerate_divisors.cache_info().misses
+    with pytest.raises(BudgetExceededError, match="131072 candidates exceed the budget 100000"):
+        budgeted_divisors(f2, 17, None)
+    assert arith.enumerate_divisors.cache_info().misses == misses
+    assert len(budgeted_divisors(f2, 3, None)) == 8
 
 
 def test_env_var_budget_override(capsys, monkeypatch):

@@ -27,6 +27,8 @@ from vinbun.kcalc import (
     StalkNotDeterminedError,
     boundary_stalk_trace,
     default_ledger,
+    divisor_type,
+    evaluate,
     ic_kernel_k_element,
     local_exterior_factor,
     nearby_vs_boundary,
@@ -38,6 +40,8 @@ from vinbun.kcalc import (
     trace_omega_tilde,
     trace_plo,
     _point_factor,
+    _sides,
+    _type_trace,
 )
 
 F2 = build_field(2, 1)
@@ -222,6 +226,57 @@ def test_traces_do_not_alias_cached_factors():
         before = trace()
         trace().coeffs[0] = 99
         assert trace() == before
+
+
+def per_point_product(spec, n, divisor, sign_rule):
+    """A spec's trace as the product of its per-point factors, one divisor
+    at a time: the oracle for the per-type cache."""
+    out = Laurent.monomial(spec.scale * n)
+    for pt, m in divisor:
+        out = out * _point_factor(spec, pt.degree, m, sign_rule)
+    return out
+
+
+@pytest.mark.parametrize("field", [F2, F3, F4, F5])
+def test_evaluate_matches_per_point_product_oracle(field):
+    for n in range(5):
+        for d in enumerate_divisors(field, n):
+            for spec in (PLO, OMEGA_TILDE, GR_PSI, BOUNDARY):
+                for rule in SIGN_RULES:
+                    assert evaluate(spec, n, d, rule) == per_point_product(spec, n, d, rule)
+
+
+def test_evaluate_depends_on_the_divisor_type_only():
+    # two divisors of type ((1, 1), (2, 2)) over F_3, with no point in common
+    x, y = rational_point(F3, 0), rational_point(F3, 1)
+    u, w = point_of_degree(F3, 2, 0), point_of_degree(F3, 2, 1)
+    d1, d2 = div([(x, 1), (u, 2)]), div([(y, 1), (w, 2)])
+    assert divisor_type(d1) == divisor_type(d2) == ((1, 1), (2, 2))
+    with pytest.raises(ValueError, match="degree mismatch"):
+        evaluate(PLO, 4, d1)
+    assert nearby_vs_boundary(5, d1) == nearby_vs_boundary(5, d2)
+
+
+def test_type_caches_are_bounded():
+    for fn in (_type_trace, _sides):
+        assert fn.cache_info().maxsize is not None
+
+
+def test_nearby_sides_do_not_alias_the_cache():
+    y = point_of_degree(F3, 2)
+    d = div([(rational_point(F3, 0), 1), (y, 2)])
+    before = nearby_vs_boundary(5, d)
+    for side in nearby_vs_boundary(5, d):
+        side.coeffs[0] = 99
+    assert nearby_vs_boundary(5, d) == before
+
+
+def test_sign_rules_do_not_share_cached_sides():
+    # the same divisor type under the two rules: only the calibrated one holds
+    y1, y2 = point_of_degree(F3, 2, 0), point_of_degree(F3, 2, 1)
+    lhs, rhs = nearby_vs_boundary(4, div([(y1, 2)]), sign_rule="calibrated")
+    flip_lhs, flip_rhs = nearby_vs_boundary(4, div([(y2, 2)]), sign_rule="flip-deep")
+    assert lhs == rhs == flip_rhs != flip_lhs
 
 
 # ---------------------------------------------------------------------------
