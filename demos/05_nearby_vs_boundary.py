@@ -23,10 +23,7 @@ total = 0
 for q in (2, 3, 4):
     field = field_from_q(q)
     for n in (1, 2, 3):
-        divisors = [
-            d for d in enumerate_divisors(field, n)
-            if all(pt.degree <= 2 for pt, _ in d)
-        ]
+        divisors = enumerate_divisors(field, n, 2)
         for d in divisors:
             lhs, rhs = nearby_vs_boundary(n, d, ledger=ledger)
             assert lhs == rhs

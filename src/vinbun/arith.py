@@ -638,11 +638,6 @@ def closed_point(field, poly):
     return ClosedPoint(degree=poly_deg(poly), poly=poly)
 
 
-def rational_point(field, c):
-    """The degree-1 point t = c."""
-    return ClosedPoint(degree=1, poly=(field.neg(c), 1))
-
-
 class EffectiveDivisor(FrozenValue):
     """A multiset of closed points with positive multiplicities.  Not a
     tuple: iterating and adding go over the parts."""
@@ -717,18 +712,21 @@ def enumerate_closed_points(field, max_degree):
 
 
 @lru_cache(maxsize=64)
-def enumerate_divisors(field, n):
-    """All degree-n effective divisors on A^1 over F_q.
+def enumerate_divisors(field, n, max_degree=None):
+    """All degree-n effective divisors on A^1 over F_q, or only those whose
+    points have degree <= max_degree.
 
-    These are exactly the monic degree-n polynomials (q^n of them): the
-    multisets of closed points of total degree n, ordered as their products
-    are by `monic_polys`.
+    These are the multisets of closed points of total degree n, formed over
+    the points of degree <= min(n, max_degree) and ordered as their
+    products are by `monic_polys`.  With no bound they are exactly the
+    monic degree-n polynomials, q^n of them.
     """
     if n < 0:
         raise ValueError("degree must be >= 0")
     if n == 0:
         return (EffectiveDivisor.empty(),)
-    found = _point_multisets(field, enumerate_closed_points(field, n), n)
+    bound = n if max_degree is None else min(n, max_degree)
+    found = _point_multisets(field, enumerate_closed_points(field, bound), n)
     found.sort(key=lambda parts_poly: parts_poly[1])
     return tuple(EffectiveDivisor(parts=parts) for parts, _ in found)
 

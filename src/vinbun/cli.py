@@ -106,12 +106,12 @@ def _skip_over_budget(checks, suite, name, params):
         })
 
 
-def budgeted_divisors(fld, n, budget):
-    """`arith.enumerate_divisors(fld, n)`, refused before any divisor is built
-    when its q^n divisors exceed the budget."""
+def budgeted_divisors(fld, n, budget, max_degree=None):
+    """`arith.enumerate_divisors(fld, n, max_degree)`, refused before any
+    divisor is built when the q^n divisors of degree n exceed the budget."""
     check_power_budget(n * (fld.q.bit_length() - 1), lambda: fld.q**n, budget,
                        DIVISOR_BUDGET, f"divisors of degree {n} over F_{fld.q}")
-    return arith.enumerate_divisors(fld, n)
+    return arith.enumerate_divisors(fld, n, max_degree)
 
 
 def suite_nearby(config):
@@ -126,10 +126,8 @@ def suite_nearby(config):
         for n in range(1, config.max_n + 1):
             params = f"q={q} n={n}"
             with _skip_over_budget(checks, "nearby", "nearby-vs-boundary", params):
-                for d in budgeted_divisors(fld, n, config.budget):
+                for d in budgeted_divisors(fld, n, config.budget, config.max_degree):
                     dtype = kcalc.divisor_type(d)
-                    if dtype[-1][0] > config.max_degree:  # sorted by degree
-                        continue
                     check = by_type.get(dtype)
                     if check is None:
                         lhs, rhs = kcalc.nearby_vs_boundary(n, d, ledger)
@@ -145,9 +143,7 @@ def suite_omega(config):
     for q in prime_powers_up_to(config.max_q):
         fld = field_from_q(q)
         for n in range(1, config.max_n + 1):
-            for d in arith.enumerate_divisors(fld, n):
-                if any(pt.degree != 1 for pt, _ in d):
-                    continue
+            for d in arith.enumerate_divisors(fld, n, 1):
                 params = f"q={q} n={n} D={arith.format_divisor(fld, d)}"
                 with _skip_over_budget(checks, "omega", "g-locus-count", params):
                     count, predicted, closed_form = localmodel.omega_point_count(
@@ -427,6 +423,12 @@ def cmd_trace(args):
     field = field_from_q(args.q)
     divisor = arith.parse_divisor(field, args.divisor)
     n = args.n if args.n is not None else divisor.degree
+    if args.object == "kelement":
+        # refused before the K-element, of about n^2/4 symbols, is built
+        if n != divisor.degree:
+            raise ValueError(f"degree mismatch: deg D = {divisor.degree}, expected {n}")
+        if n > MAX_GRID_N:
+            raise ValueError(f"kelement degree must be <= {MAX_GRID_N}, got {n}")
     if args.object == "plo":
         value = kcalc.trace_plo(n, divisor)
     elif args.object == "omega":

@@ -51,7 +51,6 @@ from vinbun.arith import (
     INFINITY,
     ClosedPoint,
     EffectiveDivisor,
-    poly_add,
     poly_deg,
     poly_factor,
     poly_gcd,
@@ -134,30 +133,6 @@ def iter_hom_matrices(field, a1, a2, budget=None):
     ]
     for quad in itertools.product(*spaces):
         yield HomMatrix(a1=a1, a2=a2, entries=tuple(quad))
-
-
-def compose(field, psi, phi):
-    """Matrix product psi . phi for phi: E(a1) -> E(a2), psi: E(a2) -> E(a3)."""
-    if psi.a1 != phi.a2:
-        raise ValueError("middle bundles disagree")
-    p = [phi.entry(k) for k in range(4)]
-    s = [psi.entry(k) for k in range(4)]
-    out = []
-    for i in range(2):
-        for j in range(2):
-            acc = ()
-            for l in range(2):
-                acc = poly_add(field, acc, poly_mul(field, s[2 * i + l], p[2 * l + j]))
-            out.append(acc)
-    dims = hom_space_dims(phi.a1, psi.a2)
-    for e, d in zip(out, dims):
-        if len(e) > d:
-            raise AssertionError("degree bound violated by composition")
-    padded = tuple(
-        tuple(e[k] if k < len(e) else 0 for k in range(d))
-        for e, d in zip(out, dims)
-    )
-    return HomMatrix(a1=phi.a1, a2=psi.a2, entries=padded)
 
 
 # ---------------------------------------------------------------------------
@@ -312,19 +287,3 @@ def closed_form_value(a1, a2, q):
     """Observed closed form (q-1)(q^2-1) - #Isom_SL2(E1, E2) of the value;
     found on grids of q and (a1, a2), not derived."""
     return (q - 1) * (q * q - 1) - sl2_isom_count(a1, a2, q)
-
-
-def random_automorphism(field, a, rng):
-    """A random vector-bundle automorphism of O(a) + O(-a): an invertible
-    constant matrix at a = 0, otherwise upper triangular with unit diagonal
-    entries and a random off-diagonal form of degree <= 2a."""
-    if a == 0:
-        while True:
-            entries = tuple((rng.randrange(field.q),) for _ in range(4))
-            phi = HomMatrix(a1=0, a2=0, entries=entries)
-            if phi.det(field):
-                return phi
-    alpha = rng.randrange(1, field.q)
-    delta = rng.randrange(1, field.q)
-    beta = tuple(rng.randrange(field.q) for _ in range(2 * a + 1))
-    return HomMatrix(a1=a, a2=a, entries=((alpha,), beta, (), (delta,)))

@@ -46,6 +46,7 @@ from vinbun.arith import (
     compositions,
     elementary_symmetric,
 )
+from vinbun.lefschetz import predicted_schur_weyl
 from vinbun.symrep import (
     murnaghan_nakayama,
     normalize_partition,
@@ -411,29 +412,24 @@ class KElement:
 
 
 def plo_k_element(k):
-    """Weight-line expansion of the k-th oscillator class: each two-column
-    irreducible contributes its full ladder of twists (k-2r)/2 - i."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    terms = {}
-    for r in range(k // 2 + 1):
-        rep = (2,) * r + (1,) * (k - 2 * r)
-        m = k - 2 * r
-        for i in range(m + 1):
-            terms[IcSymbol(k, rep, _twist_value(Fraction(m, 2) - i))] = 1
-    return KElement(terms)
+    """Weight-line expansion of the k-th oscillator class: each summand
+    U_m tensor rho of `predicted_schur_weyl(k)` contributes rho with the
+    ladder of twists m/2, m/2 - 1, ..., -m/2."""
+    return KElement({
+        IcSymbol(k, lam, _twist_value(Fraction(m, 2) - i)): mult
+        for (lam, m), mult in predicted_schur_weyl(k).mults
+        for i in range(m + 1)
+    })
 
 
 def ic_kernel_k_element(k):
-    """Kernel-of-monodromy class: one symbol per two-column irreducible,
-    twisted by k/2 - r."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    terms = {}
-    for r in range(k // 2 + 1):
-        rep = (2,) * r + (1,) * (k - 2 * r)
-        terms[IcSymbol(k, rep, _twist_value(Fraction(k, 2) - r))] = 1
-    return KElement(terms)
+    """Kernel-of-monodromy class: the lowest weight line of each summand
+    U_m tensor rho of `predicted_schur_weyl(k)`, that is rho twisted by
+    m/2."""
+    return KElement({
+        IcSymbol(k, lam, _twist_value(Fraction(m, 2))): mult
+        for (lam, m), mult in predicted_schur_weyl(k).mults
+    })
 
 
 def reconstruct_from_difference(delta):

@@ -25,12 +25,10 @@ from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations
 
-from vinbun.arith import Laurent
 from vinbun.symrep import (
     TwoColumnDiagram,
     cycle_types,
     decompose_class_function,
-    dimension,
     hook_length_dimension,
 )
 
@@ -38,24 +36,8 @@ MAX_BRUTE_K = 8
 
 
 # ---------------------------------------------------------------------------
-# the standard representation and operators on tensor powers
+# operators on tensor powers
 # ---------------------------------------------------------------------------
-
-
-class StandardRep(namedtuple("StandardRep", "e f h frobenius")):
-    """The 2-dimensional space V with its sl2 operators and Frobenius
-    eigenvalues (v on the weight +1 line, v^-1 on the weight -1 line)."""
-
-    __slots__ = ()
-
-
-def standard_rep():
-    return StandardRep(
-        e=((0, 1), (0, 0)),
-        f=((0, 0), (1, 0)),
-        h=((1, 0), (0, -1)),
-        frobenius=(Laurent.v(1), Laurent.v(-1)),
-    )
 
 
 def weight_of_index(idx, k):
@@ -83,18 +65,6 @@ def _act(perm, idx, signed=True):
     return (perm_sign(perm) if signed else 1), out
 
 
-def permutation_matrix(k, perm, signed=True):
-    """Matrix of a permutation acting on V^(tensor k): slot s of the image
-    holds the letter from slot perm^{-1}(s), scaled by sign(perm) when the
-    sign-twisted action is requested."""
-    n = 1 << k
-    mat = [[0] * n for _ in range(n)]
-    for idx in range(n):
-        sign, out = _act(perm, idx, signed)
-        mat[out][idx] = sign
-    return tuple(map(tuple, mat))
-
-
 def perm_sign(perm):
     """(-1)^(number of inversions)."""
     inversions = sum(a > b for a, b in combinations(perm, 2))
@@ -111,35 +81,17 @@ def perm_from_cycle_type(cycle_type):
     return tuple(perm)
 
 
-def _slot_flips(k, letter):
-    """Sum over the slots j of the operator that changes `letter` (bit value
-    0 = x, 1 = y) in slot j to the other letter and kills the rest."""
+def lowering_matrix(k):
+    """f acting diagonally (the monodromy operator on the associated
+    graded): the sum over the slots j of the operator that flips an x in
+    slot j to y and kills a y there."""
     n = 1 << k
     mat = [[0] * n for _ in range(n)]
     for idx in range(n):
         for j in range(k):
-            if (idx >> j) & 1 == letter:
-                mat[idx ^ (1 << j)][idx] += 1
+            if not (idx >> j) & 1:
+                mat[idx | (1 << j)][idx] += 1
     return tuple(map(tuple, mat))
-
-
-def raising_matrix(k):
-    """e acting diagonally: flips one y (bit 1) to x (bit 0) per summand."""
-    return _slot_flips(k, 1)
-
-
-def lowering_matrix(k):
-    """f acting diagonally: flips one x to y per summand (the monodromy
-    operator on the associated graded)."""
-    return _slot_flips(k, 0)
-
-
-def cartan_matrix(k):
-    n = 1 << k
-    return tuple(
-        tuple(weight_of_index(i, k) if i == j else 0 for j in range(n))
-        for i in range(n)
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -215,8 +167,10 @@ def brute_force_schur_weyl(k):
 
 
 def predicted_schur_weyl(k):
-    """The closed-form decomposition: sum over 0 <= r <= k/2 of
-    U_{k-2r} tensor (two-column irreducible with columns k-r, r)."""
+    """The k-th oscillator bimodule in closed form, and the one list of its
+    summands: U_{k-2r} tensor the two-column irreducible (2^r, 1^(k-2r))
+    for 0 <= r <= k/2.  These partitions ascend with r, so mults is ordered
+    by r.  `kernel_of_n` and the K-elements of `kcalc` read it."""
     if k < 1:
         raise ValueError("k must be >= 1")
     return GradedBiRep.from_dict(
@@ -235,13 +189,11 @@ def predicted_schur_weyl(k):
 
 def kernel_of_n(k):
     """The kernel of the monodromy (lowering) operator on the k-th oscillator
-    bimodule: one copy of each two-column irreducible, the (k-r, r) diagram
-    carrying Tate twist k/2 - r (the twist of the lowest weight line of
-    U_{k-2r})."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    bimodule: the lowest weight line of each summand U_m tensor rho, so one
+    copy of each two-column irreducible, carrying Tate twist m/2."""
     return tuple(
-        (TwoColumnDiagram(k, r), Fraction(k, 2) - r) for r in range(k // 2 + 1)
+        (TwoColumnDiagram(k, lam.count(2)), Fraction(m, 2))
+        for (lam, m), _ in predicted_schur_weyl(k).mults
     )
 
 
@@ -315,33 +267,3 @@ def sign_on_lowest_lines(twisted=True):
         dim, out[m] = _kernel_traces(2, -m, ((0, 1), (1, 0)), signed=twisted)
         assert dim == 1
     return out
-
-
-def schur_weyl_dimension_identity(k):
-    """sum over r of (k - 2r + 1) * dim rho_{(k-r,r)} == 2^k."""
-    total = sum(
-        (k - 2 * r + 1) * dimension(TwoColumnDiagram(k, r))
-        for r in range(k // 2 + 1)
-    )
-    return total == 1 << k
-
-
-def operators_commute(k):
-    """All commutators of the S_k generators with e, f, h vanish on
-    V^(tensor k) (checked on adjacent transpositions, which generate)."""
-    e, f, h = raising_matrix(k), lowering_matrix(k), cartan_matrix(k)
-    for i in range(k - 1):
-        perm = list(range(k))
-        perm[i], perm[i + 1] = perm[i + 1], perm[i]
-        p = permutation_matrix(k, tuple(perm), signed=True)
-        for op in (e, f, h):
-            if _matmul(p, op) != _matmul(op, p):
-                return False
-    return True
-
-
-def _matmul(a, b):
-    cols = tuple(zip(*b))
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in cols) for row in a
-    )

@@ -29,8 +29,8 @@ The defect of a B-locus point (d = 0) of a multiplicity-m factor is the
 t-adic valuation of the first determinantal ideal of the 2x2 matrix
 [[t^m, f], [-g t^m, -g f]] with f = sum b_j t^j and g t^m = sum a_i t^(m+i):
 the minimum of m, ord(f), ord(g t^m) and ord of the polynomial part of -g f.
-`factor_defect` computes it so; `strata_counts` reads it off the solver's
-pivots instead (`pivot_defect`), in O(m) per point.
+The tests compute it so, as the oracle; `strata_counts` reads it off the
+solver's pivots instead (`pivot_defect`), in O(m) per point.
 """
 
 from collections import namedtuple
@@ -40,8 +40,6 @@ from types import MappingProxyType
 
 from vinbun.budget import POINT_COUNT_BUDGET, check_power_budget
 from vinbun.kcalc import trace_omega_tilde
-
-_INF = float("inf")
 
 
 # ---------------------------------------------------------------------------
@@ -246,53 +244,11 @@ def count_points(system, field, d_constraint="any", budget=None):
 # ---------------------------------------------------------------------------
 
 
-class DefectProfile(namedtuple("DefectProfile", "per_factor")):
-    __slots__ = ()
-
-    @property
-    def total(self):
-        return sum(self.per_factor)
-
-
-def factor_defect(field, m, a, b):
-    """Defect of a single-factor B-locus point: the minimum of m and the
-    t-adic valuations of the matrix entries f, g t^m and the polynomial part
-    of -g f (whose first surviving coefficient is scanned directly)."""
-    ord_f = next((j for j in range(m) if b[j]), _INF)
-    ord_g = next((i for i in range(m) if a[i]), _INF)
-    if ord_f is _INF and ord_g is _INF:
-        return m
-    # first r >= 0 with a nonzero coefficient sum_{(i+m)+j = r+m} a_i b_j
-    ord_gf = _INF
-    for r in range(2 * m - 1):
-        acc = 0
-        for ai in range(m):
-            j = r + m - ai
-            if 0 <= j < m:
-                acc = field.add(acc, field.mul(a[ai], b[j]))
-        if acc != 0:
-            ord_gf = r
-            break
-    return int(min(m, ord_f, ord_g, ord_gf))
-
-
-def defect_profile(system, field, point):
-    """Per-factor defects of a B-locus point.  Raises on the G-locus."""
-    if point.d_value != 0:
-        raise ValueError("defect is defined on the B-locus only (d = 0)")
-    if not point_satisfies(system, field, point):
-        raise ValueError("point does not lie on the system")
-    per = []
-    for (a, b), m in zip(point.factors, system.multiplicities):
-        per.append(factor_defect(field, m, a, b))
-    return DefectProfile(per_factor=tuple(per))
-
-
 def pivot_defect(m, s, b):
-    """`factor_defect` of a B-locus point read off the solver's pivots: s
-    is the first nonzero index of a (m for a = 0) and j that of b.  A point
-    with s = 0 has b = 0 and defect 0; otherwise the defect is s + j - m,
-    or s when b = 0."""
+    """Defect of a single-factor B-locus point, read off the solver's
+    pivots: s is the first nonzero index of a (m for a = 0) and j that of b.
+    A point with s = 0 has b = 0 and defect 0; otherwise the defect is
+    s + j - m, or s when b = 0."""
     if s == 0:
         return 0
     j = next((i for i, x in enumerate(b) if x), None)

@@ -1,5 +1,6 @@
-"""Symmetric group combinatorics: two-column Young diagrams, dimensions,
-Murnaghan-Nakayama characters, and class-function decomposition.
+"""Symmetric group combinatorics: two-column Young diagrams, hook-length
+dimensions, Murnaghan-Nakayama characters, and class-function
+decomposition.
 
 Partitions are tuples of positive parts sorted descending; a cycle type of
 S_k is just a partition of k.  The trace theorems only ever quote irreducibles
@@ -69,10 +70,6 @@ def hook_length_dimension(partition):
     return dim
 
 
-TRIVIAL = "trivial"
-SIGN = "sign"
-
-
 def trivial_partition(k):
     return (k,) if k else ()
 
@@ -101,26 +98,8 @@ class TwoColumnDiagram(FrozenValue):
     def partition(self):
         return (2,) * self.r + (1,) * (self.k - 2 * self.r)
 
-    @property
-    def transpose_partition(self):
-        """The two-row partition (k-r, r)."""
-        return normalize_partition((self.k - self.r, self.r))
-
     def __repr__(self):
         return f"rho({self.k - self.r},{self.r})"
-
-
-def dimension(diagram):
-    """Dimension of the two-column irreducible: k! (k-2r+1) / (r! (k-r+1)!)."""
-    k, r = diagram.k, diagram.r
-    num = factorial(k) * (k - 2 * r + 1)
-    den = factorial(r) * factorial(k - r + 1)
-    assert num % den == 0
-    return num // den
-
-
-def two_column_diagrams(k):
-    return tuple(TwoColumnDiagram(k, r) for r in range(k // 2 + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -143,15 +122,6 @@ def class_size(cycle_type):
     for m in mult.values():
         denom *= factorial(m)
     return factorial(k) // denom
-
-
-def sign_character(cycle_type):
-    """prod over cycles of (-1)^(length + 1)."""
-    out = 1
-    for c in cycle_type:
-        if c % 2 == 0:
-            out = -out
-    return out
 
 
 def _beta_set(partition):
@@ -190,32 +160,6 @@ def murnaghan_nakayama(partition, cycle_type):
     return total
 
 
-def character(rep, cycle_type):
-    """Character value at a cycle type.
-
-    `rep` may be a TwoColumnDiagram, a partition tuple, a VirtualRep, or the
-    strings "trivial" / "sign".
-    """
-    cycle_type = normalize_partition(cycle_type)
-    k = sum(cycle_type)
-    if rep == TRIVIAL:
-        return 1
-    if rep == SIGN:
-        return sign_character(cycle_type)
-    if isinstance(rep, TwoColumnDiagram):
-        rep = rep.partition
-    if isinstance(rep, VirtualRep):
-        if rep.k != k:
-            raise ValueError(f"rep of S_{rep.k} evaluated at a {k}-cycle type")
-        return sum(
-            m * murnaghan_nakayama(lam, cycle_type) for lam, m in rep.mults.items()
-        )
-    rep = normalize_partition(rep)
-    if sum(rep) != k:
-        raise ValueError(f"rep partition {rep} does not match cycle type size {k}")
-    return murnaghan_nakayama(rep, cycle_type)
-
-
 # ---------------------------------------------------------------------------
 # virtual representations and class-function decomposition
 # ---------------------------------------------------------------------------
@@ -238,25 +182,6 @@ class VirtualRep:
                     clean[lam] = clean.get(lam, 0) + m
         self.mults = {lam: m for lam, m in clean.items() if m}
 
-    @staticmethod
-    def irreducible(lam):
-        lam = normalize_partition(lam)
-        return VirtualRep(sum(lam), {lam: 1})
-
-    def __add__(self, other):
-        if self.k != other.k:
-            raise ValueError("cannot add representations of different S_k")
-        d = dict(self.mults)
-        for lam, m in other.mults.items():
-            d[lam] = d.get(lam, 0) + m
-        return VirtualRep(self.k, d)
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, c):
-        return VirtualRep(self.k, {lam: c * m for lam, m in self.mults.items()})
-
     def __eq__(self, other):
         return (
             isinstance(other, VirtualRep)
@@ -266,9 +191,6 @@ class VirtualRep:
 
     def __hash__(self):
         return hash((self.k, frozenset(self.mults.items())))
-
-    def dimension(self):
-        return sum(m * hook_length_dimension(lam) for lam, m in self.mults.items())
 
     def __repr__(self):
         if not self.mults:

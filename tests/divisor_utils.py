@@ -1,5 +1,6 @@
-"""Shared divisor helpers for the test suite: randomized divisors (seeded by
-callers) and the factoring oracle for divisor enumeration."""
+"""Shared divisor helpers for the test suite: rational points, randomized
+divisors (seeded by callers) and the factoring oracle for divisor
+enumeration."""
 
 from vinbun.arith import (
     ClosedPoint,
@@ -9,6 +10,11 @@ from vinbun.arith import (
     poly_deg,
     poly_factor,
 )
+
+
+def rational_point(field, c):
+    """The degree-1 point t = c."""
+    return ClosedPoint(degree=1, poly=(field.neg(c), 1))
 
 
 def factored_divisors(field, n):

@@ -4,7 +4,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from divisor_utils import factored_divisors, trial_division_points
+from divisor_utils import factored_divisors, rational_point, trial_division_points
 
 from vinbun.arith import (
     EffectiveDivisor,
@@ -30,7 +30,6 @@ from vinbun.arith import (
     poly_gcd,
     poly_mul,
     prime_power,
-    rational_point,
 )
 
 ALL_Q = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)]
@@ -296,6 +295,17 @@ def test_divisors_match_factoring_oracle(p, e, max_d):
     fld = build_field(p, e)
     for n in range(max_d + 1):
         assert enumerate_divisors(fld, n) == factored_divisors(fld, n)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_bounded_divisors_are_the_filtered_full_list(q):
+    # same divisors in the same order as dropping those with a deep point
+    fld = field_from_q(q)
+    for n in range(6):
+        full = enumerate_divisors(fld, n)
+        for max_degree in range(1, n + 2):
+            kept = tuple(d for d in full if all(pt.degree <= max_degree for pt, _ in d))
+            assert enumerate_divisors(fld, n, max_degree) == kept, (n, max_degree)
 
 
 @pytest.mark.parametrize("p,e,max_d", ORACLE_GRID)

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import vinbun
-from vinbun import arith, drinfeld, lefschetz, localmodel, symrep
+from vinbun import arith, drinfeld, kcalc, lefschetz, localmodel, symrep
 from vinbun.budget import BudgetExceededError
 from vinbun.cli import (
     ALL_SUITES,
@@ -165,6 +165,22 @@ def test_trace_command(capsys):
     )
     assert code == 0
     assert json.loads(out) == {"-2": 1}
+
+
+@pytest.mark.parametrize("argv", [
+    ("--n", "1500", "--q", "2", "--divisor", "t:1"),
+    ("--q", "2", "--divisor", "t:100000"),
+])
+def test_kelement_trace_refuses_before_building_the_class(capsys, monkeypatch, argv):
+    def no_k_element(k):
+        raise AssertionError("plo_k_element must not run")
+
+    monkeypatch.setattr(kcalc, "plo_k_element", no_k_element)
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "trace", "--object", "kelement", *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == "" and err.startswith("error: ")
 
 
 def test_trace_command_rejects_reducible(capsys):
@@ -445,6 +461,29 @@ def test_nearby_suite_skips_degrees_over_the_divisor_budget(capsys):
     assert skipped[0]["lhs"] == (
         "divisors of degree 10 over F_2: 1024 candidates exceed the budget 1000"
     )
+
+
+def test_nearby_suite_builds_only_divisors_within_max_degree(capsys):
+    # 524 checks out of the 131,070 divisors of degree <= 16 over F_2
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "verify", "--suites", "nearby", "--max-n", "17",
+                           "--max-q", "2")
+    assert time.perf_counter() - start < 5
+    assert code == 0
+    assert json.loads(out)["summary"] == {"pass": 524, "fail": 0, "skipped": 1}
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "f4be51a1e3aed70c5f29c7d200595ce8ee68d5ca8cd808d9018034f2f77f4188"
+    )
+
+
+def test_omega_suite_builds_only_divisors_of_rational_points(capsys):
+    # n + 1 divisors of degree n over F_2, not 2^n
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "verify", "--suites", "omega", "--max-n", "30",
+                           "--max-q", "2", "--budget", "1000")
+    assert time.perf_counter() - start < 5
+    assert code == 0
+    assert json.loads(out)["summary"] == {"pass": 61, "fail": 0, "skipped": 434}
 
 
 def test_divisor_budget_refuses_before_enumerating(monkeypatch):

@@ -2,15 +2,17 @@ import itertools
 import random
 
 import pytest
+from divisor_utils import rational_point
 
 from vinbun.arith import (
     INFINITY,
     build_field,
     closed_point,
+    poly_add,
     poly_deg,
     poly_gcd,
+    poly_mul,
     poly_normalize,
-    rational_point,
 )
 from vinbun.budget import BudgetExceededError
 from vinbun.drinfeld import (
@@ -18,14 +20,12 @@ from vinbun.drinfeld import (
     SplitBundle,
     boundary_factor,
     closed_form_value,
-    compose,
     defect_divisor_of_hom,
     drinfeld_value,
     expected_isom_count,
     hom_space_dims,
     isom_count,
     iter_hom_matrices,
-    random_automorphism,
     rank_one_value,
     saturated_pairs,
 )
@@ -112,6 +112,46 @@ def test_defect_divisor_constant_on_scaling_orbits():
             d = defect_divisor_of_hom(field, phi)
             for c in range(1, field.q):
                 assert defect_divisor_of_hom(field, phi.scaled(field, c)) == d
+
+
+def compose(field, psi, phi):
+    """Matrix product psi . phi for phi: E(a1) -> E(a2), psi: E(a2) -> E(a3)."""
+    if psi.a1 != phi.a2:
+        raise ValueError("middle bundles disagree")
+    p = [phi.entry(k) for k in range(4)]
+    s = [psi.entry(k) for k in range(4)]
+    out = []
+    for i in range(2):
+        for j in range(2):
+            acc = ()
+            for l in range(2):
+                acc = poly_add(field, acc, poly_mul(field, s[2 * i + l], p[2 * l + j]))
+            out.append(acc)
+    dims = hom_space_dims(phi.a1, psi.a2)
+    for e, d in zip(out, dims):
+        if len(e) > d:
+            raise AssertionError("degree bound violated by composition")
+    padded = tuple(
+        tuple(e[k] if k < len(e) else 0 for k in range(d))
+        for e, d in zip(out, dims)
+    )
+    return HomMatrix(a1=phi.a1, a2=psi.a2, entries=padded)
+
+
+def random_automorphism(field, a, rng):
+    """A random vector-bundle automorphism of O(a) + O(-a): an invertible
+    constant matrix at a = 0, otherwise upper triangular with unit diagonal
+    entries and a random off-diagonal form of degree <= 2a."""
+    if a == 0:
+        while True:
+            entries = tuple((rng.randrange(field.q),) for _ in range(4))
+            phi = HomMatrix(a1=0, a2=0, entries=entries)
+            if phi.det(field):
+                return phi
+    alpha = rng.randrange(1, field.q)
+    delta = rng.randrange(1, field.q)
+    beta = tuple(rng.randrange(field.q) for _ in range(2 * a + 1))
+    return HomMatrix(a1=a, a2=a, entries=((alpha,), beta, (), (delta,)))
 
 
 def test_defect_divisor_invariant_under_automorphisms():

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from divisor_utils import rational_point
 
 from vinbun.arith import (
     EffectiveDivisor,
@@ -11,7 +12,6 @@ from vinbun.arith import (
     enumerate_closed_points,
     enumerate_divisors,
     iter_decompositions,
-    rational_point,
 )
 from vinbun.kcalc import (
     BOUNDARY,
@@ -43,6 +43,7 @@ from vinbun.kcalc import (
     _sides,
     _type_trace,
 )
+from vinbun.lefschetz import MAX_BRUTE_K, brute_force_schur_weyl, lowering_kernel_reps
 
 F2 = build_field(2, 1)
 F3 = build_field(3, 1)
@@ -469,9 +470,52 @@ def test_trace_k_element_degree_mismatch():
 
 @pytest.mark.parametrize("field", [F2, F3, F5])
 def test_plo_k_element_traces_match_plo(field):
-    el = plo_k_element(2)
-    for d in enumerate_divisors(field, 2):
-        assert trace_k_element(el, d) == trace_plo(2, d)
+    # every divisor at k = 2, where the diagonal rules determine the stalks,
+    # and every multiplicity-free divisor at k <= 8 for q <= 3
+    for k in range(1, 9 if field.q <= 3 else 3):
+        el = plo_k_element(k)
+        for d in enumerate_divisors(field, k):
+            if k == 2 or d.is_multiplicity_free():
+                assert trace_k_element(el, d) == trace_plo(k, d), (k, d)
+
+
+# ---------------------------------------------------------------------------
+# the K-elements against the brute-force Schur-Weyl layer
+# ---------------------------------------------------------------------------
+
+
+def ladder_k_element(birep):
+    """Oracle for `plo_k_element`: each summand U_m (x) rho of a bimodule
+    gives rho at the twists m/2, m/2 - 1, ..., -m/2."""
+    terms = {}
+    for (lam, m), mult in birep.mults:
+        for i in range(m + 1):
+            sym = symbol(birep.k, lam, Fraction(m, 2) - i)
+            terms[sym] = terms.get(sym, 0) + mult
+    return KElement(terms)
+
+
+def test_plo_k_element_matches_brute_force_schur_weyl():
+    for k in range(1, MAX_BRUTE_K + 1):
+        assert plo_k_element(k) == ladder_k_element(brute_force_schur_weyl(k)), k
+
+
+def test_plo_k_element_is_reconstructed_from_its_difference():
+    for k in range(1, MAX_BRUTE_K + 1):
+        p_k = plo_k_element(k)
+        assert reconstruct_from_difference(p_k - p_k.twisted(-1)) == p_k, k
+
+
+def test_ic_kernel_k_element_matches_matrix_kernel():
+    # ker(f) in the h-weight -m layer is the lowest weight line of U_m,
+    # which carries twist m/2
+    for k in range(1, MAX_BRUTE_K + 1):
+        terms = {}
+        for m, rep in lowering_kernel_reps(k).items():
+            for lam, mult in rep.mults.items():
+                sym = symbol(k, lam, Fraction(m, 2))
+                terms[sym] = terms.get(sym, 0) + mult
+        assert ic_kernel_k_element(k) == KElement(terms), k
 
 
 def test_k_element_weight_grading():

@@ -2,22 +2,17 @@ from fractions import Fraction
 
 import pytest
 
+from vinbun.kcalc import PLO
 from vinbun.lefschetz import (
     GradedBiRep,
     brute_force_schur_weyl,
-    cartan_matrix,
     kernel_of_n,
     lowering_kernel_reps,
     lowering_matrix,
-    operators_commute,
     perm_from_cycle_type,
     perm_sign,
-    permutation_matrix,
     predicted_schur_weyl,
-    raising_matrix,
-    schur_weyl_dimension_identity,
     sign_on_lowest_lines,
-    standard_rep,
     weight_layers,
     weight_of_index,
 )
@@ -45,11 +40,38 @@ def diagonal(mat):
     return [mat[i][i] for i in range(len(mat))]
 
 
+def raising_matrix(k):
+    """e on V^(tensor k): the transpose of f."""
+    return tuple(zip(*lowering_matrix(k)))
+
+
+def cartan_matrix(k):
+    n = 1 << k
+    return tuple(
+        tuple(weight_of_index(i, k) if i == j else 0 for j in range(n))
+        for i in range(n)
+    )
+
+
+def permutation_matrix(k, perm):
+    """The sign-twisted action of a permutation on V^(tensor k): slot
+    perm[i] of the image holds the letter from slot i, times sign(perm)."""
+    n = 1 << k
+    mat = [[0] * n for _ in range(n)]
+    for idx in range(n):
+        out = sum(1 << p for i, p in enumerate(perm) if (idx >> i) & 1)
+        mat[out][idx] = perm_sign(perm)
+    return tuple(map(tuple, mat))
+
+
 def test_standard_rep_relations():
-    V = standard_rep()
-    assert commutator(V.e, V.f) == V.h
-    assert sorted(diagonal(V.h)) == [-1, 1]
-    assert V.frobenius[0] * V.frobenius[1] == 1  # v * v^-1
+    # V is the first tensor power: e sends y to x, f sends x to y
+    e, f, h = raising_matrix(1), lowering_matrix(1), cartan_matrix(1)
+    assert (e, f) == (((0, 1), (0, 0)), ((0, 0), (1, 0)))
+    assert commutator(e, f) == h
+    assert sorted(diagonal(h)) == [-1, 1]
+    v, v_inverse = PLO.slots[0].eigenvalues  # the Frobenius eigenvalues on V
+    assert v * v_inverse == 1
 
 
 def test_weight_layers():
@@ -71,7 +93,7 @@ def test_signed_permutation_trace_oracle():
         layers = weight_layers(k)
         for c in cycle_types(k):
             perm = perm_from_cycle_type(c)
-            mat = permutation_matrix(k, perm, signed=True)
+            mat = permutation_matrix(k, perm)
             sign = perm_sign(perm)
             for w, idxs in layers.items():
                 fixed = 0
@@ -86,8 +108,12 @@ def test_signed_permutation_trace_oracle():
 
 
 def test_actions_commute():
+    # on the adjacent transpositions, which generate S_k
     for k in (2, 3, 4):
-        assert operators_commute(k)
+        ops = (raising_matrix(k), lowering_matrix(k), cartan_matrix(k))
+        for i in range(k - 1):
+            p = permutation_matrix(k, (*range(i), i + 1, i, *range(i + 2, k)))
+            assert all(matmul(p, op) == matmul(op, p) for op in ops)
 
 
 def test_sl2_relations_on_tensor_power():
@@ -129,8 +155,9 @@ def test_brute_force_matches_prediction_k7_k8():
 
 
 def test_dimension_identity_up_to_8():
+    # sum over r of (k - 2r + 1) * dim rho_(k-r,r) == 2^k
     for k in range(1, 9):
-        assert schur_weyl_dimension_identity(k)
+        assert predicted_schur_weyl(k).total_dimension() == 1 << k
 
 
 def test_brute_force_range_check():
@@ -174,7 +201,7 @@ def test_sign_on_lowest_lines():
 
 
 def test_transposition_trace_via_matrices():
-    mat = permutation_matrix(2, (1, 0), signed=True)
+    mat = permutation_matrix(2, (1, 0))
     assert len(mat) == 4 and all(len(row) == 4 for row in mat)
     # full-space trace agrees with the bimodule character:
     # dim(U_0) * chi_triv + dim(U_2) * chi_sign = 1 - 3

@@ -1,8 +1,10 @@
 import itertools
 import random
+from collections import namedtuple
 from fractions import Fraction
 
 import pytest
+from divisor_utils import rational_point
 
 from vinbun.arith import (
     EffectiveDivisor,
@@ -10,18 +12,15 @@ from vinbun.arith import (
     poly_gcd,
     poly_mul,
     poly_normalize,
-    rational_point,
 )
 from vinbun.budget import BudgetExceededError
 from vinbun.kcalc import trace_omega_tilde
 from vinbun.localmodel import (
     build_system,
     count_points,
-    defect_profile,
     enumeration_cost,
     expected_strata_counts,
     factor_d_table,
-    factor_defect,
     g_locus_count,
     gm_orbit_check,
     make_solution_point,
@@ -266,6 +265,54 @@ def test_g_locus_count_many_points_within_default_budget():
 # ---------------------------------------------------------------------------
 # defect
 # ---------------------------------------------------------------------------
+
+
+INF = float("inf")
+
+
+class DefectProfile(namedtuple("DefectProfile", "per_factor")):
+    """Per-factor defects of a B-locus point."""
+
+    __slots__ = ()
+
+    @property
+    def total(self):
+        return sum(self.per_factor)
+
+
+def factor_defect(field, m, a, b):
+    """Oracle for `pivot_defect`: the defect of a single-factor B-locus
+    point as the minimum of m and the t-adic valuations of the matrix
+    entries f, g t^m and the polynomial part of -g f (whose first surviving
+    coefficient is scanned directly)."""
+    ord_f = next((j for j in range(m) if b[j]), INF)
+    ord_g = next((i for i in range(m) if a[i]), INF)
+    if ord_f is INF and ord_g is INF:
+        return m
+    # first r >= 0 with a nonzero coefficient sum_{(i+m)+j = r+m} a_i b_j
+    ord_gf = INF
+    for r in range(2 * m - 1):
+        acc = 0
+        for ai in range(m):
+            j = r + m - ai
+            if 0 <= j < m:
+                acc = field.add(acc, field.mul(a[ai], b[j]))
+        if acc != 0:
+            ord_gf = r
+            break
+    return int(min(m, ord_f, ord_g, ord_gf))
+
+
+def defect_profile(system, field, point):
+    """Per-factor defects of a B-locus point.  Raises on the G-locus."""
+    if point.d_value != 0:
+        raise ValueError("defect is defined on the B-locus only (d = 0)")
+    if not point_satisfies(system, field, point):
+        raise ValueError("point does not lie on the system")
+    per = []
+    for (a, b), m in zip(point.factors, system.multiplicities):
+        per.append(factor_defect(field, m, a, b))
+    return DefectProfile(per_factor=tuple(per))
 
 
 def snf_defect_oracle(field, m, a, b):

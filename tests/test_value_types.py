@@ -9,6 +9,8 @@ import pickle
 from fractions import Fraction
 
 import pytest
+from divisor_utils import rational_point
+from test_localmodel import DefectProfile
 
 from vinbun.arith import (
     INFINITY,
@@ -16,13 +18,12 @@ from vinbun.arith import (
     EffectiveDivisor,
     enumerate_divisors,
     field_from_q,
-    rational_point,
 )
 from vinbun.cli import RunConfig
 from vinbun.drinfeld import DrinfeldResult, HomMatrix, SplitBundle
 from vinbun.kcalc import PLO, Exterior, Spec, default_ledger, evaluate, symbol
-from vinbun.lefschetz import GradedBiRep, standard_rep
-from vinbun.localmodel import DefectProfile, SolutionPoint, build_system
+from vinbun.lefschetz import GradedBiRep
+from vinbun.localmodel import SolutionPoint, build_system
 from vinbun.symrep import TwoColumnDiagram
 
 F3 = field_from_q(3)
@@ -38,7 +39,6 @@ def frozen_instances():
         HomMatrix(0, 0, ((1,), (0,), (0,), (1,))),
         DrinfeldResult(1, 2, 3, 4, 5, None),
         SplitBundle(1),
-        standard_rep(),
         GradedBiRep.from_dict(2, {((2,), 2): 1}),
         build_system([2, 1]),
         SolutionPoint((((1,), (0,)),), 0),
