@@ -188,15 +188,17 @@ class Laurent:
     def at_q(self, q):
         """Specialize v^2 = q.  Defined only when all exponents are even;
         returns a Fraction (an integer-valued one whenever q is an integer
-        and no negative exponents survive denominators)."""
-        total = Fraction(0)
-        for e, c in self.coeffs.items():
-            if e % 2:
-                raise ValueError(
-                    f"odd v-exponent {e}: value is not a rational function of q"
-                )
-            total += c * Fraction(q) ** (e // 2)
-        return total
+        and no negative exponents survive denominators).  Exact in integers:
+        the q-exponents are shifted up by the lowest negative one, summed,
+        and divided once."""
+        odd = next((e for e in self.coeffs if e % 2), None)
+        if odd is not None:
+            raise ValueError(
+                f"odd v-exponent {odd}: value is not a rational function of q"
+            )
+        low = min(min(self.coeffs, default=0) // 2, 0)
+        total = sum(c * q ** (e // 2 - low) for e, c in self.coeffs.items())
+        return Fraction(total, q**-low)
 
     def to_json_map(self):
         return {str(e): self.coeffs[e] for e in sorted(self.coeffs)}
@@ -280,7 +282,8 @@ class PrimePowerField:
     Equality and hashing go by (p, e, modulus) so fields can key caches.
     For e > 1 the field holds its prime field and multiplies residue
     polynomials with the shared `poly_*` code; small fields read products
-    and inverses from tables built once.
+    and inverses from tables built once, from the powers of a primitive
+    element.
     """
 
     def __init__(self, p, e, modulus=None):
@@ -401,16 +404,35 @@ class PrimePowerField:
             n >>= 1
         return out
 
+    def mul_row(self, a):
+        """The products a*b for b = 0..q-1: the table row (a tuple, so the
+        table cannot be corrupted) when there is one, else a fresh list."""
+        if self._mul_table is not None:
+            return self._mul_table[a]
+        return [self._mul_slow(a, b) for b in range(self.q)]
+
     def _build_tables(self):
+        """Product and inverse tables from the powers of one primitive
+        element g: a*b = g^(log a + log b) and 1/a = g^(-log a), so only the
+        walks g, g^2, ... of the candidates for g take slow products."""
         q = self.q
-        self._mul_table = [[0] * q for _ in range(q)]
-        for a in range(q):
-            row = self._mul_table[a]
-            for b in range(a, q):
-                v = self._mul_slow(a, b)
-                row[b] = v
-                self._mul_table[b][a] = v
-        self._inv_table = [0] + [row.index(1) for row in self._mul_table[1:]]
+        for g in range(1, q):
+            powers = [1]
+            x = g
+            while x != 1:
+                powers.append(x)
+                x = self._mul_slow(x, g)
+            if len(powers) == q - 1:
+                break
+        log = [0] * q
+        for k, x in enumerate(powers):
+            log[x] = k
+        exp = powers * 2  # g^k for 0 <= k < 2(q - 1)
+        logs = log[1:]
+        self._mul_table = [(0,) * q] + [
+            (0, *[exp[log[a] + k] for k in logs]) for a in range(1, q)
+        ]
+        self._inv_table = [0] + [powers[-log[a]] for a in range(1, q)]
 
     # -- conveniences -------------------------------------------------------
 

@@ -15,25 +15,30 @@ points of multiplicities (n_1, ..., n_m) is the iterated fiber product of
 the single-point fibers over the d-line, i.e. one block of coordinates per
 point with all the d-expressions forced equal.
 
-Point counts are exact exhaustive enumeration over integer-encoded field
-elements, output-sensitive: the solver pivots on the first nonzero
-a-coordinate a_{-m+s} of a factor.  For s = 0 the equations are linear in b
-with an invertible pivot and fix b_1, ..., b_{m-1} from b_0; for 1 <= s < m
-they force b_0 = ... = b_{m-1-s} = 0 and leave the rest free; for a = 0
-every b solves.  A factor thus costs its q^m a-codes plus its
-q^(m+1) + (m-1)(q-1)q^(m-1) points, which is also what the budgets charge.
-Coupled counts compose cached per-factor d-tables; the fully naive loop over
-all coordinates lives in the tests as the oracle.
+Point counts are exact enumerations over integer-encoded field elements.
+Each walks all q^m a-codes of a factor and pivots on the first nonzero
+a-coordinate a_{-m+s}.  For s = 0 the equations are linear in b with an
+invertible pivot and fix b_1, ..., b_{m-1} from b_0, so the b-fiber is a
+line; for 1 <= s < m they force b_0 = ... = b_{m-1-s} = 0 and leave the rest
+free; for a = 0 every b solves.  The counting kernels `factor_d_table` and
+`strata_counts` count each b-fiber by its pivot cell in one step instead of
+listing it: the q products d = a_{-m} b_0 of a line, or the q^s points of a
+free cell at d = 0.  `_iter_factor_solutions` still lists every point, for
+the demos and the tests.  A factor has q^m a-codes and
+q^(m+1) + (m-1)(q-1)q^(m-1) points, and the budgets charge both, counted or
+listed.  Coupled counts compose cached per-factor d-tables; the fully naive
+loop over all coordinates lives in the tests as the oracle.
 
 The defect of a B-locus point (d = 0) of a multiplicity-m factor is the
 t-adic valuation of the first determinantal ideal of the 2x2 matrix
 [[t^m, f], [-g t^m, -g f]] with f = sum b_j t^j and g t^m = sum a_i t^(m+i):
 the minimum of m, ord(f), ord(g t^m) and ord of the polynomial part of -g f.
 The tests compute it so, as the oracle; `strata_counts` reads it off the
-solver's pivots instead (`pivot_defect`), in O(m) per point.
+solver's pivots instead (`pivot_defect`), once per pivot cell and first
+nonzero index of b.
 """
 
-from collections import namedtuple
+from collections import Counter, namedtuple
 from functools import lru_cache
 from itertools import product
 from types import MappingProxyType
@@ -170,23 +175,17 @@ def _iter_factor_solutions(field, m):
                 yield a, b
         else:
             s = next((i for i, x in enumerate(a) if x), m)
-            for b in _free_solutions(q, m, s):
-                yield a, b
-
-
-def _free_solutions(q, m, s):
-    """The b solving the equations of an a whose first nonzero index is
-    s >= 1 (s = m for a = 0): b_0 .. b_{m-1-s} are zero and the rest run
-    free, in b-code order."""
-    zeros = (0,) * (m - s)
-    for free in product(range(q), repeat=s):
-        yield zeros + free[::-1]
+            zeros = (0,) * (m - s)
+            for free in product(range(q), repeat=s):
+                yield a, zeros + free[::-1]  # b-code order: b_{m-1} leads
 
 
 def enumeration_cost(q, multiplicities):
-    """Work a point count over F_q does, as charged against its budget: per
-    distinct multiplicity m, the q^m a-codes visited plus the
-    q^(m+1) + (m-1)(q-1)q^(m-1) factor points yielded.  Depends only on its
+    """Work a point count over F_q is charged against its budget: per
+    distinct multiplicity m, the q^m a-codes walked plus the
+    q^(m+1) + (m-1)(q-1)q^(m-1) factor points.  The kernels count the points
+    of a pivot cell in one step; the budget still charges each of them, so
+    it bounds what the points would cost to list.  Depends only on its
     arguments, never on which d-tables are already cached."""
     return sum(
         q**m + q ** (m + 1) + (m - 1) * (q - 1) * q ** (m - 1)
@@ -194,16 +193,37 @@ def enumeration_cost(q, multiplicities):
     )
 
 
+def _pivot(a_code, q, m):
+    """First nonzero index s of the a encoded by a_code (m for a = 0)."""
+    s = 0
+    while s < m and not a_code % q:
+        a_code //= q
+        s += 1
+    return s
+
+
 @lru_cache(maxsize=64)
 def factor_d_table(field, m, /):
     """Count of factor solutions per d-value, as a read-only mapping
     d -> count, cached per (field, m).  The arguments are positional-only,
-    so every call shape shares one cache entry."""
-    table = {}
-    for a, b in _iter_factor_solutions(field, m):
-        d = field.mul(a[0], b[0])
-        table[d] = table.get(d, 0) + 1
-    return MappingProxyType(table)
+    so every call shape shares one cache entry.
+
+    Walks all q^m a-codes and counts each one's b-fiber by its pivot cell
+    instead of listing it: for a_{-m} != 0 the fiber is the line b_0 * unit,
+    whose points land at the products d = a_{-m} b_0 (one row of the
+    field's multiplication table); for pivot s >= 1 it is the q^s points of
+    the free coordinates b_{m-s}, ..., b_{m-1}, all at d = 0."""
+    q = field.q
+    counts = Counter()
+    b_locus = 0
+    for a_code in range(q**m):
+        s = _pivot(a_code, q, m)
+        if s:
+            b_locus += q**s
+        else:
+            counts.update(field.mul_row(a_code % q))
+    counts[0] += b_locus
+    return MappingProxyType(dict(sorted(counts.items())))
 
 
 def count_points(system, field, d_constraint="any", budget=None):
@@ -256,19 +276,28 @@ def pivot_defect(m, s, b):
 
 
 def strata_counts(n, field, budget=None):
-    """Classify all d = 0 points of the single factor [n] by defect,
-    enumerating only those points: for a_{-n} != 0, d = 0 forces b = 0."""
+    """Classify all d = 0 points of the single factor [n] by defect.  Walks
+    all q^n a-codes, tallies them by pivot s, and adds the defect histogram
+    of each pivot's cell once per a-code: for a_{-n} != 0, d = 0 forces
+    b = 0; for pivot s >= 1 the
+    B-locus fiber holds b = 0 and, for each first nonzero index j of b in
+    n-s..n-1, (q-1) q^(n-1-j) points whose defect `pivot_defect` reads off
+    one representative."""
     q = field.q
     check_power_budget(n, lambda: enumeration_cost(q, (n,)), budget,
                        POINT_COUNT_BUDGET, f"strata_counts[{n}]")
-    counts = {}
+    a_codes = [0] * (n + 1)  # a-codes per pivot s
     for a_code in range(q**n):
-        a = _decode(a_code, q, n)
-        s = next((i for i, x in enumerate(a) if x), n)
-        rows = [(0,) * n] if s == 0 else _free_solutions(q, n, s)
-        for b in rows:
-            k = pivot_defect(n, s, b)
-            counts[k] = counts.get(k, 0) + 1
+        a_codes[_pivot(a_code, q, n)] += 1
+    zero = (0,) * n
+    counts = {}
+    for s, weight in enumerate(a_codes):
+        cell = {pivot_defect(n, s, zero): 1}
+        for j in range(n - s, n):
+            k = pivot_defect(n, s, zero[:j] + (1,) + zero[j + 1:])
+            cell[k] = cell.get(k, 0) + (q - 1) * q ** (n - 1 - j)
+        for k, points in cell.items():
+            counts[k] = counts.get(k, 0) + weight * points
     return dict(sorted(counts.items()))
 
 

@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 import time
 from fractions import Fraction
 
@@ -19,6 +20,7 @@ from vinbun.arith import (
     format_divisor,
     format_poly,
     MAX_Q,
+    PrimePowerField,
     field_from_q,
     is_irreducible,
     is_prime,
@@ -171,6 +173,46 @@ def test_characteristic_two_add_matches_digit_loop(e):
         assert fld.sub(a, b) == digit_add(fld, a, b)
     for a in fld.elements():
         assert fld.neg(a) == fld.from_coeffs([-x for x in fld.to_coeffs(a)])
+
+
+def check_tables_against_slow_products(fld, rows):
+    """The product table rows and the inverses against `_mul_slow`, the
+    polynomial product the log/antilog tables replace."""
+    q = fld.q
+    for a in rows:
+        assert fld.mul_row(a) == tuple(fld._mul_slow(a, b) for b in range(q)), (fld, a)
+        if a:
+            assert fld._mul_slow(a, fld.inv(a)) == 1, (fld, a)
+
+
+# every field the tables cover with q <= 81 (e <= 3), over every modulus
+SMALL_TABLE_FIELDS = [
+    (p, e) for p in range(2, 82) if is_prime(p) for e in (1, 2, 3) if p**e <= 81
+]
+
+
+@pytest.mark.parametrize("p,e", SMALL_TABLE_FIELDS)
+def test_log_tables_match_slow_products_on_every_modulus(p, e):
+    for modulus in alternative_moduli(p, e):
+        fld = build_field(p, e, modulus)
+        check_tables_against_slow_products(fld, range(fld.q))
+
+
+@pytest.mark.parametrize("p,e", [(7, 3), (31, 2)])
+def test_log_tables_of_large_fields(p, e, monkeypatch):
+    # O(q) slow products build the tables, where the full table takes q^2/2
+    calls = [0]
+    slow = PrimePowerField._mul_slow
+
+    def counted(self, a, b):
+        calls[0] += 1
+        return slow(self, a, b)
+
+    monkeypatch.setattr(PrimePowerField, "_mul_slow", counted)
+    fld = build_field(p, e)
+    assert calls[0] <= 8 * fld.q
+    monkeypatch.undo()
+    check_tables_against_slow_products(fld, [0, 1, *random.Random(0).sample(range(2, fld.q), 12)])
 
 
 def test_frobenius_identity_all_fields():

@@ -1,13 +1,19 @@
 import itertools
 import random
-from collections import namedtuple
+import time
+import tracemalloc
+from collections import Counter, namedtuple
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from divisor_utils import rational_point
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from vinbun.arith import (
     EffectiveDivisor,
+    alternative_moduli,
     build_field,
     poly_gcd,
     poly_mul,
@@ -40,6 +46,9 @@ F5 = build_field(5, 1)
 F7 = build_field(7, 1)
 F8 = build_field(2, 3)
 F9 = build_field(3, 2)
+# the second defining modulus of F_8 and of F_9
+F8_ALT = build_field(2, 3, alternative_moduli(2, 3)[1])
+F9_ALT = build_field(3, 2, alternative_moduli(3, 2)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -66,6 +75,13 @@ def iter_factor_solutions_naive(field, m):
                     break
             if ok:
                 yield a, b
+
+
+@lru_cache(maxsize=None)
+def naive_solutions(field, m):
+    """`iter_factor_solutions_naive` as a tuple, shared by the tests that
+    compare against it."""
+    return tuple(iter_factor_solutions_naive(field, m))
 
 
 def count_points_naive(system, field, d_constraint):
@@ -178,9 +194,76 @@ def test_factor_iterators_agree(field):
     m = 1
     while q ** (2 * m) <= 5 * 10**5:
         fast = list(_iter_factor_solutions(field, m))
-        assert fast == list(iter_factor_solutions_naive(field, m)), m
+        assert fast == list(naive_solutions(field, m)), m
         assert len(fast) == q ** (m + 1) + (m - 1) * (q - 1) * q ** (m - 1)
         m += 1
+
+
+def d_tally(field, solutions):
+    return dict(sorted(Counter(field.mul(a[0], b[0]) for a, b in solutions).items()))
+
+
+def defect_tally(field, m, solutions):
+    return dict(sorted(Counter(
+        factor_defect(field, m, a, b) for a, b in solutions if not field.mul(a[0], b[0])
+    ).items()))
+
+
+@pytest.mark.parametrize("field", [F2, F3, F4, F5, F7, F8, F9, F8_ALT, F9_ALT])
+def test_pivot_cell_kernels_match_solution_tallies(field):
+    # the kernels count each b-fiber by its pivot cell; both iterators list it
+    q = field.q
+    m = 1
+    while q ** (2 * m) <= 5 * 10**5:
+        for solutions in (list(_iter_factor_solutions(field, m)), naive_solutions(field, m)):
+            assert factor_d_table(field, m) == d_tally(field, solutions), m
+            assert strata_counts(m, field) == defect_tally(field, m, solutions), m
+        m += 1
+
+
+@st.composite
+def coupled_systems(draw):
+    field = draw(st.sampled_from([F2, F3, F4, F5]))
+    q = field.q
+    mults = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    # the naive coupled loop pays the product of the factor solution counts
+    size = 1
+    for m in mults:
+        size *= q ** (m + 1) + (m - 1) * (q - 1) * q ** (m - 1)
+    assume(size <= 2 * 10**4)
+    constraint = draw(st.one_of(st.sampled_from(["any", "zero", "nonzero"]),
+                                st.integers(0, q - 1)))
+    return field, build_system(mults), constraint
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(coupled_systems())
+def test_count_points_matches_naive_loop(case):
+    field, system, constraint = case
+    assert count_points(system, field, constraint) == count_points_naive(
+        system, field, constraint
+    )
+
+
+def test_table_free_field_counts_in_linear_memory():
+    # q = 1031 is above the table limit: the kernel computes one product row
+    # at a time (`mul_row`) and keeps O(q) memory, never a q x q table
+    field = build_field(1031, 1)
+    q = field.q
+    assert field.mul_row(5) == [field.mul(5, b) for b in range(q)]
+    start = time.perf_counter()
+    system = build_system([1])
+    assert count_points(system, field, "zero") == 2 * q - 1
+    assert all(count_points(system, field, c) == q - 1 for c in range(1, q))
+    assert time.perf_counter() - start < 2
+    tracemalloc.start()
+    try:
+        table = factor_d_table.__wrapped__(field, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table == factor_d_table(field, 1)
+    assert peak < 10**6  # the q x q table's row pointers alone take 8.5 MB
 
 
 def test_factorization_in_families_literal():

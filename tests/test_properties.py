@@ -1,7 +1,7 @@
 """Property-based tests: field axioms over every defining modulus, Laurent
-ring laws, exact division, hashing, the divisor text round trip, the multiplicativity of the traces over disjoint
-supports, and the K-element reconstruction solver against its
-descending-loop oracle."""
+ring laws, exact division, specialization at q, hashing, the divisor text
+round trip, the multiplicativity of the traces over disjoint supports, and
+the K-element reconstruction solver against its descending-loop oracle."""
 
 import random
 from fractions import Fraction
@@ -131,6 +131,36 @@ def test_laurent_mixes_with_ints(a, n):
 @given(laurents, nonzero_laurents)
 def test_exact_div_round_trip(a, b):
     assert (a * b).exact_div(b) == a
+
+
+def at_q_fraction_sum(x, q):
+    """Oracle for `Laurent.at_q`: the term-by-term `Fraction` sum."""
+    total = Fraction(0)
+    for e, c in x.coeffs.items():
+        if e % 2:
+            raise ValueError(f"odd v-exponent {e}")
+        total += c * Fraction(q) ** (e // 2)
+    return total
+
+
+# even exponents down to v^-20, so that most values have a q-denominator
+even_laurents = st.dictionaries(
+    st.integers(-10, 6).map(lambda k: 2 * k), ints, max_size=5
+).map(Laurent)
+
+
+@PROPERTY_SETTINGS
+@given(st.one_of(even_laurents, laurents), st.integers(-30, 1031).filter(bool))
+def test_at_q_matches_the_fraction_sum(x, q):
+    try:
+        expected = at_q_fraction_sum(x, q)
+    except ValueError:
+        with pytest.raises(ValueError, match="odd v-exponent"):
+            x.at_q(q)
+        return
+    value = x.at_q(q)
+    assert type(value) is Fraction
+    assert value == expected
 
 
 @PROPERTY_SETTINGS
