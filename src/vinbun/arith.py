@@ -35,6 +35,17 @@ from vinbun.frozen import FrozenValue
 # ---------------------------------------------------------------------------
 
 
+def v_exponent(t):
+    """The exponent -2t of v by which a Tate twist (t) multiplies; t may be
+    a half-integer as long as 2t is integral."""
+    if type(t) is int:
+        return -2 * t
+    e = -2 * Fraction(t)
+    if e.denominator != 1:
+        raise ValueError(f"twist {t} does not give an integral v-exponent")
+    return int(e)
+
+
 class Laurent:
     """An element of Z[v, v^-1], stored as {exponent: coefficient}.
 
@@ -150,10 +161,7 @@ class Laurent:
     def twist(self, m):
         """Apply a Tate twist (m): multiply by v^(-2m).  m may be a half-integer
         as long as 2m is integral."""
-        k = -2 * Fraction(m)
-        if k.denominator != 1:
-            raise ValueError(f"twist {m} does not give an integral v-exponent")
-        return self.shift(int(k))
+        return self.shift(v_exponent(m))
 
     def exact_div(self, other):
         """Exact division in Z[v, v^-1]; raises ValueError if not divisible."""
@@ -507,6 +515,13 @@ def poly_mul(field, f, g):
     if not f or not g:
         return ()
     out = [0] * (len(f) + len(g) - 1)
+    if field.e == 1:  # sum the integer products, then reduce once
+        for i, x in enumerate(f):
+            if x:
+                for j, y in enumerate(g, i):
+                    out[j] += x * y
+        p = field.p
+        return poly_normalize([c % p for c in out])
     for i, x in enumerate(f):
         if x:
             for j, y in enumerate(g):
@@ -755,8 +770,18 @@ def enumerate_divisors(field, n, max_degree=None):
 
 def _point_multisets(field, points, n):
     """(parts, product polynomial) for every multiset of the given points
-    of total degree n.  points must be sorted by sort key; parts come out in
-    the same canonical order."""
+    of total degree n.  points must be sorted by sort key, so by degree;
+    parts come out in the same canonical order.  A branch is entered only
+    when the points after it can make up the degree it leaves, and each
+    point's powers are multiplied out once."""
+    # sums[d]: bit r is set when r is a sum of degrees >= d of the points
+    sums = {}
+    mask = 1
+    for d in sorted({pt.degree for pt in points}, reverse=True):
+        for r in range(d, n + 1):
+            mask |= (mask >> (r - d) & 1) << r
+        sums[d] = mask
+    powers = {}  # point index -> [its poly, squared, ...]
     out = []
     parts = []
 
@@ -768,11 +793,16 @@ def _point_multisets(field, points, n):
             pt = points[i]
             if pt.degree > remaining:
                 break
-            power = poly
+            after = sums[points[i + 1].degree] if i + 1 < len(points) else 1
             for m in range(1, remaining // pt.degree + 1):
-                power = poly_mul(field, power, pt.poly)
+                rest = remaining - m * pt.degree
+                if not after >> rest & 1:
+                    continue
+                power = powers.setdefault(i, [pt.poly])
+                while len(power) < m:
+                    power.append(poly_mul(field, power[-1], pt.poly))
                 parts.append((pt, m))
-                extend(i + 1, remaining - m * pt.degree, power)
+                extend(i + 1, rest, poly_mul(field, poly, power[m - 1]))
                 parts.pop()
 
     extend(0, n, (1,))
@@ -943,6 +973,35 @@ def necklace_count(q, d):
             total += _mobius(d // e) * q**e
     assert total % d == 0
     return total // d
+
+
+def divisor_count(q, n, max_degree=None):
+    """Number of degree-n effective divisors over F_q whose points have
+    degree <= max_degree, computed without building one: the t^n
+    coefficient of the product over d <= max_degree of
+    (1 - t^d)^(-necklace_count(q, d)).  It is q^n when max_degree >= n."""
+    bound = n if max_degree is None else min(n, max_degree)
+    if bound >= n:
+        return q**n
+    series = [1] + [0] * n
+    for d in range(1, bound + 1):
+        points = necklace_count(q, d)
+        # (1 - t^d)^(-points) has coefficient C(points + j - 1, j) at t^(d j)
+        weights = [math.comb(points + j - 1, j) for j in range(n // d + 1)]
+        series = [
+            sum(weights[j] * series[i - d * j] for j in range(i // d + 1))
+            for i in range(n + 1)
+        ]
+    return series[n]
+
+
+def divisor_count_exponent(q, n, max_degree=None):
+    """An e with 2^e <= `divisor_count(q, n, max_degree)`, read off a closed
+    form: the count is q^n when max_degree >= n and otherwise at least the
+    number of multisets of n rational points."""
+    if max_degree is None or max_degree >= n:
+        return n * (q.bit_length() - 1)
+    return math.comb(n + q - 1, n).bit_length() - 1
 
 
 def _mobius(n):

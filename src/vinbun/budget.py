@@ -11,7 +11,7 @@ import os
 
 POINT_COUNT_BUDGET = 10**9  # candidate assignments for local-model fibers
 HOM_ENUM_BUDGET = 10**8  # q^dim for bundle Hom-space sweeps
-DIVISOR_BUDGET = 10**5  # q^n effective divisors of degree n
+DIVISOR_BUDGET = 10**5  # divisors built over one field (`arith.divisor_count` per degree)
 
 
 class BudgetExceededError(RuntimeError):

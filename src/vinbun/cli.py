@@ -106,11 +106,17 @@ def _skip_over_budget(checks, suite, name, params):
         })
 
 
-def budgeted_divisors(fld, n, budget, max_degree=None):
+def budgeted_divisors(fld, n, budget, max_degree=None, built=0):
     """`arith.enumerate_divisors(fld, n, max_degree)`, refused before any
-    divisor is built when the q^n divisors of degree n exceed the budget."""
-    check_power_budget(n * (fld.q.bit_length() - 1), lambda: fld.q**n, budget,
-                       DIVISOR_BUDGET, f"divisors of degree {n} over F_{fld.q}")
+    divisor is built when its `arith.divisor_count` divisors, added to the
+    `built` divisors of lower degree already built, exceed the budget."""
+    q = fld.q
+    what = f"divisors of degree {n} over F_{q}"
+    if built:
+        what += f" and {built} of lower degree"
+    check_power_budget(arith.divisor_count_exponent(q, n, max_degree),
+                       lambda: built + arith.divisor_count(q, n, max_degree),
+                       budget, DIVISOR_BUDGET, what)
     return arith.enumerate_divisors(fld, n, max_degree)
 
 
@@ -123,10 +129,14 @@ def suite_nearby(config):
     by_type = {}  # divisor type -> its check, rendered once per run
     for q in prime_powers_up_to(config.max_q):
         fld = field_from_q(q)
+        built = 0  # the budget bounds the divisors built over each field
         for n in range(1, config.max_n + 1):
             params = f"q={q} n={n}"
             with _skip_over_budget(checks, "nearby", "nearby-vs-boundary", params):
-                for d in budgeted_divisors(fld, n, config.budget, config.max_degree):
+                divisors = budgeted_divisors(fld, n, config.budget, config.max_degree,
+                                             built)
+                built += len(divisors)
+                for d in divisors:
                     dtype = kcalc.divisor_type(d)
                     check = by_type.get(dtype)
                     if check is None:
@@ -208,6 +218,17 @@ def suite_schurweyl(config):
     return checks
 
 
+def _draw_below(bits, n):
+    """A uniform draw from range(n) off the bit source `bits`, by rejection
+    as `random.Random` draws for `randrange` and `choice`: the same stream
+    gives the same numbers."""
+    k = n.bit_length()
+    r = bits(k)
+    while r >= n:
+        r = bits(k)
+    return r
+
+
 def suite_reconstruct(config):
     checks = []
     golden_delta = kcalc.KElement(
@@ -230,15 +251,17 @@ def suite_reconstruct(config):
     checks.append(
         _check("reconstruct", "golden-case", "k=2", got, expected, got == expected)
     )
-    rng = random.Random(0)
-    reps = [(2,), (1, 1)]
+    # symbols[r][t + 5] is the symbol of rep r twisted by t
+    symbols = [[kcalc.symbol(2, rep, t) for t in range(-5, 6)]
+               for rep in ((2,), (1, 1))]
+    bits = random.Random(0).getrandbits
     failures = 0
     trials = 1000
     for _ in range(trials):
         terms = {}
-        for _ in range(rng.randint(1, 10)):
-            sym = kcalc.symbol(2, rng.choice(reps), rng.randint(-5, 5))
-            terms[sym] = terms.get(sym, 0) + rng.randint(-3, 3)
+        for _ in range(1 + _draw_below(bits, 10)):
+            sym = symbols[_draw_below(bits, 2)][_draw_below(bits, 11)]
+            terms[sym] = terms.get(sym, 0) + _draw_below(bits, 7) - 3
         g = kcalc.KElement(terms)
         if kcalc.reconstruct_from_difference(g - g.twisted(-1)) != g:
             failures += 1

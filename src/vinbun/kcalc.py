@@ -36,7 +36,7 @@ rules are kept around so the suite can demonstrate that they fail.
 
 from collections import namedtuple
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from operator import itemgetter
 
 from vinbun.arith import (
@@ -45,6 +45,7 @@ from vinbun.arith import (
     Laurent,
     compositions,
     elementary_symmetric,
+    v_exponent,
 )
 from vinbun.lefschetz import predicted_schur_weyl
 from vinbun.symrep import (
@@ -327,8 +328,7 @@ class IcSymbol(namedtuple("IcSymbol", "k rep twist")):
         return -2 * self.twist
 
     def twisted(self, m):
-        t = self.twist + m if type(m) is int else _twist_value(self.twist + Fraction(m))
-        return IcSymbol(self.k, self.rep, t)
+        return IcSymbol(self.k, self.rep, _twist_value(self.twist + Fraction(m)))
 
     def __repr__(self):
         if self.rep == trivial_partition(self.k):
@@ -338,6 +338,11 @@ class IcSymbol(namedtuple("IcSymbol", "k rep twist")):
         else:
             name = f"IC{self.rep}"
         return f"{name}({self.twist})"
+
+
+# builds an IcSymbol from a (k, rep, twist) tuple, skipping the namedtuple's
+# Python-level __new__
+_new_symbol = partial(tuple.__new__, IcSymbol)
 
 
 def symbol(k, rep, twist):
@@ -367,21 +372,39 @@ class KElement:
     def of(sym, coeff=1):
         return KElement({sym: coeff})
 
+    @staticmethod
+    def _of_nonzero(terms):
+        """Wrap a dict that holds no zero coefficient, without copying it."""
+        out = object.__new__(KElement)
+        out.terms = terms
+        return out
+
     def __add__(self, other):
-        d = dict(self.terms)
-        for s, c in other.terms.items():
-            d[s] = d.get(s, 0) + c
-        return KElement(d)
+        return self._combine(other, 1)
 
     def __sub__(self, other):
-        return self + other.scale(-1)
+        return self._combine(other, -1)
+
+    def _combine(self, other, sign):
+        """self + sign * other in one pass over other's terms."""
+        d = dict(self.terms)
+        for s, c in other.terms.items():
+            c = d.get(s, 0) + sign * c
+            if c:
+                d[s] = c
+            else:
+                del d[s]
+        return KElement._of_nonzero(d)
 
     def scale(self, c):
         return KElement({s: c * m for s, m in self.terms.items()})
 
     def twisted(self, m):
         """G(m): add m to every Tate twist."""
-        return KElement({s.twisted(m): c for s, c in self.terms.items()})
+        return KElement._of_nonzero({
+            _new_symbol((k, rep, _twist_value(t + m))): c
+            for (k, rep, t), c in self.terms.items()
+        })
 
     def __eq__(self, other):
         return isinstance(other, KElement) and self.terms == other.terms
@@ -447,7 +470,8 @@ def reconstruct_from_difference(delta):
     """
     classes = {}
     for s, c in delta.terms.items():
-        classes.setdefault((s.k, s.rep, s.twist % 1), []).append((s.twist, c, s))
+        k, rep, t = s
+        classes.setdefault((k, rep, t % 1), []).append((t, c, s))
     terms = {}
     residual = {}
     for (k, rep, _), column in classes.items():
@@ -458,19 +482,19 @@ def reconstruct_from_difference(delta):
             if running:
                 gap = above - 1
                 while gap > t:
-                    terms[IcSymbol(k, rep, gap)] = running
+                    terms[_new_symbol((k, rep, gap))] = running
                     gap -= 1
             running += c
             if running:
                 terms[s] = running
             above = t
         if running:
-            residual[IcSymbol(k, rep, above - 1)] = running
+            residual[_new_symbol((k, rep, above - 1))] = running
     if residual:
         raise ReconstructionError(
-            "input is not a difference G - G(-1)", KElement(residual)
+            "input is not a difference G - G(-1)", KElement._of_nonzero(residual)
         )
-    return KElement(terms)
+    return KElement._of_nonzero(terms)
 
 
 # ---------------------------------------------------------------------------
@@ -496,22 +520,22 @@ def trace_k_element(element, divisor):
         )
     k = divisor.degree
     ic_sign, ic_twist = NormLedger.ic_shift_twist(k)
-    base = ic_twist if ic_sign == 1 else -ic_twist
-    total = Laurent.zero()
-    if divisor.is_multiplicity_free():
-        cycle_type = divisor.residue_degrees()
-        for s, c in element.terms.items():
-            chi = murnaghan_nakayama(s.rep, cycle_type)
-            total = total + (c * chi) * base.twist(s.twist)
-        return total
+    ((top, unit),) = ic_twist.coeffs.items()
+    unit *= ic_sign
+    multiplicity_free = divisor.is_multiplicity_free()
+    cycle_type = divisor.residue_degrees() if multiplicity_free else None
+    # the symbol (rho, t) adds its weight times unit at v^(top - 2t)
+    coeffs = {}
     for s, c in element.terms.items():
-        if s.rep == trivial_partition(k):
-            total = total + c * base.twist(s.twist)
+        if multiplicity_free:
+            c *= murnaghan_nakayama(s.rep, cycle_type)
         elif k == 2 and s.rep == sign_partition(2):
             continue  # sign symbol vanishes on the diagonal of X^(2)
-        else:
+        elif s.rep != trivial_partition(k):
             raise StalkNotDeterminedError(
                 f"stalk of {s!r} at the non-multiplicity-free divisor "
                 f"{divisor!r} is not determined"
             )
-    return total
+        e = top + v_exponent(s.twist)
+        coeffs[e] = coeffs.get(e, 0) + c * unit
+    return Laurent(coeffs)

@@ -14,6 +14,8 @@ from vinbun.arith import (
     build_field,
     closed_point,
     decompositions,
+    divisor_count,
+    divisor_count_exponent,
     elementary_symmetric,
     enumerate_closed_points,
     enumerate_divisors,
@@ -342,12 +344,18 @@ def test_divisors_match_factoring_oracle(p, e, max_d):
 @pytest.mark.parametrize("q", [2, 3, 4])
 def test_bounded_divisors_are_the_filtered_full_list(q):
     # same divisors in the same order as dropping those with a deep point
+    # and divisor_count counts them without building them, at least
+    # 2^divisor_count_exponent of them
     fld = field_from_q(q)
     for n in range(6):
         full = enumerate_divisors(fld, n)
+        assert divisor_count(q, n) == len(full)
+        assert 2 ** divisor_count_exponent(q, n) <= len(full)
         for max_degree in range(1, n + 2):
             kept = tuple(d for d in full if all(pt.degree <= max_degree for pt, _ in d))
             assert enumerate_divisors(fld, n, max_degree) == kept, (n, max_degree)
+            assert divisor_count(q, n, max_degree) == len(kept), (n, max_degree)
+            assert 2 ** divisor_count_exponent(q, n, max_degree) <= len(kept)
 
 
 @pytest.mark.parametrize("p,e,max_d", ORACLE_GRID)

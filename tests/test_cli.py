@@ -1,6 +1,7 @@
 import hashlib
 import io
 import json
+import random
 import re
 import subprocess
 import sys
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import vinbun
-from vinbun import arith, drinfeld, kcalc, lefschetz, localmodel, symrep
+from vinbun import arith, cli, drinfeld, kcalc, lefschetz, localmodel, symrep
 from vinbun.budget import BudgetExceededError
 from vinbun.cli import (
     ALL_SUITES,
@@ -323,6 +324,29 @@ def test_verify_reconstruct_suite(capsys):
     assert report["summary"]["fail"] == 0
 
 
+def test_reconstruct_suite_solves_the_trials_of_the_randint_choice_loop(monkeypatch):
+    # the suite draws from Random(0).getrandbits; every delta it solves must
+    # be the one the rng.randint/rng.choice loop over Random(0) gives
+    rng = random.Random(0)
+    reps = [(2,), (1, 1)]
+    expected = []
+    for _ in range(1000):
+        terms = {}
+        for _ in range(rng.randint(1, 10)):
+            sym = kcalc.symbol(2, rng.choice(reps), rng.randint(-5, 5))
+            terms[sym] = terms.get(sym, 0) + rng.randint(-3, 3)
+        g = kcalc.KElement(terms)
+        expected.append(g + g.twisted(-1).scale(-1))
+    solve = kcalc.reconstruct_from_difference
+    seen = []
+    monkeypatch.setattr(kcalc, "reconstruct_from_difference",
+                        lambda delta: seen.append(delta) or solve(delta))
+    checks = cli.suite_reconstruct(RunConfig(suites=("reconstruct",)))
+    assert [c["status"] for c in checks] == ["pass", "pass"]
+    assert len(seen) == 1001
+    assert seen[1:] == expected
+
+
 def test_opt_in_suites_stay_out_of_the_default_run():
     # the default report is pinned; a bare verify lists exactly these
     assert ALL_SUITES[:len(DEFAULT_SUITES)] == DEFAULT_SUITES
@@ -450,29 +474,89 @@ def test_nearby_traces_report_is_pinned(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == TRACES_REPORT_SHA256
 
 
+# field products made by the grid below from cold caches, nearly all of them in
+# divisor enumeration over F_4: polynomials over a prime field multiply in
+# integers and the fiber kernels read whole rows with mul_row
+DEPTH_GRID_MULS = 1_874
+
+
+def test_enumerators_at_depth_count_fibers_without_listing_points(capsys, monkeypatch):
+    # the CI grid "Enumerators at depth": listing every point took 4.5 s there,
+    # inside its timeout, so the per-point paths are counted instead
+    for module in (arith, localmodel):
+        for value in vars(module).values():
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()
+    calls = {"iter": 0, "mul": 0}
+    iter_solutions, mul = localmodel._iter_factor_solutions, arith.PrimePowerField.mul
+
+    def counted_iter(*args):
+        calls["iter"] += 1
+        return iter_solutions(*args)
+
+    def counted_mul(self, a, b):
+        calls["mul"] += 1
+        return mul(self, a, b)
+
+    monkeypatch.setattr(localmodel, "_iter_factor_solutions", counted_iter)
+    monkeypatch.setattr(arith.PrimePowerField, "mul", counted_mul)
+    code, out, _ = run_cli(capsys, "verify", "--suites", "omega,strata,uniformity,quadric",
+                           "--max-n", "6", "--max-q", "7")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "fc06f11be72fde91fbbee633e2b8695a4a38f2dcce9f79fc38fcd40e80a56b5d"
+    )
+    assert calls["iter"] == 0
+    assert calls["mul"] <= 2 * DEPTH_GRID_MULS
+
+
 def test_nearby_suite_skips_degrees_over_the_divisor_budget(capsys):
+    # --max-degree 30 builds every point, so degree n is charged all 2^n
+    # divisors on top of the 2^n - 2 of lower degree built before it
     start = time.perf_counter()
     code, out, _ = run_cli(capsys, "verify", "--suites", "nearby", "--max-n", "30",
-                           "--max-q", "2", "--budget", "1000")
+                           "--max-q", "2", "--max-degree", "30", "--budget", "1000")
     assert time.perf_counter() - start < 5
     assert code == 0
-    skipped = [c for c in json.loads(out)["checks"] if c["status"] == "skipped"]
-    assert [c["params"] for c in skipped] == [f"q=2 n={n}" for n in range(10, 31)]
-    assert skipped[0]["lhs"] == (
-        "divisors of degree 10 over F_2: 1024 candidates exceed the budget 1000"
-    )
+    skipped = {c["params"]: c["lhs"] for c in json.loads(out)["checks"]
+               if c["status"] == "skipped"}
+    assert sorted(skipped) == sorted(f"q=2 n={n}" for n in range(9, 31))
+    assert skipped["q=2 n=9"] == ("divisors of degree 9 over F_2 and 510 of lower "
+                                  "degree: 1022 candidates exceed the budget 1000")
+
+
+def test_wide_nearby_grid_builds_at_most_the_budget_per_field(capsys):
+    # degree 64 over F_2 is 1,089 divisors over points of degree <= 2, so only
+    # the running total over each field stops the grid at the budget
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "verify", "--suites", "nearby", "--max-n", "64",
+                           "--max-q", "3", "--budget", "5000")
+    assert time.perf_counter() - start < 5
+    assert code == 0
+    checks = json.loads(out)["checks"]
+    for q in (2, 3):
+        field = [c for c in checks if c["params"].startswith(f"q={q} ")]
+        passed = sum(c["status"] == "pass" for c in field)
+        skipped = [int(c["params"].split("n=")[1]) for c in field if c["status"] == "skipped"]
+        # every degree below the first skipped one is built, and that one
+        # would take the field over the budget
+        first = min(skipped)
+        assert sorted(skipped) == list(range(first, 65))
+        assert passed == sum(arith.divisor_count(q, n, 2) for n in range(1, first))
+        assert passed <= 5000 < passed + arith.divisor_count(q, first, 2)
 
 
 def test_nearby_suite_builds_only_divisors_within_max_degree(capsys):
-    # 524 checks out of the 131,070 divisors of degree <= 16 over F_2
+    # 614 checks out of the 262,142 divisors of degree <= 17 over F_2; degree
+    # 17 is charged its 90 divisors over points of degree <= 2, not 2^17
     start = time.perf_counter()
     code, out, _ = run_cli(capsys, "verify", "--suites", "nearby", "--max-n", "17",
                            "--max-q", "2")
     assert time.perf_counter() - start < 5
     assert code == 0
-    assert json.loads(out)["summary"] == {"pass": 524, "fail": 0, "skipped": 1}
+    assert json.loads(out)["summary"] == {"pass": 614, "fail": 0, "skipped": 0}
     assert hashlib.sha256(out.encode()).hexdigest() == (
-        "f4be51a1e3aed70c5f29c7d200595ce8ee68d5ca8cd808d9018034f2f77f4188"
+        "79f33d757e67145469cf22c7a629af5540c3182e846dd91d6f11100e70ff6c39"
     )
 
 
@@ -492,8 +576,18 @@ def test_divisor_budget_refuses_before_enumerating(monkeypatch):
     misses = arith.enumerate_divisors.cache_info().misses
     with pytest.raises(BudgetExceededError, match="131072 candidates exceed the budget 100000"):
         budgeted_divisors(f2, 17, None)
+    # below the degree, the charge is the count of the divisors it builds
+    with pytest.raises(BudgetExceededError, match="90 candidates exceed the budget 89"):
+        budgeted_divisors(f2, 17, 89, max_degree=2)
+    assert arith.enumerate_divisors.cache_info().misses == misses
+    # and what was built before counts against the same budget
+    with pytest.raises(BudgetExceededError, match="F_2 and 11 of lower degree: "
+                       "101 candidates exceed the budget 100"):
+        budgeted_divisors(f2, 17, 100, max_degree=2, built=11)
     assert arith.enumerate_divisors.cache_info().misses == misses
     assert len(budgeted_divisors(f2, 3, None)) == 8
+    assert len(budgeted_divisors(f2, 17, 90, max_degree=2)) == 90
+    assert len(budgeted_divisors(f2, 17, 100, max_degree=2, built=10)) == 90
 
 
 def test_env_var_budget_override(capsys, monkeypatch):

@@ -468,6 +468,15 @@ def test_trace_k_element_degree_mismatch():
         trace_k_element(KElement.of(s2_triv(0)), div([(x, 1)]))
 
 
+def test_trace_k_element_refuses_a_twist_off_the_half_integers():
+    # v^(-2t) needs 2t integral, at every kind of divisor
+    x, y = rational_point(F2, 0), rational_point(F2, 1)
+    el = KElement.of(symbol(2, "trivial", Fraction(1, 3)))
+    for d in (div([(x, 1), (y, 1)]), div([(x, 2)])):
+        with pytest.raises(ValueError, match="twist 1/3 does not give an integral"):
+            trace_k_element(el, d)
+
+
 @pytest.mark.parametrize("field", [F2, F3, F5])
 def test_plo_k_element_traces_match_plo(field):
     # every divisor at k = 2, where the diagonal rules determine the stalks,

@@ -1,7 +1,8 @@
 """Property-based tests: field axioms over every defining modulus, Laurent
 ring laws, exact division, specialization at q, hashing, the divisor text
-round trip, the multiplicativity of the traces over disjoint supports, and
-the K-element reconstruction solver against its descending-loop oracle."""
+round trip, the multiplicativity of the traces over disjoint supports,
+K-element difference and twist, and the K-element reconstruction solver
+against its descending-loop oracle."""
 
 import random
 from fractions import Fraction
@@ -256,6 +257,37 @@ def test_reconstruction_matches_descending_oracle(delta):
             reconstruct_from_difference(delta)
     else:
         assert reconstruct_from_difference(delta) == expected
+
+
+@PROPERTY_SETTINGS
+@given(k_elements, k_elements)
+def test_k_element_difference_is_the_sum_with_the_negative(a, b):
+    diff = a - b
+    assert diff == a + b.scale(-1)
+    assert diff.terms == {
+        s: a.terms.get(s, 0) - b.terms.get(s, 0)
+        for s in a.terms.keys() | b.terms.keys()
+        if a.terms.get(s, 0) != b.terms.get(s, 0)
+    }
+    assert (a - a).is_zero()
+
+
+# integral m as an int, which takes the integral fast path, and half-integral
+# m as a Fraction
+twist_shifts = st.integers(-12, 12).map(
+    lambda h: h // 2 if h % 2 == 0 else Fraction(h, 2)
+)
+
+
+@PROPERTY_SETTINGS
+@given(k_elements, twist_shifts)
+def test_twisting_by_m_and_back_is_the_identity(g, m):
+    shifted = g.twisted(m)
+    assert shifted.twisted(-m) == g
+    # the int path agrees with the Fraction path, and stores integral twists
+    # as ints
+    assert shifted == g.twisted(Fraction(m))
+    assert all(type(s.twist) is int or s.twist.denominator != 1 for s in shifted.terms)
 
 
 @PROPERTY_SETTINGS
