@@ -81,11 +81,6 @@ class Laurent:
     def monomial(exponent, coefficient=1):
         return Laurent({int(exponent): coefficient})
 
-    @staticmethod
-    def v(exponent=1):
-        """The monomial v^exponent."""
-        return Laurent.monomial(exponent)
-
     # -- ring structure -----------------------------------------------------
 
     def __add__(self, other):
@@ -397,9 +392,6 @@ class PrimePowerField:
             return self._inv_table[a]
         return self.pow(a, self.q - 2)
 
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
     def pow(self, a, n):
         if a == 0:
             return 1 if n == 0 else 0
@@ -702,9 +694,6 @@ class EffectiveDivisor(FrozenValue):
     @property
     def degree(self):
         return sum(pt.degree * m for pt, m in self.parts)
-
-    def support(self):
-        return tuple(pt for pt, _ in self.parts)
 
     def is_multiplicity_free(self):
         return all(m == 1 for _, m in self.parts)

@@ -55,13 +55,12 @@ def prime_powers_up_to(limit):
 
 
 class RunConfig:
-    __slots__ = "suites max_n max_q max_degree max_k budget output fmt".split()
+    __slots__ = "suites max_n max_q max_degree max_k budget".split()
 
     def __init__(self, suites=DEFAULT_SUITES, max_n=3, max_q=4, max_degree=2,
-                 max_k=4, budget=None, output=None, fmt="json"):
+                 max_k=4, budget=None):
         self.suites, self.max_n, self.max_q = suites, max_n, max_q
         self.max_degree, self.max_k, self.budget = max_degree, max_k, budget
-        self.output, self.fmt = output, fmt
         if not self.suites:
             raise ValueError("suites must be nonempty")
         unknown = set(self.suites) - set(ALL_SUITES)
@@ -96,14 +95,7 @@ def _skip_over_budget(checks, suite, name, params):
     try:
         yield
     except BudgetExceededError as exc:
-        checks.append({
-            "suite": suite,
-            "name": name,
-            "params": params,
-            "lhs": str(exc),
-            "rhs": "",
-            "status": "skipped",
-        })
+        checks.append(dict(_check(suite, name, params, exc, "", False), status="skipped"))
 
 
 def budgeted_divisors(fld, n, budget, max_degree=None, built=0):
@@ -415,13 +407,15 @@ def cmd_verify(args):
         max_degree=args.max_degree,
         max_k=args.max_k,
         budget=args.budget,
-        output=args.output,
-        fmt=args.format,
     )
+    try:  # opened before any suite runs, so a bad path fails at once
+        handle = open(args.output, "w") if args.output else None
+    except OSError as exc:
+        raise ValueError(f"cannot write the report to {args.output}: {exc.strerror}") from None
     report = run_suite(config)
-    text = render_report(report, config.fmt)
-    if config.output:
-        with open(config.output, "w") as handle:
+    text = render_report(report, args.format)
+    if handle:
+        with handle:
             handle.write(text)
     sys.stdout.write(text)
     return 1 if report["summary"]["fail"] else 0

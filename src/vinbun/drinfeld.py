@@ -60,6 +60,7 @@ from vinbun.arith import (
 )
 from vinbun.budget import HOM_ENUM_BUDGET, check_budget, check_power_budget
 from vinbun.frozen import FrozenValue
+from vinbun.kcalc import BOUNDARY, divisor_type, evaluate
 
 
 class SplitBundle(FrozenValue):
@@ -114,13 +115,6 @@ class HomMatrix(namedtuple("HomMatrix", "a1 a2 entries")):
         e = [self.entry(k) for k in range(4)]
         return poly_sub(field, poly_mul(field, e[0], e[3]), poly_mul(field, e[1], e[2]))
 
-    def scaled(self, field, c):
-        return HomMatrix(
-            self.a1,
-            self.a2,
-            tuple(tuple(field.mul(c, x) for x in e) for e in self.entries),
-        )
-
 
 def iter_hom_matrices(field, a1, a2, budget=None):
     """Exhaustive enumeration of Hom(E1, E2)(F_q)."""
@@ -164,14 +158,6 @@ def defect_divisor_of_hom(field, phi):
     return EffectiveDivisor.from_pairs(pairs)
 
 
-def boundary_factor(q, divisor):
-    """prod over the distinct points of the defect divisor of (1 - q^deg)."""
-    out = 1
-    for pt, _ in divisor:
-        out *= 1 - q**pt.degree
-    return out
-
-
 # ---------------------------------------------------------------------------
 # the function
 # ---------------------------------------------------------------------------
@@ -189,11 +175,6 @@ def isom_count(a1, a2, field, budget=None):
     return total
 
 
-def expected_isom_count(a, q):
-    """Closed form: |SL_2(F_q)| = q^3 - q at a = 0, else (q-1) q^(2a+1)."""
-    return q**3 - q if a == 0 else (q - 1) * q ** (2 * a + 1)
-
-
 class DrinfeldResult(namedtuple("DrinfeldResult", [
         "isom", "boundary_sum", "value", "nonunit_isoms",
         "value_including_nonunit_isos", "histogram"])):
@@ -203,7 +184,8 @@ class DrinfeldResult(namedtuple("DrinfeldResult", [
 def drinfeld_value(a1, a2, field, budget=None, histogram=False):
     """Full enumeration of Hom(E1, E2)(F_q) and the closed formula.
 
-    Maps with det = 0 (and phi != 0) contribute their boundary factor; maps
+    Maps with det = 0 (and phi != 0) contribute their boundary factor, the
+    `kcalc.BOUNDARY` trace prod_x (1 - q^deg x) at their defect divisor; maps
     with det a nonzero constant are vector-bundle isomorphisms and are
     excluded from the sum (those with det = 1 are the Isom term).  The
     result also reports both readings of "is not an isomorphism".
@@ -224,9 +206,9 @@ def drinfeld_value(a1, a2, field, budget=None, histogram=False):
                 nonunit += 1
             continue
         divisor = defect_divisor_of_hom(field, phi)
-        boundary += boundary_factor(q, divisor)
+        boundary += int(evaluate(BOUNDARY, divisor.degree, divisor).at_q(q))
         if histogram:
-            profile = tuple(sorted((pt.degree, m) for pt, m in divisor))
+            profile = divisor_type(divisor)
             hist[profile] = hist.get(profile, 0) + 1
     return DrinfeldResult(
         isom=isom,
@@ -250,8 +232,11 @@ def saturated_pairs(x, y, q):
 
 
 def sl2_isom_count(a1, a2, q):
-    """#Isom_SL2(E1, E2)(F_q): |Aut_SL2(E1)| when a1 = a2, else 0."""
-    return expected_isom_count(a1, q) if a1 == a2 else 0
+    """#Isom_SL2(E1, E2)(F_q): zero unless a1 = a2, and then |Aut_SL2(E1)|,
+    which is |SL_2(F_q)| = q^3 - q at a1 = 0, else (q-1) q^(2 a1 + 1)."""
+    if a1 != a2:
+        return 0
+    return q**3 - q if a1 == 0 else (q - 1) * q ** (2 * a1 + 1)
 
 
 def rank_one_value(a1, a2, q, budget=None):

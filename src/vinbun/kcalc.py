@@ -37,13 +37,14 @@ rules are kept around so the suite can demonstrate that they fail.
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache, partial
+from itertools import product
+from math import comb
 from operator import itemgetter
 
 from vinbun.arith import (
     EffectiveDivisor,
     ClosedPoint,
     Laurent,
-    compositions,
     elementary_symmetric,
     v_exponent,
 )
@@ -135,7 +136,7 @@ class Spec(Frozen):
         self._init(slots, scale)
 
 
-_STANDARD_EIGENVALUES = (Laurent.v(1), Laurent.v(-1))
+_STANDARD_EIGENVALUES = (Laurent.monomial(1), Laurent.monomial(-1))
 _TRIVIAL_EIGENVALUE = (Laurent.one(),)
 
 PLO = Spec((Exterior(_STANDARD_EIGENVALUES, 1, Fraction(1, 2)),))
@@ -177,16 +178,24 @@ def _point_factor(spec, degree, multiplicity, sign_rule):
     the sum over the compositions of m into the slots of the product of
     the slot factors.  A constant slot contributes 1; an exterior slot that
     takes b of m contributes the exterior factor times
-    (-1)^(shift d b) v^(-2 twist d b)."""
+    (-1)^(shift d b) v^(-2 twist d b), and 0 for b above its rank.  So the
+    sum runs over the exterior shares b <= rank alone, each weighted by the
+    C(rest + c - 1, rest) ways for the c constant slots to share the rest
+    of m."""
+    exterior = [slot for slot in spec.slots if slot is not CONSTANT]
+    c = len(spec.slots) - len(exterior)
     total = Laurent.zero()
-    for parts in compositions(multiplicity, len(spec.slots)):
-        term = Laurent.one()
-        for slot, b in zip(spec.slots, parts):
-            if slot is CONSTANT or not b:
-                continue
-            factor = local_exterior_factor(degree, b, slot.eigenvalues, sign_rule)
-            factor = factor.twist(slot.twist * degree * b)
-            term = term * (-factor if slot.shift * degree * b % 2 else factor)
+    for shares in product(*(range(min(multiplicity, len(slot.eigenvalues)) + 1)
+                            for slot in exterior)):
+        rest = multiplicity - sum(shares)
+        if rest < 0 or (rest and not c):
+            continue
+        term = Laurent.from_int(comb(rest + c - 1, rest) if c else 1)
+        for slot, b in zip(exterior, shares):
+            if b:
+                factor = local_exterior_factor(degree, b, slot.eigenvalues, sign_rule)
+                factor = factor.twist(slot.twist * degree * b)
+                term = term * (-factor if slot.shift * degree * b % 2 else factor)
         total = total + term
     return total
 
@@ -233,8 +242,8 @@ _ONE_MINUS_Q = Laurent.one() - Laurent.monomial(2)  # 1 - q at v^2 = q
 
 
 class NormLedger(namedtuple("NormLedger", "c1")):
-    """Normalization bookkeeping: IC shift/twist per dimension and the
-    calibration constant c(1) from which c(n) = c(1)^n is frozen."""
+    """Normalization bookkeeping: the calibration constant c(1) from which
+    c(n) = c(1)^n is frozen."""
 
     __slots__ = ()
 
@@ -260,38 +269,22 @@ class NormLedger(namedtuple("NormLedger", "c1")):
         ((exponent, coeff),) = self.c1.coeffs.items()
         return Laurent.monomial(exponent * n, coeff**n)
 
-    @staticmethod
-    def ic_shift_twist(dim):
-        """Shift sign and twist monomial of the pure IC normalization on a
-        dim-dimensional space: [dim](dim/2)."""
-        return ((-1) ** dim, Laurent.monomial(-dim))
 
-
-_LEDGER = None
-
-
+@lru_cache(maxsize=1)
 def default_ledger():
-    global _LEDGER
-    if _LEDGER is None:
-        _LEDGER = NormLedger.calibrated()
-    return _LEDGER
+    return NormLedger.calibrated()
 
 
 def nearby_vs_boundary(n, divisor, ledger=None, sign_rule="calibrated"):
     """Both sides of the headline identity, (lhs, rhs): (1-q) times the
     grPsi trace, and c(n) times the boundary stalk trace, with c(n) frozen
-    from the n=1 anchor, both cached by divisor type.  The identity holds
-    iff lhs == rhs."""
+    from the n=1 anchor.  Both are fresh products of the traces cached by
+    divisor type.  The identity holds iff lhs == rhs."""
     if divisor.degree != n:
         raise ValueError(f"degree mismatch: deg D = {divisor.degree}, expected {n}")
     if ledger is None:
         ledger = default_ledger()
-    lhs, rhs = _sides(n, divisor_type(divisor), ledger, sign_rule)
-    return Laurent(lhs.coeffs), Laurent(rhs.coeffs)
-
-
-@lru_cache(maxsize=1024)
-def _sides(n, dtype, ledger, sign_rule):
+    dtype = divisor_type(divisor)
     lhs = _ONE_MINUS_Q * _type_trace(GR_PSI, dtype, sign_rule)
     return lhs, ledger.c(n) * _ONE_MINUS_Q * _type_trace(BOUNDARY, dtype, "calibrated")
 
@@ -322,13 +315,6 @@ class IcSymbol(namedtuple("IcSymbol", "k rep twist")):
     Tate twist.  The Weil weight of the symbol is -2 * twist."""
 
     __slots__ = ()
-
-    @property
-    def weight(self):
-        return -2 * self.twist
-
-    def twisted(self, m):
-        return IcSymbol(self.k, self.rep, _twist_value(self.twist + Fraction(m)))
 
     def __repr__(self):
         if self.rep == trivial_partition(self.k):
@@ -365,14 +351,6 @@ class KElement:
         self.terms = {s: c for s, c in terms.items() if c} if terms else {}
 
     @staticmethod
-    def zero():
-        return KElement()
-
-    @staticmethod
-    def of(sym, coeff=1):
-        return KElement({sym: coeff})
-
-    @staticmethod
     def _of_nonzero(terms):
         """Wrap a dict that holds no zero coefficient, without copying it."""
         out = object.__new__(KElement)
@@ -396,9 +374,6 @@ class KElement:
                 del d[s]
         return KElement._of_nonzero(d)
 
-    def scale(self, c):
-        return KElement({s: c * m for s, m in self.terms.items()})
-
     def twisted(self, m):
         """G(m): add m to every Tate twist."""
         return KElement._of_nonzero({
@@ -414,9 +389,6 @@ class KElement:
 
     def is_zero(self):
         return not self.terms
-
-    def max_twist(self):
-        return max(s.twist for s in self.terms)
 
     def __repr__(self):
         if not self.terms:
@@ -519,9 +491,8 @@ def trace_k_element(element, divisor):
             f"degree mismatch: symbols on X^({ks}), divisor of degree {divisor.degree}"
         )
     k = divisor.degree
-    ic_sign, ic_twist = NormLedger.ic_shift_twist(k)
-    ((top, unit),) = ic_twist.coeffs.items()
-    unit *= ic_sign
+    # the IC normalization [k](k/2): the sign (-1)^k and v^(-k)
+    top, unit = -k, (-1) ** k
     multiplicity_free = divisor.is_multiplicity_free()
     cycle_type = divisor.residue_degrees() if multiplicity_free else None
     # the symbol (rho, t) adds its weight times unit at v^(top - 2t)

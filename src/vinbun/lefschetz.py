@@ -113,9 +113,6 @@ class GradedBiRep(namedtuple("GradedBiRep", "k mults")):
             raise ValueError(f"negative bimodule multiplicity in {clean}")
         return GradedBiRep(k=k, mults=tuple(sorted(clean.items())))
 
-    def as_dict(self):
-        return dict(self.mults)
-
     def total_dimension(self):
         return sum(
             m * hook_length_dimension(lam) * (weight + 1)

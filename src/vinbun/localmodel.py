@@ -89,9 +89,6 @@ class EquationSystem(namedtuple("EquationSystem", "multiplicities")):
             )
         return lines
 
-    def variable_count(self):
-        return 2 * self.n
-
 
 def build_system(multiplicities):
     multiplicities = tuple(int(m) for m in multiplicities)

@@ -1,6 +1,8 @@
 """Shared divisor helpers for the test suite: rational points, randomized
-divisors (seeded by callers) and the factoring oracle for divisor
-enumeration."""
+divisors (seeded by callers), the factoring oracle for divisor
+enumeration, the integer oracle for the boundary product, and the scalar
+multiples of a Hom matrix, along whose orbits the defect divisor is
+constant."""
 
 from vinbun.arith import (
     ClosedPoint,
@@ -10,6 +12,7 @@ from vinbun.arith import (
     poly_deg,
     poly_factor,
 )
+from vinbun.drinfeld import HomMatrix
 
 
 def rational_point(field, c):
@@ -67,7 +70,22 @@ def random_disjoint_pair(rng, field, n1, n2):
     while True:
         try:
             d1 = random_divisor(rng, field, n1)
-            d2 = random_divisor(rng, field, n2, forbidden=set(d1.support()))
+            d2 = random_divisor(rng, field, n2, forbidden={pt for pt, _ in d1})
             return d1, d2
         except DeadEnd:
             continue
+
+
+def scaled_hom(field, phi, c):
+    """The Hom matrix c * phi."""
+    return HomMatrix(phi.a1, phi.a2,
+                     tuple(tuple(field.mul(c, x) for x in e) for e in phi.entries))
+
+
+def boundary_product(q, divisor):
+    """Oracle for `kcalc.BOUNDARY` at v^2 = q: the integer product of
+    (1 - q^deg x) over the distinct points x of the divisor."""
+    out = 1
+    for pt, _ in divisor:
+        out *= 1 - q**pt.degree
+    return out

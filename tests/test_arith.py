@@ -136,7 +136,6 @@ def test_field_axioms_exhaustive(p, e):
         if a:
             assert mul(a, fld.pow(a, q - 2)) == 1
             assert mul(a, fld.inv(a)) == 1
-            assert fld.div(a, a) == 1
     for a, b in itertools.product(range(q), repeat=2):
         assert add(a, b) == add(b, a)
         assert mul(a, b) == mul(b, a)
@@ -230,7 +229,7 @@ def test_frobenius_identity_all_fields():
 
 
 def test_laurent_ring_laws():
-    v = Laurent.v()
+    v = Laurent.monomial(1)
     a = v + 2 * v ** 3 - Laurent.one()
     b = v.shift(-4) - v
     c = Laurent.monomial(-2, 5) + Laurent.one()
@@ -259,7 +258,7 @@ def test_laurent_twist_and_specialize():
     x = Laurent.monomial(2, 3) + Laurent.monomial(-2, 1) + Laurent.from_int(4)
     assert x.at_q(3) == 3 * 3 + Fraction(1, 3) + 4
     with pytest.raises(ValueError):
-        (Laurent.v() + Laurent.one()).at_q(2)
+        (Laurent.monomial(1) + Laurent.one()).at_q(2)
     # even exponents + integer q and no denominators -> integer value
     y = Laurent.monomial(4) + Laurent.monomial(2, -2)
     val = y.at_q(5)
@@ -267,7 +266,7 @@ def test_laurent_twist_and_specialize():
 
 
 def test_laurent_exact_div():
-    v = Laurent.v()
+    v = Laurent.monomial(1)
     num = (Laurent.one() - v ** 2) * Laurent.monomial(-2)
     assert num.exact_div(Laurent.one() - v ** 2) == Laurent.monomial(-2)
     with pytest.raises(ValueError):
@@ -275,7 +274,7 @@ def test_laurent_exact_div():
 
 
 def test_elementary_symmetric():
-    v = Laurent.v()
+    v = Laurent.monomial(1)
     vi = Laurent.monomial(-1)
     assert elementary_symmetric([v, vi], 0) == Laurent.one()
     assert elementary_symmetric([v, vi], 1) == v + vi

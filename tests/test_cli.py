@@ -111,6 +111,19 @@ def test_huge_arguments_exit_2_within_a_second(capsys, argv):
     assert "4300" not in err and len(err) < 200
 
 
+def test_grpsi_trace_at_a_huge_multiplicity_answers_within_a_second(capsys):
+    # the local factor sums over the rank-2 slot's share b <= 2, not over
+    # every composition of m into the three slots
+    kcalc._point_factor.cache_clear()
+    kcalc._type_trace.cache_clear()
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "trace", "--object", "grpsi", "--q", "3",
+                           "--divisor", "t:100000")
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    assert json.loads(out) == {"-200000": 1, "-199998": -1}
+
+
 def test_drinfeld_at_a_large_prime_answers_within_a_second(capsys):
     start = time.perf_counter()
     code, out, _ = run_cli(capsys, "drinfeld", "--a1", "0", "--a2", "0",
@@ -336,7 +349,8 @@ def test_reconstruct_suite_solves_the_trials_of_the_randint_choice_loop(monkeypa
             sym = kcalc.symbol(2, rng.choice(reps), rng.randint(-5, 5))
             terms[sym] = terms.get(sym, 0) + rng.randint(-3, 3)
         g = kcalc.KElement(terms)
-        expected.append(g + g.twisted(-1).scale(-1))
+        negated = {s: -c for s, c in g.twisted(-1).terms.items()}
+        expected.append(g + kcalc.KElement(negated))
     solve = kcalc.reconstruct_from_difference
     seen = []
     monkeypatch.setattr(kcalc, "reconstruct_from_difference",
@@ -632,6 +646,19 @@ def test_verify_output_file(tmp_path, capsys):
     )
     assert code == 0
     assert json.loads(path.read_text()) == json.loads(out)
+
+
+@pytest.mark.parametrize("where", ["missing/report.json", "."])
+def test_verify_unwritable_output_exits_2_before_any_suite(tmp_path, capsys, monkeypatch,
+                                                           where):
+    # a directory that does not exist, and a path that is a directory
+    monkeypatch.setattr(cli, "run_suite", lambda config: pytest.fail("suites ran"))
+    code, out, err = run_cli(capsys, "verify", "--suites", "quadric",
+                             "--output", str(tmp_path / where))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot write the report to ")
+    assert "Traceback" not in err
 
 
 def test_cli_import_loads_no_dataclasses_or_inspect():

@@ -2,10 +2,11 @@ import itertools
 import random
 
 import pytest
-from divisor_utils import rational_point
+from divisor_utils import boundary_product, rational_point, scaled_hom
 
 from vinbun.arith import (
     INFINITY,
+    EffectiveDivisor,
     build_field,
     closed_point,
     poly_add,
@@ -18,17 +19,17 @@ from vinbun.budget import BudgetExceededError
 from vinbun.drinfeld import (
     HomMatrix,
     SplitBundle,
-    boundary_factor,
     closed_form_value,
     defect_divisor_of_hom,
     drinfeld_value,
-    expected_isom_count,
     hom_space_dims,
     isom_count,
     iter_hom_matrices,
     rank_one_value,
     saturated_pairs,
+    sl2_isom_count,
 )
+from vinbun.kcalc import BOUNDARY, evaluate
 
 F2 = build_field(2, 1)
 F3 = build_field(3, 1)
@@ -57,10 +58,10 @@ def test_hom_enumeration_size():
 
 def test_isom_counts_against_closed_form():
     for field in (F2, F3, F4):
-        assert isom_count(0, 0, field) == expected_isom_count(0, field.q)
+        assert isom_count(0, 0, field) == sl2_isom_count(0, 0, field.q)
     for field in (F2, F3):
-        assert isom_count(1, 1, field) == expected_isom_count(1, field.q)
-    assert isom_count(1, 0, F3) == 0
+        assert isom_count(1, 1, field) == sl2_isom_count(1, 1, field.q)
+    assert isom_count(1, 0, F3) == sl2_isom_count(1, 0, 3) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -111,7 +112,7 @@ def test_defect_divisor_constant_on_scaling_orbits():
                 continue
             d = defect_divisor_of_hom(field, phi)
             for c in range(1, field.q):
-                assert defect_divisor_of_hom(field, phi.scaled(field, c)) == d
+                assert defect_divisor_of_hom(field, scaled_hom(field, phi, c)) == d
 
 
 def compose(field, psi, phi):
@@ -205,15 +206,33 @@ def test_drinfeld_value_budget():
         drinfeld_value(1, 1, F5, budget=100)
 
 
+def boundary_factor(q, divisor):
+    """The boundary factor `drinfeld_value` adds for a map with this defect
+    divisor."""
+    return int(evaluate(BOUNDARY, divisor.degree, divisor).at_q(q))
+
+
 def test_boundary_factor():
     x = rational_point(F2, 0)
     y = closed_point(F2, (1, 1, 1))
-    from vinbun.arith import EffectiveDivisor
-
     d = EffectiveDivisor.from_pairs([(x, 2), (y, 1)])
     # multiplicities do not enter: distinct points only
     assert boundary_factor(2, d) == (1 - 2) * (1 - 4)
     assert boundary_factor(2, EffectiveDivisor.from_pairs([(INFINITY, 3)])) == -1
+
+
+@pytest.mark.parametrize("field", [F2, F3, F4, F5])
+def test_boundary_factor_matches_integer_oracle_on_the_sweeps(field):
+    # every defect divisor of the (0, 0) and (1, 1) sweeps; the (1, 1) ones
+    # include the point at infinity
+    seen = set()
+    for a in (0, 1):
+        for phi in iter_hom_matrices(field, a, a):
+            if not phi.is_zero() and not phi.det(field):
+                d = defect_divisor_of_hom(field, phi)
+                seen.update(pt for pt, _ in d)
+                assert boundary_factor(field.q, d) == boundary_product(field.q, d), d
+    assert INFINITY in seen
 
 
 # ---------------------------------------------------------------------------

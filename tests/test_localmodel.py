@@ -122,7 +122,6 @@ def test_build_system_m1():
     sys1 = build_system([1])
     assert sys1.factor_equations(1) == []
     assert sys1.equations_text() == []
-    assert sys1.variable_count() == 2
 
 
 def test_build_system_m2_single_equation():

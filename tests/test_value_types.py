@@ -93,8 +93,8 @@ def test_keyword_construction():
     slot = Exterior(eigenvalues=(), shift=1, twist=Fraction(1))
     assert (slot.eigenvalues, slot.shift, slot.twist) == ((), 1, Fraction(1))
     config = RunConfig(suites=("quadric",), max_n=2, max_q=3, max_degree=1,
-                       max_k=2, budget=10, output=None, fmt="csv")
-    assert (config.suites, config.max_n, config.fmt) == (("quadric",), 2, "csv")
+                       max_k=2, budget=10)
+    assert (config.suites, config.max_n, config.budget) == (("quadric",), 2, 10)
 
 
 def test_specs_and_slots_compare_and_hash_by_identity():
