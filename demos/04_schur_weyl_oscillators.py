@@ -14,7 +14,6 @@ from vinbun.cli import field_from_q
 from vinbun.kcalc import trace_plo
 from vinbun.lefschetz import (
     brute_force_schur_weyl,
-    kernel_of_n,
     predicted_schur_weyl,
     sign_on_lowest_lines,
 )
@@ -27,10 +26,9 @@ for k in range(1, 7):
     assert brute == predicted
 
 print()
-print("kernel of the monodromy operator (irreducible, Tate twist):")
+print("kernel of the monodromy operator, irreducible(Tate twist):")
 for k in (1, 2, 3, 4):
-    line = ", ".join(f"({d!r}, {t})" for d, t in kernel_of_n(k))
-    print(f"  k = {k}: {line}")
+    print(f"  k = {k}: {ic_kernel_k_element(k)}")
 
 print()
 print("transposition on the lowest weight lines of U_0 and U_2:")

@@ -720,7 +720,9 @@ class EffectiveDivisor(FrozenValue):
         ) + ")"
 
 
-@lru_cache(maxsize=64)
+# Each key holds a field, and so its q x q tables: the caches keep the few
+# fields a suite is working on, not every field of a wide q range.
+@lru_cache(maxsize=8)
 def enumerate_closed_points(field, max_degree):
     """All closed points of A^1 of degree <= max_degree, i.e. all monic
     irreducibles, sorted by (degree, coefficients).  A sieve: a monic
@@ -737,7 +739,7 @@ def enumerate_closed_points(field, max_degree):
     )
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=8)
 def enumerate_divisors(field, n, max_degree=None):
     """All degree-n effective divisors on A^1 over F_q, or only those whose
     points have degree <= max_degree.

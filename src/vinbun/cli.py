@@ -439,13 +439,10 @@ def cmd_count(args):
 def cmd_trace(args):
     field = field_from_q(args.q)
     divisor = arith.parse_divisor(field, args.divisor)
-    n = args.n if args.n is not None else divisor.degree
-    if args.object == "kelement":
-        # refused before the K-element, of about n^2/4 symbols, is built
-        if n != divisor.degree:
-            raise ValueError(f"degree mismatch: deg D = {divisor.degree}, expected {n}")
-        if n > MAX_GRID_N:
-            raise ValueError(f"kelement degree must be <= {MAX_GRID_N}, got {n}")
+    n = divisor.degree
+    # refused before the K-element, of about n^2/4 symbols, is built
+    if args.object == "kelement" and n > MAX_GRID_N:
+        raise ValueError(f"kelement degree must be <= {MAX_GRID_N}, got {n}")
     if args.object == "plo":
         value = kcalc.trace_plo(n, divisor)
     elif args.object == "omega":
@@ -550,7 +547,6 @@ def build_parser():
     p = sub.add_parser("trace", help="emit a Laurent trace value as JSON")
     p.add_argument("--object", choices=("plo", "omega", "grpsi", "kelement"),
                    required=True)
-    p.add_argument("--n", type=int, default=None)
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--divisor", required=True, help="poly:mult,... format")
     p.set_defaults(func=cmd_trace)
@@ -586,7 +582,7 @@ def main(argv=None):
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, kcalc.StalkNotDeterminedError) as exc:
+    except ValueError as exc:  # StalkNotDeterminedError among them
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

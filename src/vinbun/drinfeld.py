@@ -59,23 +59,7 @@ from vinbun.arith import (
     poly_sub,
 )
 from vinbun.budget import HOM_ENUM_BUDGET, check_budget, check_power_budget
-from vinbun.frozen import FrozenValue
 from vinbun.kcalc import BOUNDARY, divisor_type, evaluate
-
-
-class SplitBundle(FrozenValue):
-    """O(a) + O(-a) with trivialized determinant."""
-
-    __slots__ = ("a",)
-
-    def __init__(self, a):
-        if a < 0:
-            raise ValueError("need a >= 0")
-        self._init(a)
-
-    @property
-    def summand_degrees(self):
-        return (self.a, -self.a)
 
 
 def h0_dim(m):
@@ -84,10 +68,11 @@ def h0_dim(m):
 
 
 def entry_bounds(a1, a2):
-    """Degree bound of entry (i, j): deg_i(E2) - deg_j(E1), row-major."""
-    e1 = SplitBundle(a1).summand_degrees
-    e2 = SplitBundle(a2).summand_degrees
-    return tuple(e2[i] - e1[j] for i in range(2) for j in range(2))
+    """Degree bound of entry (i, j): deg_i(E2) - deg_j(E1), row-major, for
+    the summand degrees (a, -a) of E = O(a) + O(-a)."""
+    if a1 < 0 or a2 < 0:
+        raise ValueError("need a >= 0")
+    return (a2 - a1, a2 + a1, -a2 - a1, a1 - a2)
 
 
 def hom_space_dims(a1, a2):
@@ -163,22 +148,18 @@ def defect_divisor_of_hom(field, phi):
 # ---------------------------------------------------------------------------
 
 
-def isom_count(a1, a2, field, budget=None):
-    """Number of determinant-1 bundle isomorphisms E1 -> E2: zero unless
-    a1 = a2, and then the count of Hom matrices with det identically 1."""
-    if a1 != a2:
-        return 0
-    total = 0
-    for phi in iter_hom_matrices(field, a1, a2, budget):
-        if phi.det(field) == (1,):
-            total += 1
-    return total
-
-
 class DrinfeldResult(namedtuple("DrinfeldResult", [
         "isom", "boundary_sum", "value", "nonunit_isoms",
         "value_including_nonunit_isos", "histogram"])):
     __slots__ = ()
+
+
+def _result(isom, boundary, nonunit, histogram=None):
+    """The DrinfeldResult of the three counts: the value excludes the
+    nonunit-determinant isomorphisms from the boundary sum, the alternative
+    reading counts each with the empty divisor's factor 1."""
+    return DrinfeldResult(isom, boundary, isom - boundary, nonunit,
+                          isom - (boundary + nonunit), histogram)
 
 
 def drinfeld_value(a1, a2, field, budget=None, histogram=False):
@@ -210,14 +191,8 @@ def drinfeld_value(a1, a2, field, budget=None, histogram=False):
         if histogram:
             profile = divisor_type(divisor)
             hist[profile] = hist.get(profile, 0) + 1
-    return DrinfeldResult(
-        isom=isom,
-        boundary_sum=boundary,
-        value=isom - boundary,
-        nonunit_isoms=nonunit,
-        value_including_nonunit_isos=isom - (boundary + nonunit),
-        histogram=tuple(sorted(hist.items())) if histogram else None,
-    )
+    return _result(isom, boundary, nonunit,
+                   tuple(sorted(hist.items())) if histogram else None)
 
 
 def saturated_pairs(x, y, q):
@@ -243,7 +218,7 @@ def rank_one_value(a1, a2, q, budget=None):
     """The `drinfeld_value` result (without histogram) from the rank-one sum
     of the module docstring, enumerating no map.  Charged the (c, e) terms
     of the double sum, which one running sum over c evaluates."""
-    SplitBundle(a1), SplitBundle(a2)
+    entry_bounds(a1, a2)  # checks a1, a2 >= 0
     span = a1 + a2 + 1  # values of c
     check_budget(span * (span + 1) // 2, budget, HOM_ENUM_BUDGET,
                  f"rank-one sum ({a1},{a2}) over F_{q}")
@@ -257,15 +232,7 @@ def rank_one_value(a1, a2, q, budget=None):
     if rest:
         raise AssertionError("rank-one sum not divisible by q - 1")
     isom = sl2_isom_count(a1, a2, q)
-    nonunit = (q - 2) * isom
-    return DrinfeldResult(
-        isom=isom,
-        boundary_sum=boundary,
-        value=isom - boundary,
-        nonunit_isoms=nonunit,
-        value_including_nonunit_isos=isom - (boundary + nonunit),
-        histogram=None,
-    )
+    return _result(isom, boundary, (q - 2) * isom)
 
 
 def closed_form_value(a1, a2, q):

@@ -419,7 +419,8 @@ def plo_k_element(k):
 
 def ic_kernel_k_element(k):
     """Kernel-of-monodromy class: the lowest weight line of each summand
-    U_m tensor rho of `predicted_schur_weyl(k)`, that is rho twisted by
+    U_m tensor rho of `predicted_schur_weyl(k)`, so one copy of each
+    two-column irreducible rho.  A line of Cartan weight -m has Tate twist
     m/2."""
     return KElement({
         IcSymbol(k, lam, _twist_value(Fraction(m, 2))): mult

@@ -15,22 +15,13 @@ number of masks it fixes there.  The sl2 multiplicity of U_m is
 dim W_m - dim W_{m+2}, and the symmetric-group content of each multiplicity
 space comes from decomposing these layer traces - no eigenvalue numerics,
 no explicit highest-weight vectors.  ker(f) is found by row reduction.
-
-Tate twists ride along as half-integers: the lowest-weight line of U_m
-carries twist +m/2 (the Weil weight of a subquotient matches its Cartan
-weight, and a line of Cartan weight w has twist -w/2).
 """
 
 from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations
 
-from vinbun.symrep import (
-    TwoColumnDiagram,
-    cycle_types,
-    decompose_class_function,
-    hook_length_dimension,
-)
+from vinbun.symrep import cycle_types, decompose_class_function, hook_length_dimension
 
 MAX_BRUTE_K = 8
 
@@ -153,8 +144,7 @@ def brute_force_schur_weyl(k):
         for c in cycle_types(k):
             tr = layer_traces[c].get(m, 0) - layer_traces[c].get(m + 2, 0)
             values[c] = tr
-        rep = decompose_class_function(values, k)
-        for lam, mult in rep.mults.items():
+        for lam, mult in decompose_class_function(values, k).items():
             out[(lam, m)] = mult
     # from_dict rejects a negative multiplicity
     result = GradedBiRep.from_dict(k, out)
@@ -167,31 +157,18 @@ def predicted_schur_weyl(k):
     """The k-th oscillator bimodule in closed form, and the one list of its
     summands: U_{k-2r} tensor the two-column irreducible (2^r, 1^(k-2r))
     for 0 <= r <= k/2.  These partitions ascend with r, so mults is ordered
-    by r.  `kernel_of_n` and the K-elements of `kcalc` read it."""
+    by r.  The K-elements of `kcalc` read it, the kernel of monodromy
+    `ic_kernel_k_element` among them."""
     if k < 1:
         raise ValueError("k must be >= 1")
     return GradedBiRep.from_dict(
-        k,
-        {
-            (TwoColumnDiagram(k, r).partition, k - 2 * r): 1
-            for r in range(k // 2 + 1)
-        },
+        k, {((2,) * r + (1,) * (k - 2 * r), k - 2 * r): 1 for r in range(k // 2 + 1)}
     )
 
 
 # ---------------------------------------------------------------------------
-# kernel of the monodromy operator
+# kernel of the lowering operator
 # ---------------------------------------------------------------------------
-
-
-def kernel_of_n(k):
-    """The kernel of the monodromy (lowering) operator on the k-th oscillator
-    bimodule: the lowest weight line of each summand U_m tensor rho, so one
-    copy of each two-column irreducible, carrying Tate twist m/2."""
-    return tuple(
-        (TwoColumnDiagram(k, lam.count(2)), Fraction(m, 2))
-        for (lam, m), _ in predicted_schur_weyl(k).mults
-    )
 
 
 def _kernel_traces(k, w, perms, signed=True):

@@ -60,10 +60,6 @@ class EquationSystem(namedtuple("EquationSystem", "multiplicities")):
 
     __slots__ = ()
 
-    @property
-    def n(self):
-        return sum(self.multiplicities)
-
     def factor_equations(self, m):
         """Equation r (1 <= r <= m-1) as a list of (i, j) index pairs with
         i + j = r - m, i in -m..-1, j in 0..m-1."""
@@ -199,7 +195,8 @@ def _pivot(a_code, q, m):
     return s
 
 
-@lru_cache(maxsize=64)
+# a key holds its field's q x q tables (see `arith.enumerate_divisors`)
+@lru_cache(maxsize=32)
 def factor_d_table(field, m, /):
     """Count of factor solutions per d-value, as a read-only mapping
     d -> count, cached per (field, m).  The arguments are positional-only,

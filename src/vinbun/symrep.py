@@ -1,12 +1,11 @@
-"""Symmetric group combinatorics: two-column Young diagrams, hook-length
-dimensions, Murnaghan-Nakayama characters, and class-function
-decomposition.
+"""Symmetric group combinatorics: partitions, hook-length dimensions,
+Murnaghan-Nakayama characters, and class-function decomposition.
 
 Partitions are tuples of positive parts sorted descending; a cycle type of
 S_k is just a partition of k.  The trace theorems only ever quote irreducibles
-attached to two-column diagrams, but the Murnaghan-Nakayama recursion leaves
-that family immediately, so general partitions are supported throughout and
-the two-column diagrams are a thin layer on top.
+attached to two-column diagrams, the partitions (2^r, 1^(k-2r)), but the
+Murnaghan-Nakayama recursion leaves that family immediately, so general
+partitions are supported throughout.
 
 Character values are computed by border-strip (rim hook) removal in the
 beta-number picture: a partition corresponds to its set of first-column hook
@@ -16,8 +15,6 @@ b - t, and the sign is (-1)^(number of set elements jumped over).
 
 from functools import lru_cache
 from math import factorial
-
-from vinbun.frozen import FrozenValue
 
 
 # ---------------------------------------------------------------------------
@@ -79,30 +76,6 @@ def sign_partition(k):
 
 
 # ---------------------------------------------------------------------------
-# two-column diagrams
-# ---------------------------------------------------------------------------
-
-
-class TwoColumnDiagram(FrozenValue):
-    """Young diagram with k - r boxes in the first column and r in the second
-    (so 0 <= r <= k/2).  As a partition of row lengths this is (2^r, 1^(k-2r))."""
-
-    __slots__ = ("k", "r")
-
-    def __init__(self, k, r):
-        if not (0 <= 2 * r <= k):
-            raise ValueError(f"invalid two-column diagram k={k}, r={r}")
-        self._init(k, r)
-
-    @property
-    def partition(self):
-        return (2,) * self.r + (1,) * (self.k - 2 * self.r)
-
-    def __repr__(self):
-        return f"rho({self.k - self.r},{self.r})"
-
-
-# ---------------------------------------------------------------------------
 # cycle types and characters
 # ---------------------------------------------------------------------------
 
@@ -161,60 +134,14 @@ def murnaghan_nakayama(partition, cycle_type):
 
 
 # ---------------------------------------------------------------------------
-# virtual representations and class-function decomposition
+# class-function decomposition
 # ---------------------------------------------------------------------------
-
-
-class VirtualRep:
-    """Finitely supported Z-combination of S_k irreducibles (by partition)."""
-
-    __slots__ = ("k", "mults")
-
-    def __init__(self, k, mults=None):
-        self.k = k
-        clean = {}
-        if mults:
-            for lam, m in mults.items():
-                lam = normalize_partition(lam)
-                if sum(lam) != k:
-                    raise ValueError(f"{lam} is not a partition of {k}")
-                if m:
-                    clean[lam] = clean.get(lam, 0) + m
-        self.mults = {lam: m for lam, m in clean.items() if m}
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, VirtualRep)
-            and self.k == other.k
-            and self.mults == other.mults
-        )
-
-    def __hash__(self):
-        return hash((self.k, frozenset(self.mults.items())))
-
-    def __repr__(self):
-        if not self.mults:
-            return "0"
-        bits = []
-        for lam in sorted(self.mults, reverse=True):
-            m = self.mults[lam]
-            name = _irrep_name(lam)
-            bits.append(name if m == 1 else f"{m}*{name}")
-        return " + ".join(bits)
-
-
-def _irrep_name(lam):
-    k = sum(lam)
-    if lam == trivial_partition(k):
-        return "triv"
-    if lam == sign_partition(k):
-        return "sign"
-    return f"S{lam}"
 
 
 def decompose_class_function(values, k):
     """Express an integer class function as a Z-combination of irreducible
-    characters, via the inner product with class sizes.
+    characters, via the inner product with class sizes: the dict
+    {partition: multiplicity} of its nonzero multiplicities.
 
     `values` must assign an integer to every cycle type of k.  Raises
     ValueError when some multiplicity comes out non-integral (the input was
@@ -234,18 +161,16 @@ def decompose_class_function(values, k):
             raise ValueError(
                 f"non-integral multiplicity for {lam}: inconsistent class function"
             )
-        mults[lam] = total // order
-    rep = VirtualRep(k, mults)
+        if total:
+            mults[lam] = total // order
     # reconstruction must reproduce the input exactly
     for c in cycle_types(k):
-        recon = sum(
-            m * murnaghan_nakayama(lam, c) for lam, m in rep.mults.items()
-        )
+        recon = sum(m * murnaghan_nakayama(lam, c) for lam, m in mults.items())
         if recon != values[c]:
             raise ValueError(
                 f"class function is not a virtual character (mismatch at {c})"
             )
-    return rep
+    return mults
 
 
 # The table has p(k)^2 Murnaghan-Nakayama entries: p(14) = 135 takes a few

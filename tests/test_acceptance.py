@@ -35,7 +35,6 @@ from vinbun.kcalc import (
 )
 from vinbun.lefschetz import (
     brute_force_schur_weyl,
-    kernel_of_n,
     lowering_kernel_reps,
     predicted_schur_weyl,
 )
@@ -46,7 +45,6 @@ from vinbun.localmodel import (
     omega_point_count,
     strata_counts,
 )
-from vinbun.symrep import VirtualRep
 
 
 def report(tag, ok, detail):
@@ -120,13 +118,15 @@ def test_a4_schur_weyl():
 
 def test_a5_kernel_of_n():
     for k in range(1, 7):
-        closed = kernel_of_n(k)
-        literal = lowering_kernel_reps(k)
-        assert len(closed) == k // 2 + 1
-        for r, (diagram, twist) in enumerate(closed):
-            m = k - 2 * r
-            assert twist == Fraction(m, 2)
-            assert literal[m] == VirtualRep(k, {diagram.partition: 1}), (k, r)
+        closed = ic_kernel_k_element(k)
+        # ker(f) in the h-weight -m layer, at the lowest weight twist m/2
+        literal = KElement({
+            symbol(k, lam, Fraction(m, 2)): mult
+            for m, rep in lowering_kernel_reps(k).items()
+            for lam, mult in rep.items()
+        })
+        assert len(closed.terms) == k // 2 + 1
+        assert closed == literal, k
     expected = KElement({symbol(2, "sign", 1): 1, symbol(2, "trivial", 0): 1})
     assert ic_kernel_k_element(2) == expected
     report("A5", True,

@@ -145,6 +145,8 @@ def test_count_command(capsys):
     ["verify", "--jobs", "2"],
     ["count", "--n", "1,1", "--q", "3", "--jobs", "4"],
     ["count", "--n", "1,1", "--q", "3", "--naive"],
+    # trace reads n off the divisor; every other --n exited 2
+    ["trace", "--object", "plo", "--n", "2", "--q", "2", "--divisor", "t:2"],
 ])
 def test_removed_jobs_and_naive_options_exit_2(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -169,8 +171,7 @@ def test_trace_command(capsys):
     assert code == 0
     assert json.loads(out) == {"0": 1, "-2": -1}
     code, out, _ = run_cli(
-        capsys, "trace", "--object", "plo", "--n", "2", "--q", "2",
-        "--divisor", "t:2",
+        capsys, "trace", "--object", "plo", "--q", "2", "--divisor", "t:2"
     )
     assert code == 0
     assert json.loads(out) == {"-2": 1}
@@ -181,17 +182,14 @@ def test_trace_command(capsys):
     assert json.loads(out) == {"-2": 1}
 
 
-@pytest.mark.parametrize("argv", [
-    ("--n", "1500", "--q", "2", "--divisor", "t:1"),
-    ("--q", "2", "--divisor", "t:100000"),
-])
-def test_kelement_trace_refuses_before_building_the_class(capsys, monkeypatch, argv):
+def test_kelement_trace_refuses_before_building_the_class(capsys, monkeypatch):
     def no_k_element(k):
         raise AssertionError("plo_k_element must not run")
 
     monkeypatch.setattr(kcalc, "plo_k_element", no_k_element)
     start = time.perf_counter()
-    code, out, err = run_cli(capsys, "trace", "--object", "kelement", *argv)
+    code, out, err = run_cli(capsys, "trace", "--object", "kelement", "--q", "2",
+                             "--divisor", "t:100000")
     assert time.perf_counter() - start < 1.0
     assert code == 2
     assert out == "" and err.startswith("error: ")
@@ -261,7 +259,8 @@ def test_drinfeld_output_matches_the_sweep(capsys, monkeypatch, a1, a2, q, extra
 
 
 def test_drinfeld_rejects_negative_a(capsys):
-    for argv in (("--a1", "-1", "--a2", "0"), ("--a1", "0", "--a2", "-1")):
+    for argv in (("--a1", "-1", "--a2", "0"), ("--a1", "0", "--a2", "-1"),
+                 ("--a1", "-1", "--a2", "0", "--histogram")):
         code, out, err = run_cli(capsys, "drinfeld", *argv, "--q", "3")
         assert code == 2
         assert out == ""

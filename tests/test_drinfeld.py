@@ -18,12 +18,11 @@ from vinbun.arith import (
 from vinbun.budget import BudgetExceededError
 from vinbun.drinfeld import (
     HomMatrix,
-    SplitBundle,
     closed_form_value,
     defect_divisor_of_hom,
     drinfeld_value,
+    entry_bounds,
     hom_space_dims,
-    isom_count,
     iter_hom_matrices,
     rank_one_value,
     saturated_pairs,
@@ -38,9 +37,12 @@ F5 = build_field(5, 1)
 
 
 def test_split_bundle():
-    assert SplitBundle(2).summand_degrees == (2, -2)
-    with pytest.raises(ValueError):
-        SplitBundle(-1)
+    # E1 = O(2) + O(-2) into E2 = O + O: entry (i, j) has degree 0 - (+-2)
+    assert entry_bounds(2, 0) == (-2, 2, -2, 2)
+    assert entry_bounds(1, 3) == (2, 4, -4, -2)
+    for a1, a2 in ((-1, 0), (0, -1)):
+        with pytest.raises(ValueError, match="need a >= 0"):
+            entry_bounds(a1, a2)
 
 
 def test_hom_space_dims():
@@ -57,11 +59,12 @@ def test_hom_enumeration_size():
 
 
 def test_isom_counts_against_closed_form():
+    # the sweep counts the Hom matrices with det identically 1
     for field in (F2, F3, F4):
-        assert isom_count(0, 0, field) == sl2_isom_count(0, 0, field.q)
+        assert drinfeld_value(0, 0, field).isom == sl2_isom_count(0, 0, field.q)
     for field in (F2, F3):
-        assert isom_count(1, 1, field) == sl2_isom_count(1, 1, field.q)
-    assert isom_count(1, 0, F3) == sl2_isom_count(1, 0, 3) == 0
+        assert drinfeld_value(1, 1, field).isom == sl2_isom_count(1, 1, field.q)
+    assert drinfeld_value(1, 0, F3).isom == sl2_isom_count(1, 0, 3) == 0
 
 
 # ---------------------------------------------------------------------------

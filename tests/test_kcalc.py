@@ -559,7 +559,7 @@ def test_ic_kernel_k_element_matches_matrix_kernel():
     for k in range(1, MAX_BRUTE_K + 1):
         terms = {}
         for m, rep in lowering_kernel_reps(k).items():
-            for lam, mult in rep.mults.items():
+            for lam, mult in rep.items():
                 sym = symbol(k, lam, Fraction(m, 2))
                 terms[sym] = terms.get(sym, 0) + mult
         assert ic_kernel_k_element(k) == KElement(terms), k

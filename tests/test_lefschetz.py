@@ -2,11 +2,10 @@ from fractions import Fraction
 
 import pytest
 
-from vinbun.kcalc import PLO
+from vinbun.kcalc import PLO, KElement, ic_kernel_k_element, symbol
 from vinbun.lefschetz import (
     GradedBiRep,
     brute_force_schur_weyl,
-    kernel_of_n,
     lowering_kernel_reps,
     lowering_matrix,
     perm_from_cycle_type,
@@ -16,7 +15,7 @@ from vinbun.lefschetz import (
     weight_layers,
     weight_of_index,
 )
-from vinbun.symrep import TwoColumnDiagram, VirtualRep, cycle_types
+from vinbun.symrep import cycle_types
 
 
 # integer matrices as nested tuples, as the module builds them
@@ -173,15 +172,16 @@ def test_graded_birep_rejects_negative():
 
 
 def test_kernel_of_n_closed_form():
-    assert kernel_of_n(1) == ((TwoColumnDiagram(1, 0), Fraction(1, 2)),)
-    k2 = kernel_of_n(2)
-    assert k2 == (
-        (TwoColumnDiagram(2, 0), Fraction(1)),
-        (TwoColumnDiagram(2, 1), Fraction(0)),
+    # one copy of each two-column irreducible (2^r, 1^(k-2r)), at twist k/2 - r
+    assert ic_kernel_k_element(1) == KElement({symbol(1, (1,), Fraction(1, 2)): 1})
+    assert ic_kernel_k_element(2) == KElement(
+        {symbol(2, (1, 1), 1): 1, symbol(2, (2,), 0): 1}
     )
     # k=4: three summands with twists 2, 1, 0
-    twists = [t for _, t in kernel_of_n(4)]
-    assert twists == [Fraction(2), Fraction(1), Fraction(0)]
+    assert ic_kernel_k_element(4) == KElement(
+        {symbol(4, (1, 1, 1, 1), 2): 1, symbol(4, (2, 1, 1), 1): 1,
+         symbol(4, (2, 2), 0): 1}
+    )
 
 
 def test_lowering_kernel_matches_closed_form():
@@ -191,8 +191,7 @@ def test_lowering_kernel_matches_closed_form():
         reps = lowering_kernel_reps(k)
         for r in range(k // 2 + 1):
             m = k - 2 * r
-            expected = VirtualRep(k, {TwoColumnDiagram(k, r).partition: 1})
-            assert reps[m] == expected, (k, r)
+            assert reps[m] == {(2,) * r + (1,) * (k - 2 * r): 1}, (k, r)
 
 
 def test_sign_on_lowest_lines():

@@ -2,8 +2,9 @@
 ring laws, exact division, specialization at q, hashing, the divisor text
 round trip, the boundary trace against its integer product, the
 multiplicativity of the traces over disjoint supports,
-K-element difference and twist, and the K-element reconstruction solver
-against its descending-loop oracle."""
+K-element difference and twist, the K-element reconstruction solver
+against its descending-loop oracle, and the decomposition of virtual
+characters."""
 
 import random
 from fractions import Fraction
@@ -35,7 +36,12 @@ from vinbun.kcalc import (
     trace_omega_tilde,
     trace_plo,
 )
-from vinbun.symrep import partitions
+from vinbun.symrep import (
+    cycle_types,
+    decompose_class_function,
+    murnaghan_nakayama,
+    partitions,
+)
 
 # small and derandomized, so the suite stays fast and repeatable
 PROPERTY_SETTINGS = settings(
@@ -325,3 +331,24 @@ def test_reconstruction_residual_holds_the_nonzero_class_sums(delta):
             if (t.k, t.rep, t.twist % 1) == (s.k, s.rep, s.twist % 1)
         )
         assert (s.twist, c) == (lowest - 1, sums[(s.k, s.rep, s.twist % 1)])
+
+
+@st.composite
+def virtual_characters(draw):
+    """k <= 6 and a multiplicity for every S_k irreducible, zero and
+    negative ones included."""
+    k = draw(st.integers(1, 6))
+    return k, {lam: draw(st.integers(-3, 3)) for lam in partitions(k)}
+
+
+@PROPERTY_SETTINGS
+@given(virtual_characters())
+def test_decomposition_returns_exactly_the_nonzero_multiplicities(case):
+    k, mults = case
+    values = {
+        c: sum(m * murnaghan_nakayama(lam, c) for lam, m in mults.items())
+        for c in cycle_types(k)
+    }
+    assert decompose_class_function(values, k) == {
+        lam: m for lam, m in mults.items() if m
+    }

@@ -20,11 +20,10 @@ from vinbun.arith import (
     field_from_q,
 )
 from vinbun.cli import RunConfig
-from vinbun.drinfeld import DrinfeldResult, HomMatrix, SplitBundle
+from vinbun.drinfeld import DrinfeldResult, HomMatrix
 from vinbun.kcalc import PLO, Exterior, Spec, default_ledger, evaluate, symbol
 from vinbun.lefschetz import GradedBiRep
 from vinbun.localmodel import SolutionPoint, build_system
-from vinbun.symrep import TwoColumnDiagram
 
 F3 = field_from_q(3)
 
@@ -38,12 +37,10 @@ def frozen_instances():
         default_ledger(),
         HomMatrix(0, 0, ((1,), (0,), (0,), (1,))),
         DrinfeldResult(1, 2, 3, 4, 5, None),
-        SplitBundle(1),
         GradedBiRep.from_dict(2, {((2,), 2): 1}),
         build_system([2, 1]),
         SolutionPoint((((1,), (0,)),), 0),
         DefectProfile((0, 1)),
-        TwoColumnDiagram(4, 1),
         PLO,
         PLO.slots[0],
     ]
@@ -85,8 +82,6 @@ def test_copy_and_pickle_rebuild_the_value(obj):
 def test_keyword_construction():
     assert ClosedPoint(degree=1, poly=None) == INFINITY
     assert EffectiveDivisor(parts=()) == EffectiveDivisor.empty()
-    assert SplitBundle(a=2) == SplitBundle(2)
-    assert TwoColumnDiagram(k=3, r=1) == TwoColumnDiagram(3, 1)
     spec = Spec(slots=PLO.slots, scale=-1)
     assert (spec.slots, spec.scale) == (PLO.slots, -1)
     assert Spec(PLO.slots).scale == 0
@@ -111,10 +106,6 @@ def test_specs_and_slots_compare_and_hash_by_identity():
 
 def test_validation_still_raises():
     with pytest.raises(ValueError):
-        SplitBundle(-1)
-    with pytest.raises(ValueError):
-        TwoColumnDiagram(3, 2)
-    with pytest.raises(ValueError):
         RunConfig(max_n=0)
     config = RunConfig()
     config.max_n = 5  # RunConfig is mutable, but has no room for new fields
@@ -123,9 +114,6 @@ def test_validation_still_raises():
 
 
 def test_value_equality_is_by_class_and_fields():
-    assert SplitBundle(1) != (1,) and SplitBundle(1) != SplitBundle(2)
-    assert TwoColumnDiagram(3, 1) != (3, 1)
-    assert hash(TwoColumnDiagram(3, 1)) == hash((3, 1))
     assert symbol(2, "trivial", 0) == symbol(2, "trivial", Fraction(0))
     assert hash(symbol(2, "trivial", 0)) == hash((2, (2,), 0))
 
