@@ -112,18 +112,6 @@ class Laurent:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n):
-        if n < 0:
-            raise ValueError("negative powers: invert exponents explicitly")
-        out = Laurent.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
     def __eq__(self, other):
         if isinstance(other, int):
             other = Laurent.from_int(other)
@@ -141,52 +129,6 @@ class Laurent:
 
     def is_zero(self):
         return not self.coeffs
-
-    # -- structure ----------------------------------------------------------
-
-    def valuation(self):
-        if not self.coeffs:
-            raise ValueError("zero has no valuation")
-        return min(self.coeffs)
-
-    def shift(self, k):
-        """Multiply by v^k."""
-        return Laurent({e + k: c for e, c in self.coeffs.items()})
-
-    def twist(self, m):
-        """Apply a Tate twist (m): multiply by v^(-2m).  m may be a half-integer
-        as long as 2m is integral."""
-        return self.shift(v_exponent(m))
-
-    def exact_div(self, other):
-        """Exact division in Z[v, v^-1]; raises ValueError if not divisible."""
-        other = _as_laurent(other)
-        if other.is_zero():
-            raise ZeroDivisionError("division by zero Laurent value")
-        if self.is_zero():
-            return Laurent.zero()
-        # shift both to valuation 0 and long-divide top-down over Z
-        a = {e - self.valuation(): c for e, c in self.coeffs.items()}
-        b = {e - other.valuation(): c for e, c in other.coeffs.items()}
-        deg_b = max(b)
-        lead_b = b[deg_b]
-        quot = {}
-        while a:
-            deg_a = max(a)
-            if deg_a < deg_b:
-                raise ValueError("not exactly divisible")
-            c, rem = divmod(a[deg_a], lead_b)
-            if rem:
-                raise ValueError("not exactly divisible over Z")
-            k = deg_a - deg_b
-            quot[k] = c
-            for e, cb in b.items():
-                e2 = e + k
-                a[e2] = a.get(e2, 0) - c * cb
-                if a[e2] == 0:
-                    del a[e2]
-        shift = self.valuation() - other.valuation()
-        return Laurent({e + shift: c for e, c in quot.items()})
 
     def at_q(self, q):
         """Specialize v^2 = q.  Defined only when all exponents are even;
@@ -230,18 +172,6 @@ def _as_laurent(x):
     if isinstance(x, int):
         return Laurent.from_int(x)
     raise TypeError(f"cannot coerce {x!r} to Laurent")
-
-
-def elementary_symmetric(values, m):
-    """e_m of a list of Laurent values (e_0 = 1), by the product expansion."""
-    if m < 0 or m > len(values):
-        return Laurent.zero()
-    # coefficients of prod (1 + x_i T) up to T^m
-    es = [Laurent.one()] + [Laurent.zero()] * m
-    for x in values:
-        for j in range(min(m, len(values)), 0, -1):
-            es[j] = es[j] + x * es[j - 1]
-    return es[m]
 
 
 # ---------------------------------------------------------------------------
@@ -661,9 +591,9 @@ def closed_point(field, poly):
     """Validated closed point of A^1 from a monic irreducible polynomial."""
     poly = poly_normalize(poly)
     if poly_deg(poly) < 1 or poly[-1] != 1:
-        raise ValueError(f"{poly} is not monic of positive degree")
+        raise ValueError(f"{format_poly(field, poly)} is not monic of positive degree")
     if not is_irreducible(field, poly):
-        raise ValueError(f"{poly} is reducible over {field!r}")
+        raise ValueError(f"{format_poly(field, poly)} is reducible over {field!r}")
     return ClosedPoint(degree=poly_deg(poly), poly=poly)
 
 
@@ -866,6 +796,7 @@ def compositions(m, k):
 # ---------------------------------------------------------------------------
 
 _TERM_RE = re.compile(r"^(\d+)?\*?(t)(?:\^(\d+))?$|^(\d+)$")
+MAX_GRID_N = 64  # the largest point degree parsed, and of verify's --max-n
 
 
 def parse_poly(field, text):
@@ -894,6 +825,8 @@ def parse_poly(field, text):
             e = int(m.group(3)) if m.group(3) else 1
         if c >= field.q:
             raise ValueError(f"coefficient {c} out of range for F_{field.q}")
+        if e > MAX_GRID_N:
+            raise ValueError(f"polynomial degree {e} is above the limit {MAX_GRID_N}")
         if sign == -1:
             c = field.neg(c)
         coeffs[e] = field.add(coeffs.get(e, 0), c)

@@ -23,7 +23,7 @@ from contextlib import contextmanager
 from itertools import product
 
 from vinbun import arith, drinfeld, kcalc, lefschetz, localmodel, symrep
-from vinbun.arith import field_from_q
+from vinbun.arith import MAX_GRID_N, field_from_q
 from vinbun.budget import (DIVISOR_BUDGET, BudgetExceededError, check_budget,
                            check_power_budget)
 from vinbun.kcalc import CalibrationError
@@ -39,8 +39,7 @@ DEFAULT_SUITES = (
     "uniformity",
 )
 ALL_SUITES = DEFAULT_SUITES + ("rankone",)
-# verify refuses larger grids (README, "Budgets and determinism")
-MAX_GRID_N = 64
+# verify refuses larger grids, with MAX_GRID_N (README, "Budgets and determinism")
 MAX_GRID_Q = 1024
 
 
@@ -66,6 +65,8 @@ class RunConfig:
         unknown = set(self.suites) - set(ALL_SUITES)
         if unknown:
             raise ValueError(f"unknown suites: {sorted(unknown)}")
+        if len(set(self.suites)) != len(self.suites):
+            raise ValueError(f"duplicate suites: {','.join(self.suites)}")
         # resolves --budget or VINBUN_BUDGET, so a bad one fails before any suite
         check_budget(0, self.budget, 1, "verify")
         if min(self.max_n, self.max_degree, self.max_k) < 1 or self.max_q < 2:
@@ -460,6 +461,8 @@ def cmd_trace(args):
 def cmd_equations(args):
     mults = [int(x) for x in args.n.split(",")]
     system = localmodel.build_system(mults)
+    if sum(mults) > MAX_GRID_N:
+        raise ValueError(f"total multiplicity must be <= {MAX_GRID_N}, got {sum(mults)}")
     lines = system.equations_text()
     if not lines:
         print("# no constraints")

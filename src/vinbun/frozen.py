@@ -1,10 +1,11 @@
-"""Bases of the slotted classes that cannot be namedtuples (README, "Value types")."""
+"""Base of the slotted value classes that cannot be namedtuples (README, "Value types")."""
 
 
-class Frozen:
+class FrozenValue:
     """A subclass names its fields in __slots__ and sets them once, in
     __init__, through `_init`; assigning or deleting a field afterwards
-    raises AttributeError.  Instances compare and hash by identity."""
+    raises AttributeError.  Instances compare (only to their own class) and
+    hash by the tuple of their fields, in __slots__ order."""
 
     __slots__ = ()
 
@@ -23,13 +24,6 @@ class Frozen:
     def __reduce__(self):
         # copy and pickle rebuild through __init__, which validates
         return type(self), self._values()
-
-
-class FrozenValue(Frozen):
-    """A Frozen class that compares (only to its own class) and hashes by
-    the tuple of its fields, in __slots__ order."""
-
-    __slots__ = ()
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

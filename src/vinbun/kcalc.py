@@ -3,23 +3,30 @@
 Everything here evaluates weight-graded Grothendieck-group classes as
 functions of effective divisors, with values in Z[v, v^-1] (v^2 = q).
 
-A trace class is a `Spec`: a tuple of slots and an overall power
-v^(scale n).  A slot is the constant sheaf, or an external exterior power
-of a local system with prescribed Frobenius eigenvalues, shifted by
-[shift j] and twisted by (twist j) on its degree-j piece.  The class on
-X^(n) sums, over every split of n among the slots, the add_* pushforward of
-the external product of the slots.  It is factorizable: its trace at D is
-v^(scale n) times a product of cached local factors, one per point x of D
-taken with multiplicity m, so `evaluate` caches it by the type of D, the
-multiset of the pairs (deg x, m).  The specs:
+A trace class is a `Spec` (constants, rank, weight, scale): c constant
+sheaves and one external exterior power of the rank-2 standard system
+(Frobenius eigenvalues v, v^-1) or of the rank-1 trivial system, shifted
+by [1] and multiplied by v^weight on each degree, all times v^(scale n).
+The class on X^(n) sums, over every split of n among the c + 1 pieces, the
+add_* pushforward of their external product.  It is factorizable: its
+trace at D is v^(scale n) times a product of local factors, one per point
+x of D taken with multiplicity m, so `evaluate` caches it by the type of
+D, the multiset of the pairs (deg x, m).  The specs:
 
-* `PLO`, the oscillator: eigenvalues (v, v^-1) with [1](1/2) per degree;
-* `OMEGA_TILDE`, the open Zastava pushforward: constant, then rank 1 with
-  [1](1); its local factor is 1 - v^(-2 deg x);
-* `GR_PSI`, the three-stratum nearby cycles: constant, oscillator,
-  constant, with each stratum's v^(-2(n-k)) folded into the middle twist;
+* `PLO`, the oscillator: rank 2 with [1](1/2) per degree, so weight -1;
+* `OMEGA_TILDE`, the open Zastava pushforward: one constant, then rank 1
+  with [1](1); its local factor is 1 - v^(-2 deg x);
+* `GR_PSI`, the three-stratum nearby cycles: two constants around the
+  oscillator, with each stratum's v^(-2(n-k)) folded into weight 1;
 * `BOUNDARY`, the boundary stalk before its (1 - q): `OMEGA_TILDE` with
-  twist -1, so its local factor is 1 - q^(deg x).
+  weight 2, so its local factor is 1 - q^(deg x).
+
+At a point of degree d the exterior piece's share b carries the sign
+(-1)^b: the Frobenius sign (-1)^((d+1) b) times the shift sign (-1)^(d b).
+So each local factor is one polynomial in u = v^d, whatever d.  The
+Frobenius sign at m >= 2, d >= 2 is pinned by the nearby-vs-boundary
+identity on divisors containing a degree-2 point with multiplicity 2; the
+control rule "flip-deep" negates it there, and the tests show it fails.
 
 The boundary comparison calibrates the normalization constant
 c(n) = q^(-n) at n = 1 and then freezes it.  The tests keep the
@@ -27,27 +34,15 @@ splitting-sum definition of each spec as the evaluator's oracle.  The rest
 of the module holds formal IC symbols (S_k representation, Tate twist),
 the closed-form reconstruction of G from G - G(-1), and their partial
 stalk evaluation.
-
-The m >= 2, d >= 2 Frobenius sign in the local factor is a calibrated
-convention, pinned by requiring the nearby-vs-boundary identity to hold on
-divisors containing a degree-2 point with multiplicity 2; alternative sign
-rules are kept around so the suite can demonstrate that they fail.
 """
 
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache, partial
-from itertools import product
 from math import comb
 from operator import itemgetter
 
-from vinbun.arith import (
-    EffectiveDivisor,
-    ClosedPoint,
-    Laurent,
-    elementary_symmetric,
-    v_exponent,
-)
+from vinbun.arith import EffectiveDivisor, ClosedPoint, Laurent, v_exponent
 from vinbun.lefschetz import predicted_schur_weyl
 from vinbun.symrep import (
     murnaghan_nakayama,
@@ -55,7 +50,6 @@ from vinbun.symrep import (
     sign_partition,
     trivial_partition,
 )
-from vinbun.frozen import Frozen
 
 
 class CalibrationError(RuntimeError):
@@ -75,77 +69,26 @@ class StalkNotDeterminedError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# external exterior power factors
-# ---------------------------------------------------------------------------
-
-def _calibrated_sign(d, m):
-    return -1 if ((d + 1) * m) % 2 else 1
-
-
-def _flip_deep_sign(d, m):
-    s = _calibrated_sign(d, m)
-    if d >= 2 and m >= 2:
-        s = -s
-    return s
-
-
-SIGN_RULES = {
-    "calibrated": _calibrated_sign,
-    "flip-deep": _flip_deep_sign,  # control: must break the boundary identity
-}
-
-
-def local_exterior_factor(degree, multiplicity, eigenvalues, sign_rule="calibrated"):
-    """Frobenius trace of the m-th exterior power of a rank-r stalk at a
-    degree-d point: zero for m > r, otherwise the signed elementary symmetric
-    polynomial in the d-th powers of the eigenvalues."""
-    rule = SIGN_RULES[sign_rule]
-    if multiplicity > len(eigenvalues):
-        return Laurent.zero()
-    powered = [alpha**degree for alpha in eigenvalues]
-    return rule(degree, multiplicity) * elementary_symmetric(powered, multiplicity)
-
-
-# ---------------------------------------------------------------------------
 # trace specs and their one evaluator
 # ---------------------------------------------------------------------------
 
-# Specs and slots hash by identity, so a cache lookup costs nothing.
-
-CONSTANT = None  # the constant-sheaf slot: local factor 1 at every multiplicity
+SIGN_RULES = ("calibrated", "flip-deep")  # flip-deep: the control that must fail
 
 
-class Exterior(Frozen):
-    """External exterior power slot of a local system with the given
-    Frobenius eigenvalues, shifted by [shift j] and twisted by (twist j) on
-    its degree-j piece."""
+class Spec(namedtuple("Spec", "constants rank weight scale")):
+    """v^(scale n) times the sum over splittings of D into c + 1 pieces of
+    the product of the piece traces: 1 on each of the c constant pieces,
+    and on the other the external exterior power of the rank-1 trivial or
+    rank-2 standard system, shifted by [1] and multiplied by v^weight per
+    degree."""
 
-    __slots__ = ("eigenvalues", "shift", "twist")
-
-    def __init__(self, eigenvalues, shift, twist):
-        self._init(eigenvalues, shift, twist)
-
-
-class Spec(Frozen):
-    """v^(scale n) times the sum over splittings D = D_1 + ... + D_s, of any
-    degrees, of the product of the slot traces at the pieces."""
-
-    __slots__ = ("slots", "scale")
-
-    def __init__(self, slots, scale=0):
-        self._init(slots, scale)
+    __slots__ = ()
 
 
-_STANDARD_EIGENVALUES = (Laurent.monomial(1), Laurent.monomial(-1))
-_TRIVIAL_EIGENVALUE = (Laurent.one(),)
-
-PLO = Spec((Exterior(_STANDARD_EIGENVALUES, 1, Fraction(1, 2)),))
-OMEGA_TILDE = Spec((CONSTANT, Exterior(_TRIVIAL_EIGENVALUE, 1, Fraction(1))))
-GR_PSI = Spec(
-    (CONSTANT, Exterior(_STANDARD_EIGENVALUES, 1, Fraction(-1, 2)), CONSTANT),
-    scale=-2,
-)
-BOUNDARY = Spec((CONSTANT, Exterior(_TRIVIAL_EIGENVALUE, 1, Fraction(-1))))
+PLO = Spec(constants=0, rank=2, weight=-1, scale=0)
+OMEGA_TILDE = Spec(constants=1, rank=1, weight=-2, scale=0)
+GR_PSI = Spec(constants=2, rank=2, weight=1, scale=-2)
+BOUNDARY = Spec(constants=1, rank=1, weight=2, scale=0)
 
 
 def divisor_type(divisor):
@@ -162,42 +105,46 @@ def evaluate(spec, n, divisor, sign_rule="calibrated"):
     return Laurent(_type_trace(spec, divisor_type(divisor), sign_rule).coeffs)
 
 
-# The caches hold Laurent values, whose coefficient dicts are mutable: no
+# The cache holds Laurent values, whose coefficient dicts are mutable: no
 # cached value reaches a caller, who gets a copy or a fresh product.
 @lru_cache(maxsize=1024)
 def _type_trace(spec, dtype, sign_rule):
+    if sign_rule not in SIGN_RULES:
+        raise ValueError(f"unknown sign rule {sign_rule!r}; expected one of {SIGN_RULES}")
     out = Laurent.monomial(spec.scale * sum(d * m for d, m in dtype))
     for d, m in dtype:
         out = out * _point_factor(spec, d, m, sign_rule)
     return out
 
 
-@lru_cache(maxsize=512)
 def _point_factor(spec, degree, multiplicity, sign_rule):
-    """Local factor of the spec at a point of degree d with multiplicity m:
-    the sum over the compositions of m into the slots of the product of
-    the slot factors.  A constant slot contributes 1; an exterior slot that
-    takes b of m contributes the exterior factor times
-    (-1)^(shift d b) v^(-2 twist d b), and 0 for b above its rank.  So the
-    sum runs over the exterior shares b <= rank alone, each weighted by the
-    C(rest + c - 1, rest) ways for the c constant slots to share the rest
-    of m."""
-    exterior = [slot for slot in spec.slots if slot is not CONSTANT]
-    c = len(spec.slots) - len(exterior)
-    total = Laurent.zero()
-    for shares in product(*(range(min(multiplicity, len(slot.eigenvalues)) + 1)
-                            for slot in exterior)):
-        rest = multiplicity - sum(shares)
-        if rest < 0 or (rest and not c):
+    """Local factor of the spec at a point of degree d with multiplicity m.
+
+    The exterior piece takes a share b <= min(m, rank) of m, and the c
+    constant pieces share the rest in C(m - b + c - 1, m - b) ways.  The
+    share contributes (-1)^b e_b v^(weight d b), where e_1 = v^d + v^-d at
+    rank 2 and e_b = 1 otherwise: the trace of the b-th exterior power,
+    with the sign (-1)^((d+1) b) of the degree-d Frobenius times the sign
+    (-1)^(d b) of the shift [d b].  "flip-deep" negates the shares b >= 2
+    at d >= 2."""
+    constants, rank, weight, _ = spec
+    coeffs = {}
+    for b in range(min(multiplicity, rank) + 1):
+        rest = multiplicity - b
+        if constants:
+            ways = comb(rest + constants - 1, rest)
+        elif rest:
             continue
-        term = Laurent.from_int(comb(rest + c - 1, rest) if c else 1)
-        for slot, b in zip(exterior, shares):
-            if b:
-                factor = local_exterior_factor(degree, b, slot.eigenvalues, sign_rule)
-                factor = factor.twist(slot.twist * degree * b)
-                term = term * (-factor if slot.shift * degree * b % 2 else factor)
-        total = total + term
-    return total
+        else:
+            ways = 1
+        if b % 2:
+            ways = -ways
+        if sign_rule == "flip-deep" and b >= 2 and degree >= 2:
+            ways = -ways
+        top = weight * degree * b
+        for e in ((top + degree, top - degree) if b == 1 and rank == 2 else (top,)):
+            coeffs[e] = coeffs.get(e, 0) + ways
+    return Laurent(coeffs)
 
 
 def trace_plo(k, divisor, sign_rule="calibrated"):
@@ -226,11 +173,11 @@ def trace_gr_psi(n, divisor, sign_rule="calibrated"):
     at D''.  It factors over the points of D as
 
         v^(-2n) * prod over (x, m) in D of L(deg x, m),
-        L(d, m) = sum_{b=0}^{min(m, 2)} (m - b + 1) (-v)^(d b) e_b(d),
+        L(d, m) = sum_{b=0}^{min(m, 2)} (m - b + 1) (-1)^b e_b v^(d b),
 
-    with e_b(d) the rank-2 exterior factor `local_exterior_factor(d, b)`
-    at x taken b times in D''; m - b + 1 counts the ways to share the rest
-    of the multiplicity between D1 and D2."""
+    with e_1 = v^d + v^-d and e_0 = e_2 = 1 the rank-2 exterior factors at
+    x taken b times in D''; m - b + 1 counts the ways to share the rest of
+    the multiplicity between D1 and D2."""
     return evaluate(GR_PSI, n, divisor, sign_rule)
 
 
@@ -249,19 +196,17 @@ class NormLedger(namedtuple("NormLedger", "c1")):
 
     @staticmethod
     def calibrated():
-        """Fix c(1) from the n = 1 anchor: the degree-1 fiber trace divided
-        by the one-point boundary factor.  Must divide exactly; anything else
-        is a calibration failure."""
+        """Fix c(1) from the n = 1 anchor: the degree-1 fiber trace must be
+        a monomial times the one-point boundary factor 1 - q, and c(1) is
+        then its lowest term.  Anything else is a calibration failure."""
         anchor = EffectiveDivisor.from_pairs(
             [(ClosedPoint(degree=1, poly=(0, 1)), 1)]
         )
         lhs = trace_gr_psi(1, anchor)
-        try:
-            c1 = lhs.exact_div(_ONE_MINUS_Q)
-        except ValueError as exc:
-            raise CalibrationError(f"n=1 anchor is not divisible: {exc}") from exc
-        if len(c1.coeffs) != 1:
-            raise CalibrationError(f"c(1) = {c1} is not a monomial")
+        low = min(lhs.coeffs, default=0)
+        c1 = Laurent.monomial(low, lhs.coeffs.get(low, 0))
+        if lhs.is_zero() or c1 * _ONE_MINUS_Q != lhs:
+            raise CalibrationError(f"n=1 anchor {lhs} is not a monomial times 1 - q")
         return NormLedger(c1=c1)
 
     def c(self, n):

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import vinbun
 from vinbun import arith, cli, drinfeld, kcalc, lefschetz, localmodel, symrep
+from vinbun.arith import Laurent
 from vinbun.budget import BudgetExceededError
 from vinbun.cli import (
     ALL_SUITES,
@@ -70,6 +71,8 @@ def test_run_config_validation():
         RunConfig(suites=())
     with pytest.raises(ValueError):
         RunConfig(suites=("bogus",))
+    with pytest.raises(ValueError, match="duplicate suites"):
+        RunConfig(suites=("nearby", "omega", "nearby"))
     with pytest.raises(ValueError):
         RunConfig(budget=0)
     for bad in ({"max_n": 0}, {"max_q": 1}, {"max_degree": 0}, {"max_k": 0},
@@ -100,6 +103,17 @@ SEMIPRIME = (2**31 - 1) * (2**31 - 19)
     ("drinfeld", "--a1", "0", "--a2", "0", "--q", str(2**89 - 1)),
     ("verify", "--suites", "strata", "--max-n", "1000000", "--budget", "10"),
     ("verify", "--suites", "uniformity", "--max-q", str(LARGE_PRIME)),
+    ("verify", "--suites", "nearby,nearby"),
+    # point degrees above MAX_GRID_N, refused before Ben-Or or the
+    # coefficient list runs; a reducible one is named by its polynomial
+    ("trace", "--object", "plo", "--q", "2", "--divisor", "t^99999999999"),
+    ("trace", "--object", "plo", "--q", "2", "--divisor", "t^521+t^32+1"),
+    ("trace", "--object", "plo", "--q", "2", "--divisor", "t^1279+t^216+1"),
+    ("trace", "--object", "plo", "--q", "2", "--divisor", "t^64+1"),
+    # total multiplicities above MAX_GRID_N
+    ("equations", "--n", "5000"),
+    ("equations", "--n", "100000"),
+    ("equations", "--n", "32,33"),
 ])
 def test_huge_arguments_exit_2_within_a_second(capsys, argv):
     start = time.perf_counter()
@@ -112,9 +126,8 @@ def test_huge_arguments_exit_2_within_a_second(capsys, argv):
 
 
 def test_grpsi_trace_at_a_huge_multiplicity_answers_within_a_second(capsys):
-    # the local factor sums over the rank-2 slot's share b <= 2, not over
-    # every composition of m into the three slots
-    kcalc._point_factor.cache_clear()
+    # the local factor sums over the exterior piece's share b <= 2, not over
+    # every composition of m into the three pieces
     kcalc._type_trace.cache_clear()
     start = time.perf_counter()
     code, out, _ = run_cli(capsys, "trace", "--object", "grpsi", "--q", "3",
@@ -200,7 +213,16 @@ def test_trace_command_rejects_reducible(capsys):
         capsys, "trace", "--object", "omega", "--q", "2", "--divisor", "t^2+1:1"
     )
     assert code == 2
-    assert "error" in err
+    assert err == "error: t^2+1 is reducible over F_2\n"
+
+
+def test_a_failed_calibration_is_one_failing_check(capsys, monkeypatch):
+    monkeypatch.setattr(kcalc, "trace_gr_psi", lambda n, divisor: Laurent.monomial(0, 2))
+    code, out, _ = run_cli(capsys, "verify", "--suites", "nearby")
+    assert code == 1
+    report = json.loads(out)
+    assert [(c["name"], c["status"]) for c in report["checks"]] == [("calibration", "fail")]
+    assert report["summary"] == {"pass": 0, "fail": 1, "skipped": 0}
 
 
 def test_equations_command(capsys):

@@ -1,5 +1,7 @@
 import random
 from fractions import Fraction
+from functools import reduce
+from operator import mul
 
 import pytest
 from divisor_utils import rational_point
@@ -12,14 +14,16 @@ from vinbun.arith import (
     enumerate_closed_points,
     enumerate_divisors,
     iter_decompositions,
+    v_exponent,
 )
+from vinbun import kcalc
 from vinbun.kcalc import (
     BOUNDARY,
-    CONSTANT,
     GR_PSI,
     OMEGA_TILDE,
     PLO,
     SIGN_RULES,
+    CalibrationError,
     IcSymbol,
     KElement,
     NormLedger,
@@ -30,7 +34,6 @@ from vinbun.kcalc import (
     divisor_type,
     evaluate,
     ic_kernel_k_element,
-    local_exterior_factor,
     nearby_vs_boundary,
     plo_k_element,
     reconstruct_from_difference,
@@ -69,6 +72,49 @@ ONE_MINUS_Q = ONE - Laurent.monomial(2)
 # ---------------------------------------------------------------------------
 
 
+STANDARD = (V, Laurent.monomial(-1))  # Frobenius eigenvalues of the rank-2 system
+TRIVIAL = (ONE,)
+
+# Each spec by its definition: v^(scale n) times the splitting sum over its
+# slots, None for the constant sheaf and (eigenvalues, shift, twist) for an
+# external exterior power shifted by [shift j] and twisted by (twist j) on
+# its degree-j piece.
+DEFINITIONS = {
+    PLO: (((STANDARD, 1, Fraction(1, 2)),), 0),
+    OMEGA_TILDE: ((None, (TRIVIAL, 1, Fraction(1))), 0),
+    GR_PSI: ((None, (STANDARD, 1, Fraction(-1, 2)), None), -2),
+    BOUNDARY: ((None, (TRIVIAL, 1, Fraction(-1))), 0),
+}
+
+
+def elementary_symmetric(values, m):
+    """e_m of a list of Laurent values (e_0 = 1), by the product expansion."""
+    es = [ONE] + [Laurent.zero()] * m
+    for x in values:
+        for j in range(m, 0, -1):
+            es[j] = es[j] + x * es[j - 1]
+    return es[m]
+
+
+def local_exterior_factor(degree, multiplicity, eigenvalues, sign_rule):
+    """Frobenius trace of the m-th exterior power of a rank-r stalk at a
+    degree-d point: zero for m > r, otherwise (-1)^((d+1) m), negated for
+    d, m >= 2 under "flip-deep", times e_m of the d-th powers of the
+    eigenvalues."""
+    if multiplicity > len(eigenvalues):
+        return Laurent.zero()
+    sign = (-1) ** ((degree + 1) * multiplicity)
+    if sign_rule == "flip-deep" and degree >= 2 and multiplicity >= 2:
+        sign = -sign
+    powered = [reduce(mul, [alpha] * degree, ONE) for alpha in eigenvalues]
+    return sign * elementary_symmetric(powered, multiplicity)
+
+
+def shifted_twisted(value, shift, twist):
+    """value[shift](twist): the sign (-1)^shift times v^(-2 twist)."""
+    return Laurent.monomial(v_exponent(twist), (-1) ** shift) * value
+
+
 def trace_ext_exterior(n, eigenvalues, divisor, shift=0, twist=0, sign_rule="calibrated"):
     """Trace of the n-th external exterior power of a local system with the
     given Frobenius eigenvalues, shifted by [shift] and twisted by (twist),
@@ -78,8 +124,7 @@ def trace_ext_exterior(n, eigenvalues, divisor, shift=0, twist=0, sign_rule="cal
     out = Laurent.one()
     for pt, m in divisor:
         out = out * local_exterior_factor(pt.degree, m, eigenvalues, sign_rule)
-    out = out.twist(twist)
-    return -out if shift % 2 else out
+    return shifted_twisted(out, shift, twist)
 
 
 def splitting_sum(spec, n, divisor, sign_rule="calibrated"):
@@ -87,17 +132,19 @@ def splitting_sum(spec, n, divisor, sign_rule="calibrated"):
     split of n into slot degrees and every splitting of D into pieces of
     those degrees of the product of the slot traces, 1 on a constant slot
     and the exterior trace of the whole piece on an exterior slot."""
+    slots, scale = DEFINITIONS[spec]
     total = Laurent.zero()
-    for degrees in compositions(n, len(spec.slots)):
+    for degrees in compositions(n, len(slots)):
         for pieces in iter_decompositions(divisor, degrees):
             term = Laurent.one()
-            for slot, j, piece in zip(spec.slots, degrees, pieces):
-                if slot is not CONSTANT:
+            for slot, j, piece in zip(slots, degrees, pieces):
+                if slot is not None:
+                    eigenvalues, shift, twist = slot
                     term = term * trace_ext_exterior(
-                        j, slot.eigenvalues, piece, slot.shift * j, slot.twist * j, sign_rule
+                        j, eigenvalues, piece, shift * j, twist * j, sign_rule
                     )
             total = total + term
-    return Laurent.monomial(spec.scale * n) * total
+    return Laurent.monomial(scale * n) * total
 
 
 # ---------------------------------------------------------------------------
@@ -119,7 +166,7 @@ def test_ext_exterior_rank1_vanishes_at_multiplicity():
 def test_ext_exterior_rank2_split_pair():
     x1, x2 = rational_point(F3, 0), rational_point(F3, 1)
     val = trace_ext_exterior(2, (V, Laurent.monomial(-1)), div([(x1, 1), (x2, 1)]))
-    assert val == (V + Laurent.monomial(-1)) ** 2
+    assert val == (V + Laurent.monomial(-1)) * (V + Laurent.monomial(-1))
 
 
 def test_ext_exterior_degree_mismatch():
@@ -164,7 +211,7 @@ def test_gr_psi_frozen_values():
     x1, x2 = rational_point(F3, 1), rational_point(F3, 2)
     assert trace_gr_psi(1, div([(x, 1)])) == Laurent.monomial(-2) - ONE
     assert trace_gr_psi(2, div([(x, 2)])) == Laurent.monomial(-4) - Laurent.monomial(-2)
-    expected = (ONE - Laurent.monomial(-2)) ** 2
+    expected = (ONE - Laurent.monomial(-2)) * (ONE - Laurent.monomial(-2))
     assert trace_gr_psi(2, div([(x1, 1), (x2, 1)])) == expected
 
 
@@ -214,22 +261,19 @@ def test_plo_matches_closed_form_oracle(field):
                 assert trace_plo(k, d, rule) == plo_closed_form(k, d, rule), (k, d, rule)
 
 
-def test_per_point_factor_caches_are_bounded():
-    assert _point_factor.cache_info().maxsize is not None
-
-
 def composition_factor(spec, degree, multiplicity, sign_rule):
     """Oracle for `_point_factor`: the sum over every composition of m into
     the slots, constant slots included, of the product of the slot factors."""
+    slots, _ = DEFINITIONS[spec]
     total = Laurent.zero()
-    for parts in compositions(multiplicity, len(spec.slots)):
+    for parts in compositions(multiplicity, len(slots)):
         term = Laurent.one()
-        for slot, b in zip(spec.slots, parts):
-            if slot is CONSTANT or not b:
+        for slot, b in zip(slots, parts):
+            if slot is None or not b:
                 continue
-            factor = local_exterior_factor(degree, b, slot.eigenvalues, sign_rule)
-            factor = factor.twist(slot.twist * degree * b)
-            term = term * (-factor if slot.shift * degree * b % 2 else factor)
+            eigenvalues, shift, twist = slot
+            factor = local_exterior_factor(degree, b, eigenvalues, sign_rule)
+            term = term * shifted_twisted(factor, shift * degree * b, twist * degree * b)
         total = total + term
     return total
 
@@ -344,6 +388,31 @@ def test_calibration_constant():
     ledger = NormLedger.calibrated()
     assert ledger.c(1) == Laurent.monomial(-2)
     assert ledger.c(3) == Laurent.monomial(-6)
+
+
+def test_calibration_accepts_only_a_monomial_times_one_minus_q(monkeypatch):
+    def anchored_at(value):
+        monkeypatch.setattr(kcalc, "trace_gr_psi", lambda n, divisor: value)
+
+    anchored_at(Laurent.monomial(-4, 3) * ONE_MINUS_Q)
+    assert NormLedger.calibrated().c(2) == Laurent.monomial(-8, 9)
+    for planted in (Laurent.zero(), ONE + Laurent.monomial(2), Laurent.monomial(-2),
+                    (ONE + V) * ONE_MINUS_Q, Laurent.monomial(-2, 2) - Laurent.monomial(0, 3)):
+        anchored_at(planted)
+        with pytest.raises(CalibrationError, match="not a monomial times 1 - q"):
+            NormLedger.calibrated()
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_unknown_sign_rule_is_refused_on_every_divisor(n):
+    divisor = div([(rational_point(F2, 0), n)])
+    for spec in (PLO, OMEGA_TILDE, GR_PSI, BOUNDARY):
+        with pytest.raises(ValueError, match="'bogus'"):
+            evaluate(spec, n, divisor, sign_rule="bogus")
+    with pytest.raises(ValueError, match="'bogus'"):
+        trace_plo(n, divisor, sign_rule="bogus")
+    with pytest.raises(ValueError, match="'bogus'"):
+        nearby_vs_boundary(n, divisor, sign_rule="bogus")
 
 
 def test_nearby_vs_boundary_small_cases():

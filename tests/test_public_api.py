@@ -5,11 +5,12 @@ demo or the benchmark, not only by the tests.
 A member counts as used when an attribute, or a dotted part of a string
 constant, of its name appears outside its own definition.  The guard reads
 names, not types: a member whose name another class also uses, such as a
-`zero`, `scale` or `twisted` beside `Laurent.zero`, the `Spec.scale` slot
+`zero`, `scale` or `twisted` beside `Laurent.zero`, the `Spec.scale` field
 or `KElement.twisted`, is never flagged, and has to be checked by
 reading the code."""
 
 import ast
+import importlib
 from collections import Counter
 from pathlib import Path
 
@@ -113,3 +114,29 @@ def test_the_allowlist_holds_only_unreferenced_names():
 
 def test_every_public_member_has_a_caller_outside_the_tests():
     assert unreferenced_public_members() == []
+
+
+def perfbench_names(*names):
+    """The values of the named assignments of perfbench/child.py, read off its
+    source."""
+    tree = ast.parse((ROOT / "perfbench" / "child.py").read_text())
+    values = {target.id: ast.literal_eval(node.value)
+              for node in tree.body if isinstance(node, ast.Assign)
+              for target in node.targets
+              if isinstance(target, ast.Name) and target.id in names}
+    return [values[name] for name in names]
+
+
+def resolve(module, qualname):
+    obj = importlib.import_module("vinbun." + module)
+    for part in qualname.split("."):
+        obj = getattr(obj, part)
+    return obj
+
+
+def test_perfbench_traces_and_caches_names_that_exist():
+    traced, cached = perfbench_names("TRACED", "CACHED")
+    for module, qualname, _ in traced:
+        assert callable(resolve(module, qualname)), (module, qualname)
+    for module, name in cached:
+        assert hasattr(resolve(module, name), "cache_info"), (module, name)

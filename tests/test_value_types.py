@@ -1,8 +1,8 @@
 """The value types: namedtuple records and slotted classes.
 
 Each keeps the behaviour a frozen record had: field access, positional and
-keyword construction, equality and hashing by field values (or by identity
-for trace specs), validation, and immutability."""
+keyword construction, equality and hashing by field values, validation, and
+immutability."""
 
 import copy
 import pickle
@@ -21,7 +21,7 @@ from vinbun.arith import (
 )
 from vinbun.cli import RunConfig
 from vinbun.drinfeld import DrinfeldResult, HomMatrix
-from vinbun.kcalc import PLO, Exterior, Spec, default_ledger, evaluate, symbol
+from vinbun.kcalc import PLO, Spec, default_ledger, evaluate, symbol
 from vinbun.lefschetz import GradedBiRep
 from vinbun.localmodel import SolutionPoint, build_system
 
@@ -42,7 +42,6 @@ def frozen_instances():
         SolutionPoint((((1,), (0,)),), 0),
         DefectProfile((0, 1)),
         PLO,
-        PLO.slots[0],
     ]
 
 
@@ -73,34 +72,24 @@ def test_copy_and_pickle_rebuild_the_value(obj):
     assert field_values(copy.copy(obj)) == field_values(obj)
     for clone in (copy.deepcopy(obj), pickle.loads(pickle.dumps(obj))):
         assert type(clone) is type(obj)
-        if isinstance(obj, (Spec, Exterior)):  # compared by identity
-            assert clone != obj
-        else:
-            assert clone == obj
+        assert clone == obj
 
 
 def test_keyword_construction():
     assert ClosedPoint(degree=1, poly=None) == INFINITY
     assert EffectiveDivisor(parts=()) == EffectiveDivisor.empty()
-    spec = Spec(slots=PLO.slots, scale=-1)
-    assert (spec.slots, spec.scale) == (PLO.slots, -1)
-    assert Spec(PLO.slots).scale == 0
-    slot = Exterior(eigenvalues=(), shift=1, twist=Fraction(1))
-    assert (slot.eigenvalues, slot.shift, slot.twist) == ((), 1, Fraction(1))
+    spec = Spec(constants=0, rank=2, weight=-1, scale=0)
+    assert spec == PLO and (spec.rank, spec.weight) == (2, -1)
     config = RunConfig(suites=("quadric",), max_n=2, max_q=3, max_degree=1,
                        max_k=2, budget=10)
     assert (config.suites, config.max_n, config.budget) == (("quadric",), 2, 10)
 
 
-def test_specs_and_slots_compare_and_hash_by_identity():
+def test_specs_compare_and_hash_by_value():
     divisor = EffectiveDivisor.from_pairs([(rational_point(F3, 0), 2)])
-    for obj, twin in ((PLO, Spec(PLO.slots, PLO.scale)),
-                      (PLO.slots[0], Exterior(*field_values(PLO.slots[0])))):
-        assert obj == obj and obj != twin
-        assert hash(obj) == object.__hash__(obj)
-        assert len({obj, twin}) == 2
-    # the per-point cache keys on the spec object; a twin gets its own entries
-    twin = Spec(PLO.slots, PLO.scale)
+    twin = Spec(*PLO)
+    assert twin == PLO and hash(twin) == hash(PLO) and len({PLO, twin}) == 1
+    # the per-type cache keys on the spec's fields, so a twin shares its entries
     assert evaluate(twin, 2, divisor) == evaluate(PLO, 2, divisor)
 
 
