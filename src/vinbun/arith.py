@@ -444,6 +444,13 @@ def poly_mul(field, f, g):
                     out[j] += x * y
         p = field.p
         return poly_normalize([c % p for c in out])
+    if field.p == 2:  # F_4 and F_8: add by XOR into each product-table row
+        for i, x in enumerate(f):
+            if x:
+                row = field.mul_row(x)
+                for j, y in enumerate(g, i):
+                    out[j] ^= row[y]
+        return poly_normalize(out)
     for i, x in enumerate(f):
         if x:
             for j, y in enumerate(g):
@@ -655,38 +662,50 @@ class EffectiveDivisor(FrozenValue):
 @lru_cache(maxsize=8)
 def enumerate_closed_points(field, max_degree):
     """All closed points of A^1 of degree <= max_degree, i.e. all monic
-    irreducibles, sorted by (degree, coefficients).  A sieve: a monic
-    polynomial of degree d is a point exactly when it is not a product of
-    points of lower degree.  Counts obey the necklace formula."""
+    irreducibles, sorted by (degree, coefficients): those of lower degree,
+    then the one-point divisors of the sieve of degree max_degree.  Counts
+    obey the necklace formula."""
     if max_degree < 1:
         raise ValueError("max_degree must be >= 1")
     lower = enumerate_closed_points(field, max_degree - 1) if max_degree > 1 else ()
-    reducible = {poly for _, poly in _point_multisets(field, lower, max_degree)}
     return lower + tuple(
-        ClosedPoint(degree=max_degree, poly=f)
-        for f in monic_polys(field, max_degree)
-        if f not in reducible
+        parts[0][0]
+        for parts in (d.parts for d in _sieve(field, max_degree))
+        if len(parts) == 1 and parts[0][0].degree == max_degree
     )
 
 
 @lru_cache(maxsize=8)
 def enumerate_divisors(field, n, max_degree=None):
     """All degree-n effective divisors on A^1 over F_q, or only those whose
-    points have degree <= max_degree.
-
-    These are the multisets of closed points of total degree n, formed over
-    the points of degree <= min(n, max_degree) and ordered as their
-    products are by `monic_polys`.  With no bound they are exactly the
-    monic degree-n polynomials, q^n of them.
+    points have degree <= max_degree, ordered as their products are by
+    `monic_polys`.  With no bound (max_degree None or >= n) they are the
+    sieve of degree n, all q^n monic polynomials; below the degree, the
+    multisets of the points of degree <= max_degree, sorted by product.
     """
     if n < 0:
         raise ValueError("degree must be >= 0")
     if n == 0:
         return (EffectiveDivisor.empty(),)
-    bound = n if max_degree is None else min(n, max_degree)
-    found = _point_multisets(field, enumerate_closed_points(field, bound), n)
+    if max_degree is None or max_degree >= n:
+        return _sieve(field, n)
+    found = _point_multisets(field, enumerate_closed_points(field, max_degree), n)
     found.sort(key=lambda parts_poly: parts_poly[1])
     return tuple(EffectiveDivisor(parts=parts) for parts, _ in found)
+
+
+@lru_cache(maxsize=8)
+def _sieve(field, n):
+    """The sieve of degree n >= 1, shared by `enumerate_closed_points` and
+    `enumerate_divisors`: every monic polynomial of degree n as a divisor,
+    in `monic_polys` order.  Each product of points of lower degree is
+    marked with its parts, and each polynomial left unmarked is a point."""
+    lower = enumerate_closed_points(field, n - 1) if n > 1 else ()
+    reducible = {poly: parts for parts, poly in _point_multisets(field, lower, n)}
+    return tuple(
+        EffectiveDivisor(parts=reducible.get(f) or ((ClosedPoint(n, f), 1),))
+        for f in monic_polys(field, n)
+    )
 
 
 def _point_multisets(field, points, n):
@@ -797,6 +816,16 @@ def compositions(m, k):
 
 _TERM_RE = re.compile(r"^(\d+)?\*?(t)(?:\^(\d+))?$|^(\d+)$")
 MAX_GRID_N = 64  # the largest point degree parsed, and of verify's --max-n
+_MAX_DIGITS = 100  # per integer field; int() itself refuses past 4,300 digits
+
+
+def _parse_int(text, what):
+    """int(text), refused by its length first, so that an overlong field
+    gets a short error instead of int's own."""
+    if len(text) > _MAX_DIGITS:
+        raise ValueError(f"{what} of {len(text)} digits is above the limit of "
+                         f"{_MAX_DIGITS} digits")
+    return int(text)
 
 
 def parse_poly(field, text):
@@ -819,10 +848,10 @@ def parse_poly(field, text):
         if not m:
             raise ValueError(f"malformed term {term!r}")
         if m.group(4) is not None:
-            c, e = int(m.group(4)), 0
+            c, e = _parse_int(m.group(4), "coefficient"), 0
         else:
-            c = int(m.group(1)) if m.group(1) else 1
-            e = int(m.group(3)) if m.group(3) else 1
+            c = _parse_int(m.group(1), "coefficient") if m.group(1) else 1
+            e = _parse_int(m.group(3), "exponent") if m.group(3) else 1
         if c >= field.q:
             raise ValueError(f"coefficient {c} out of range for F_{field.q}")
         if e > MAX_GRID_N:
@@ -865,7 +894,7 @@ def parse_divisor(field, text, allow_infinity=False):
         chunk = chunk.strip()
         if ":" in chunk:
             poly_text, mult_text = chunk.rsplit(":", 1)
-            mult = int(mult_text)
+            mult = _parse_int(mult_text, "multiplicity")
         else:
             poly_text, mult = chunk, 1
         if mult < 1:
@@ -879,12 +908,19 @@ def parse_divisor(field, text, allow_infinity=False):
     return EffectiveDivisor.from_pairs(pairs)
 
 
-def format_divisor(field, divisor):
+def format_divisor(field, divisor, names=None):
+    """The `poly:mult,...` text of the divisor.  names, when given, is a dict
+    from each point already named over this field to its text, filled in as
+    points are met: a caller formatting many divisors names each point once."""
     if not divisor.parts:
         return "0"
+    if names is None:
+        names = {}
     chunks = []
     for pt, m in divisor.parts:
-        name = "inf" if pt.is_infinity else format_poly(field, pt.poly)
+        name = names.get(pt)
+        if name is None:
+            name = names[pt] = "inf" if pt.is_infinity else format_poly(field, pt.poly)
         chunks.append(f"{name}:{m}")
     return ",".join(chunks)
 

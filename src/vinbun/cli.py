@@ -13,7 +13,6 @@ the default budgets.
 """
 
 import argparse
-import csv
 import io
 import json
 import random
@@ -123,6 +122,7 @@ def suite_nearby(config):
     for q in prime_powers_up_to(config.max_q):
         fld = field_from_q(q)
         built = 0  # the budget bounds the divisors built over each field
+        names = {}  # point -> its text, so each point is formatted once per field
         for n in range(1, config.max_n + 1):
             params = f"q={q} n={n}"
             with _skip_over_budget(checks, "nearby", "nearby-vs-boundary", params):
@@ -136,7 +136,7 @@ def suite_nearby(config):
                         lhs, rhs = kcalc.nearby_vs_boundary(n, d, ledger)
                         check = by_type[dtype] = _check("nearby", "nearby-vs-boundary",
                                                         None, lhs, rhs, lhs == rhs)
-                    d_text = arith.format_divisor(fld, d)
+                    d_text = arith.format_divisor(fld, d, names)
                     checks.append(dict(check, params=f"{params} D={d_text}"))
     return checks
 
@@ -365,10 +365,16 @@ _SUITE_RUNNERS = {
 
 
 def run_suite(config):
-    """Execute the configured suites and assemble the order-normalized report."""
+    """Execute the configured suites and assemble the order-normalized report.
+    The input was checked before any suite runs, so a ValueError raised in a
+    suite is a fault of the program: it becomes one `fail` check in place of
+    that suite's checks."""
     checks = []
     for name in config.suites:
-        checks.extend(_SUITE_RUNNERS[name](config))
+        try:
+            checks.extend(_SUITE_RUNNERS[name](config))
+        except ValueError as exc:
+            checks.append(_check(name, "error", type(exc).__name__, exc, "", False))
     checks.sort(key=lambda c: (c["suite"], c["name"], c["params"]))
     summary = {
         "pass": sum(1 for c in checks if c["status"] == "pass"),
@@ -383,9 +389,34 @@ def run_suite(config):
     }
 
 
+# A check as `json.dumps(report, indent=2, sort_keys=True)` writes it: its six
+# keys in sorted order, each value a string escaped as json escapes it
+_CHECK_JSON = """    {
+      "lhs": %s,
+      "name": %s,
+      "params": %s,
+      "rhs": %s,
+      "status": %s,
+      "suite": %s
+    }"""
+
+
 def render_report(report, fmt):
+    """The report as text.  JSON is written as `json.dumps(report, indent=2,
+    sort_keys=True) + "\\n"` writes it, but each check is filled into a fixed
+    template: only the schema, suites and summary go through `json.dumps`."""
     if fmt == "json":
-        return json.dumps(report, indent=2, sort_keys=True) + "\n"
+        quote = json.encoder.encode_basestring_ascii
+        checks = ",\n".join(
+            _CHECK_JSON % tuple(map(quote, (c["lhs"], c["name"], c["params"], c["rhs"],
+                                            c["status"], c["suite"])))
+            for c in report["checks"])
+        rest = json.dumps({k: v for k, v in report.items() if k != "checks"},
+                          indent=2, sort_keys=True)
+        checks = f"[\n{checks}\n  ]" if checks else "[]"
+        return f'{{\n  "checks": {checks},\n{rest[2:]}\n'
+    import csv  # only here and in cmd_character_table, so `import vinbun.cli` skips it
+
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["suite", "name", "params", "lhs", "rhs", "status"])
@@ -511,6 +542,8 @@ def cmd_drinfeld(args):
 
 
 def cmd_character_table(args):
+    import csv
+
     cts, lams, rows = symrep.character_table(args.k)
     writer = csv.writer(sys.stdout)
     writer.writerow(["irrep\\class"] + [str(list(c)) for c in cts])

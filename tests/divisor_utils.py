@@ -4,6 +4,8 @@ enumeration, the integer oracle for the boundary product, and the scalar
 multiples of a Hom matrix, along whose orbits the defect divisor is
 constant."""
 
+from functools import lru_cache
+
 from vinbun.arith import (
     ClosedPoint,
     EffectiveDivisor,
@@ -20,15 +22,22 @@ def rational_point(field, c):
     return ClosedPoint(degree=1, poly=(field.neg(c), 1))
 
 
+# the oracle grid factors each field's polynomials once for both oracles
+@lru_cache(maxsize=None)
+def _factorizations(field, n):
+    """(f, its factorization by trial division) for every monic f of degree
+    n, in `monic_polys` order."""
+    return tuple((f, poly_factor(field, f)) for f in monic_polys(field, n))
+
+
 def factored_divisors(field, n):
     """Oracle for `enumerate_divisors`: factor every monic polynomial of
     degree n by trial division, in `monic_polys` order."""
     return tuple(
         EffectiveDivisor.from_pairs(
-            (ClosedPoint(degree=poly_deg(g), poly=g), m)
-            for g, m in poly_factor(field, f).items()
+            (ClosedPoint(degree=poly_deg(g), poly=g), m) for g, m in factors.items()
         )
-        for f in monic_polys(field, n)
+        for _, factors in _factorizations(field, n)
     )
 
 
@@ -39,8 +48,8 @@ def trial_division_points(field, max_degree):
     return tuple(
         ClosedPoint(degree=d, poly=f)
         for d in range(1, max_degree + 1)
-        for f in monic_polys(field, d)
-        if poly_factor(field, f) == {f: 1}
+        for f, factors in _factorizations(field, d)
+        if factors == {f: 1}
     )
 
 

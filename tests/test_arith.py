@@ -2,11 +2,13 @@ import itertools
 import math
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from divisor_utils import factored_divisors, rational_point, trial_division_points
 
+from vinbun import arith
 from vinbun.arith import (
     EffectiveDivisor,
     Laurent,
@@ -311,8 +313,10 @@ def test_divisors_degree_two_over_f2():
     assert EffectiveDivisor.from_pairs([(x0, 1), (x1, 1)]) in divs
 
 
-# (p, e, degree up to which the factoring oracles stay cheap)
-ORACLE_GRID = [(2, 1, 6), (3, 1, 5), (2, 2, 4), (5, 1, 3), (7, 1, 3), (2, 3, 3), (3, 2, 3)]
+# (p, e, degree up to which the factoring oracles stay cheap); F_8 and F_9
+# at degree 4 take about 1 and 3 s
+ORACLE_GRID = [(2, 1, 6), (3, 1, 5), (2, 2, 4), (5, 1, 3), (7, 1, 3), (2, 3, 3), (3, 2, 3),
+               (2, 3, 4), (3, 2, 4)]
 
 
 @pytest.mark.parametrize("p,e,max_d", ORACLE_GRID)
@@ -387,6 +391,49 @@ def test_monic_polys_yields_before_touching_the_field():
     assert next(polys) == (0, 0, 1)
     assert next(polys) == (0, 1, 1)
     assert time.perf_counter() - start < 1
+
+
+def test_one_sieve_pass_per_degree(monkeypatch):
+    # the sieve of degree n gives both the points of degree n and the
+    # divisors of degree n, so asking for both multiplies out each degree once
+    for value in vars(arith).values():
+        if hasattr(value, "cache_clear"):
+            value.cache_clear()
+    degrees = Counter()
+    point_multisets = arith._point_multisets
+
+    def counted(field, points, n):
+        degrees[n] += 1
+        return point_multisets(field, points, n)
+
+    monkeypatch.setattr(arith, "_point_multisets", counted)
+    f4 = field_from_q(4)
+    divisors = enumerate_divisors(f4, 5)
+    points = enumerate_closed_points(f4, 5)
+    assert degrees == {n: 1 for n in range(1, 6)}
+    # a bound at or above the degree is the same sieve
+    assert enumerate_divisors(f4, 5, 5) is enumerate_divisors(f4, 5, 7) is divisors
+    assert degrees == {n: 1 for n in range(1, 6)}
+    assert len(divisors) == 4**5
+    assert [pt for d in divisors for pt, m in d if len(d) == 1 and pt.degree == 5] \
+        == [pt for pt in points if pt.degree == 5]
+
+
+@pytest.mark.parametrize("q", [4, 8])
+def test_char_two_poly_mul_matches_field_products(q):
+    # the XOR-into-table-row path against the sum of field.mul products
+    fld = field_from_q(q)
+    rng = random.Random(q)
+    for _ in range(300):
+        f, g = (tuple(rng.randrange(q) for _ in range(rng.randrange(7)))
+                for _ in range(2))
+        expected = [0] * max(0, len(f) + len(g) - 1)
+        for i, x in enumerate(f):
+            for j, y in enumerate(g):
+                expected[i + j] = fld.add(expected[i + j], fld.mul(x, y))
+        while expected and not expected[-1]:
+            expected.pop()
+        assert poly_mul(fld, f, g) == tuple(expected), (f, g)
 
 
 def test_divisor_caches_are_bounded():

@@ -10,7 +10,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import vinbun
@@ -114,6 +114,10 @@ SEMIPRIME = (2**31 - 1) * (2**31 - 19)
     ("equations", "--n", "5000"),
     ("equations", "--n", "100000"),
     ("equations", "--n", "32,33"),
+    # integer fields longer than int() converts, refused by their length
+    ("trace", "--object", "plo", "--q", "2", "--divisor", "t^" + "9" * 5000),
+    ("trace", "--object", "plo", "--q", "2", "--divisor", "t:" + "9" * 5000),
+    ("trace", "--object", "plo", "--q", "2", "--divisor", "9" * 5000 + "t+1"),
 ])
 def test_huge_arguments_exit_2_within_a_second(capsys, argv):
     start = time.perf_counter()
@@ -660,13 +664,56 @@ def test_invalid_env_var_budget_exits_2(capsys, monkeypatch, argv, value):
 
 
 def test_verify_output_file(tmp_path, capsys):
-    path = tmp_path / "report.json"
-    code, out, _ = run_cli(
-        capsys, "verify", "--suites", "schurweyl", "--max-k", "2",
-        "--output", str(path),
-    )
-    assert code == 0
-    assert json.loads(path.read_text()) == json.loads(out)
+    for fmt in ("json", "csv"):
+        path = tmp_path / f"report.{fmt}"
+        code, out, _ = run_cli(
+            capsys, "verify", "--suites", "schurweyl", "--max-k", "2",
+            "--output", str(path), "--format", fmt,
+        )
+        assert code == 0
+        assert path.read_bytes() == out.encode()
+
+
+report_strings = st.text()  # any code point: non-ASCII, quotes, backslashes, controls
+report_checks = st.lists(st.fixed_dictionaries({
+    "suite": report_strings, "name": report_strings, "params": report_strings,
+    "lhs": report_strings, "rhs": report_strings,
+    "status": st.sampled_from(["pass", "fail", "skipped"]),
+}), max_size=5)
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@example(checks=[], suites=["nearby"])
+@given(checks=report_checks, suites=st.lists(st.sampled_from(ALL_SUITES), max_size=3))
+def test_json_report_writer_matches_json_dumps(checks, suites):
+    # json.dumps is the oracle of the direct writer
+    report = {
+        "schema": 1,
+        "suites": suites,
+        "checks": checks,
+        "summary": {s: sum(c["status"] == s for c in checks)
+                    for s in ("pass", "fail", "skipped")},
+    }
+    assert render_report(report, "json") == json.dumps(report, indent=2,
+                                                       sort_keys=True) + "\n"
+
+
+def test_fault_inside_a_suite_is_one_fail_check(capsys, monkeypatch):
+    # a faulty K-element difference makes reconstruct raise
+    # ReconstructionError, a ValueError: that suite reports one failed check,
+    # the other suites report theirs and the run exits 1, not 2
+    monkeypatch.setattr(kcalc.KElement, "__sub__",
+                        lambda self, other: self._combine(other, 1))
+    code, out, err = run_cli(capsys, "verify", "--suites", "reconstruct,schurweyl",
+                             "--max-k", "2")
+    assert (code, err) == (1, "")
+    report = json.loads(out)
+    assert report["summary"] == {"pass": 2, "fail": 1, "skipped": 0}
+    [failed] = [c for c in report["checks"] if c["status"] == "fail"]
+    assert (failed["suite"], failed["name"], failed["params"]) == (
+        "reconstruct", "error", "ReconstructionError")
+    assert [c["suite"] for c in report["checks"]] == ["reconstruct", "schurweyl",
+                                                       "schurweyl"]
 
 
 @pytest.mark.parametrize("where", ["missing/report.json", "."])
@@ -693,6 +740,19 @@ def test_cli_import_loads_no_dataclasses_or_inspect():
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                           text=True, check=True)
     assert json.loads(done.stdout) == [False, False]
+
+
+def test_json_verify_does_not_import_csv():
+    # csv is imported by the CSV report and the character table only
+    src = str(Path(vinbun.__file__).resolve().parent.parent)
+    probe = (
+        f"import sys; sys.path.insert(0, {src!r}); import vinbun.cli; "
+        "vinbun.cli.main(['verify', '--suites', 'schurweyl', '--max-k', '1']); "
+        "print('csv' in sys.modules)"
+    )
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.splitlines()[-1] == "False"
 
 
 def test_no_module_imports_typing_or_dataclasses():
