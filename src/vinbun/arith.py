@@ -178,7 +178,7 @@ def _as_laurent(x):
 # Finite fields
 # ---------------------------------------------------------------------------
 
-_TABLE_LIMIT = 1 << 10  # build q x q tables only for small fields
+_TABLE_LIMIT = 1 << 10  # log/antilog lists up to here, slow products above
 MAX_EXTENSION_DEGREE = 3
 # Miller-Rabin on these witnesses is exact below 3.3 * 10^24 > MAX_Q
 _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -186,9 +186,10 @@ MAX_Q = 1 << 80
 
 
 def is_prime(n):
-    """Deterministic Miller-Rabin; n above MAX_Q is a ValueError."""
+    """Deterministic Miller-Rabin; n above MAX_Q is a ValueError, which
+    names n by its bit length, as its digits may run to thousands."""
     if n > MAX_Q:
-        raise ValueError(f"{n} is above the limit MAX_Q = 2^80")
+        raise ValueError(f"a {n.bit_length()}-bit number is above the limit MAX_Q = 2^80")
     if n < 2 or any(n % a == 0 for a in _WITNESSES):
         return n in _WITNESSES
     s = ((n - 1) & (1 - n)).bit_length() - 1
@@ -202,8 +203,11 @@ def is_prime(n):
 
 def prime_power(q):
     """(p, e) with q = p^e, p prime and e <= 3, or None.  Only q, its
-    integer square root and its integer cube root can be p."""
-    for e, p in ((1, q), (2, math.isqrt(q)), (3, round(q ** (1 / 3)))):
+    integer square root and its integer cube root can be p.  `is_prime`
+    refuses q above MAX_Q before q ** (1/3) could overflow a float."""
+    if is_prime(q):
+        return q, 1
+    for e, p in ((2, math.isqrt(q)), (3, round(q ** (1 / 3)))):
         if p**e == q and is_prime(p):
             return p, e
     return None
@@ -215,7 +219,7 @@ class PrimePowerField:
     Equality and hashing go by (p, e, modulus) so fields can key caches.
     For e > 1 the field holds its prime field and multiplies residue
     polynomials with the shared `poly_*` code; small fields read products
-    and inverses from tables built once, from the powers of a primitive
+    and inverses off two O(q) lists, the logs and powers of a primitive
     element.
     """
 
@@ -245,8 +249,7 @@ class PrimePowerField:
             if not is_irreducible(base, modulus):
                 raise ValueError(f"modulus {modulus} is reducible over F_{p}")
             self.modulus = modulus
-        self._mul_table = None
-        self._inv_table = None
+        self._log = self._exp = None
         if self.q <= _TABLE_LIMIT:
             self._build_tables()
 
@@ -304,8 +307,9 @@ class PrimePowerField:
         return self.add(a, self.neg(b))
 
     def mul(self, a, b):
-        if self._mul_table is not None:
-            return self._mul_table[a][b]
+        log = self._log
+        if log is not None:
+            return self._exp[log[a] + log[b]]
         return self._mul_slow(a, b)
 
     def _mul_slow(self, a, b):
@@ -318,8 +322,8 @@ class PrimePowerField:
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("0 has no inverse")
-        if self._inv_table is not None:
-            return self._inv_table[a]
+        if self._log is not None:
+            return self._exp[self.q - 1 - self._log[a]]
         return self.pow(a, self.q - 2)
 
     def pow(self, a, n):
@@ -335,16 +339,18 @@ class PrimePowerField:
         return out
 
     def mul_row(self, a):
-        """The products a*b for b = 0..q-1: the table row (a tuple, so the
-        table cannot be corrupted) when there is one, else a fresh list."""
-        if self._mul_table is not None:
-            return self._mul_table[a]
+        """The products a*b for b = 0..q-1, always as a fresh list."""
+        log = self._log
+        if log is not None:
+            exp, la = self._exp, log[a]
+            return [exp[la + lb] for lb in log]
         return [self._mul_slow(a, b) for b in range(self.q)]
 
     def _build_tables(self):
-        """Product and inverse tables from the powers of one primitive
-        element g: a*b = g^(log a + log b) and 1/a = g^(-log a), so only the
-        walks g, g^2, ... of the candidates for g take slow products."""
+        """The logs and powers of one primitive element g, so that
+        a*b = g^(log a + log b) and 1/a = g^(q - 1 - log a); only the walks
+        g, g^2, ... of the candidates for g take slow products.  log 0 points
+        past the powers into a run of zeros, so a product with 0 reads 0."""
         q = self.q
         for g in range(1, q):
             powers = [1]
@@ -354,15 +360,11 @@ class PrimePowerField:
                 x = self._mul_slow(x, g)
             if len(powers) == q - 1:
                 break
-        log = [0] * q
+        log = [2 * (q - 1)] * q
         for k, x in enumerate(powers):
             log[x] = k
-        exp = powers * 2  # g^k for 0 <= k < 2(q - 1)
-        logs = log[1:]
-        self._mul_table = [(0,) * q] + [
-            (0, *[exp[log[a] + k] for k in logs]) for a in range(1, q)
-        ]
-        self._inv_table = [0] + [powers[-log[a]] for a in range(1, q)]
+        self._log = log
+        self._exp = powers * 2 + [0] * (2 * q - 1)  # g^k for k < 2(q - 1)
 
     # -- conveniences -------------------------------------------------------
 
@@ -444,12 +446,13 @@ def poly_mul(field, f, g):
                     out[j] += x * y
         p = field.p
         return poly_normalize([c % p for c in out])
-    if field.p == 2:  # F_4 and F_8: add by XOR into each product-table row
+    if field.p == 2:  # F_4 and F_8: multiply by logs, add by XOR
+        log, exp = field._log, field._exp
         for i, x in enumerate(f):
             if x:
-                row = field.mul_row(x)
+                lx = log[x]
                 for j, y in enumerate(g, i):
-                    out[j] ^= row[y]
+                    out[j] ^= exp[lx + log[y]]
         return poly_normalize(out)
     for i, x in enumerate(f):
         if x:
@@ -657,8 +660,6 @@ class EffectiveDivisor(FrozenValue):
         ) + ")"
 
 
-# Each key holds a field, and so its q x q tables: the caches keep the few
-# fields a suite is working on, not every field of a wide q range.
 @lru_cache(maxsize=8)
 def enumerate_closed_points(field, max_degree):
     """All closed points of A^1 of degree <= max_degree, i.e. all monic

@@ -455,12 +455,12 @@ def cmd_verify(args):
 
 def cmd_count(args):
     field = field_from_q(args.q)
-    mults = [int(x) for x in args.n.split(",")]
+    mults = [arith._parse_int(x, "multiplicity") for x in args.n.split(",")]
     system = localmodel.build_system(mults)
     if args.d in ("any", "zero", "nonzero"):
         constraint = args.d
     else:
-        constraint = int(args.d)
+        constraint = arith._parse_int(args.d, "d-value")
     start = time.perf_counter()
     count = localmodel.count_points(system, field, constraint, args.budget)
     elapsed = time.perf_counter() - start
@@ -490,7 +490,7 @@ def cmd_trace(args):
 
 
 def cmd_equations(args):
-    mults = [int(x) for x in args.n.split(",")]
+    mults = [arith._parse_int(x, "multiplicity") for x in args.n.split(",")]
     system = localmodel.build_system(mults)
     if sum(mults) > MAX_GRID_N:
         raise ValueError(f"total multiplicity must be <= {MAX_GRID_N}, got {sum(mults)}")

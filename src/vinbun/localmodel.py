@@ -195,28 +195,24 @@ def _pivot(a_code, q, m):
     return s
 
 
-# a key holds its field's q x q tables (see `arith.enumerate_divisors`)
 @lru_cache(maxsize=32)
 def factor_d_table(field, m, /):
     """Count of factor solutions per d-value, as a read-only mapping
     d -> count, cached per (field, m).  The arguments are positional-only,
     so every call shape shares one cache entry.
 
-    Walks all q^m a-codes and counts each one's b-fiber by its pivot cell
-    instead of listing it: for a_{-m} != 0 the fiber is the line b_0 * unit,
-    whose points land at the products d = a_{-m} b_0 (one row of the
-    field's multiplication table); for pivot s >= 1 it is the q^s points of
-    the free coordinates b_{m-s}, ..., b_{m-1}, all at d = 0."""
+    Counts each a-code's b-fiber by its pivot cell instead of listing it.
+    The q^(m-1) a-codes with a given a_{-m} != 0 have pivot 0, and each
+    fiber is the line b_0 * unit, whose points land at the products
+    d = a_{-m} b_0: one product row per a_{-m}, weighted q^(m-1).  An a-code
+    with a_{-m} = 0 has pivot s >= 1, and its fiber is the q^s points of the
+    free coordinates b_{m-s}, ..., b_{m-1}, all at d = 0."""
     q = field.q
-    counts = Counter()
-    b_locus = 0
-    for a_code in range(q**m):
-        s = _pivot(a_code, q, m)
-        if s:
-            b_locus += q**s
-        else:
-            counts.update(field.mul_row(a_code % q))
-    counts[0] += b_locus
+    lines = Counter()
+    for a0 in range(1, q):
+        lines.update(field.mul_row(a0))
+    counts = Counter({d: n * q ** (m - 1) for d, n in lines.items()})
+    counts[0] += sum(q ** _pivot(a_code, q, m) for a_code in range(0, q**m, q))
     return MappingProxyType(dict(sorted(counts.items())))
 
 

@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 import time
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -179,11 +180,13 @@ def test_characteristic_two_add_matches_digit_loop(e):
 
 
 def check_tables_against_slow_products(fld, rows):
-    """The product table rows and the inverses against `_mul_slow`, the
-    polynomial product the log/antilog tables replace."""
+    """The product rows, the products and the inverses against
+    `_mul_slow`, the polynomial product the log/antilog lists replace."""
     q = fld.q
     for a in rows:
-        assert fld.mul_row(a) == tuple(fld._mul_slow(a, b) for b in range(q)), (fld, a)
+        slow = [fld._mul_slow(a, b) for b in range(q)]
+        assert fld.mul_row(a) == slow, (fld, a)
+        assert [fld.mul(a, b) for b in range(q)] == slow, (fld, a)
         if a:
             assert fld._mul_slow(a, fld.inv(a)) == 1, (fld, a)
 
@@ -216,6 +219,28 @@ def test_log_tables_of_large_fields(p, e, monkeypatch):
     assert calls[0] <= 8 * fld.q
     monkeypatch.undo()
     check_tables_against_slow_products(fld, [0, 1, *random.Random(0).sample(range(2, fld.q), 12)])
+
+
+def test_largest_table_field_holds_linear_memory():
+    # two O(q) lists of logs and powers; a q x q product table took 8.4 MB
+    tracemalloc.start()
+    try:
+        fld = field_from_q(1021)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    check_tables_against_slow_products(fld, [0, 1, 2, 1020])
+    assert held < 10**6
+
+
+@pytest.mark.parametrize("q", [7, 8, 1031])  # 1031: no tables, slow products
+def test_mutating_a_product_row_leaves_the_field_unchanged(q):
+    fld = field_from_q(q)
+    row = fld.mul_row(3)
+    expected = list(row)
+    row[:] = [0] * q
+    assert fld.mul_row(3) == expected
+    assert [fld.mul(3, b) for b in range(q)] == expected
 
 
 def test_frobenius_identity_all_fields():
@@ -421,7 +446,7 @@ def test_one_sieve_pass_per_degree(monkeypatch):
 
 @pytest.mark.parametrize("q", [4, 8])
 def test_char_two_poly_mul_matches_field_products(q):
-    # the XOR-into-table-row path against the sum of field.mul products
+    # the XOR-and-logs path against the sum of the polynomial products
     fld = field_from_q(q)
     rng = random.Random(q)
     for _ in range(300):
@@ -430,7 +455,7 @@ def test_char_two_poly_mul_matches_field_products(q):
         expected = [0] * max(0, len(f) + len(g) - 1)
         for i, x in enumerate(f):
             for j, y in enumerate(g):
-                expected[i + j] = fld.add(expected[i + j], fld.mul(x, y))
+                expected[i + j] = fld.add(expected[i + j], fld._mul_slow(x, y))
         while expected and not expected[-1]:
             expected.pop()
         assert poly_mul(fld, f, g) == tuple(expected), (f, g)

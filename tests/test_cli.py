@@ -118,6 +118,15 @@ SEMIPRIME = (2**31 - 1) * (2**31 - 19)
     ("trace", "--object", "plo", "--q", "2", "--divisor", "t^" + "9" * 5000),
     ("trace", "--object", "plo", "--q", "2", "--divisor", "t:" + "9" * 5000),
     ("trace", "--object", "plo", "--q", "2", "--divisor", "9" * 5000 + "t+1"),
+    ("count", "--n", "9" * 5000, "--q", "2"),
+    ("count", "--n", "1," + "9" * 5000, "--q", "2"),
+    ("count", "--n", "2", "--q", "2", "--d", "9" * 5000),
+    ("equations", "--n", "9" * 5000),
+    ("equations", "--n", "1," + "9" * 5000),
+    # q of 2^1024 or more, refused above MAX_Q before q ** (1/3) overflows
+    ("count", "--n", "2", "--q", "1" + "0" * 400),
+    ("trace", "--object", "plo", "--q", "1" + "0" * 400, "--divisor", "t:2"),
+    ("drinfeld", "--a1", "0", "--a2", "0", "--q", "1" + "0" * 400),
 ])
 def test_huge_arguments_exit_2_within_a_second(capsys, argv):
     start = time.perf_counter()
