@@ -6,6 +6,10 @@ permutations times the sign character; decomposing by explicit integer
 matrices recovers one copy of U_{k-2r} tensor the two-column irreducible
 with columns (k-r, r) for each r, and the kernel of the lowering operator
 picks out the lowest weight line of each summand, carrying twist k/2 - r.
+The sign character is part of the action, not an option: the plain
+permutation action flips the transposition's sign on both lowest weight
+lines and breaks the schurweyl suite, which the `plain-permutation-action`
+row of tests/test_controls.py shows as a planted fault.
 """
 
 from vinbun.arith import enumerate_divisors
@@ -31,8 +35,7 @@ for k in (1, 2, 3, 4):
 
 print()
 print("transposition on the lowest weight lines of U_0 and U_2:")
-print("  sign-twisted action :", sign_on_lowest_lines(twisted=True))
-print("  plain permutations  :", sign_on_lowest_lines(twisted=False))
+print("  sign-twisted action :", sign_on_lowest_lines())
 
 print()
 # the weight-line expansion of the k = 2 oscillator evaluates to its trace

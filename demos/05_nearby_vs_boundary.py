@@ -6,9 +6,11 @@ normalization c(n) = q^(-n), calibrated once at n = 1 from the hyperbola
 family and then frozen, it reproduces the boundary-stalk product
 (1 - q) prod over distinct points (1 - q^(deg x)).
 
-The identity also pins the Frobenius sign of the deep exterior-power stalks:
-flipping the sign at points of degree >= 2 taken with multiplicity >= 2
-breaks the identity on the divisor 2 * (degree-2 point), as shown below.
+The identity also pins the Frobenius sign of the deep exterior-power stalks,
+at points of degree >= 2 taken with multiplicity >= 2: it holds on the
+divisor 2 * (degree-2 point) below.  Flipping that sign breaks it there; the
+`deep-sign-negated` row of tests/test_controls.py plants the flip as a
+fault and shows that the nearby suite fails.
 """
 
 from vinbun.arith import enumerate_divisors, format_divisor
@@ -25,7 +27,7 @@ for q in (2, 3, 4):
     for n in (1, 2, 3):
         divisors = enumerate_divisors(field, n, 2)
         for d in divisors:
-            lhs, rhs = nearby_vs_boundary(n, d, ledger=ledger)
+            lhs, rhs = nearby_vs_boundary(n, d)
             assert lhs == rhs
         total += len(divisors)
     print(f"q = {q}: identity holds on all divisors with residue degrees <= 2")
@@ -35,7 +37,7 @@ print()
 field = field_from_q(2)
 example = [d for d in enumerate_divisors(field, 2)
            if len(d.parts) == 1 and d.parts[0][0].degree == 2][0]
-lhs, rhs = nearby_vs_boundary(2, example, ledger=ledger)
+lhs, rhs = nearby_vs_boundary(2, example)
 print(f"sample, D = {format_divisor(field, example)} over F_2:")
 print(f"  (1-q) * grPsi trace  = {lhs!r}")
 print(f"  c(2) * boundary stalk = {rhs!r}")
@@ -44,7 +46,5 @@ print()
 deep = [d for d in enumerate_divisors(field, 4)
         if len(d.parts) == 1 and d.parts[0][0].degree == 2][0]
 print(f"sign convention experiment on D = {format_divisor(field, deep)}:")
-calibrated = nearby_vs_boundary(4, deep, ledger=ledger)
-flipped = nearby_vs_boundary(4, deep, ledger=ledger, sign_rule="flip-deep")
+calibrated = nearby_vs_boundary(4, deep)
 print("  calibrated sign rule :", calibrated[0] == calibrated[1])
-print("  flipped deep stalks  :", flipped[0] == flipped[1])

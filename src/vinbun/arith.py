@@ -27,8 +27,6 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
-from vinbun.frozen import FrozenValue
-
 
 # ---------------------------------------------------------------------------
 # Laurent values
@@ -607,14 +605,33 @@ def closed_point(field, poly):
     return ClosedPoint(degree=poly_deg(poly), poly=poly)
 
 
-class EffectiveDivisor(FrozenValue):
+class EffectiveDivisor:
     """A multiset of closed points with positive multiplicities.  Not a
-    tuple: iterating and adding go over the parts."""
+    tuple: iterating and adding go over the parts.  Immutable: assigning or
+    deleting `parts` raises AttributeError.  Equal only to an
+    EffectiveDivisor with equal parts, and hashed as the 1-tuple (parts,)."""
 
     __slots__ = ("parts",)  # tuple of (ClosedPoint, multiplicity), canonically sorted
 
     def __init__(self, parts):
-        self._init(parts)
+        object.__setattr__(self, "parts", parts)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"field {name!r} is read-only")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__
+        return EffectiveDivisor, (self.parts,)
+
+    def __eq__(self, other):
+        if other.__class__ is not EffectiveDivisor:
+            return NotImplemented
+        return self.parts == other.parts
+
+    def __hash__(self):
+        return hash((self.parts,))
 
     @staticmethod
     def from_pairs(pairs):
@@ -822,11 +839,15 @@ _MAX_DIGITS = 100  # per integer field; int() itself refuses past 4,300 digits
 
 def _parse_int(text, what):
     """int(text), refused by its length first, so that an overlong field
-    gets a short error instead of int's own."""
+    gets a short error instead of int's own, and naming the field when the
+    text is not an integer."""
     if len(text) > _MAX_DIGITS:
         raise ValueError(f"{what} of {len(text)} digits is above the limit of "
                          f"{_MAX_DIGITS} digits")
-    return int(text)
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{what} {text!r} is not an integer") from None
 
 
 def parse_poly(field, text):

@@ -115,7 +115,7 @@ def budgeted_divisors(fld, n, budget, max_degree=None, built=0):
 def suite_nearby(config):
     checks = []
     try:
-        ledger = kcalc.NormLedger.calibrated()
+        kcalc.default_ledger()  # the c(n) that nearby_vs_boundary reads
     except CalibrationError as exc:
         return [_check("nearby", "calibration", "n=1", str(exc), "", False)]
     by_type = {}  # divisor type -> its check, rendered once per run
@@ -133,7 +133,7 @@ def suite_nearby(config):
                     dtype = kcalc.divisor_type(d)
                     check = by_type.get(dtype)
                     if check is None:
-                        lhs, rhs = kcalc.nearby_vs_boundary(n, d, ledger)
+                        lhs, rhs = kcalc.nearby_vs_boundary(n, d)
                         check = by_type[dtype] = _check("nearby", "nearby-vs-boundary",
                                                         None, lhs, rhs, lhs == rhs)
                     d_text = arith.format_divisor(fld, d, names)

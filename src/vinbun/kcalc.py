@@ -23,10 +23,11 @@ D, the multiset of the pairs (deg x, m).  The specs:
 
 At a point of degree d the exterior piece's share b carries the sign
 (-1)^b: the Frobenius sign (-1)^((d+1) b) times the shift sign (-1)^(d b).
-So each local factor is one polynomial in u = v^d, whatever d.  The
-Frobenius sign at m >= 2, d >= 2 is pinned by the nearby-vs-boundary
-identity on divisors containing a degree-2 point with multiplicity 2; the
-control rule "flip-deep" negates it there, and the tests show it fails.
+So each local factor is one polynomial in u = v^d, whatever d.  The sign is
+a constant of the calculus, with no second value to choose.  At m >= 2,
+d >= 2 the nearby-vs-boundary identity pins it on divisors containing a
+degree-2 point with multiplicity 2: `tests/test_controls.py` plants the
+negated sign there and shows that the nearby suite fails.
 
 The boundary comparison calibrates the normalization constant
 c(n) = q^(-n) at n = 1 and then freezes it.  The tests keep the
@@ -72,9 +73,6 @@ class StalkNotDeterminedError(ValueError):
 # trace specs and their one evaluator
 # ---------------------------------------------------------------------------
 
-SIGN_RULES = ("calibrated", "flip-deep")  # flip-deep: the control that must fail
-
-
 class Spec(namedtuple("Spec", "constants rank weight scale")):
     """v^(scale n) times the sum over splittings of D into c + 1 pieces of
     the product of the piece traces: 1 on each of the c constant pieces,
@@ -97,27 +95,25 @@ def divisor_type(divisor):
     return tuple(sorted((pt.degree, m) for pt, m in divisor))
 
 
-def evaluate(spec, n, divisor, sign_rule="calibrated"):
+def evaluate(spec, n, divisor):
     """Trace of the spec on X^(n) at the divisor: v^(scale n) times the
     product of the local factors over the points of D, cached by type."""
     if divisor.degree != n:
         raise ValueError(f"degree mismatch: deg D = {divisor.degree}, expected {n}")
-    return Laurent(_type_trace(spec, divisor_type(divisor), sign_rule).coeffs)
+    return Laurent(_type_trace(spec, divisor_type(divisor)).coeffs)
 
 
 # The cache holds Laurent values, whose coefficient dicts are mutable: no
 # cached value reaches a caller, who gets a copy or a fresh product.
 @lru_cache(maxsize=1024)
-def _type_trace(spec, dtype, sign_rule):
-    if sign_rule not in SIGN_RULES:
-        raise ValueError(f"unknown sign rule {sign_rule!r}; expected one of {SIGN_RULES}")
+def _type_trace(spec, dtype):
     out = Laurent.monomial(spec.scale * sum(d * m for d, m in dtype))
     for d, m in dtype:
-        out = out * _point_factor(spec, d, m, sign_rule)
+        out = out * _point_factor(spec, d, m)
     return out
 
 
-def _point_factor(spec, degree, multiplicity, sign_rule):
+def _point_factor(spec, degree, multiplicity):
     """Local factor of the spec at a point of degree d with multiplicity m.
 
     The exterior piece takes a share b <= min(m, rank) of m, and the c
@@ -125,8 +121,9 @@ def _point_factor(spec, degree, multiplicity, sign_rule):
     share contributes (-1)^b e_b v^(weight d b), where e_1 = v^d + v^-d at
     rank 2 and e_b = 1 otherwise: the trace of the b-th exterior power,
     with the sign (-1)^((d+1) b) of the degree-d Frobenius times the sign
-    (-1)^(d b) of the shift [d b].  "flip-deep" negates the shares b >= 2
-    at d >= 2."""
+    (-1)^(d b) of the shift [d b].  The sign is fixed; the control that
+    negates it at b >= 2, d >= 2 is a planted fault in
+    `tests/test_controls.py`."""
     constants, rank, weight, _ = spec
     coeffs = {}
     for b in range(min(multiplicity, rank) + 1):
@@ -139,19 +136,17 @@ def _point_factor(spec, degree, multiplicity, sign_rule):
             ways = 1
         if b % 2:
             ways = -ways
-        if sign_rule == "flip-deep" and b >= 2 and degree >= 2:
-            ways = -ways
         top = weight * degree * b
         for e in ((top + degree, top - degree) if b == 1 and rank == 2 else (top,)):
             coeffs[e] = coeffs.get(e, 0) + ways
     return Laurent(coeffs)
 
 
-def trace_plo(k, divisor, sign_rule="calibrated"):
+def trace_plo(k, divisor):
     """Trace of the k-th Picard-Lefschetz oscillator: the external exterior
     power of the standard rank-2 system (eigenvalues v, v^-1) normalized by
     [k](k/2)."""
-    return evaluate(PLO, k, divisor, sign_rule)
+    return evaluate(PLO, k, divisor)
 
 
 def trace_omega_tilde(n, divisor):
@@ -166,7 +161,7 @@ def trace_omega_tilde(n, divisor):
     return evaluate(OMEGA_TILDE, n, divisor)
 
 
-def trace_gr_psi(n, divisor, sign_rule="calibrated"):
+def trace_gr_psi(n, divisor):
     """Trace of the weight-graded nearby-cycles class on the fiber over the
     divisor (`GR_PSI`): the sum over strata triples (n1, k, n2) and
     splittings D = D1 + D'' + D2 of v^(-2(n-k)) times the oscillator trace
@@ -178,7 +173,7 @@ def trace_gr_psi(n, divisor, sign_rule="calibrated"):
     with e_1 = v^d + v^-d and e_0 = e_2 = 1 the rank-2 exterior factors at
     x taken b times in D''; m - b + 1 counts the ways to share the rest of
     the multiplicity between D1 and D2."""
-    return evaluate(GR_PSI, n, divisor, sign_rule)
+    return evaluate(GR_PSI, n, divisor)
 
 
 # ---------------------------------------------------------------------------
@@ -220,18 +215,16 @@ def default_ledger():
     return NormLedger.calibrated()
 
 
-def nearby_vs_boundary(n, divisor, ledger=None, sign_rule="calibrated"):
+def nearby_vs_boundary(n, divisor):
     """Both sides of the headline identity, (lhs, rhs): (1-q) times the
     grPsi trace, and c(n) times the boundary stalk trace, with c(n) frozen
-    from the n=1 anchor.  Both are fresh products of the traces cached by
-    divisor type.  The identity holds iff lhs == rhs."""
+    from the n=1 anchor (`default_ledger`).  Both are fresh products of the
+    traces cached by divisor type.  The identity holds iff lhs == rhs."""
     if divisor.degree != n:
         raise ValueError(f"degree mismatch: deg D = {divisor.degree}, expected {n}")
-    if ledger is None:
-        ledger = default_ledger()
     dtype = divisor_type(divisor)
-    lhs = _ONE_MINUS_Q * _type_trace(GR_PSI, dtype, sign_rule)
-    return lhs, ledger.c(n) * _ONE_MINUS_Q * _type_trace(BOUNDARY, dtype, "calibrated")
+    lhs = _ONE_MINUS_Q * _type_trace(GR_PSI, dtype)
+    return lhs, default_ledger().c(n) * _ONE_MINUS_Q * _type_trace(BOUNDARY, dtype)
 
 
 def boundary_stalk_trace(divisor):

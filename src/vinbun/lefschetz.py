@@ -21,7 +21,7 @@ from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations
 
-from vinbun.symrep import cycle_types, decompose_class_function, hook_length_dimension
+from vinbun.symrep import decompose_class_function, hook_length_dimension, partitions
 
 MAX_BRUTE_K = 8
 
@@ -45,15 +45,15 @@ def weight_layers(k):
     return layers
 
 
-def _act(perm, idx, signed=True):
-    """A permutation on one tensor basis vector: (sign, image mask).  Slot
-    perm[i] of the image holds the letter from slot i; the sign is
-    sign(perm) for the sign-twisted action and 1 for the plain one."""
+def _act(perm, idx):
+    """A permutation on one tensor basis vector under the sign-twisted
+    action: (sign(perm), image mask).  Slot perm[i] of the image holds the
+    letter from slot i."""
     out = 0
     for i, p in enumerate(perm):
         if (idx >> i) & 1:
             out |= 1 << p
-    return (perm_sign(perm) if signed else 1), out
+    return perm_sign(perm), out
 
 
 def perm_sign(perm):
@@ -129,7 +129,7 @@ def brute_force_schur_weyl(k):
     if not 1 <= k <= MAX_BRUTE_K:
         raise ValueError(f"k = {k} out of range (1..{MAX_BRUTE_K})")
     layer_traces = {}  # cycle type -> {weight: trace of signed permutation}
-    for c in cycle_types(k):
+    for c in partitions(k):
         perm = perm_from_cycle_type(c)
         traces = layer_traces[c] = {}
         for idx in range(1 << k):
@@ -141,7 +141,7 @@ def brute_force_schur_weyl(k):
     for m in range(k % 2, k + 1, 2):
         # class function of the multiplicity space of U_m
         values = {}
-        for c in cycle_types(k):
+        for c in partitions(k):
             tr = layer_traces[c].get(m, 0) - layer_traces[c].get(m + 2, 0)
             values[c] = tr
         for lam, mult in decompose_class_function(values, k).items():
@@ -171,7 +171,7 @@ def predicted_schur_weyl(k):
 # ---------------------------------------------------------------------------
 
 
-def _kernel_traces(k, w, perms, signed=True):
+def _kernel_traces(k, w, perms):
     """Traces of permutations on ker(f) intersected with the h-weight w
     space (which every permutation preserves, as the actions commute).
 
@@ -204,7 +204,7 @@ def _kernel_traces(k, w, perms, signed=True):
         trace = 0
         for s in free:
             # (P b_s)[s] = sign * b_s[j] for the column j that P sends onto s
-            sign, pre = _act(inverse, cols[s], signed)
+            sign, pre = _act(inverse, cols[s])
             j = pos[pre]
             if j == s:
                 trace += sign
@@ -222,7 +222,7 @@ def lowering_kernel_reps(k):
     ker(f) intersected with the h-weight -m space."""
     if not 1 <= k <= MAX_BRUTE_K:
         raise ValueError(f"k = {k} out of range (1..{MAX_BRUTE_K})")
-    cts = cycle_types(k)
+    cts = partitions(k)
     perms = [perm_from_cycle_type(c) for c in cts]
     return {
         m: decompose_class_function(dict(zip(cts, _kernel_traces(k, -m, perms))), k)
@@ -230,14 +230,15 @@ def lowering_kernel_reps(k):
     }
 
 
-def sign_on_lowest_lines(twisted=True):
+def sign_on_lowest_lines():
     """How the transposition acts on the lowest weight lines M_0 of U_0 and
-    M_2 of U_2 inside V tensor V.  The sign-twisted action gives
-    {0: +1, 2: -1}; the plain permutation action flips both signs."""
+    M_2 of U_2 inside V tensor V under the sign-twisted action:
+    {0: +1, 2: -1}.  The plain permutation action would flip both signs;
+    `tests/test_controls.py` plants it as a fault."""
     out = {}
     for m in (0, 2):
         # the identity's trace is the kernel's dimension; on a line the
         # transposition's trace is its eigenvalue
-        dim, out[m] = _kernel_traces(2, -m, ((0, 1), (1, 0)), signed=twisted)
+        dim, out[m] = _kernel_traces(2, -m, ((0, 1), (1, 0)))
         assert dim == 1
     return out

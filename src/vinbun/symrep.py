@@ -80,10 +80,6 @@ def sign_partition(k):
 # ---------------------------------------------------------------------------
 
 
-def cycle_types(k):
-    return partitions(k)
-
-
 def class_size(cycle_type):
     """Size of the conjugacy class with the given cycle type."""
     k = sum(cycle_type)
@@ -148,14 +144,14 @@ def decompose_class_function(values, k):
     not a virtual character).
     """
     values = {normalize_partition(c): v for c, v in values.items()}
-    missing = [c for c in cycle_types(k) if c not in values]
+    missing = [c for c in partitions(k) if c not in values]
     if missing:
         raise ValueError(f"class function misses cycle types {missing}")
     order = factorial(k)
     mults = {}
     for lam in partitions(k):
         total = 0
-        for c in cycle_types(k):
+        for c in partitions(k):
             total += class_size(c) * murnaghan_nakayama(lam, c) * values[c]
         if total % order:
             raise ValueError(
@@ -164,7 +160,7 @@ def decompose_class_function(values, k):
         if total:
             mults[lam] = total // order
     # reconstruction must reproduce the input exactly
-    for c in cycle_types(k):
+    for c in partitions(k):
         recon = sum(m * murnaghan_nakayama(lam, c) for lam, m in mults.items())
         if recon != values[c]:
             raise ValueError(
@@ -179,11 +175,10 @@ MAX_TABLE_K = 14
 
 
 def character_table(k):
-    """(cycle_types, partitions, matrix) with matrix[i][j] = chi_{lam_i}(c_j),
-    for 1 <= k <= MAX_TABLE_K."""
+    """(cycle types, partitions, matrix) with matrix[i][j] = chi_{lam_i}(c_j),
+    for 1 <= k <= MAX_TABLE_K; both lists are `partitions(k)`."""
     if not 1 <= k <= MAX_TABLE_K:
         raise ValueError(f"k must be >= 1 and <= {MAX_TABLE_K}, got {k}")
-    cts = cycle_types(k)
-    lams = partitions(k)
-    rows = [[murnaghan_nakayama(lam, c) for c in cts] for lam in lams]
-    return cts, lams, rows
+    parts = partitions(k)
+    rows = [[murnaghan_nakayama(lam, c) for c in parts] for lam in parts]
+    return parts, parts, rows

@@ -235,7 +235,7 @@ def test_a10_nearby_vs_boundary():
             for d in enumerate_divisors(field, n):
                 if any(pt.degree > 2 for pt, _ in d):
                     continue
-                lhs, rhs = nearby_vs_boundary(n, d, ledger=ledger)
+                lhs, rhs = nearby_vs_boundary(n, d)
                 assert lhs == rhs, (q, d)
                 checked += 1
     report("A10", True,

@@ -127,6 +127,11 @@ SEMIPRIME = (2**31 - 1) * (2**31 - 19)
     ("count", "--n", "2", "--q", "1" + "0" * 400),
     ("trace", "--object", "plo", "--q", "1" + "0" * 400, "--divisor", "t:2"),
     ("drinfeld", "--a1", "0", "--a2", "0", "--q", "1" + "0" * 400),
+    # integer fields that are not integers, named by the field
+    ("count", "--n", "2,,", "--q", "2"),
+    ("count", "--n", "2", "--q", "2", "--d", "abc"),
+    ("trace", "--object", "plo", "--q", "2", "--divisor", "t:x"),
+    ("equations", "--n", "a"),
 ])
 def test_huge_arguments_exit_2_within_a_second(capsys, argv):
     start = time.perf_counter()
@@ -136,6 +141,19 @@ def test_huge_arguments_exit_2_within_a_second(capsys, argv):
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "4300" not in err and len(err) < 200
+    assert "invalid literal" not in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("count", "--n", "2,,", "--q", "2"), "multiplicity '' is not an integer"),
+    (("count", "--n", "2", "--q", "2", "--d", "abc"), "d-value 'abc' is not an integer"),
+    (("trace", "--object", "plo", "--q", "2", "--divisor", "t:x"),
+     "multiplicity 'x' is not an integer"),
+    (("equations", "--n", "a"), "multiplicity 'a' is not an integer"),
+], ids=["count-n", "count-d", "trace-divisor", "equations-n"])
+def test_a_non_integer_field_is_named(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_grpsi_trace_at_a_huge_multiplicity_answers_within_a_second(capsys):
@@ -231,6 +249,7 @@ def test_trace_command_rejects_reducible(capsys):
 
 def test_a_failed_calibration_is_one_failing_check(capsys, monkeypatch):
     monkeypatch.setattr(kcalc, "trace_gr_psi", lambda n, divisor: Laurent.monomial(0, 2))
+    kcalc.default_ledger.cache_clear()  # the suite reads the cached ledger
     code, out, _ = run_cli(capsys, "verify", "--suites", "nearby")
     assert code == 1
     report = json.loads(out)

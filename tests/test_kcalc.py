@@ -22,7 +22,6 @@ from vinbun.kcalc import (
     GR_PSI,
     OMEGA_TILDE,
     PLO,
-    SIGN_RULES,
     CalibrationError,
     IcSymbol,
     KElement,
@@ -96,11 +95,12 @@ def elementary_symmetric(values, m):
     return es[m]
 
 
-def local_exterior_factor(degree, multiplicity, eigenvalues, sign_rule):
+def local_exterior_factor(degree, multiplicity, eigenvalues, sign_rule="calibrated"):
     """Frobenius trace of the m-th exterior power of a rank-r stalk at a
     degree-d point: zero for m > r, otherwise (-1)^((d+1) m), negated for
     d, m >= 2 under "flip-deep", times e_m of the d-th powers of the
-    eigenvalues."""
+    eigenvalues.  "flip-deep" is the planted fault of the nearby control
+    (`test_controls.py`)."""
     if multiplicity > len(eigenvalues):
         return Laurent.zero()
     sign = (-1) ** ((degree + 1) * multiplicity)
@@ -115,7 +115,7 @@ def shifted_twisted(value, shift, twist):
     return Laurent.monomial(v_exponent(twist), (-1) ** shift) * value
 
 
-def trace_ext_exterior(n, eigenvalues, divisor, shift=0, twist=0, sign_rule="calibrated"):
+def trace_ext_exterior(n, eigenvalues, divisor, shift=0, twist=0):
     """Trace of the n-th external exterior power of a local system with the
     given Frobenius eigenvalues, shifted by [shift] and twisted by (twist),
     at the divisor."""
@@ -123,11 +123,11 @@ def trace_ext_exterior(n, eigenvalues, divisor, shift=0, twist=0, sign_rule="cal
         raise ValueError(f"degree mismatch: deg D = {divisor.degree}, expected {n}")
     out = Laurent.one()
     for pt, m in divisor:
-        out = out * local_exterior_factor(pt.degree, m, eigenvalues, sign_rule)
+        out = out * local_exterior_factor(pt.degree, m, eigenvalues)
     return shifted_twisted(out, shift, twist)
 
 
-def splitting_sum(spec, n, divisor, sign_rule="calibrated"):
+def splitting_sum(spec, n, divisor):
     """A spec's trace by its definition: v^(scale n) times the sum over every
     split of n into slot degrees and every splitting of D into pieces of
     those degrees of the product of the slot traces, 1 on a constant slot
@@ -141,7 +141,7 @@ def splitting_sum(spec, n, divisor, sign_rule="calibrated"):
                 if slot is not None:
                     eigenvalues, shift, twist = slot
                     term = term * trace_ext_exterior(
-                        j, eigenvalues, piece, shift * j, twist * j, sign_rule
+                        j, eigenvalues, piece, shift * j, twist * j
                     )
             total = total + term
     return Laurent.monomial(scale * n) * total
@@ -223,29 +223,26 @@ def test_gr_psi_frozen_values():
 @pytest.mark.parametrize("field", [F2, F3, F4])
 def test_spec_ast_matches_direct_formulas(field):
     # the splitting sums of every spec are the oracle for the per-point
-    # products, on every divisor and under both sign rules
+    # products, on every divisor
     for n in range(5):
         for d in enumerate_divisors(field, n):
             assert splitting_sum(OMEGA_TILDE, n, d) == trace_omega_tilde(n, d)
             assert ONE_MINUS_Q * splitting_sum(BOUNDARY, n, d) == boundary_stalk_trace(d)
-            for rule in SIGN_RULES:
-                assert splitting_sum(GR_PSI, n, d, rule) == trace_gr_psi(n, d, rule)
-                assert splitting_sum(PLO, n, d, rule) == trace_plo(n, d, rule)
+            assert splitting_sum(GR_PSI, n, d) == trace_gr_psi(n, d)
+            assert splitting_sum(PLO, n, d) == trace_plo(n, d)
 
 
-def plo_closed_form(k, divisor, sign_rule):
+def plo_closed_form(k, divisor):
     """trace_plo from its stated values, without the exterior-power code: a
     point of degree d with multiplicity m contributes s (v^d + v^-d) at m = 1,
-    s at m = 2 and 0 beyond the rank, with s = (-1)^((d+1) m) flipped for
-    d, m >= 2 under "flip-deep"; the whole is scaled by (-1)^k v^-k."""
+    s at m = 2 and 0 beyond the rank, with s = (-1)^((d+1) m); the whole is
+    scaled by (-1)^k v^-k."""
     out = Laurent.monomial(-k, (-1) ** k)
     for pt, m in divisor:
         d = pt.degree
         if m > 2:
             return Laurent.zero()
         sign = (-1) ** ((d + 1) * m)
-        if sign_rule == "flip-deep" and d >= 2 and m >= 2:
-            sign = -sign
         if m == 1:
             out = out * Laurent({d: sign, -d: sign})
         else:
@@ -257,11 +254,10 @@ def plo_closed_form(k, divisor, sign_rule):
 def test_plo_matches_closed_form_oracle(field):
     for k in range(6 if field.q < 4 else 5):
         for d in enumerate_divisors(field, k):
-            for rule in SIGN_RULES:
-                assert trace_plo(k, d, rule) == plo_closed_form(k, d, rule), (k, d, rule)
+            assert trace_plo(k, d) == plo_closed_form(k, d), (k, d)
 
 
-def composition_factor(spec, degree, multiplicity, sign_rule):
+def composition_factor(spec, degree, multiplicity, sign_rule="calibrated"):
     """Oracle for `_point_factor`: the sum over every composition of m into
     the slots, constant slots included, of the product of the slot factors."""
     slots, _ = DEFINITIONS[spec]
@@ -280,22 +276,20 @@ def composition_factor(spec, degree, multiplicity, sign_rule):
 
 def test_point_factor_matches_composition_oracle():
     for spec in (PLO, OMEGA_TILDE, GR_PSI, BOUNDARY):
-        for rule in SIGN_RULES:
-            for d in range(1, 6):
-                for m in range(10):
-                    assert _point_factor(spec, d, m, rule) == composition_factor(
-                        spec, d, m, rule), (spec, rule, d, m)
+        for d in range(1, 6):
+            for m in range(10):
+                assert _point_factor(spec, d, m) == composition_factor(spec, d, m), (
+                    spec, d, m)
 
 
 def test_point_factor_is_affine_in_the_multiplicity():
     # the rank-2 slot takes at most 2 of m, so L(d, m) is affine in m once
     # m >= 2
-    for rule in SIGN_RULES:
-        for d in range(1, 5):
-            step = _point_factor(GR_PSI, d, 3, rule) - _point_factor(GR_PSI, d, 2, rule)
-            for m in (4, 7, 100, 12345):
-                assert _point_factor(GR_PSI, d, m, rule) == (
-                    _point_factor(GR_PSI, d, 2, rule) + (m - 2) * step), (rule, d, m)
+    for d in range(1, 5):
+        step = _point_factor(GR_PSI, d, 3) - _point_factor(GR_PSI, d, 2)
+        for m in (4, 7, 100, 12345):
+            assert _point_factor(GR_PSI, d, m) == (
+                _point_factor(GR_PSI, d, 2) + (m - 2) * step), (d, m)
 
 
 def test_traces_do_not_alias_cached_factors():
@@ -308,12 +302,12 @@ def test_traces_do_not_alias_cached_factors():
         assert trace() == before
 
 
-def per_point_product(spec, n, divisor, sign_rule):
+def per_point_product(spec, n, divisor):
     """A spec's trace as the product of its per-point factors, one divisor
     at a time: the oracle for the per-type cache."""
     out = Laurent.monomial(spec.scale * n)
     for pt, m in divisor:
-        out = out * _point_factor(spec, pt.degree, m, sign_rule)
+        out = out * _point_factor(spec, pt.degree, m)
     return out
 
 
@@ -322,8 +316,7 @@ def test_evaluate_matches_per_point_product_oracle(field):
     for n in range(5):
         for d in enumerate_divisors(field, n):
             for spec in (PLO, OMEGA_TILDE, GR_PSI, BOUNDARY):
-                for rule in SIGN_RULES:
-                    assert evaluate(spec, n, d, rule) == per_point_product(spec, n, d, rule)
+                assert evaluate(spec, n, d) == per_point_product(spec, n, d)
 
 
 def test_evaluate_depends_on_the_divisor_type_only():
@@ -348,14 +341,6 @@ def test_nearby_sides_do_not_alias_the_cache():
     for side in nearby_vs_boundary(5, d):
         side.coeffs[0] = 99
     assert nearby_vs_boundary(5, d) == before
-
-
-def test_sign_rules_do_not_share_cached_sides():
-    # the same divisor type under the two rules: only the calibrated one holds
-    y1, y2 = point_of_degree(F3, 2, 0), point_of_degree(F3, 2, 1)
-    lhs, rhs = nearby_vs_boundary(4, div([(y1, 2)]), sign_rule="calibrated")
-    flip_lhs, flip_rhs = nearby_vs_boundary(4, div([(y2, 2)]), sign_rule="flip-deep")
-    assert lhs == rhs == flip_rhs != flip_lhs
 
 
 # ---------------------------------------------------------------------------
@@ -403,18 +388,6 @@ def test_calibration_accepts_only_a_monomial_times_one_minus_q(monkeypatch):
             NormLedger.calibrated()
 
 
-@pytest.mark.parametrize("n", [0, 1, 2])
-def test_unknown_sign_rule_is_refused_on_every_divisor(n):
-    divisor = div([(rational_point(F2, 0), n)])
-    for spec in (PLO, OMEGA_TILDE, GR_PSI, BOUNDARY):
-        with pytest.raises(ValueError, match="'bogus'"):
-            evaluate(spec, n, divisor, sign_rule="bogus")
-    with pytest.raises(ValueError, match="'bogus'"):
-        trace_plo(n, divisor, sign_rule="bogus")
-    with pytest.raises(ValueError, match="'bogus'"):
-        nearby_vs_boundary(n, divisor, sign_rule="bogus")
-
-
 def test_nearby_vs_boundary_small_cases():
     x = rational_point(F3, 0)
     y = point_of_degree(F3, 2)
@@ -435,21 +408,6 @@ def test_boundary_product_over_distinct_points_only():
     # Pi runs over distinct points: 2x and x give the same product factor
     x = rational_point(F2, 0)
     assert boundary_stalk_trace(div([(x, 2)])) == boundary_stalk_trace(div([(x, 1)]))
-
-
-def test_flip_deep_sign_rule_breaks_the_identity():
-    # the m >= 2, d >= 2 sign is pinned by divisors containing 2*(degree-2 point)
-    y = point_of_degree(F2, 2)
-    d = div([(y, 2)])
-    lhs, rhs = nearby_vs_boundary(4, d, sign_rule="calibrated")
-    assert lhs == rhs
-    lhs, rhs = nearby_vs_boundary(4, d, sign_rule="flip-deep")
-    assert lhs != rhs
-    # and is invisible on the divisors the paper fixes directly
-    x = rational_point(F2, 0)
-    assert trace_plo(2, div([(x, 2)]), sign_rule="flip-deep") == trace_plo(
-        2, div([(x, 2)])
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from vinbun.lefschetz import (
     weight_layers,
     weight_of_index,
 )
-from vinbun.symrep import cycle_types
+from vinbun.symrep import partitions
 
 
 # integer matrices as nested tuples, as the module builds them
@@ -89,7 +89,7 @@ def test_signed_permutation_trace_oracle():
     # sign(perm) * number of masks in the layer fixed by the slot permutation
     for k in (2, 3, 4):
         layers = weight_layers(k)
-        for c in cycle_types(k):
+        for c in partitions(k):
             perm = perm_from_cycle_type(c)
             mat = permutation_matrix(k, perm)
             sign = perm_sign(perm)
@@ -194,8 +194,7 @@ def test_lowering_kernel_matches_closed_form():
 
 
 def test_sign_on_lowest_lines():
-    assert sign_on_lowest_lines(twisted=True) == {0: 1, 2: -1}
-    assert sign_on_lowest_lines(twisted=False) == {0: -1, 2: 1}
+    assert sign_on_lowest_lines() == {0: 1, 2: -1}
 
 
 def test_transposition_trace_via_matrices():
@@ -205,7 +204,7 @@ def test_transposition_trace_via_matrices():
     # dim(U_0) * chi_triv + dim(U_2) * chi_sign = 1 - 3
     assert sum(diagonal(mat)) == -2
     # on ker(f) = M_0 + M_2 the signs +1 and -1 cancel
-    signs = sign_on_lowest_lines(twisted=True)
+    signs = sign_on_lowest_lines()
     assert signs[0] + signs[2] == 0
 
 

@@ -26,7 +26,6 @@ from vinbun.arith import (
 )
 from vinbun.kcalc import (
     BOUNDARY,
-    SIGN_RULES,
     KElement,
     ReconstructionError,
     evaluate,
@@ -37,7 +36,6 @@ from vinbun.kcalc import (
     trace_plo,
 )
 from vinbun.symrep import (
-    cycle_types,
     decompose_class_function,
     murnaghan_nakayama,
     partitions,
@@ -202,11 +200,8 @@ def test_traces_multiply_over_disjoint_supports(field, n, n1, seed):
     d1, d2 = random_disjoint_pair(random.Random(seed), field, n1, n2)
     d = d1 + d2
     assert trace_omega_tilde(n, d) == trace_omega_tilde(n1, d1) * trace_omega_tilde(n2, d2)
-    for rule in SIGN_RULES:
-        assert trace_gr_psi(n, d, rule) == trace_gr_psi(n1, d1, rule) * trace_gr_psi(
-            n2, d2, rule
-        )
-        assert trace_plo(n, d, rule) == trace_plo(n1, d1, rule) * trace_plo(n2, d2, rule)
+    assert trace_gr_psi(n, d) == trace_gr_psi(n1, d1) * trace_gr_psi(n2, d2)
+    assert trace_plo(n, d) == trace_plo(n1, d1) * trace_plo(n2, d2)
 
 
 def reconstruct_descending(delta):
@@ -340,7 +335,7 @@ def test_decomposition_returns_exactly_the_nonzero_multiplicities(case):
     k, mults = case
     values = {
         c: sum(m * murnaghan_nakayama(lam, c) for lam, m in mults.items())
-        for c in cycle_types(k)
+        for c in partitions(k)
     }
     assert decompose_class_function(values, k) == {
         lam: m for lam, m in mults.items() if m

@@ -6,7 +6,6 @@ from vinbun.symrep import (
     character_table,
     class_size,
     conjugate,
-    cycle_types,
     decompose_class_function,
     hook_length_dimension,
     murnaghan_nakayama,
@@ -61,7 +60,7 @@ def test_sign_and_trivial_characters():
     assert murnaghan_nakayama(sign_partition(3), (3,)) == sign_character((3,)) == 1
     assert murnaghan_nakayama(sign_partition(3), (2, 1)) == sign_character((2, 1)) == -1
     for k in range(1, 7):
-        for c in cycle_types(k):
+        for c in partitions(k):
             # the MN value of the single-column partition equals the closed form
             assert murnaghan_nakayama(sign_partition(k), c) == sign_character(c)
             assert murnaghan_nakayama(trivial_partition(k), c) == 1
@@ -78,7 +77,7 @@ def test_size_mismatch_raises():
 
 def test_column_orthogonality():
     for k in range(1, 9):
-        cts = cycle_types(k)
+        cts = partitions(k)
         for ci in cts:
             for cj in cts:
                 total = sum(
@@ -104,7 +103,7 @@ def test_transposition_flips_by_sign():
             lam = two_column(k, r)
             two_row = (k - r, r) if r else (k,)
             assert conjugate(lam) == two_row
-            for c in cycle_types(k):
+            for c in partitions(k):
                 lhs = murnaghan_nakayama(two_row, c)
                 rhs = sign_character(c) * murnaghan_nakayama(lam, c)
                 assert lhs == rhs
@@ -112,7 +111,7 @@ def test_transposition_flips_by_sign():
 
 def test_decompose_regular_representation():
     for k in (2, 3, 4):
-        values = {c: 0 for c in cycle_types(k)}
+        values = {c: 0 for c in partitions(k)}
         values[(1,) * k] = factorial(k)
         rep = decompose_class_function(values, k)
         for lam, m in rep.items():
@@ -122,7 +121,7 @@ def test_decompose_regular_representation():
 
 def test_decompose_sign_character():
     for k in (2, 3, 4, 5):
-        values = {c: sign_character(c) for c in cycle_types(k)}
+        values = {c: sign_character(c) for c in partitions(k)}
         rep = decompose_class_function(values, k)
         assert rep == {sign_partition(k): 1}
 
