@@ -336,14 +336,6 @@ class PrimePowerField:
             n >>= 1
         return out
 
-    def mul_row(self, a):
-        """The products a*b for b = 0..q-1, always as a fresh list."""
-        log = self._log
-        if log is not None:
-            exp, la = self._exp, log[a]
-            return [exp[la + lb] for lb in log]
-        return [self._mul_slow(a, b) for b in range(self.q)]
-
     def _build_tables(self):
         """The logs and powers of one primitive element g, so that
         a*b = g^(log a + log b) and 1/a = g^(q - 1 - log a); only the walks
@@ -835,19 +827,19 @@ def compositions(m, k):
 _TERM_RE = re.compile(r"^(\d+)?\*?(t)(?:\^(\d+))?$|^(\d+)$")
 MAX_GRID_N = 64  # the largest point degree parsed, and of verify's --max-n
 _MAX_DIGITS = 100  # per integer field; int() itself refuses past 4,300 digits
+_INT_RE = re.compile(r"[+-]?[0-9]+")  # int() also reads 1_0, spaces, non-ASCII digits
 
 
 def _parse_int(text, what):
-    """int(text), refused by its length first, so that an overlong field
-    gets a short error instead of int's own, and naming the field when the
-    text is not an integer."""
+    """The integer an optionally signed run of ASCII digits spells.  Longer
+    text is refused first, with a short error instead of int's own; any
+    other text is refused naming the field."""
     if len(text) > _MAX_DIGITS:
         raise ValueError(f"{what} of {len(text)} digits is above the limit of "
                          f"{_MAX_DIGITS} digits")
-    try:
-        return int(text)
-    except ValueError:
-        raise ValueError(f"{what} {text!r} is not an integer") from None
+    if not _INT_RE.fullmatch(text):
+        raise ValueError(f"{what} {text!r} is not an integer")
+    return int(text)
 
 
 def parse_poly(field, text):
@@ -916,7 +908,7 @@ def parse_divisor(field, text, allow_infinity=False):
         chunk = chunk.strip()
         if ":" in chunk:
             poly_text, mult_text = chunk.rsplit(":", 1)
-            mult = _parse_int(mult_text, "multiplicity")
+            mult = _parse_int(mult_text.strip(), "multiplicity")
         else:
             poly_text, mult = chunk, 1
         if mult < 1:

@@ -15,6 +15,7 @@ the default budgets.
 import argparse
 import io
 import json
+import os
 import random
 import sys
 import time
@@ -481,10 +482,8 @@ def cmd_trace(args):
         value = kcalc.trace_omega_tilde(n, divisor)
     elif args.object == "grpsi":
         value = kcalc.trace_gr_psi(n, divisor)
-    elif args.object == "kelement":
+    else:  # "kelement", the last of the choices argparse admits
         value = kcalc.trace_k_element(kcalc.plo_k_element(n), divisor)
-    else:
-        raise ValueError(f"unknown trace object {args.object!r}")
     print(json.dumps(value.to_json_map(), sort_keys=True))
     return 0
 
@@ -552,6 +551,21 @@ def cmd_character_table(args):
     return 0
 
 
+class _BadInteger(Exception):
+    """An integer option `arith._parse_int` refused.  argparse passes it on
+    to `main`, where a ValueError would have got argparse's usage text."""
+
+
+def _int_option(parser, flag, **kwargs):
+    def parse(text):
+        try:
+            return arith._parse_int(text, flag)
+        except ValueError as exc:
+            raise _BadInteger(exc) from None
+
+    parser.add_argument(flag, type=parse, **kwargs)
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="vinbun",
@@ -564,26 +578,26 @@ def build_parser():
     p.add_argument("--suites", default=None,
                    help=f"comma-separated subset of {','.join(ALL_SUITES)} "
                    f"(default: {','.join(DEFAULT_SUITES)})")
-    p.add_argument("--max-n", type=int, default=3)
-    p.add_argument("--max-q", type=int, default=4)
-    p.add_argument("--max-degree", type=int, default=2)
-    p.add_argument("--max-k", type=int, default=4)
-    p.add_argument("--budget", type=int, default=None)
+    _int_option(p, "--max-n", default=3)
+    _int_option(p, "--max-q", default=4)
+    _int_option(p, "--max-degree", default=2)
+    _int_option(p, "--max-k", default=4)
+    _int_option(p, "--budget", default=None)
     p.add_argument("--output", default=None)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("count", help="count F_q-points of a local-model fiber")
     p.add_argument("--n", required=True, help="multiplicities, e.g. 2,1")
-    p.add_argument("--q", type=int, required=True)
+    _int_option(p, "--q", required=True)
     p.add_argument("--d", default="any", help="any|zero|nonzero|<element code>")
-    p.add_argument("--budget", type=int, default=None)
+    _int_option(p, "--budget", default=None)
     p.set_defaults(func=cmd_count)
 
     p = sub.add_parser("trace", help="emit a Laurent trace value as JSON")
     p.add_argument("--object", choices=("plo", "omega", "grpsi", "kelement"),
                    required=True)
-    p.add_argument("--q", type=int, required=True)
+    _int_option(p, "--q", required=True)
     p.add_argument("--divisor", required=True, help="poly:mult,... format")
     p.set_defaults(func=cmd_trace)
 
@@ -592,35 +606,40 @@ def build_parser():
     p.set_defaults(func=cmd_equations)
 
     p = sub.add_parser("schur-weyl", help="brute-force vs predicted decomposition")
-    p.add_argument("--k", type=int, required=True)
+    _int_option(p, "--k", required=True)
     p.set_defaults(func=cmd_schur_weyl)
 
     p = sub.add_parser("drinfeld", help="evaluate Drinfeld's function")
-    p.add_argument("--a1", type=int, required=True)
-    p.add_argument("--a2", type=int, required=True)
-    p.add_argument("--q", type=int, required=True)
+    _int_option(p, "--a1", required=True)
+    _int_option(p, "--a2", required=True)
+    _int_option(p, "--q", required=True)
     p.add_argument("--histogram", action="store_true")
     p.add_argument("--include-nonunit-isos", action="store_true")
-    p.add_argument("--budget", type=int, default=None)
+    _int_option(p, "--budget", default=None)
     p.set_defaults(func=cmd_drinfeld)
 
     p = sub.add_parser("character-table", help="print an S_k character table as CSV")
-    p.add_argument("--k", type=int, required=True)
+    _int_option(p, "--k", required=True)
     p.set_defaults(func=cmd_character_table)
 
     return parser
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        args = build_parser().parse_args(argv)
+        code = args.func(args)
+        sys.stdout.flush()  # so that a closed stdout fails here, not at exit
+        return code
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:  # StalkNotDeterminedError among them
+    except (ValueError, _BadInteger) as exc:  # StalkNotDeterminedError among them
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:  # the reader left: devnull takes the flush at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

@@ -15,19 +15,19 @@ points of multiplicities (n_1, ..., n_m) is the iterated fiber product of
 the single-point fibers over the d-line, i.e. one block of coordinates per
 point with all the d-expressions forced equal.
 
-Point counts are exact enumerations over integer-encoded field elements.
-Each walks all q^m a-codes of a factor and pivots on the first nonzero
+Point counts are exact.  Each a-code of a factor pivots on its first nonzero
 a-coordinate a_{-m+s}.  For s = 0 the equations are linear in b with an
 invertible pivot and fix b_1, ..., b_{m-1} from b_0, so the b-fiber is a
 line; for 1 <= s < m they force b_0 = ... = b_{m-1-s} = 0 and leave the rest
-free; for a = 0 every b solves.  The counting kernels `factor_d_table` and
-`strata_counts` count each b-fiber by its pivot cell in one step instead of
-listing it: the q products d = a_{-m} b_0 of a line, or the q^s points of a
-free cell at d = 0.  `_iter_factor_solutions` still lists every point, for
-the demos and the tests.  A factor has q^m a-codes and
-q^(m+1) + (m-1)(q-1)q^(m-1) points, and the budgets charge both, counted or
-listed.  Coupled counts compose cached per-factor d-tables; the fully naive
-loop over all coordinates lives in the tests as the oracle.
+free; for a = 0 every b solves.  The torus (a, b) -> (lambda a, mu b)
+preserves the equations and sends d = a_{-m} b_0 to lambda mu d, so every
+fiber over d != 0 holds one point of each pivot-0 line: (q-1) q^(m-1).
+`factor_d_table` and `strata_counts` count each b-fiber by its pivot cell
+instead of listing it, with no field product; `_iter_factor_solutions`
+lists every point, for the demos and the tests.  A factor has q^m a-codes
+and q^(m+1) + (m-1)(q-1)q^(m-1) points, and the budgets charge both, counted
+or listed.  Coupled counts compose cached per-factor d-tables; the fully
+naive loop over all coordinates lives in the tests as the oracle.
 
 The defect of a B-locus point (d = 0) of a multiplicity-m factor is the
 t-adic valuation of the first determinantal ideal of the 2x2 matrix
@@ -38,9 +38,10 @@ solver's pivots instead (`pivot_defect`), once per pivot cell and first
 nonzero index of b.
 """
 
-from collections import Counter, namedtuple
+from collections import namedtuple
 from functools import lru_cache
 from itertools import product
+from math import prod
 from types import MappingProxyType
 
 from vinbun.budget import POINT_COUNT_BUDGET, check_power_budget
@@ -199,53 +200,39 @@ def _pivot(a_code, q, m):
 def factor_d_table(field, m, /):
     """Count of factor solutions per d-value, as a read-only mapping
     d -> count, cached per (field, m).  The arguments are positional-only,
-    so every call shape shares one cache entry.
-
-    Counts each a-code's b-fiber by its pivot cell instead of listing it.
-    The q^(m-1) a-codes with a given a_{-m} != 0 have pivot 0, and each
-    fiber is the line b_0 * unit, whose points land at the products
-    d = a_{-m} b_0: one product row per a_{-m}, weighted q^(m-1).  An a-code
-    with a_{-m} = 0 has pivot s >= 1, and its fiber is the q^s points of the
-    free coordinates b_{m-s}, ..., b_{m-1}, all at d = 0."""
+    so every call shape shares one cache entry.  At d = 0: each a-code with
+    a_{-m} = 0 has pivot s >= 1 and a free cell of q^s points, and each of
+    the (q-1) q^(m-1) pivot-0 lines adds its point b_0 = 0.  The torus sends
+    d to lambda mu d, so each d != 0 holds one point of each pivot-0 line."""
     q = field.q
-    lines = Counter()
-    for a0 in range(1, q):
-        lines.update(field.mul_row(a0))
-    counts = Counter({d: n * q ** (m - 1) for d, n in lines.items()})
-    counts[0] += sum(q ** _pivot(a_code, q, m) for a_code in range(0, q**m, q))
-    return MappingProxyType(dict(sorted(counts.items())))
+    line = (q - 1) * q ** (m - 1)
+    zero = line + sum(q ** _pivot(a_code, q, m) for a_code in range(0, q**m, q))
+    return MappingProxyType({0: zero, **dict.fromkeys(range(1, q), line)})
 
 
 def count_points(system, field, d_constraint="any", budget=None):
     """Exact number of F_q-points of the coupled system with the d-value
     filtered by the constraint ("any" | "zero" | "nonzero" | an element code),
     composed from per-factor d-tables (the factorization of the fiber product
-    over the d-line)."""
+    over the d-line).  The torus makes every fiber over d != 0 alike, so
+    only the products of the entries at d = 0 and at d = 1 are read."""
     q = field.q
     check_power_budget(max(system.multiplicities),
                        lambda: enumeration_cost(q, system.multiplicities),
                        budget, POINT_COUNT_BUDGET,
                        f"count_points{system.multiplicities}")
     tables = [factor_d_table(field, m) for m in system.multiplicities]
-
-    def combined(c):
-        total = 1
-        for t in tables:
-            total *= t.get(c, 0)
-            if not total:
-                break
-        return total
-
+    zero, unit = prod(t[0] for t in tables), prod(t[1] for t in tables)
     if d_constraint == "any":
-        return sum(combined(c) for c in range(q))
+        return zero + (q - 1) * unit
     if d_constraint == "zero":
-        return combined(0)
+        return zero
     if d_constraint == "nonzero":
-        return sum(combined(c) for c in range(1, q))
+        return (q - 1) * unit
     if isinstance(d_constraint, int):
         if not 0 <= d_constraint < q:
             raise ValueError(f"d-value {d_constraint} outside F_{q}")
-        return combined(d_constraint)
+        return unit if d_constraint else zero
     raise ValueError(f"unknown d-constraint {d_constraint!r}")
 
 
@@ -311,12 +298,13 @@ def expected_strata_counts(n, q):
 
 def per_fiber_uniformity(n, field, budget=None):
     """True iff the count over d = c is the same for every c != 0 (the
-    product-decomposition shadow of the G-locus)."""
+    product-decomposition shadow of the G-locus).  It reads the d-table,
+    which the torus writes alike at every c != 0, so only a fault in the
+    table fails it."""
     check_power_budget(n, lambda: enumeration_cost(field.q, (n,)), budget,
                        POINT_COUNT_BUDGET, f"per_fiber_uniformity[{n}]")
     table = factor_d_table(field, n)
-    nonzero = {table.get(c, 0) for c in range(1, field.q)}
-    return len(nonzero) == 1
+    return len({table.get(c, 0) for c in range(1, field.q)}) == 1
 
 
 def gm_orbit_check(system, field, point, c):

@@ -1,6 +1,7 @@
 import hashlib
 import io
 import json
+import os
 import random
 import re
 import subprocess
@@ -123,7 +124,7 @@ SEMIPRIME = (2**31 - 1) * (2**31 - 19)
     ("count", "--n", "2", "--q", "2", "--d", "9" * 5000),
     ("equations", "--n", "9" * 5000),
     ("equations", "--n", "1," + "9" * 5000),
-    # q of 2^1024 or more, refused above MAX_Q before q ** (1/3) overflows
+    # q of 2^1024 or more: 309 digits or more, above the limit of a field
     ("count", "--n", "2", "--q", "1" + "0" * 400),
     ("trace", "--object", "plo", "--q", "1" + "0" * 400, "--divisor", "t:2"),
     ("drinfeld", "--a1", "0", "--a2", "0", "--q", "1" + "0" * 400),
@@ -132,6 +133,31 @@ SEMIPRIME = (2**31 - 1) * (2**31 - 19)
     ("count", "--n", "2", "--q", "2", "--d", "abc"),
     ("trace", "--object", "plo", "--q", "2", "--divisor", "t:x"),
     ("equations", "--n", "a"),
+    # text int() reads but that is not an optionally signed run of ASCII
+    # digits: underscores, non-ASCII digits (an Arabic-Indic three), spaces
+    ("equations", "--n", "1_0"),
+    ("count", "--n", "2", "--q", "3", "--d", "\u0663"),
+    ("count", "--n", "1, 1", "--q", "3"),
+    ("trace", "--object", "plo", "--q", "2", "--divisor", "t:\u0663"),
+    ("trace", "--object", "plo", "--q", "2", "--divisor", "\u0661t+1"),
+    # and the same in the integer options argparse reads
+    ("count", "--n", "2", "--q", "1_1"),
+    ("count", "--n", "2", "--q", "\u0663"),
+    ("count", "--n", "2", "--q", " 3"),
+    ("count", "--n", "2", "--q", "3", "--budget", "1_000"),
+    ("count", "--n", "2", "--q", "9" * 5000),
+    ("verify", "--max-n", "1_0"),
+    ("verify", "--max-q", "\u0664"),
+    ("verify", "--max-degree", "0x2"),
+    ("verify", "--max-k", "+_4"),
+    ("verify", "--budget", "1e4"),
+    ("trace", "--object", "plo", "--q", "1_1", "--divisor", "t:2"),
+    ("schur-weyl", "--k", "\u0663"),
+    ("character-table", "--k", "1_4"),
+    ("drinfeld", "--a1", "1_0", "--a2", "0", "--q", "3"),
+    ("drinfeld", "--a1", "0", "--a2", "\u0663", "--q", "3"),
+    ("drinfeld", "--a1", "0", "--a2", "0", "--q", "\uff13"),
+    ("drinfeld", "--a1", "0", "--a2", "0", "--q", "3", "--budget", "9" * 5000),
 ])
 def test_huge_arguments_exit_2_within_a_second(capsys, argv):
     start = time.perf_counter()
@@ -154,6 +180,19 @@ def test_huge_arguments_exit_2_within_a_second(capsys, argv):
 def test_a_non_integer_field_is_named(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_a_closed_stdout_exits_1_without_a_traceback():
+    # the reader is gone before the table is written, as in `| head -c 10`
+    src = str(Path(vinbun.__file__).resolve().parent.parent)
+    proc = subprocess.Popen([sys.executable, "-m", "vinbun.cli", "character-table",
+                             "--k", "14"], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": src})
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert err == b""
 
 
 def test_grpsi_trace_at_a_huge_multiplicity_answers_within_a_second(capsys):
@@ -541,10 +580,11 @@ def test_nearby_traces_report_is_pinned(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == TRACES_REPORT_SHA256
 
 
-# field products made by the grid below from cold caches, nearly all of them in
-# divisor enumeration over F_4: polynomials over a prime field multiply in
-# integers and the fiber kernels read whole rows with mul_row
-DEPTH_GRID_MULS = 1_874
+# field products made by the grid below from cold caches, all of them over
+# F_2 while the extension fields are built (irreducibility tests and log
+# tables); the fiber kernels take none, since the torus writes every d != 0
+# entry of a d-table
+DEPTH_GRID_MULS = 200
 
 
 def test_enumerators_at_depth_count_fibers_without_listing_points(capsys, monkeypatch):

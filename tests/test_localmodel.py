@@ -13,8 +13,10 @@ from hypothesis import strategies as st
 
 from vinbun.arith import (
     EffectiveDivisor,
+    PrimePowerField,
     alternative_moduli,
     build_field,
+    field_from_q,
     poly_gcd,
     poly_mul,
     poly_normalize,
@@ -220,6 +222,27 @@ def test_pivot_cell_kernels_match_solution_tallies(field):
         m += 1
 
 
+@pytest.mark.parametrize("q, max_m", [(q, 5) for q in (2, 3, 4, 5, 7, 8, 9)]
+                         + [(1021, 2), (1031, 2)])
+def test_factor_d_table_is_written_from_the_torus(q, max_m, monkeypatch):
+    # the torus (lambda, mu) sends d to lambda mu d, so every d != 0 entry is
+    # one point of each pivot-0 line; no entry takes a field product, not
+    # even above the table limit (1031)
+    field = field_from_q(q)
+    calls = [0]
+    for name in ("mul", "_mul_slow"):
+        def counted(self, a, b, method=getattr(PrimePowerField, name)):
+            calls[0] += 1
+            return method(self, a, b)
+
+        monkeypatch.setattr(PrimePowerField, name, counted)
+    for m in range(1, max_m + 1):
+        line = (q - 1) * q ** (m - 1)
+        table = factor_d_table.__wrapped__(field, m)
+        assert dict(table) == {0: q**m + m * line, **dict.fromkeys(range(1, q), line)}, m
+    assert calls[0] == 0
+
+
 @st.composite
 def coupled_systems(draw):
     field = draw(st.sampled_from([F2, F3, F4, F5]))
@@ -245,11 +268,10 @@ def test_count_points_matches_naive_loop(case):
 
 
 def test_table_free_field_counts_in_linear_memory():
-    # q = 1031 is above the table limit: the kernel computes one product row
-    # at a time (`mul_row`) and keeps O(q) memory, never a q x q table
+    # q = 1031 is above the table limit: the kernel writes the d != 0 entries
+    # from the torus and keeps O(q) memory, never a q x q table
     field = build_field(1031, 1)
     q = field.q
-    assert field.mul_row(5) == [field.mul(5, b) for b in range(q)]
     start = time.perf_counter()
     system = build_system([1])
     assert count_points(system, field, "zero") == 2 * q - 1
