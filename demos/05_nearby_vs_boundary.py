@@ -2,9 +2,9 @@
 
 The weight-graded nearby-cycles class over a degree-n divisor is a sum over
 strata triples (n1, k, n2) of twisted oscillator traces.  Up to the
-normalization c(n) = q^(-n), calibrated once at n = 1 from the hyperbola
-family and then frozen, it reproduces the boundary-stalk product
-(1 - q) prod over distinct points (1 - q^(deg x)).
+normalization c(n) = q^(-n) = v^(-2n), the scale of GR_PSI, it reproduces
+the boundary-stalk product (1 - q) prod over distinct points (1 - q^(deg x)):
+at every point both classes have the local factor 1 - u^2, u = v^(deg x).
 
 The identity also pins the Frobenius sign of the deep exterior-power stalks,
 at points of degree >= 2 taken with multiplicity >= 2: it holds on the
@@ -18,7 +18,7 @@ from vinbun.cli import field_from_q
 from vinbun.kcalc import NormLedger, nearby_vs_boundary
 
 ledger = NormLedger.calibrated()
-print(f"calibrated at n = 1: c(1) = {ledger.c(1)!r}, frozen c(n) = c(1)^n")
+print(f"c(n) = v^(-2n), the scale of GR_PSI: c(1) = {ledger.c(1)!r}")
 print()
 
 total = 0

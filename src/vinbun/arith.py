@@ -848,8 +848,11 @@ def parse_poly(field, text):
     text = text.replace(" ", "")
     if not text:
         raise ValueError("empty polynomial")
-    # split into signed terms
+    # split into signed terms, which must spell out the whole text: a stray
+    # sign, as in `+`, `t+` or `t+-1`, is refused rather than dropped
     terms = re.findall(r"[+-]?[^+-]+", text)
+    if "".join(terms) != text:
+        raise ValueError(f"malformed polynomial {text!r}")
     coeffs = {}
     for term in terms:
         sign = 1

@@ -29,8 +29,10 @@ d >= 2 the nearby-vs-boundary identity pins it on divisors containing a
 degree-2 point with multiplicity 2: `tests/test_controls.py` plants the
 negated sign there and shows that the nearby suite fails.
 
-The boundary comparison calibrates the normalization constant
-c(n) = q^(-n) at n = 1 and then freezes it.  The tests keep the
+The boundary comparison needs no calibration: GR_PSI and BOUNDARY have the
+same local factor 1 - u^2 at every point (`tests/test_kcalc.py` certifies
+it for every d and m), so the normalization c(n) = q^(-n) is v^(scale n) of
+GR_PSI.  The tests keep the
 splitting-sum definition of each spec as the evaluator's oracle.  The rest
 of the module holds formal IC symbols (S_k representation, Tate twist),
 the closed-form reconstruction of G from G - G(-1), and their partial
@@ -43,7 +45,7 @@ from functools import lru_cache, partial
 from math import comb
 from operator import itemgetter
 
-from vinbun.arith import EffectiveDivisor, ClosedPoint, Laurent, v_exponent
+from vinbun.arith import Laurent, v_exponent
 from vinbun.lefschetz import predicted_schur_weyl
 from vinbun.symrep import (
     murnaghan_nakayama,
@@ -51,10 +53,6 @@ from vinbun.symrep import (
     sign_partition,
     trivial_partition,
 )
-
-
-class CalibrationError(RuntimeError):
-    """The n = 1 anchor for the boundary identity failed."""
 
 
 class ReconstructionError(ValueError):
@@ -184,25 +182,17 @@ _ONE_MINUS_Q = Laurent.one() - Laurent.monomial(2)  # 1 - q at v^2 = q
 
 
 class NormLedger(namedtuple("NormLedger", "c1")):
-    """Normalization bookkeeping: the calibration constant c(1) from which
-    c(n) = c(1)^n is frozen."""
+    """The normalization c(n) = c(1)^n of the boundary identity, with c(1)
+    the monomial v^(scale) of GR_PSI.  `nearby_vs_boundary` reads the scale
+    directly; the ledger is kept for demo 05 and for the benchmark, which
+    traces `NormLedger.calibrated`, until its traced names are revised
+    (ROADMAP item 1, like `arith.iter_decompositions`)."""
 
     __slots__ = ()
 
     @staticmethod
     def calibrated():
-        """Fix c(1) from the n = 1 anchor: the degree-1 fiber trace must be
-        a monomial times the one-point boundary factor 1 - q, and c(1) is
-        then its lowest term.  Anything else is a calibration failure."""
-        anchor = EffectiveDivisor.from_pairs(
-            [(ClosedPoint(degree=1, poly=(0, 1)), 1)]
-        )
-        lhs = trace_gr_psi(1, anchor)
-        low = min(lhs.coeffs, default=0)
-        c1 = Laurent.monomial(low, lhs.coeffs.get(low, 0))
-        if lhs.is_zero() or c1 * _ONE_MINUS_Q != lhs:
-            raise CalibrationError(f"n=1 anchor {lhs} is not a monomial times 1 - q")
-        return NormLedger(c1=c1)
+        return NormLedger(c1=Laurent.monomial(GR_PSI.scale))
 
     def c(self, n):
         """c(1)^n, read off the monomial c(1)."""
@@ -210,21 +200,18 @@ class NormLedger(namedtuple("NormLedger", "c1")):
         return Laurent.monomial(exponent * n, coeff**n)
 
 
-@lru_cache(maxsize=1)
-def default_ledger():
-    return NormLedger.calibrated()
-
-
 def nearby_vs_boundary(n, divisor):
     """Both sides of the headline identity, (lhs, rhs): (1-q) times the
-    grPsi trace, and c(n) times the boundary stalk trace, with c(n) frozen
-    from the n=1 anchor (`default_ledger`).  Both are fresh products of the
-    traces cached by divisor type.  The identity holds iff lhs == rhs."""
+    grPsi trace, and c(n) = v^(-2n), the scale of GR_PSI, times the boundary
+    stalk trace.  Both are fresh products of the traces cached by divisor
+    type.  The identity holds iff lhs == rhs, which the local factors of
+    GR_PSI and BOUNDARY, both 1 - u^2, make true at every divisor."""
     if divisor.degree != n:
         raise ValueError(f"degree mismatch: deg D = {divisor.degree}, expected {n}")
     dtype = divisor_type(divisor)
     lhs = _ONE_MINUS_Q * _type_trace(GR_PSI, dtype)
-    return lhs, default_ledger().c(n) * _ONE_MINUS_Q * _type_trace(BOUNDARY, dtype)
+    c_n = Laurent.monomial(GR_PSI.scale * n)
+    return lhs, c_n * _ONE_MINUS_Q * _type_trace(BOUNDARY, dtype)
 
 
 def boundary_stalk_trace(divisor):

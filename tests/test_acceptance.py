@@ -226,7 +226,7 @@ def test_a9_quadric_cone():
 
 
 def test_a10_nearby_vs_boundary():
-    ledger = NormLedger.calibrated()  # the only calibration: the n=1 anchor
+    ledger = NormLedger.calibrated()  # c(1) = v^(GR_PSI.scale), no anchor search
     assert ledger.c(1) == Laurent.monomial(-2)
     checked = 0
     for q in (2, 3, 4):

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import re
 import time
 import tracemalloc
 from collections import Counter
@@ -569,6 +570,12 @@ def test_parse_divisor():
     with pytest.raises(ValueError):
         parse_divisor(f2, "inf:1")  # only valid on P^1
     assert parse_divisor(f2, "inf:2", allow_infinity=True).degree == 2
+    # a sign that no term carries is refused, naming the text, not dropped
+    for text in ("+", "-", "t+", "++t", "t++1", "t+-1", "t-"):
+        with pytest.raises(ValueError, match=re.escape(f"malformed polynomial {text!r}")):
+            parse_divisor(f2, f"{text}:1")
+    f3 = build_field(3, 1)
+    assert parse_divisor(f3, "t-1:1") == parse_divisor(f3, "t+2:1")
     rt = format_divisor(f2, d)
     assert parse_divisor(f2, rt) == d
 

@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 
 import vinbun
 from vinbun import arith, cli, drinfeld, kcalc, lefschetz, localmodel, symrep
-from vinbun.arith import Laurent
 from vinbun.budget import BudgetExceededError
 from vinbun.cli import (
     ALL_SUITES,
@@ -286,14 +285,13 @@ def test_trace_command_rejects_reducible(capsys):
     assert err == "error: t^2+1 is reducible over F_2\n"
 
 
-def test_a_failed_calibration_is_one_failing_check(capsys, monkeypatch):
-    monkeypatch.setattr(kcalc, "trace_gr_psi", lambda n, divisor: Laurent.monomial(0, 2))
-    kcalc.default_ledger.cache_clear()  # the suite reads the cached ledger
-    code, out, _ = run_cli(capsys, "verify", "--suites", "nearby")
-    assert code == 1
-    report = json.loads(out)
-    assert [(c["name"], c["status"]) for c in report["checks"]] == [("calibration", "fail")]
-    assert report["summary"] == {"pass": 0, "fail": 1, "skipped": 0}
+def test_trace_command_names_a_stray_sign(capsys):
+    # "+" has no term at all, and "t+-1" is not t-1: both are refused whole
+    for text in ("+", "t+-1"):
+        code, out, err = run_cli(
+            capsys, "trace", "--object", "omega", "--q", "3", "--divisor", text
+        )
+        assert (code, out, err) == (2, "", f"error: malformed polynomial {text!r}\n")
 
 
 def test_equations_command(capsys):
@@ -544,6 +542,14 @@ def test_verify_rejects_empty_grid(capsys, option, value):
     assert code == 2
     assert out == ""
     assert "must be >= 1" in err
+
+
+def test_verify_rejects_an_empty_suites_value(capsys):
+    # `--suites=` names no suite; it does not fall back to the default suites
+    code, out, err = run_cli(capsys, "verify", "--suites=")
+    assert code == 2
+    assert out == ""
+    assert err == "error: suites must be nonempty\n"
 
 
 def test_verify_rejects_max_k_beyond_brute_force(capsys, monkeypatch):

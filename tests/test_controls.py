@@ -20,7 +20,7 @@ from collections import namedtuple
 
 import pytest
 from divisor_utils import rational_point
-from test_kcalc import composition_factor
+from test_kcalc import certificate_failures, composition_factor
 
 from vinbun import drinfeld, kcalc, lefschetz, localmodel
 from vinbun.arith import EffectiveDivisor, Laurent, enumerate_closed_points, field_from_q
@@ -79,6 +79,9 @@ def deep_identity_breaks():
     # a rational double point, which the paper fixes directly, does not see it
     x = EffectiveDivisor.from_pairs([(rational_point(field, 0), 2)])
     assert kcalc.trace_plo(2, x) == Laurent.monomial(-2)
+    # the certificate fails too: 1 - 3u^2 at a degree-2 point of multiplicity 2
+    u = Laurent.monomial(2)
+    assert certificate_failures()[kcalc.GR_PSI, 2, 2] == Laurent.one() - 3 * u * u
 
 
 def plain_permutation_action(mp):

@@ -21,7 +21,7 @@ from vinbun.arith import (
 )
 from vinbun.cli import RunConfig
 from vinbun.drinfeld import DrinfeldResult, HomMatrix
-from vinbun.kcalc import PLO, Spec, default_ledger, evaluate, symbol
+from vinbun.kcalc import PLO, NormLedger, Spec, evaluate, symbol
 from vinbun.lefschetz import GradedBiRep
 from vinbun.localmodel import SolutionPoint, build_system
 
@@ -34,7 +34,7 @@ def frozen_instances():
         rational_point(F3, 1),
         EffectiveDivisor.from_pairs([(rational_point(F3, 1), 2)]),
         symbol(2, "sign", Fraction(1, 2)),
-        default_ledger(),
+        NormLedger.calibrated(),
         HomMatrix(0, 0, ((1,), (0,), (0,), (1,))),
         DrinfeldResult(1, 2, 3, 4, 5, None),
         GradedBiRep.from_dict(2, {((2,), 2): 1}),
