@@ -46,5 +46,5 @@ print()
 deep = [d for d in enumerate_divisors(field, 4)
         if len(d.parts) == 1 and d.parts[0][0].degree == 2][0]
 print(f"sign convention experiment on D = {format_divisor(field, deep)}:")
-calibrated = nearby_vs_boundary(4, deep)
-print("  calibrated sign rule :", calibrated[0] == calibrated[1])
+lhs, rhs = nearby_vs_boundary(4, deep)
+print("  fixed sign rule :", lhs == rhs)

@@ -386,14 +386,6 @@ def field_from_q(q, modulus=None):
     return build_field(*found, modulus)
 
 
-def alternative_moduli(p, e):
-    """All monic irreducibles of degree e over F_p in lexicographic order of
-    (constant term, ..., leading term); the first is the default modulus.
-    The others re-run suites with a different defining modulus."""
-    base = PrimePowerField(p, 1)
-    return [f for f in monic_polys(base, e) if is_irreducible(base, f)]
-
-
 # ---------------------------------------------------------------------------
 # Polynomials over F_q (coefficient tuples of integer codes, no trailing 0s)
 # ---------------------------------------------------------------------------

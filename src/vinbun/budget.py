@@ -9,6 +9,8 @@ source.
 
 import os
 
+from vinbun.arith import _MAX_DIGITS, _parse_int
+
 POINT_COUNT_BUDGET = 10**9  # candidate assignments for local-model fibers
 HOM_ENUM_BUDGET = 10**8  # q^dim for bundle Hom-space sweeps
 DIVISOR_BUDGET = 10**5  # divisors built over one field (`arith.divisor_count` per degree)
@@ -19,13 +21,16 @@ class BudgetExceededError(RuntimeError):
 
 
 def budget_limit(budget, default):
-    """The limit in force, validated positive."""
+    """The limit in force, validated positive.  VINBUN_BUDGET is read by the
+    ASCII-digit rule of the integer flags, and an overlong value is named
+    by its length instead of echoed."""
     source = budget
     if budget is None:
         env = os.environ.get("VINBUN_BUDGET")
-        source = f"VINBUN_BUDGET={env!r}"
+        source = (f"VINBUN_BUDGET={env!r}" if env is None or len(env) <= _MAX_DIGITS
+                  else f"VINBUN_BUDGET of {len(env)} characters")
         try:
-            budget = int(env) if env else default
+            budget = _parse_int(env, "VINBUN_BUDGET") if env else default
         except ValueError:
             budget = 0
     if budget < 1:

@@ -203,15 +203,10 @@ class NormLedger(namedtuple("NormLedger", "c1")):
 def nearby_vs_boundary(n, divisor):
     """Both sides of the headline identity, (lhs, rhs): (1-q) times the
     grPsi trace, and c(n) = v^(-2n), the scale of GR_PSI, times the boundary
-    stalk trace.  Both are fresh products of the traces cached by divisor
-    type.  The identity holds iff lhs == rhs, which the local factors of
-    GR_PSI and BOUNDARY, both 1 - u^2, make true at every divisor."""
-    if divisor.degree != n:
-        raise ValueError(f"degree mismatch: deg D = {divisor.degree}, expected {n}")
-    dtype = divisor_type(divisor)
-    lhs = _ONE_MINUS_Q * _type_trace(GR_PSI, dtype)
-    c_n = Laurent.monomial(GR_PSI.scale * n)
-    return lhs, c_n * _ONE_MINUS_Q * _type_trace(BOUNDARY, dtype)
+    stalk trace.  The identity holds iff lhs == rhs, which the local factors
+    of GR_PSI and BOUNDARY, both 1 - u^2, make true at every divisor."""
+    return (_ONE_MINUS_Q * trace_gr_psi(n, divisor),
+            Laurent.monomial(GR_PSI.scale * n) * boundary_stalk_trace(divisor))
 
 
 def boundary_stalk_trace(divisor):

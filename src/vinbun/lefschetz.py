@@ -1,5 +1,4 @@
-"""Brute-force sign-twisted Schur-Weyl decomposition of V^(tensor k) and the
-kernel of the lowering operator.
+"""Brute-force sign-twisted Schur-Weyl decomposition of V^(tensor k).
 
 V is the 2-dimensional standard representation: basis x (Cartan weight +1,
 Frobenius eigenvalue v) and y (weight -1, eigenvalue v^-1), with sl2 acting
@@ -7,21 +6,26 @@ through e (y -> x), f (x -> y) and h = [e, f].  On V^(tensor k) the symmetric
 group acts by permuting tensor slots *times the sign of the permutation*,
 and sl2 acts diagonally; the two actions commute.
 
-Everything here is exact integer and rational arithmetic in the standard
-tensor basis (basis vectors indexed by bit masks, bit j set = letter y in
-slot j); matrices are nested tuples of ints.  A permutation sends a mask to
-a signed mask, so its trace on an h-weight space W_m is its sign times the
-number of masks it fixes there.  The sl2 multiplicity of U_m is
-dim W_m - dim W_{m+2}, and the symmetric-group content of each multiplicity
-space comes from decomposing these layer traces - no eigenvalue numerics,
-no explicit highest-weight vectors.  ker(f) is found by row reduction.
+Everything here is exact integer arithmetic in the standard tensor basis
+(basis vectors indexed by bit masks, bit j set = letter y in slot j).  A
+permutation sends a mask to a signed mask, so its trace on an h-weight
+space W_m is its sign times the number of masks it fixes there.  The sl2
+multiplicity of U_m is dim W_m - dim W_{m+2}, and the symmetric-group
+content of each multiplicity space comes from decomposing these layer
+traces - no eigenvalue numerics, no explicit highest-weight vectors.
+ker(f) by rational row reduction is the tests' check of
+`kcalc.ic_kernel_k_element` (`tests/kernel_oracle.py`).
 """
 
 from collections import namedtuple
-from fractions import Fraction
 from itertools import combinations
 
-from vinbun.symrep import decompose_class_function, hook_length_dimension, partitions
+from vinbun.symrep import (
+    decompose_class_function,
+    hook_length_dimension,
+    murnaghan_nakayama,
+    partitions,
+)
 
 MAX_BRUTE_K = 8
 
@@ -35,14 +39,6 @@ def weight_of_index(idx, k):
     """h-eigenvalue of a tensor basis vector: (#x) - (#y)."""
     ones = bin(idx).count("1")
     return k - 2 * ones
-
-
-def weight_layers(k):
-    """Map h-weight -> sorted list of basis indices."""
-    layers = {}
-    for idx in range(1 << k):
-        layers.setdefault(weight_of_index(idx, k), []).append(idx)
-    return layers
 
 
 def _act(perm, idx):
@@ -70,19 +66,6 @@ def perm_from_cycle_type(cycle_type):
         perm.extend([start + (i + 1) % c for i in range(c)])
         start += c
     return tuple(perm)
-
-
-def lowering_matrix(k):
-    """f acting diagonally (the monodromy operator on the associated
-    graded): the sum over the slots j of the operator that flips an x in
-    slot j to y and kills a y there."""
-    n = 1 << k
-    mat = [[0] * n for _ in range(n)]
-    for idx in range(n):
-        for j in range(k):
-            if not (idx >> j) & 1:
-                mat[idx | (1 << j)][idx] += 1
-    return tuple(map(tuple, mat))
 
 
 # ---------------------------------------------------------------------------
@@ -166,79 +149,12 @@ def predicted_schur_weyl(k):
     )
 
 
-# ---------------------------------------------------------------------------
-# kernel of the lowering operator
-# ---------------------------------------------------------------------------
-
-
-def _kernel_traces(k, w, perms):
-    """Traces of permutations on ker(f) intersected with the h-weight w
-    space (which every permutation preserves, as the actions commute).
-
-    The block of f from layer w to layer w - 2 is brought to reduced row
-    echelon form over the rationals, once for all perms.  Its nullspace
-    basis vector b_s has 1 on free column s and 0 on the other free
-    columns, so the coefficient of b_s in P b_s is (P b_s)[s] and the
-    trace of P is the sum of these.
-    """
-    layers, f = weight_layers(k), lowering_matrix(k)
-    cols = layers[w]
-    pos = {idx: j for j, idx in enumerate(cols)}
-    rows = [[Fraction(f[i][j]) for j in cols] for i in layers.get(w - 2, [])]
-    pivots = []  # pivots[i] = pivot column of reduced row i
-    for c in range(len(cols)):
-        r = len(pivots)
-        p = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if p is None:
-            continue
-        rows[r], rows[p] = rows[p], rows[r]
-        rows[r] = [x / rows[r][c] for x in rows[r]]
-        for i, row in enumerate(rows):
-            if i != r and row[c]:
-                rows[i] = [x - row[c] * y if y else x for x, y in zip(row, rows[r])]
-        pivots.append(c)
-    free = [s for s in range(len(cols)) if s not in pivots]
-    traces = []
-    for perm in perms:
-        inverse = tuple(sorted(range(k), key=perm.__getitem__))
-        trace = 0
-        for s in free:
-            # (P b_s)[s] = sign * b_s[j] for the column j that P sends onto s
-            sign, pre = _act(inverse, cols[s])
-            j = pos[pre]
-            if j == s:
-                trace += sign
-            elif j in pivots:
-                trace -= sign * rows[pivots.index(j)][s]
-        if trace.denominator != 1:
-            raise AssertionError("non-integral trace on kernel subspace")
-        traces.append(int(trace))
-    return traces
-
-
-def lowering_kernel_reps(k):
-    """Literal matrix kernel of f on V^(tensor k), decomposed under S_k layer
-    by layer: maps each highest weight m = k - 2r to the S_k content of
-    ker(f) intersected with the h-weight -m space."""
-    if not 1 <= k <= MAX_BRUTE_K:
-        raise ValueError(f"k = {k} out of range (1..{MAX_BRUTE_K})")
-    cts = partitions(k)
-    perms = [perm_from_cycle_type(c) for c in cts]
-    return {
-        m: decompose_class_function(dict(zip(cts, _kernel_traces(k, -m, perms))), k)
-        for m in range(k, -1, -2)
-    }
-
-
 def sign_on_lowest_lines():
     """How the transposition acts on the lowest weight lines M_0 of U_0 and
     M_2 of U_2 inside V tensor V under the sign-twisted action:
-    {0: +1, 2: -1}.  The plain permutation action would flip both signs;
+    {0: +1, 2: -1}.  Each summand U_m tensor rho of the bimodule at k = 2
+    has dim rho = 1, so the sign is the character of rho at the
+    transposition.  The plain permutation action would flip both signs;
     `tests/test_controls.py` plants it as a fault."""
-    out = {}
-    for m in (0, 2):
-        # the identity's trace is the kernel's dimension; on a line the
-        # transposition's trace is its eigenvalue
-        dim, out[m] = _kernel_traces(2, -m, ((0, 1), (1, 0)))
-        assert dim == 1
-    return out
+    return dict(sorted((m, murnaghan_nakayama(rho, (2,)))
+                       for (rho, m), _ in brute_force_schur_weyl(2).mults))

@@ -1,20 +1,30 @@
-"""Shared divisor helpers for the test suite: rational points, randomized
-divisors (seeded by callers), the factoring oracle for divisor
-enumeration, the integer oracle for the boundary product, and the scalar
-multiples of a Hom matrix, along whose orbits the defect divisor is
-constant."""
+"""Shared divisor helpers for the test suite: every defining modulus of a
+field, rational points, randomized divisors (seeded by callers), the
+factoring oracle for divisor enumeration, the integer oracle for the
+boundary product, and the scalar multiples of a Hom matrix, along whose
+orbits the defect divisor is constant."""
 
 from functools import lru_cache
 
 from vinbun.arith import (
     ClosedPoint,
     EffectiveDivisor,
+    PrimePowerField,
     enumerate_closed_points,
+    is_irreducible,
     monic_polys,
     poly_deg,
     poly_factor,
 )
 from vinbun.drinfeld import HomMatrix
+
+
+def alternative_moduli(p, e):
+    """All monic irreducibles of degree e over F_p in lexicographic order of
+    (constant term, ..., leading term); the first is the default modulus.
+    The others re-run checks with a different defining modulus."""
+    base = PrimePowerField(p, 1)
+    return [f for f in monic_polys(base, e) if is_irreducible(base, f)]
 
 
 def rational_point(field, c):

@@ -10,12 +10,12 @@ import random
 import time
 from fractions import Fraction
 
-from divisor_utils import random_disjoint_pair, scaled_hom
+from divisor_utils import alternative_moduli, random_disjoint_pair, scaled_hom
+from kernel_oracle import lowering_kernel_reps
 
 from vinbun.arith import (
     EffectiveDivisor,
     Laurent,
-    alternative_moduli,
     build_field,
     enumerate_closed_points,
     enumerate_divisors,
@@ -35,7 +35,6 @@ from vinbun.kcalc import (
 )
 from vinbun.lefschetz import (
     brute_force_schur_weyl,
-    lowering_kernel_reps,
     predicted_schur_weyl,
 )
 from vinbun.localmodel import (

@@ -8,13 +8,17 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from divisor_utils import factored_divisors, rational_point, trial_division_points
+from divisor_utils import (
+    alternative_moduli,
+    factored_divisors,
+    rational_point,
+    trial_division_points,
+)
 
 from vinbun import arith
 from vinbun.arith import (
     EffectiveDivisor,
     Laurent,
-    alternative_moduli,
     build_field,
     closed_point,
     decompositions,

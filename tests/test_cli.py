@@ -35,7 +35,7 @@ DEFAULT_REPORT_SHA256 = (
     "9f0407a883c102f4b9afe6b9717ff378e6a067cf54732eb5bad9ecf229a2d068"
 )
 STARVED_REPORT_SHA256 = (
-    "f9e5202f9e52b2aa56aa37d24d0a27593a00e1ad3df15de1ec231954015b035a"
+    "5aa7979de09785d094660a77f7c0412244bd1710689651b23723a50f5c75e406"
 )
 
 
@@ -512,7 +512,7 @@ def test_budget_starved_report_is_pinned(capsys):
     )
     assert code == 0
     summary = json.loads(out)["summary"]
-    assert (summary["pass"], summary["skipped"], summary["fail"]) == (6, 74, 0)
+    assert (summary["pass"], summary["skipped"], summary["fail"]) == (6, 37, 0)
     assert hashlib.sha256(out.encode()).hexdigest() == STARVED_REPORT_SHA256
 
 
@@ -683,6 +683,28 @@ def test_omega_suite_builds_only_divisors_of_rational_points(capsys):
     assert json.loads(out)["summary"] == {"pass": 61, "fail": 0, "skipped": 434}
 
 
+def test_wide_omega_grid_builds_at_most_the_budget_per_field(capsys):
+    # degree n over F_q has C(q + n - 1, n) divisors of rational points, so
+    # only the running total over each field stops the grid at the budget
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "verify", "--suites", "omega", "--max-n", "64",
+                           "--max-q", "3", "--budget", "2000")
+    assert time.perf_counter() - start < 5
+    assert code == 0
+    checks = json.loads(out)["checks"]
+    for q in (2, 3):
+        field = [c for c in checks if c["params"].startswith(f"q={q} ")]
+        # one entry per divisor built, and one skipped entry per degree refused
+        built = sum(" D=" in c["params"] for c in field)
+        refused = [c for c in field if " D=" not in c["params"]]
+        assert all(c["status"] == "skipped" for c in refused)
+        skipped = [int(c["params"].split("n=")[1]) for c in refused]
+        first = min(skipped)
+        assert sorted(skipped) == list(range(first, 65))
+        assert built == sum(arith.divisor_count(q, n, 1) for n in range(1, first))
+        assert built <= 2000 < built + arith.divisor_count(q, first, 1)
+
+
 def test_divisor_budget_refuses_before_enumerating(monkeypatch):
     monkeypatch.delenv("VINBUN_BUDGET", raising=False)
     f2 = field_from_q(2)
@@ -720,7 +742,12 @@ def test_env_var_budget_override(capsys, monkeypatch):
     assert json.loads(out)["count"] == 5**4 + 2 * 4 * 25
 
 
-@pytest.mark.parametrize("value", ["-1", "0", "abc"])
+@pytest.mark.parametrize("value", [
+    "-1", "0", "abc",
+    # int() reads these three; the integer flags refuse them, and so does the variable
+    "1_000", " 5 ", "\u0663",
+    pytest.param("9" * 5000, id="5000-digits"),
+])
 @pytest.mark.parametrize("argv", [
     ("count", "--n", "2", "--q", "3"),
     ("verify", "--suites", "omega,quadric"),
@@ -734,7 +761,11 @@ def test_invalid_env_var_budget_exits_2(capsys, monkeypatch, argv, value):
     assert code == 2
     assert out == ""
     assert "budget must be positive" in err
-    assert f"VINBUN_BUDGET={value!r}" in err
+    if len(value) <= 100:
+        assert f"VINBUN_BUDGET={value!r}" in err
+    else:
+        # an overlong value is named by its length, not echoed
+        assert "VINBUN_BUDGET of 5000 characters" in err and len(err) < 200
 
 
 def test_verify_output_file(tmp_path, capsys):

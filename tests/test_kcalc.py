@@ -5,6 +5,7 @@ from operator import mul
 
 import pytest
 from divisor_utils import rational_point
+from kernel_oracle import lowering_kernel_reps
 
 from vinbun.arith import (
     EffectiveDivisor,
@@ -42,7 +43,7 @@ from vinbun.kcalc import (
     _point_factor,
     _type_trace,
 )
-from vinbun.lefschetz import MAX_BRUTE_K, brute_force_schur_weyl, lowering_kernel_reps
+from vinbun.lefschetz import MAX_BRUTE_K, brute_force_schur_weyl
 
 F2 = build_field(2, 1)
 F3 = build_field(3, 1)

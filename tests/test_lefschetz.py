@@ -1,18 +1,16 @@
 from fractions import Fraction
 
 import pytest
+from kernel_oracle import kernel_traces, lowering_kernel_reps, lowering_matrix, weight_layers
 
 from vinbun.kcalc import PLO, KElement, ic_kernel_k_element, symbol
 from vinbun.lefschetz import (
     GradedBiRep,
     brute_force_schur_weyl,
-    lowering_kernel_reps,
-    lowering_matrix,
     perm_from_cycle_type,
     perm_sign,
     predicted_schur_weyl,
     sign_on_lowest_lines,
-    weight_layers,
     weight_of_index,
 )
 from vinbun.symrep import partitions
@@ -195,6 +193,15 @@ def test_lowering_kernel_matches_closed_form():
 
 def test_sign_on_lowest_lines():
     assert sign_on_lowest_lines() == {0: 1, 2: -1}
+    # demo 04 prints the dict, so its key order is part of the output
+    assert list(sign_on_lowest_lines()) == [0, 2]
+
+
+def test_sign_on_lowest_lines_matches_the_kernel():
+    # by row reduction: ker(f) meets the h-weight -m space in one line, and
+    # the transposition's trace on it is its sign
+    for m, sign in sign_on_lowest_lines().items():
+        assert kernel_traces(2, -m, ((0, 1), (1, 0))) == [1, sign]
 
 
 def test_transposition_trace_via_matrices():

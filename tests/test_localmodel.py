@@ -1,5 +1,3 @@
-import itertools
-import random
 import time
 import tracemalloc
 from collections import Counter, namedtuple
@@ -7,14 +5,13 @@ from fractions import Fraction
 from functools import lru_cache
 
 import pytest
-from divisor_utils import rational_point
+from divisor_utils import alternative_moduli, rational_point
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from vinbun.arith import (
     EffectiveDivisor,
     PrimePowerField,
-    alternative_moduli,
     build_field,
     field_from_q,
     poly_gcd,

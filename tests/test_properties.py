@@ -10,7 +10,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from divisor_utils import boundary_product, random_disjoint_pair
+from divisor_utils import alternative_moduli, boundary_product, random_disjoint_pair
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,7 +18,6 @@ from vinbun.arith import (
     INFINITY,
     EffectiveDivisor,
     Laurent,
-    alternative_moduli,
     build_field,
     enumerate_closed_points,
     format_divisor,

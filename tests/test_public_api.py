@@ -17,10 +17,6 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "vinbun"
 
-# imported by the acceptance tests, which spell out the paper's checks
-ALLOWED = {("arith", "alternative_moduli"), ("lefschetz", "lowering_kernel_reps")}
-
-
 def top_level_names(tree):
     """(name, defining node) for each def, class and plain assignment."""
     for node in tree.body:
@@ -105,11 +101,7 @@ def unreferenced_public_members():
 
 
 def test_every_public_name_has_a_caller_outside_the_tests():
-    assert [d for d in unreferenced_public_names() if d not in ALLOWED] == []
-
-
-def test_the_allowlist_holds_only_unreferenced_names():
-    assert ALLOWED <= set(unreferenced_public_names())
+    assert unreferenced_public_names() == []
 
 
 def test_every_public_member_has_a_caller_outside_the_tests():
