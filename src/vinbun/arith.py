@@ -477,9 +477,9 @@ def poly_monic(field, f):
 
 def poly_gcd(field, f, g):
     f, g = poly_normalize(f), poly_normalize(g)
-    while g:
+    while len(g) > 1:
         f, g = g, poly_mod(field, f, g)
-    return poly_monic(field, f)
+    return (1,) if g else poly_monic(field, f)  # a nonzero constant g is a unit
 
 
 def monic_polys(field, degree):
@@ -522,34 +522,6 @@ def is_irreducible(field, f):
         if poly_deg(poly_gcd(field, poly_sub(field, power, t), f)) > 0:
             return False
     return True
-
-
-def poly_factor(field, f):
-    """Factor a nonzero polynomial into monic irreducibles: {poly: mult}.
-    The unit leading coefficient is discarded.  Trial division by the monic
-    polynomials in order of increasing degree: once every factor of lower
-    degree is divided out, a monic divisor of degree d is irreducible."""
-    f = poly_monic(field, f)
-    if not f:
-        raise ValueError("cannot factor the zero polynomial")
-    out = {}
-    d = 1
-    while poly_deg(f) > 0:
-        if 2 * d > poly_deg(f):
-            # whatever is left is irreducible
-            out[f] = out.get(f, 0) + 1
-            break
-        for g in monic_polys(field, d):
-            while True:
-                quot, rem = poly_divmod(field, f, g)
-                if rem:
-                    break
-                out[g] = out.get(g, 0) + 1
-                f = quot
-            if poly_deg(f) == 0:
-                break
-        d += 1
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -694,6 +666,16 @@ def enumerate_divisors(field, n, max_degree=None):
     found = _point_multisets(field, enumerate_closed_points(field, max_degree), n)
     found.sort(key=lambda parts_poly: parts_poly[1])
     return tuple(EffectiveDivisor(parts=parts) for parts, _ in found)
+
+
+def divisor_of(field, f):
+    """The divisor of the monic polynomial f, read off the sieve of its
+    degree at f's place in `monic_polys` order, whose most significant digit
+    is the constant term."""
+    index = 0
+    for c in f[:-1]:
+        index = index * field.q + c
+    return enumerate_divisors(field, poly_deg(f))[index]
 
 
 @lru_cache(maxsize=8)
@@ -892,9 +874,9 @@ def format_poly(field, poly):
     return "+".join(parts)
 
 
-def parse_divisor(field, text, allow_infinity=False):
+def parse_divisor(field, text):
     """Parse the `poly:mult,poly:mult` divisor format.  Raises ValueError on
-    malformed syntax or reducible polynomials."""
+    malformed syntax, reducible polynomials or the point at infinity."""
     text = text.strip()
     if not text or text == "0":
         return EffectiveDivisor.empty()
@@ -909,10 +891,7 @@ def parse_divisor(field, text, allow_infinity=False):
         if mult < 1:
             raise ValueError(f"multiplicity {mult} must be positive")
         if poly_text.strip() == "inf":
-            if not allow_infinity:
-                raise ValueError("the point at infinity is only valid on P^1")
-            pairs.append((INFINITY, mult))
-            continue
+            raise ValueError("the point at infinity is only valid on P^1")
         pairs.append((closed_point(field, parse_poly(field, poly_text)), mult))
     return EffectiveDivisor.from_pairs(pairs)
 

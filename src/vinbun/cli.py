@@ -55,7 +55,8 @@ def prime_powers_up_to(limit):
 class RunConfig:
     __slots__ = "suites max_n max_q max_degree max_k budget".split()
 
-    def __init__(self, suites=DEFAULT_SUITES, max_n=3, max_q=4, max_degree=2,
+    # the keyword defaults are the default grid, which `build_parser` reads
+    def __init__(self, suites=DEFAULT_SUITES, *, max_n=3, max_q=4, max_degree=2,
                  max_k=4, budget=None):
         self.suites, self.max_n, self.max_q = suites, max_n, max_q
         self.max_degree, self.max_k, self.budget = max_degree, max_k, budget
@@ -580,11 +581,8 @@ def build_parser():
     p.add_argument("--suites", default=None,
                    help=f"comma-separated subset of {','.join(ALL_SUITES)} "
                    f"(default: {','.join(DEFAULT_SUITES)})")
-    _int_option(p, "--max-n", default=3)
-    _int_option(p, "--max-q", default=4)
-    _int_option(p, "--max-degree", default=2)
-    _int_option(p, "--max-k", default=4)
-    _int_option(p, "--budget", default=None)
+    for option, default in RunConfig.__init__.__kwdefaults__.items():
+        _int_option(p, "--" + option.replace("_", "-"), default=default)
     p.add_argument("--output", default=None)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(func=cmd_verify)

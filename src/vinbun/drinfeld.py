@@ -49,10 +49,9 @@ from collections import namedtuple
 
 from vinbun.arith import (
     INFINITY,
-    ClosedPoint,
     EffectiveDivisor,
+    divisor_of,
     poly_deg,
-    poly_factor,
     poly_gcd,
     poly_mul,
     poly_normalize,
@@ -82,7 +81,8 @@ def hom_space_dims(a1, a2):
 
 class HomMatrix(namedtuple("HomMatrix", "a1 a2 entries")):
     """2x2 matrix of bounded-degree polynomials in t, row-major entries.
-    Entry k is a coefficient tuple of length hom_space_dims(a1, a2)[k]."""
+    Entry k is a normalized coefficient tuple (no trailing zeros) of length
+    at most hom_space_dims(a1, a2)[k]."""
 
     __slots__ = ()
 
@@ -90,14 +90,11 @@ class HomMatrix(namedtuple("HomMatrix", "a1 a2 entries")):
     def bounds(self):
         return entry_bounds(self.a1, self.a2)
 
-    def entry(self, k):
-        return poly_normalize(self.entries[k])
-
     def is_zero(self):
-        return all(not self.entry(k) for k in range(4))
+        return not any(self.entries)
 
     def det(self, field):
-        e = [self.entry(k) for k in range(4)]
+        e = self.entries
         return poly_sub(field, poly_mul(field, e[0], e[3]), poly_mul(field, e[1], e[2]))
 
 
@@ -108,10 +105,11 @@ def iter_hom_matrices(field, a1, a2, budget=None):
     check_power_budget(total, lambda: field.q**total, budget, HOM_ENUM_BUDGET,
                        f"hom space ({a1},{a2}) over F_{field.q}")
     spaces = [
-        list(itertools.product(field.elements(), repeat=d)) for d in dims
+        [poly_normalize(c) for c in itertools.product(field.elements(), repeat=d)]
+        for d in dims
     ]
     for quad in itertools.product(*spaces):
-        yield HomMatrix(a1=a1, a2=a2, entries=tuple(quad))
+        yield HomMatrix(a1=a1, a2=a2, entries=quad)
 
 
 # ---------------------------------------------------------------------------
@@ -120,27 +118,22 @@ def iter_hom_matrices(field, a1, a2, budget=None):
 
 
 def defect_divisor_of_hom(field, phi):
-    """The first determinantal divisor of a nonzero phi with det = 0: at
-    each closed point the minimum of the entry valuations, collected over
-    the irreducibles in t plus the point at infinity."""
-    if phi.is_zero():
+    """The first determinantal divisor of a nonzero phi, which must have
+    det = 0 (the caller has taken it): at each closed point the minimum of
+    the entry valuations.  The finite part is the divisor of the gcd of the
+    entries, read off the sieve; the point at infinity gets the least of
+    the degree bound minus the degree."""
+    nonzero = [(poly, bound) for poly, bound in zip(phi.entries, phi.bounds) if poly]
+    if not nonzero:
         raise ValueError("defect divisor of the zero map is undefined")
-    if phi.det(field):
-        raise ValueError("defect divisor requires det(phi) = 0")
-    nonzero = [
-        (phi.entry(k), phi.bounds[k]) for k in range(4) if phi.entry(k)
-    ]
     gcd = ()
     for poly, _ in nonzero:
         gcd = poly_gcd(field, gcd, poly)
-    pairs = []
-    if poly_deg(gcd) > 0:
-        for factor, mult in poly_factor(field, gcd).items():
-            pairs.append((ClosedPoint(degree=poly_deg(factor), poly=factor), mult))
+    divisor = divisor_of(field, gcd)
     inf_val = min(bound - poly_deg(poly) for poly, bound in nonzero)
     if inf_val > 0:
-        pairs.append((INFINITY, inf_val))
-    return EffectiveDivisor.from_pairs(pairs)
+        divisor += EffectiveDivisor.from_pairs([(INFINITY, inf_val)])
+    return divisor
 
 
 # ---------------------------------------------------------------------------

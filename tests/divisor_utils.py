@@ -1,12 +1,14 @@
 """Shared divisor helpers for the test suite: every defining modulus of a
 field, rational points, randomized divisors (seeded by callers), the
-factoring oracle for divisor enumeration, the integer oracle for the
-boundary product, and the scalar multiples of a Hom matrix, along whose
-orbits the defect divisor is constant."""
+trial-division factoring oracle for divisor enumeration and for defect
+divisors, the integer oracle for the boundary product, and the scalar
+multiples of a Hom matrix, along whose orbits the defect divisor is
+constant."""
 
 from functools import lru_cache
 
 from vinbun.arith import (
+    INFINITY,
     ClosedPoint,
     EffectiveDivisor,
     PrimePowerField,
@@ -14,7 +16,9 @@ from vinbun.arith import (
     is_irreducible,
     monic_polys,
     poly_deg,
-    poly_factor,
+    poly_divmod,
+    poly_gcd,
+    poly_monic,
 )
 from vinbun.drinfeld import HomMatrix
 
@@ -30,6 +34,34 @@ def alternative_moduli(p, e):
 def rational_point(field, c):
     """The degree-1 point t = c."""
     return ClosedPoint(degree=1, poly=(field.neg(c), 1))
+
+
+def poly_factor(field, f):
+    """Factor a nonzero polynomial into monic irreducibles: {poly: mult}.
+    The unit leading coefficient is discarded.  Trial division by the monic
+    polynomials in order of increasing degree: once every factor of lower
+    degree is divided out, a monic divisor of degree d is irreducible."""
+    f = poly_monic(field, f)
+    if not f:
+        raise ValueError("cannot factor the zero polynomial")
+    out = {}
+    d = 1
+    while poly_deg(f) > 0:
+        if 2 * d > poly_deg(f):
+            # whatever is left is irreducible
+            out[f] = out.get(f, 0) + 1
+            break
+        for g in monic_polys(field, d):
+            while True:
+                quot, rem = poly_divmod(field, f, g)
+                if rem:
+                    break
+                out[g] = out.get(g, 0) + 1
+                f = quot
+            if poly_deg(f) == 0:
+                break
+        d += 1
+    return out
 
 
 # the oracle grid factors each field's polynomials once for both oracles
@@ -61,6 +93,27 @@ def trial_division_points(field, max_degree):
         for f, factors in _factorizations(field, d)
         if factors == {f: 1}
     )
+
+
+def factored_defect_divisor(field, phi):
+    """Oracle for `defect_divisor_of_hom`: the trial-division factors of the
+    gcd of the nonzero entries, plus the point at infinity with the least
+    valuation there."""
+    nonzero = [(f, bound) for f, bound in zip(phi.entries, phi.bounds) if f]
+    gcd = ()
+    for f, _ in nonzero:
+        gcd = poly_gcd(field, gcd, f)
+    return EffectiveDivisor.from_pairs(
+        [*_factor_points(field, gcd),
+         (INFINITY, min(bound - poly_deg(f) for f, bound in nonzero))])
+
+
+@lru_cache(maxsize=None)
+def _factor_points(field, f):
+    """(point, multiplicity) for each factor of f, by trial division once
+    per f."""
+    return tuple((ClosedPoint(degree=poly_deg(g), poly=g), m)
+                 for g, m in poly_factor(field, f).items())
 
 
 class DeadEnd(Exception):

@@ -24,6 +24,7 @@ from vinbun.arith import (
     decompositions,
     divisor_count,
     divisor_count_exponent,
+    divisor_of,
     enumerate_closed_points,
     enumerate_divisors,
     format_divisor,
@@ -346,6 +347,15 @@ def test_divisors_match_factoring_oracle(p, e, max_d):
         assert enumerate_divisors(fld, n) == factored_divisors(fld, n)
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_divisor_of_matches_factoring_oracle(q):
+    # the sieve lookup finds each monic polynomial's own divisor
+    fld = field_from_q(q)
+    for n in range(4):
+        found = tuple(divisor_of(fld, f) for f in monic_polys(fld, n))
+        assert found == factored_divisors(fld, n), n
+
+
 @pytest.mark.parametrize("q", [2, 3, 4])
 def test_bounded_divisors_are_the_filtered_full_list(q):
     # same divisors in the same order as dropping those with a deep point
@@ -571,9 +581,9 @@ def test_parse_divisor():
         parse_divisor(f2, "t^2+1:1")  # (t+1)^2 is reducible
     with pytest.raises(ValueError):
         parse_divisor(f2, "t::")
-    with pytest.raises(ValueError):
-        parse_divisor(f2, "inf:1")  # only valid on P^1
-    assert parse_divisor(f2, "inf:2", allow_infinity=True).degree == 2
+    for text in ("inf:1", "t:1,inf:2"):  # only valid on P^1
+        with pytest.raises(ValueError, match="the point at infinity is only valid on P\\^1"):
+            parse_divisor(f2, text)
     # a sign that no term carries is refused, naming the text, not dropped
     for text in ("+", "-", "t+", "++t", "t++1", "t+-1", "t-"):
         with pytest.raises(ValueError, match=re.escape(f"malformed polynomial {text!r}")):

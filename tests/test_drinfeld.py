@@ -2,8 +2,14 @@ import itertools
 import random
 
 import pytest
-from divisor_utils import boundary_product, rational_point, scaled_hom
+from divisor_utils import (
+    boundary_product,
+    factored_defect_divisor,
+    rational_point,
+    scaled_hom,
+)
 
+from vinbun import arith
 from vinbun.arith import (
     INFINITY,
     EffectiveDivisor,
@@ -56,6 +62,8 @@ def test_hom_enumeration_size():
     mats = list(iter_hom_matrices(F2, 1, 0))
     assert len(mats) == 2**4
     assert sum(1 for m in mats if m.is_zero()) == 1
+    # each entry is listed normalized, with no trailing zero
+    assert all(poly_normalize(e) == e for m in mats for e in m.entries)
 
 
 def test_isom_counts_against_closed_form():
@@ -88,7 +96,7 @@ def test_common_linear_factor_gives_rational_point():
 
 def test_constant_section_of_o1_vanishes_at_infinity():
     # s = 1 in H^0(O(1)) has divisor = the point at infinity
-    phi = HomMatrix(a1=1, a2=0, entries=((), (1, 0), (), (1, 0)))
+    phi = HomMatrix(a1=1, a2=0, entries=((), (1,), (), (1,)))
     d = defect_divisor_of_hom(F2, phi)
     assert d.degree == 1
     assert d.parts[0][0].is_infinity
@@ -103,9 +111,27 @@ def test_defect_divisor_preconditions():
     zero = HomMatrix(a1=0, a2=0, entries=((), (), (), ()))
     with pytest.raises(ValueError):
         defect_divisor_of_hom(F2, zero)
-    iso = HomMatrix(a1=0, a2=0, entries=((1,), (), (), (1,)))
-    with pytest.raises(ValueError):
-        defect_divisor_of_hom(F2, iso)
+
+
+@pytest.mark.parametrize("field", [F2, F3, F4, F5])
+def test_defect_divisor_matches_trial_division_on_the_sweeps(field):
+    # every map with det = 0 of the sweeps with a1, a2 <= 2: the sieve
+    # lookup against factoring the gcd by trial division
+    for a1, a2 in itertools.product(range(3), repeat=2):
+        for phi in iter_hom_matrices(field, a1, a2):
+            if not phi.is_zero() and not phi.det(field):
+                assert defect_divisor_of_hom(field, phi) \
+                    == factored_defect_divisor(field, phi), phi
+
+
+def test_sweep_builds_each_sieve_about_once():
+    # the (6, 6) sweep over F_2 reads gcds of degree up to 12 off the
+    # sieves; a cache that thrashed would rebuild them map after map
+    for value in vars(arith).values():
+        if hasattr(value, "cache_clear"):
+            value.cache_clear()
+    drinfeld_value(6, 6, F2)
+    assert arith._sieve.cache_info().misses <= 24
 
 
 def test_defect_divisor_constant_on_scaling_orbits():
@@ -122,8 +148,7 @@ def compose(field, psi, phi):
     """Matrix product psi . phi for phi: E(a1) -> E(a2), psi: E(a2) -> E(a3)."""
     if psi.a1 != phi.a2:
         raise ValueError("middle bundles disagree")
-    p = [phi.entry(k) for k in range(4)]
-    s = [psi.entry(k) for k in range(4)]
+    p, s = phi.entries, psi.entries
     out = []
     for i in range(2):
         for j in range(2):
@@ -131,15 +156,10 @@ def compose(field, psi, phi):
             for l in range(2):
                 acc = poly_add(field, acc, poly_mul(field, s[2 * i + l], p[2 * l + j]))
             out.append(acc)
-    dims = hom_space_dims(phi.a1, psi.a2)
-    for e, d in zip(out, dims):
+    for e, d in zip(out, hom_space_dims(phi.a1, psi.a2)):
         if len(e) > d:
             raise AssertionError("degree bound violated by composition")
-    padded = tuple(
-        tuple(e[k] if k < len(e) else 0 for k in range(d))
-        for e, d in zip(out, dims)
-    )
-    return HomMatrix(a1=phi.a1, a2=psi.a2, entries=padded)
+    return HomMatrix(a1=phi.a1, a2=psi.a2, entries=tuple(out))
 
 
 def random_automorphism(field, a, rng):
@@ -148,13 +168,13 @@ def random_automorphism(field, a, rng):
     entries and a random off-diagonal form of degree <= 2a."""
     if a == 0:
         while True:
-            entries = tuple((rng.randrange(field.q),) for _ in range(4))
+            entries = tuple(poly_normalize((rng.randrange(field.q),)) for _ in range(4))
             phi = HomMatrix(a1=0, a2=0, entries=entries)
             if phi.det(field):
                 return phi
     alpha = rng.randrange(1, field.q)
     delta = rng.randrange(1, field.q)
-    beta = tuple(rng.randrange(field.q) for _ in range(2 * a + 1))
+    beta = poly_normalize(rng.randrange(field.q) for _ in range(2 * a + 1))
     return HomMatrix(a1=a, a2=a, entries=((alpha,), beta, (), (delta,)))
 
 

@@ -35,7 +35,7 @@ def frozen_instances():
         EffectiveDivisor.from_pairs([(rational_point(F3, 1), 2)]),
         symbol(2, "sign", Fraction(1, 2)),
         NormLedger.calibrated(),
-        HomMatrix(0, 0, ((1,), (0,), (0,), (1,))),
+        HomMatrix(0, 0, ((1,), (), (), (1,))),
         DrinfeldResult(1, 2, 3, 4, 5, None),
         GradedBiRep.from_dict(2, {((2,), 2): 1}),
         build_system([2, 1]),
