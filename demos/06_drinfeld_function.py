@@ -6,10 +6,10 @@ the product of (1 - q^d) over the residue degrees d of the distinct points
 of the defect divisor of phi (the divisor of the gcd of its matrix entries,
 including the point at infinity).
 
-At (0, 0) the value is 1 - q^2.  Every pair the enumeration reaches fits
-the observed form (q - 1)(q^2 - 1) - #Isom_SL2(E1, E2)
-(`drinfeld.closed_form_value`): -5 at (1, 1) over F_2.  Off the diagonal
-there are no isomorphisms and the boundary sum carries everything.
+At (0, 0) the value is 1 - q^2.  Every pair fits the proved form
+(q - 1)(q^2 - 1) - #Isom_SL2(E1, E2) (`drinfeld.rank_one_value`): -5 at
+(1, 1) over F_2.  Off the diagonal there are no isomorphisms and the
+boundary sum carries everything.
 """
 
 from vinbun.cli import field_from_q

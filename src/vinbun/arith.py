@@ -444,27 +444,22 @@ def poly_mul(field, f, g):
     return poly_normalize(out)
 
 
-def poly_divmod(field, f, g):
+def poly_mod(field, f, g):
+    """The remainder of f on division by a nonzero g; no quotient is built."""
     g = poly_normalize(g)
     if not g:
         raise ZeroDivisionError("polynomial division by zero")
     f = list(poly_normalize(f))
-    dg = poly_deg(g)
+    dg = len(g) - 1
     inv_lead = field.inv(g[-1])
-    quot = [0] * max(0, len(f) - dg)
-    while len(f) - 1 >= dg and f:
-        c = field.mul(f[-1], inv_lead)
-        shift = len(f) - 1 - dg
-        quot[shift] = c
-        for i in range(dg + 1):
+    while len(f) > dg:
+        c = field.mul(f.pop(), inv_lead)  # the top coefficient cancels
+        shift = len(f) - dg
+        for i in range(dg):
             f[shift + i] = field.sub(f[shift + i], field.mul(c, g[i]))
         while f and f[-1] == 0:
             f.pop()
-    return poly_normalize(quot), poly_normalize(f)
-
-
-def poly_mod(field, f, g):
-    return poly_divmod(field, f, g)[1]
+    return tuple(f)
 
 
 def poly_monic(field, f):

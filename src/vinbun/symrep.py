@@ -29,7 +29,7 @@ def normalize_partition(parts):
     return parts
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1 << 15)
 def partitions(k):
     """All partitions of k, descending parts, reverse-lex order."""
     if k == 0:
@@ -104,7 +104,7 @@ def _partition_from_beta(beta):
     return normalize_partition(vals[i] - (ell - 1 - i) for i in range(ell))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1 << 15)
 def murnaghan_nakayama(partition, cycle_type):
     """Character of the irreducible S_k representation `partition` at
     `cycle_type`, both partitions of the same k."""

@@ -16,7 +16,6 @@ from vinbun.arith import (
     is_irreducible,
     monic_polys,
     poly_deg,
-    poly_divmod,
     poly_gcd,
     poly_monic,
 )
@@ -36,6 +35,18 @@ def rational_point(field, c):
     return ClosedPoint(degree=1, poly=(field.neg(c), 1))
 
 
+def exact_quotient(field, f, g):
+    """f / g for a monic g that divides f, else None: schoolbook division
+    from the top coefficient down."""
+    f = list(f)
+    quot = [0] * max(0, len(f) - len(g) + 1)
+    for shift in reversed(range(len(quot))):
+        c = quot[shift] = f[shift + len(g) - 1]
+        for i, x in enumerate(g):
+            f[shift + i] = field.sub(f[shift + i], field.mul(c, x))
+    return None if any(f) else tuple(quot)
+
+
 def poly_factor(field, f):
     """Factor a nonzero polynomial into monic irreducibles: {poly: mult}.
     The unit leading coefficient is discarded.  Trial division by the monic
@@ -52,10 +63,7 @@ def poly_factor(field, f):
             out[f] = out.get(f, 0) + 1
             break
         for g in monic_polys(field, d):
-            while True:
-                quot, rem = poly_divmod(field, f, g)
-                if rem:
-                    break
+            while (quot := exact_quotient(field, f, g)) is not None:
                 out[g] = out.get(g, 0) + 1
                 f = quot
             if poly_deg(f) == 0:

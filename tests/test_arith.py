@@ -15,7 +15,7 @@ from divisor_utils import (
     trial_division_points,
 )
 
-from vinbun import arith
+from vinbun import arith, symrep
 from vinbun.arith import (
     EffectiveDivisor,
     Laurent,
@@ -466,7 +466,10 @@ def test_char_two_poly_mul_matches_field_products(q):
 
 
 def test_divisor_caches_are_bounded():
-    for fn in (enumerate_divisors, enumerate_closed_points):
+    # and the symmetric-group caches, which `character-table --k 14` fills
+    # with 22,292 entries
+    for fn in (enumerate_divisors, enumerate_closed_points,
+               symrep.murnaghan_nakayama, symrep.partitions):
         assert fn.cache_info().maxsize is not None
 
 

@@ -148,6 +148,18 @@ def isom_count_plus_one(mp):
                lambda a1, a2, q: original(a1, a2, q) + (a1 == a2 == 0))
 
 
+def closed_form_off_by_one(mp):
+    # the boundary sum of the closed form, one too large off the diagonal
+    original = drinfeld.rank_one_value
+
+    def shifted(a1, a2, q):
+        res = original(a1, a2, q)
+        return drinfeld._result(res.isom, res.boundary_sum + (a1 != a2),
+                                res.nonunit_isoms)
+
+    mp.setattr(drinfeld, "rank_one_value", shifted)
+
+
 def infinity_dropped(mp):
     original = drinfeld.defect_divisor_of_hom
 
@@ -178,6 +190,8 @@ CONTROLS = [
     Control("extra-zero-point", extra_zero_point, {"default": {"quadric", "strata"}}),
     Control("isom-count-plus-one", isom_count_plus_one,
             {"default": set(), "rankone --max-q 2": {"rankone"}}),
+    Control("closed-form-off-by-one", closed_form_off_by_one,
+            {"default": set(), "rankone --max-q 2": {"rankone"}}),
 ]
 
 
@@ -192,5 +206,6 @@ def test_planted_fault_fails_exactly_its_suites(planted, control):
 def test_every_suite_fails_on_some_fault():
     caught = set().union(*(s for c in CONTROLS for s in c.failing.values()))
     assert caught == set(ALL_SUITES)
-    # one row per default suite, one for the opt-in rankone, and the clean run
-    assert len(CONTROLS) == len(DEFAULT_SUITES) + 2
+    # one row per default suite, two for the opt-in rankone (a fault in the
+    # sweep's isom count, one in the closed form), and the clean run
+    assert len(CONTROLS) == len(DEFAULT_SUITES) + 3

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -24,14 +25,13 @@ from vinbun.arith import (
 from vinbun.budget import BudgetExceededError
 from vinbun.drinfeld import (
     HomMatrix,
-    closed_form_value,
     defect_divisor_of_hom,
     drinfeld_value,
     entry_bounds,
+    h0_dim,
     hom_space_dims,
     iter_hom_matrices,
     rank_one_value,
-    saturated_pairs,
     sl2_isom_count,
 )
 from vinbun.kcalc import BOUNDARY, evaluate
@@ -259,8 +259,20 @@ def test_boundary_factor_matches_integer_oracle_on_the_sweeps(field):
 
 
 # ---------------------------------------------------------------------------
-# the rank-one sum
+# the rank-one sum and its closed form
 # ---------------------------------------------------------------------------
+
+
+def saturated_pairs(x, y, q):
+    """Sat(x, y): pairs of binary forms of degrees (x, y) over F_q with no
+    common zero on P^1, by Moebius inversion of the nonzero pairs over their
+    gcd against 1/Z_{P^1}(t) = (1 - t)(1 - qt)."""
+
+    def nonzero_pairs(x, y):
+        return q ** (h0_dim(x) + h0_dim(y)) - 1
+
+    return (nonzero_pairs(x, y) - (1 + q) * nonzero_pairs(x - 1, y - 1)
+            + q * nonzero_pairs(x - 2, y - 2))
 
 
 def saturated_pairs_naive(field, x, y):
@@ -288,6 +300,125 @@ def test_saturated_pairs_against_enumeration(field):
             assert saturated_pairs(x, y, field.q) == saturated_pairs_naive(field, x, y)
 
 
+def saturated_pairs_closed(x, y, q):
+    """Lemma 1 of the certificate: Sat(x, y) piecewise."""
+    if x < 0 or y < 0:
+        return (q - 1) * (max(x, y) == 0)
+    if x == y == 0:
+        return q * q - 1
+    if x == 0 or y == 0:
+        return (q - 1) * q ** (x + y + 1)
+    return (q - 1) ** 2 * (q + 1) * q ** (x + y - 1)
+
+
+def inner_sum_closed(c, a1, q):
+    """Lemma 2: R(c) for -a1 <= c."""
+    if a1 == 0 and c == 0:
+        return q * q - 1
+    if a1 >= 1 and c == -a1:
+        return q - 1
+    if a1 >= 1 and c == a1:
+        return (q - 1) * (q ** (2 * a1 + 1) - q * q + 1)
+    return -(q - 1) * (q * q - 1)
+
+
+def outer_factor_closed(c, a2, q):
+    """Lemma 3: S(c) for c <= a2."""
+    if c == a2 == 0:
+        return q * q - 1
+    if c == a2:
+        return q - 1
+    if c == -a2:
+        return (q - 1) * q ** (2 * a2 + 1)
+    if c < -a2:
+        return (q - 1) ** 2 * (q + 1) * q ** (-2 * c - 1)
+    return 0
+
+
+def test_rank_one_sum_is_the_closed_form():
+    """The boundary sum is 2 #Isom_SL2 - (q-1)(q^2-1) for every q and every
+    (a1, a2) >= 0, which `rank_one_value` returns.
+
+    The rank-one sum.  A nonzero map phi: E1 -> E2 with det = 0 has rank one,
+    so it factors as E1 -> O(c) -> E2 with the second map u saturated (its
+    two entries have no common zero), uniquely up to a scalar in F_q^x.
+    The defect divisor of phi is then the divisor of the first map w.
+    Writing w = g w' with w' saturated and div(g) = D of degree e,
+
+        (q-1) boundary = sum_{c=-a1..a2} S(c) R(c),
+        S(c) = Sat(a2 - c, -a2 - c),
+        R(c) = sum_{e=0..c+a1} B(e) H(c - e),  H(k) = Sat(k - a1, k + a1),
+
+    where B(e), the sum over the degree-e divisors D of prod_{x in supp D}
+    (1 - q^deg x), is the t^e coefficient of Z(t)/Z(qt) = (1 - q^2 t)/(1 - t):
+    1 at e = 0 and 1 - q^2 after.  So R(c) = H(c) + (1 - q^2) sum_{-a1 <= k
+    < c} H(k).  Sat(x, y) = T(x, y) - (1+q) T(x-1, y-1) + q T(x-2, y-2) with
+    T(x, y) = q^(h0(x) + h0(y)) - 1, the nonzero pairs.  The sweep checks
+    this derivation on small pairs (`test_rank_one_value_matches_sweep`).
+
+    Lemma 1 (`saturated_pairs_closed`).  With h0(m) = max(m + 1, 0):
+    Sat(x, y) = 0 when x, y < 0, since every T vanishes.  When x < 0 <= y,
+    the T's are q^(y+1) - 1, q^y - 1 and q^max(y-1, 0) - 1: the sum is
+    q - 1 at y = 0 and 0 for y >= 1; symmetrically in x.  Sat(0, 0) = T(0, 0)
+    = q^2 - 1.  When x = 0 < y: q^(y+2) - (1+q) q^y + q q^(y-1) plus the
+    constants -1 + (1+q) - q = 0, which is (q-1) q^(y+1).  When x, y >= 1:
+    q^(x+y-1) (q^3 - q^2 - q + 1) = (q-1)^2 (q+1) q^(x+y-1).
+
+    Lemma 2 (`inner_sum_closed`).  For a1 >= 1, Lemma 1 gives H(-a1) = q - 1,
+    H(k) = 0 for -a1 < k < a1, H(a1) = (q-1) q^(2a1+1) and H(k) = (q-1)(q^2-1)
+    q^(2k-1) for k > a1.  So R(-a1) = q - 1, R(c) = -(q-1)(q^2-1) for
+    -a1 < c < a1, and R(a1) = (q-1)(q^(2a1+1) - q^2 + 1).  For c > a1 the
+    geometric sum of the H(k), a1 < k < c, is (q-1)(q^(2c-1) - q^(2a1+1)), so
+    sum_{k<c} H(k) = (q-1)(1 + q^(2c-1)) and R(c) = (q-1)(q^2-1) q^(2c-1) -
+    (q^2-1)(q-1)(1 + q^(2c-1)) = -(q-1)(q^2-1).  For a1 = 0, H(0) = q^2 - 1 =
+    R(0) and H(k) = (q-1)(q^2-1) q^(2k-1) for k > 0, so for c > 0 sum_{k<c}
+    H(k) = q^2 - 1 + (q-1)(q^(2c-1) - q) = (q-1)(1 + q^(2c-1)) again, and
+    R(c) = -(q-1)(q^2-1).
+
+    Lemma 3 (`outer_factor_closed`).  S(c) has x = a2 - c >= 0 and y = -a2
+    - c.  By Lemma 1 it is q - 1 at c = a2 >= 1 (x = 0 > y), 0 for -a2 < c
+    < a2 (x > 0 > y), (q-1) q^(2a2+1) at c = -a2 <= -1 (y = 0 < x), q^2 - 1
+    at c = a2 = 0, and (q-1)^2 (q+1) q^(-2c-1) for c < -a2 (x, y >= 1).
+
+    The sum.  Write K = (q-1)^2 (q^2-1).  If a1 < a2, every c >= -a1 > -a2,
+    so only c = a2 contributes: (q-1) R(a2) = -K, as a2 is none of the
+    exceptions of Lemma 2.  If a1 > a2 >= 1, R = -(q-1)(q^2-1) at c = a2,
+    at c = -a2 and for -a1 < c < -a2, and R(-a1) = q - 1.  The terms are
+    -K at c = a2, -K q^(2a2+1) at c = -a2, K q^(2a1-1) at c = -a1, and
+    -K (q^2-1) q^(-2c-1) for -a1 < c < -a2, whose sum is -K (q^(2a1-1) -
+    q^(2a2+1)).  All but the first cancel, leaving -K.  If a1 > a2 = 0, the
+    terms are (q^2-1) R(0) = -K (q+1) at c = 0, K q^(2a1-1) at c = -a1 and
+    -K (q^(2a1-1) - q) over -a1 < c < 0: their sum is K (q - q - 1) = -K.
+    If a1 = a2 = a >= 1, two terms remain:
+    (q-1)^2 (q^(2a+1) - q^2 + 1) + (q-1)^2 q^(2a+1) = (q-1)(2 (q-1) q^(2a+1)
+    - (q-1)(q^2-1)); at a = 0 the one term is (q^2-1)^2 = (q-1)(2 (q^3 - q)
+    - (q-1)(q^2-1)).  So in every region (q-1) boundary = (q-1)(2 #Isom_SL2
+    - (q-1)(q^2-1)), and value = #Isom_SL2 - boundary = (q-1)(q^2-1) -
+    #Isom_SL2.
+
+    Each lemma is an identity in q and q^a; the test evaluates every one
+    at every integer 2 <= q <= 11, prime power or not, and a1, a2 <= 14,
+    and checks that the sum equals `rank_one_value`.
+    """
+    span = range(15)
+    for q in range(2, 12):
+        for x, y in itertools.product(range(-2 * span[-1], 2 * span[-1] + 1), repeat=2):
+            assert saturated_pairs(x, y, q) == saturated_pairs_closed(x, y, q), (q, x, y)
+        for a1, a2 in itertools.product(span, repeat=2):
+            scaled = below = 0  # (q-1) boundary; sum of H(k) for -a1 <= k < c
+            for c in range(-a1, a2 + 1):
+                head = saturated_pairs(c - a1, c + a1, q)
+                inner = head + (1 - q * q) * below
+                outer = saturated_pairs(a2 - c, -a2 - c, q)
+                assert inner == inner_sum_closed(c, a1, q), (q, a1, c)
+                assert outer == outer_factor_closed(c, a2, q), (q, a2, c)
+                scaled += outer * inner
+                below += head
+            isom = sl2_isom_count(a1, a2, q)
+            assert scaled == (q - 1) * (2 * isom - (q - 1) * (q * q - 1)), (q, a1, a2)
+            assert rank_one_value(a1, a2, q).boundary_sum * (q - 1) == scaled
+
+
 def rank_one_grid():
     """Every pair up to (5, 5) over F_2, plus the pairs with a1, a2 <= 3 and
     q^(dim Hom) <= 3000 for 3 <= q <= 5; the `rankone` suite sweeps the rest
@@ -306,12 +437,6 @@ def test_rank_one_value_matches_sweep(field, a1, a2):
     assert rank_one_value(a1, a2, field.q) == drinfeld_value(a1, a2, field)
 
 
-def test_rank_one_value_matches_closed_form():
-    for q in (2, 3, 4, 5, 7, 8, 9, 11, 13):
-        for a1, a2 in itertools.product(range(12), repeat=2):
-            assert rank_one_value(a1, a2, q).value == closed_form_value(a1, a2, q)
-
-
 def test_rank_one_value_rejects_negative_a():
     with pytest.raises(ValueError):
         rank_one_value(-1, 0, 3)
@@ -319,13 +444,17 @@ def test_rank_one_value_rejects_negative_a():
         rank_one_value(0, -2, 3)
 
 
-def test_rank_one_value_charges_its_terms():
-    # (a1 + a2 + 1)(a1 + a2 + 2)/2 terms of the (c, e) double sum
-    rank_one_value(2, 1, 3, budget=10)
-    with pytest.raises(BudgetExceededError, match="10 candidates exceed the budget 9"):
-        rank_one_value(2, 1, 3, budget=9)
-    with pytest.raises(BudgetExceededError):
-        rank_one_value(10**6, 0, 7)
+def test_rank_one_value_charges_nothing():
+    # the closed form sums no terms: off the diagonal every size answers
+    assert rank_one_value(10**6, 0, 7).value == 288
+    assert rank_one_value(0, 10**18, 7).value == 288
+    # on the diagonal, q^(2a+4) bounds every count: the last pair whose
+    # bound has at most 4300 digits prints, the next is refused unbuilt
+    for q in (2, 3, 13):
+        a = int(4300 / math.log10(q)) // 2 - 2
+        assert all(len(str(abs(n))) <= 4300 for n in rank_one_value(a, a, q)[:5])
+        with pytest.raises(ValueError, match="digits, too many to print"):
+            rank_one_value(a + 1, a + 1, q)
 
 
 def test_huge_hom_space_refused_without_its_size():
