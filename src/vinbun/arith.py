@@ -33,17 +33,6 @@ from functools import lru_cache
 # ---------------------------------------------------------------------------
 
 
-def v_exponent(t):
-    """The exponent -2t of v by which a Tate twist (t) multiplies; t may be
-    a half-integer as long as 2t is integral."""
-    if type(t) is int:
-        return -2 * t
-    e = -2 * Fraction(t)
-    if e.denominator != 1:
-        raise ValueError(f"twist {t} does not give an integral v-exponent")
-    return int(e)
-
-
 class Laurent:
     """An element of Z[v, v^-1], stored as {exponent: coefficient}.
 

@@ -19,8 +19,10 @@ import os
 import random
 import sys
 import time
+from collections import Counter, namedtuple
 from contextlib import contextmanager
 from itertools import product
+from operator import attrgetter
 
 from vinbun import arith, drinfeld, kcalc, lefschetz, localmodel, symrep
 from vinbun.arith import MAX_GRID_N, field_from_q
@@ -78,15 +80,12 @@ class RunConfig:
             raise ValueError(f"max_k must be <= {lefschetz.MAX_BRUTE_K}")
 
 
+# one report row, its fields in the order of the CSV columns
+Check = namedtuple("Check", "suite name params lhs rhs status")
+
+
 def _check(suite, name, params, lhs, rhs, ok):
-    return {
-        "suite": suite,
-        "name": name,
-        "params": params,
-        "lhs": str(lhs),
-        "rhs": str(rhs),
-        "status": "pass" if ok else "fail",
-    }
+    return Check(suite, name, params, str(lhs), str(rhs), "pass" if ok else "fail")
 
 
 @contextmanager
@@ -96,7 +95,7 @@ def _skip_over_budget(checks, suite, name, params):
     try:
         yield
     except BudgetExceededError as exc:
-        checks.append(dict(_check(suite, name, params, exc, "", False), status="skipped"))
+        checks.append(Check(suite, name, params, str(exc), "", "skipped"))
 
 
 def budgeted_divisors(fld, n, budget, max_degree=None, built=0):
@@ -115,7 +114,7 @@ def budgeted_divisors(fld, n, budget, max_degree=None, built=0):
 
 def suite_nearby(config):
     checks = []
-    by_type = {}  # divisor type -> its check, rendered once per run
+    by_type = {}  # divisor type -> its (lhs, rhs, status), rendered once per run
     for q in prime_powers_up_to(config.max_q):
         fld = field_from_q(q)
         built = 0  # the budget bounds the divisors built over each field
@@ -128,13 +127,13 @@ def suite_nearby(config):
                 built += len(divisors)
                 for d in divisors:
                     dtype = kcalc.divisor_type(d)
-                    check = by_type.get(dtype)
-                    if check is None:
+                    sides = by_type.get(dtype)
+                    if sides is None:
                         lhs, rhs = kcalc.nearby_vs_boundary(n, d)
-                        check = by_type[dtype] = _check("nearby", "nearby-vs-boundary",
-                                                        None, lhs, rhs, lhs == rhs)
-                    d_text = arith.format_divisor(fld, d, names)
-                    checks.append(dict(check, params=f"{params} D={d_text}"))
+                        sides = by_type[dtype] = (str(lhs), str(rhs),
+                                                  "pass" if lhs == rhs else "fail")
+                    where = f"{params} D={arith.format_divisor(fld, d, names)}"
+                    checks.append(Check("nearby", "nearby-vs-boundary", where, *sides))
     return checks
 
 
@@ -368,12 +367,9 @@ def run_suite(config):
             checks.extend(_SUITE_RUNNERS[name](config))
         except ValueError as exc:
             checks.append(_check(name, "error", type(exc).__name__, exc, "", False))
-    checks.sort(key=lambda c: (c["suite"], c["name"], c["params"]))
-    summary = {
-        "pass": sum(1 for c in checks if c["status"] == "pass"),
-        "fail": sum(1 for c in checks if c["status"] == "fail"),
-        "skipped": sum(1 for c in checks if c["status"] == "skipped"),
-    }
+    checks.sort(key=attrgetter("suite", "name", "params"))
+    summary = dict.fromkeys(("pass", "fail", "skipped"), 0)
+    summary.update(Counter(map(attrgetter("status"), checks)))
     return {
         "schema": 1,
         "suites": list(config.suites),
@@ -383,15 +379,16 @@ def run_suite(config):
 
 
 # A check as `json.dumps(report, indent=2, sort_keys=True)` writes it: its six
-# keys in sorted order, each value a string escaped as json escapes it
-_CHECK_JSON = """    {
-      "lhs": %s,
-      "name": %s,
-      "params": %s,
-      "rhs": %s,
-      "status": %s,
-      "suite": %s
-    }"""
+# fields in sorted order, each slot numbered by its field's index in Check and
+# filled with the value escaped as json escapes it
+_CHECK_JSON = """    {{
+      "lhs": {3},
+      "name": {1},
+      "params": {2},
+      "rhs": {4},
+      "status": {5},
+      "suite": {0}
+    }}"""
 
 
 def render_report(report, fmt):
@@ -400,10 +397,7 @@ def render_report(report, fmt):
     template: only the schema, suites and summary go through `json.dumps`."""
     if fmt == "json":
         quote = json.encoder.encode_basestring_ascii
-        checks = ",\n".join(
-            _CHECK_JSON % tuple(map(quote, (c["lhs"], c["name"], c["params"], c["rhs"],
-                                            c["status"], c["suite"])))
-            for c in report["checks"])
+        checks = ",\n".join(_CHECK_JSON.format(*map(quote, c)) for c in report["checks"])
         rest = json.dumps({k: v for k, v in report.items() if k != "checks"},
                           indent=2, sort_keys=True)
         checks = f"[\n{checks}\n  ]" if checks else "[]"
@@ -412,10 +406,8 @@ def render_report(report, fmt):
 
     buf = io.StringIO()
     writer = csv.writer(buf)
-    writer.writerow(["suite", "name", "params", "lhs", "rhs", "status"])
-    for c in report["checks"]:
-        writer.writerow([c["suite"], c["name"], c["params"], c["lhs"], c["rhs"],
-                         c["status"]])
+    writer.writerow(Check._fields)
+    writer.writerows(report["checks"])
     return buf.getvalue()
 
 
@@ -443,8 +435,12 @@ def cmd_verify(args):
     report = run_suite(config)
     text = render_report(report, args.format)
     if handle:
-        with handle:
-            handle.write(text)
+        try:
+            with handle:
+                handle.write(text)
+        except OSError as exc:  # a full disk fails the write, not the open
+            raise ValueError(f"cannot write the report to {args.output}: "
+                             f"{exc.strerror}") from None
     sys.stdout.write(text)
     return 1 if report["summary"]["fail"] else 0
 
@@ -452,6 +448,8 @@ def cmd_verify(args):
 def cmd_count(args):
     field = field_from_q(args.q)
     mults = [arith._parse_int(x, "multiplicity") for x in args.n.split(",")]
+    if len(mults) > MAX_GRID_N:  # the budget charges each distinct multiplicity once
+        raise ValueError(f"number of factors must be <= {MAX_GRID_N}, got {len(mults)}")
     system = localmodel.build_system(mults)
     if args.d in ("any", "zero", "nonzero"):
         constraint = args.d
@@ -634,6 +632,10 @@ def main(argv=None):
     except BrokenPipeError:  # the reader left: devnull takes the flush at exit
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
+    except OSError as exc:  # stdout failed, say on a full disk: so does the flush at exit
+        print(f"error: cannot write to stdout: {exc.strerror}", file=sys.stderr)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 2
 
 
 if __name__ == "__main__":

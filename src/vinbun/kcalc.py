@@ -34,18 +34,16 @@ same local factor 1 - u^2 at every point (`tests/test_kcalc.py` certifies
 it for every d and m), so the normalization c(n) = q^(-n) is v^(scale n) of
 GR_PSI.  The tests keep the
 splitting-sum definition of each spec as the evaluator's oracle.  The rest
-of the module holds formal IC symbols (S_k representation, Tate twist),
+of the module holds formal IC symbols (S_k representation, Weil weight),
 the closed-form reconstruction of G from G - G(-1), and their partial
 stalk evaluation.
 """
 
 from collections import namedtuple
-from fractions import Fraction
 from functools import lru_cache, partial
 from math import comb
-from operator import itemgetter
 
-from vinbun.arith import Laurent, v_exponent
+from vinbun.arith import Laurent
 from vinbun.lefschetz import predicted_schur_weyl
 from vinbun.symrep import (
     murnaghan_nakayama,
@@ -221,18 +219,17 @@ def boundary_stalk_trace(divisor):
 # ---------------------------------------------------------------------------
 
 
-def _twist_value(t):
-    """A Tate twist as stored in symbols: an int when integral, otherwise a
-    Fraction (ints hash and compare like the equal Fractions)."""
-    if type(t) is int:
-        return t
-    t = Fraction(t)
-    return t.numerator if t.denominator == 1 else t
+def _weight(twist):
+    """The Weil weight -2 * twist, an int; a twist off the half-integers is refused."""
+    w = -2 * twist
+    if w != int(w):
+        raise ValueError(f"twist {twist} is not a half-integer")
+    return int(w)
 
 
-class IcSymbol(namedtuple("IcSymbol", "k rep twist")):
-    """IC-extension symbol on X^(k): an S_k irreducible (by partition) with a
-    Tate twist.  The Weil weight of the symbol is -2 * twist."""
+class IcSymbol(namedtuple("IcSymbol", "k rep weight")):
+    """IC-extension symbol on X^(k): an S_k irreducible (by partition) with
+    the integer Weil weight w of its Tate twist (-w/2)."""
 
     __slots__ = ()
 
@@ -243,15 +240,17 @@ class IcSymbol(namedtuple("IcSymbol", "k rep twist")):
             name = "sign"
         else:
             name = f"IC{self.rep}"
-        return f"{name}({self.twist})"
+        w = self.weight
+        return f"{name}({-w}/2)" if w % 2 else f"{name}({-w // 2})"
 
 
-# builds an IcSymbol from a (k, rep, twist) tuple, skipping the namedtuple's
+# builds an IcSymbol from a (k, rep, weight) tuple, skipping the namedtuple's
 # Python-level __new__
 _new_symbol = partial(tuple.__new__, IcSymbol)
 
 
 def symbol(k, rep, twist):
+    """The symbol of rep twisted by (twist), a half-integer."""
     if rep == "trivial":
         rep = trivial_partition(k)
     elif rep == "sign":
@@ -259,7 +258,7 @@ def symbol(k, rep, twist):
     rep = normalize_partition(rep)
     if sum(rep) != k:
         raise ValueError(f"{rep} is not a partition of {k}")
-    return IcSymbol(k=k, rep=rep, twist=_twist_value(twist))
+    return IcSymbol(k=k, rep=rep, weight=_weight(twist))
 
 
 class KElement:
@@ -295,10 +294,11 @@ class KElement:
         return KElement._of_nonzero(d)
 
     def twisted(self, m):
-        """G(m): add m to every Tate twist."""
+        """G(m): add the half-integer m to every Tate twist, so -2m to every weight."""
+        shift = _weight(m)
         return KElement._of_nonzero({
-            _new_symbol((k, rep, _twist_value(t + m))): c
-            for (k, rep, t), c in self.terms.items()
+            _new_symbol((k, rep, w + shift)): c
+            for (k, rep, w), c in self.terms.items()
         })
 
     def __eq__(self, other):
@@ -313,9 +313,8 @@ class KElement:
     def __repr__(self):
         if not self.terms:
             return "0"
-        def key(item):
-            s, _ = item
-            return (-s.twist, s.rep)
+        def key(item):  # lowest weight, so highest twist, first
+            return item[0].weight, item[0].rep
         bits = []
         for s, c in sorted(self.terms.items(), key=key):
             term = repr(s) if abs(c) == 1 else f"{abs(c)}*{s!r}"
@@ -329,9 +328,9 @@ class KElement:
 def plo_k_element(k):
     """Weight-line expansion of the k-th oscillator class: each summand
     U_m tensor rho of `predicted_schur_weyl(k)` contributes rho with the
-    ladder of twists m/2, m/2 - 1, ..., -m/2."""
+    ladder of twists m/2, m/2 - 1, ..., -m/2, so of weights -m, 2 - m, ..., m."""
     return KElement({
-        IcSymbol(k, lam, _twist_value(Fraction(m, 2) - i)): mult
+        IcSymbol(k, lam, 2 * i - m): mult
         for (lam, m), mult in predicted_schur_weyl(k).mults
         for i in range(m + 1)
     })
@@ -341,9 +340,9 @@ def ic_kernel_k_element(k):
     """Kernel-of-monodromy class: the lowest weight line of each summand
     U_m tensor rho of `predicted_schur_weyl(k)`, so one copy of each
     two-column irreducible rho.  A line of Cartan weight -m has Tate twist
-    m/2."""
+    m/2, so Weil weight -m."""
     return KElement({
-        IcSymbol(k, lam, _twist_value(Fraction(m, 2))): mult
+        IcSymbol(k, lam, -m): mult
         for (lam, m), mult in predicted_schur_weyl(k).mults
     })
 
@@ -351,38 +350,37 @@ def ic_kernel_k_element(k):
 def reconstruct_from_difference(delta):
     """Solve G - G(-1) = delta for the unique finitely supported G.
 
-    Symbols that differ by an integral twist form a class (k, rep, twist
-    mod 1), and within a class G is the prefix sum from the top:
+    Symbols that differ by an integral twist form a class (k, rep, w mod 2),
+    and within a class G is the prefix sum from the lowest weight:
 
-        G[t] = sum over j >= 0 of delta[t + j],
+        G[w] = sum over j >= 0 of delta[w - 2j],
 
-    constant across the gaps between the twists of delta.  G is finitely
+    constant across the gaps between the weights of delta.  G is finitely
     supported iff every class sums to 0; otherwise the input was not a
-    difference, and the residual holds each nonzero class total one step
-    below that class's lowest twist.
+    difference, and the residual holds each nonzero class total at 2 above
+    that class's highest weight.
     """
     classes = {}
     for s, c in delta.terms.items():
-        k, rep, t = s
-        classes.setdefault((k, rep, t % 1), []).append((t, c, s))
+        k, rep, w = s
+        classes.setdefault((k, rep, w % 2), []).append((w, c, s))
     terms = {}
     residual = {}
     for (k, rep, _), column in classes.items():
-        column.sort(key=itemgetter(0), reverse=True)
+        column.sort()  # by weight, which no two terms of a class share
         running = 0
-        above = None
-        for t, c, s in column:
+        for w, c, s in column:
             if running:
-                gap = above - 1
-                while gap > t:
+                gap = below + 2
+                while gap < w:
                     terms[_new_symbol((k, rep, gap))] = running
-                    gap -= 1
+                    gap += 2
             running += c
             if running:
                 terms[s] = running
-            above = t
+            below = w
         if running:
-            residual[_new_symbol((k, rep, above - 1))] = running
+            residual[_new_symbol((k, rep, below + 2))] = running
     if residual:
         raise ReconstructionError(
             "input is not a difference G - G(-1)", KElement._of_nonzero(residual)
@@ -398,8 +396,8 @@ def reconstruct_from_difference(delta):
 def trace_k_element(element, divisor):
     """Frobenius trace of a K-element at a divisor.
 
-    Fully defined at multiplicity-free divisors, where the symbol (rho, t)
-    contributes (-1)^k v^(-k) v^(-2t) chi_rho(residue cycle type).  At deeper
+    Fully defined at multiplicity-free divisors, where the symbol (rho, w)
+    contributes (-1)^k v^(-k) v^w chi_rho(residue cycle type).  At deeper
     points only the constant-sheaf symbols (defined everywhere) and the k=2
     diagonal rule (sign vanishes, trivial is constant) are determined; any
     other request raises StalkNotDeterminedError.
@@ -416,7 +414,7 @@ def trace_k_element(element, divisor):
     top, unit = -k, (-1) ** k
     multiplicity_free = divisor.is_multiplicity_free()
     cycle_type = divisor.residue_degrees() if multiplicity_free else None
-    # the symbol (rho, t) adds its weight times unit at v^(top - 2t)
+    # the symbol (rho, w) adds its coefficient times unit at v^(top + w)
     coeffs = {}
     for s, c in element.terms.items():
         if multiplicity_free:
@@ -428,6 +426,6 @@ def trace_k_element(element, divisor):
                 f"stalk of {s!r} at the non-multiplicity-free divisor "
                 f"{divisor!r} is not determined"
             )
-        e = top + v_exponent(s.twist)
+        e = top + s.weight
         coeffs[e] = coeffs.get(e, 0) + c * unit
     return Laurent(coeffs)

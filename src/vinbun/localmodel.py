@@ -307,22 +307,20 @@ def per_fiber_uniformity(n, field, budget=None):
     return len({table.get(c, 0) for c in range(1, field.q)}) == 1
 
 
-def gm_orbit_check(system, field, point, c):
-    """The quadratic scaling (a, b) -> (c^2 a, c^2 b) preserves the system
-    and scales d by c^4."""
-    c2 = field.mul(c, c)
-    scaled = tuple(
-        (
-            tuple(field.mul(c2, x) for x in a),
-            tuple(field.mul(c2, x) for x in b),
-        )
-        for a, b in point.factors
-    )
-    new_point = make_solution_point(field, scaled)
-    c4 = field.mul(c2, c2)
-    return point_satisfies(system, field, new_point) and new_point.d_value == field.mul(
-        c4, point.d_value
-    )
+def gm_orbit_check(system, field, point):
+    """The torus (a, b) -> (lambda a, mu b) preserves the system and scales d
+    by lambda mu, for every lambda, mu in F_q^x: the fact that makes every
+    fiber over d != 0 alike in `factor_d_table`."""
+    mul = field.mul
+    for lam, mu in product(range(1, field.q), repeat=2):
+        new_point = make_solution_point(field, [
+            (tuple(mul(lam, x) for x in a), tuple(mul(mu, x) for x in b))
+            for a, b in point.factors
+        ])
+        if not (point_satisfies(system, field, new_point)
+                and new_point.d_value == mul(mul(lam, mu), point.d_value)):
+            return False
+    return True
 
 
 def g_locus_count(field, multiplicities, budget=None):

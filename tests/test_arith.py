@@ -42,7 +42,6 @@ from vinbun.arith import (
     poly_gcd,
     poly_mul,
     prime_power,
-    v_exponent,
 )
 
 ALL_Q = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)]
@@ -274,9 +273,6 @@ def test_laurent_constants_hash_like_ints():
 
 
 def test_laurent_twist_and_specialize():
-    assert v_exponent(1) == -2 and v_exponent(Fraction(1, 2)) == -1
-    with pytest.raises(ValueError):
-        v_exponent(Fraction(1, 3))
     x = Laurent.monomial(2, 3) + Laurent.monomial(-2, 1) + Laurent.from_int(4)
     assert x.at_q(3) == 3 * 3 + Fraction(1, 3) + 4
     with pytest.raises(ValueError):

@@ -19,6 +19,7 @@ from vinbun import arith, cli, drinfeld, kcalc, lefschetz, localmodel, symrep
 from vinbun.budget import BudgetExceededError
 from vinbun.cli import (
     ALL_SUITES,
+    Check,
     DEFAULT_SUITES,
     MAX_GRID_N,
     MAX_GRID_Q,
@@ -33,6 +34,9 @@ from vinbun.cli import (
 
 DEFAULT_REPORT_SHA256 = (
     "9f0407a883c102f4b9afe6b9717ff378e6a067cf54732eb5bad9ecf229a2d068"
+)
+DEFAULT_CSV_REPORT_SHA256 = (
+    "95cf29164e07b02bbc2a13dc0765e8b3bd3b30cb37775d0d9b8c7760adc0cce5"
 )
 STARVED_REPORT_SHA256 = (
     "5aa7979de09785d094660a77f7c0412244bd1710689651b23723a50f5c75e406"
@@ -160,6 +164,9 @@ SEMIPRIME = (2**31 - 1) * (2**31 - 19)
     # counts too long to print, refused before they are computed
     ("drinfeld", "--a1", "5000", "--a2", "5000", "--q", "3"),
     ("drinfeld", "--a1", str(10**18), "--a2", str(10**18), "--q", "7"),
+    # more factors than MAX_GRID_N: the budget charges each distinct
+    # multiplicity once, and the count would have about 4,200 digits
+    ("count", "--n", ",".join(["1"] * 1400), "--q", "1021"),
 ])
 def test_huge_arguments_exit_2_within_a_second(capsys, argv):
     start = time.perf_counter()
@@ -195,6 +202,27 @@ def test_a_closed_stdout_exits_1_without_a_traceback():
     proc.stderr.close()
     assert proc.wait(timeout=60) == 1
     assert err == b""
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+@pytest.mark.parametrize("argv, message", [
+    (("verify", "--suites", "schurweyl", "--output", "/dev/full"),
+     "cannot write the report to /dev/full"),
+    (("verify", "--suites", "schurweyl"), "cannot write to stdout"),
+    (("count", "--n", "2", "--q", "3"), "cannot write to stdout"),
+])
+def test_a_failed_write_exits_2_with_one_error_line(argv, message):
+    # /dev/full fails every write, as a full disk does, but not the open;
+    # stdout goes there unless the report does, and the interpreter's flush
+    # at exit must add no "Exception ignored" message
+    src = str(Path(vinbun.__file__).resolve().parent.parent)
+    with open("/dev/full", "w") as full:
+        done = subprocess.run([sys.executable, "-m", "vinbun.cli", *argv],
+                              stdout=subprocess.DEVNULL if "--output" in argv else full,
+                              stderr=subprocess.PIPE, timeout=60,
+                              env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == 2
+    assert done.stderr.decode() == f"error: {message}: No space left on device\n"
 
 
 def test_grpsi_trace_at_a_huge_multiplicity_answers_within_a_second(capsys):
@@ -374,6 +402,18 @@ def test_huge_sizes_exit_3_at_once(capsys, argv):
     assert "budget exceeded" in err
 
 
+def test_count_answers_at_max_grid_n_factors(capsys):
+    # each factor a_{-1} b_0 = d has 2q - 1 points over d = 0 and q - 1 over
+    # each d != 0
+    q = 1021
+    code, out, _ = run_cli(capsys, "count", "--n", ",".join(["1"] * MAX_GRID_N),
+                           "--q", str(q))
+    assert code == 0
+    count = json.loads(out)["count"]
+    assert count == (2 * q - 1) ** MAX_GRID_N + (q - 1) ** (MAX_GRID_N + 1)
+    assert len(str(count)) == 212
+
+
 def test_drinfeld_off_the_diagonal_answers_at_any_size(capsys):
     # the closed form sums no terms; only the sweep is charged
     start = time.perf_counter()
@@ -457,7 +497,7 @@ def test_reconstruct_suite_solves_the_trials_of_the_randint_choice_loop(monkeypa
     monkeypatch.setattr(kcalc, "reconstruct_from_difference",
                         lambda delta: seen.append(delta) or solve(delta))
     checks = cli.suite_reconstruct(RunConfig(suites=("reconstruct",)))
-    assert [c["status"] for c in checks] == ["pass", "pass"]
+    assert [c.status for c in checks] == ["pass", "pass"]
     assert len(seen) == 1001
     assert seen[1:] == expected
 
@@ -585,6 +625,12 @@ def test_default_verify_report_is_pinned(capsys):
     code, out, _ = run_cli(capsys, "verify")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == DEFAULT_REPORT_SHA256
+
+
+def test_default_verify_csv_report_is_pinned(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--format", "csv")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == DEFAULT_CSV_REPORT_SHA256
 
 
 def test_nearby_traces_report_is_pinned(capsys):
@@ -801,7 +847,8 @@ report_checks = st.lists(st.fixed_dictionaries({
 @example(checks=[], suites=["nearby"])
 @given(checks=report_checks, suites=st.lists(st.sampled_from(ALL_SUITES), max_size=3))
 def test_json_report_writer_matches_json_dumps(checks, suites):
-    # json.dumps is the oracle of the direct writer
+    # json.dumps of the report with each check as a dict is the oracle of the
+    # direct writer, which takes each check as a Check tuple
     report = {
         "schema": 1,
         "suites": suites,
@@ -809,8 +856,9 @@ def test_json_report_writer_matches_json_dumps(checks, suites):
         "summary": {s: sum(c["status"] == s for c in checks)
                     for s in ("pass", "fail", "skipped")},
     }
-    assert render_report(report, "json") == json.dumps(report, indent=2,
-                                                       sort_keys=True) + "\n"
+    rows = dict(report, checks=[Check(**c) for c in checks])
+    assert render_report(rows, "json") == json.dumps(report, indent=2,
+                                                     sort_keys=True) + "\n"
 
 
 def test_fault_inside_a_suite_is_one_fail_check(capsys, monkeypatch):

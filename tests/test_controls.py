@@ -38,7 +38,7 @@ GRIDS = {
 
 def failing_suites(grid):
     report = run_suite(RunConfig(**GRIDS[grid]))
-    return {c["suite"] for c in report["checks"] if c["status"] == "fail"}
+    return {c.suite for c in report["checks"] if c.status == "fail"}
 
 
 def clear_vinbun_caches():

@@ -15,7 +15,6 @@ from vinbun.arith import (
     enumerate_closed_points,
     enumerate_divisors,
     iter_decompositions,
-    v_exponent,
 )
 from vinbun import kcalc
 from vinbun.kcalc import (
@@ -111,7 +110,9 @@ def local_exterior_factor(degree, multiplicity, eigenvalues, sign_rule="calibrat
 
 def shifted_twisted(value, shift, twist):
     """value[shift](twist): the sign (-1)^shift times v^(-2 twist)."""
-    return Laurent.monomial(v_exponent(twist), (-1) ** shift) * value
+    exponent = -2 * twist
+    assert exponent.denominator == 1, f"twist {twist} is not a half-integer"
+    return Laurent.monomial(int(exponent), (-1) ** shift) * value
 
 
 def trace_ext_exterior(n, eigenvalues, divisor, shift=0, twist=0):
@@ -443,8 +444,8 @@ def s2_triv(t):
 
 
 def twisted(s, m):
-    """The symbol s(m): its twist plus m."""
-    return symbol(s.k, s.rep, s.twist + m)
+    """The symbol s(m): its weight minus 2m."""
+    return IcSymbol(s.k, s.rep, s.weight - 2 * m)
 
 
 def test_plo_k_element_k2_matches_golden_expansion():
@@ -465,11 +466,12 @@ def test_ic_kernel_k_element():
 
 
 def test_ic_symbol_twists_compare_and_hash_across_types():
-    # integral twists are stored as int, half-integral ones as Fraction;
-    # an explicit Fraction(1) twist must still be the same symbol
+    # the weight -2t is stored as an int, whether the twist came as an int or
+    # a Fraction, so the symbols built either way are the same symbol
     a = symbol(2, "sign", 1)
-    b = IcSymbol(2, (1, 1), Fraction(1))
-    same = [a, b, twisted(a, 0), twisted(b, 0), symbol(2, "sign", Fraction(1))]
+    b = IcSymbol(2, (1, 1), -2)
+    same = [a, b, twisted(a, 0), twisted(b, 0), symbol(2, "sign", Fraction(1)),
+            symbol(2, "sign", Fraction(2, 2))]
     for x in same:
         for y in same:
             assert x == y
@@ -479,18 +481,20 @@ def test_ic_symbol_twists_compare_and_hash_across_types():
     assert len(set(same)) == 1
     assert KElement({a: 1}) == KElement({b: 1})
     half = Fraction(1, 2)
-    assert twisted(a, half) == IcSymbol(2, (1, 1), Fraction(3, 2))
+    assert twisted(a, half) == symbol(2, "sign", Fraction(3, 2))
     assert twisted(twisted(a, half), half) == symbol(2, "sign", 2)
-    assert type(symbol(2, "sign", Fraction(4, 2)).twist) is int
-    assert type(twisted(twisted(a, half), half).twist) is int
-    assert type(max(s.twist for s in plo_k_element(2).terms)) is int
+    g = KElement({a: 1, symbol(1, (1,), half): 2})
+    elements = [g, g.twisted(half), g.twisted(-3), g.twisted(Fraction(7, 2)),
+                plo_k_element(4), ic_kernel_k_element(3)]
+    assert all(type(s.weight) is int for el in elements for s in el.terms)
 
 
 def test_ic_symbol_repr_unchanged():
     assert repr(plo_k_element(1)) == "Ql(1/2) + Ql(-1/2)"
     assert repr(ic_kernel_k_element(3)) == "sign(3/2) + IC(2, 1)(1/2)"
     assert repr(symbol(2, "sign", -2)) == "sign(-2)"
-    assert repr(IcSymbol(2, (2,), Fraction(-3))) == "Ql(-3)"
+    assert repr(IcSymbol(2, (2,), 6)) == "Ql(-3)"
+    assert repr(IcSymbol(2, (2,), 0)) == "Ql(0)"
     assert repr(twisted(symbol(1, (1,), Fraction(-1, 2)), -1)) == "Ql(-3/2)"
 
 
@@ -553,12 +557,15 @@ def test_trace_k_element_degree_mismatch():
 
 
 def test_trace_k_element_refuses_a_twist_off_the_half_integers():
-    # v^(-2t) needs 2t integral, at every kind of divisor
+    # v^(-2t) needs 2t integral: symbol() and twisted() refuse any other
+    # twist, so no such symbol reaches a trace at any kind of divisor
     x, y = rational_point(F2, 0), rational_point(F2, 1)
-    el = KElement({symbol(2, "trivial", Fraction(1, 3)): 1})
-    for d in (div([(x, 1), (y, 1)]), div([(x, 2)])):
-        with pytest.raises(ValueError, match="twist 1/3 does not give an integral"):
-            trace_k_element(el, d)
+    for t in (Fraction(1, 3), Fraction(-5, 4)):
+        for d in (div([(x, 1), (y, 1)]), div([(x, 2)])):
+            with pytest.raises(ValueError, match=f"twist {t} is not a half-integer"):
+                trace_k_element(KElement({symbol(2, "trivial", t): 1}), d)
+            with pytest.raises(ValueError, match=f"twist {t} is not a half-integer"):
+                trace_k_element(KElement({symbol(2, "trivial", 0): 1}).twisted(t), d)
 
 
 @pytest.mark.parametrize("field", [F2, F3, F5])

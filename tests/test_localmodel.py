@@ -560,13 +560,16 @@ def test_per_fiber_uniformity():
 
 
 def test_gm_orbit_exhaustive():
-    for field in (F2, F3, F4):
+    # every lambda, mu in F_q^x at every solution, also over F_5, where c^4 = 1
+    # and a scaling by (c^2, c^2) never moves d; a point off the system fails
+    for field in (F2, F3, F4, F5):
         for mults in ([1], [2]):
             system = build_system(mults)
             for a, b in _iter_factor_solutions(field, mults[0]):
                 pt = make_solution_point(field, [(a, b)])
-                for c in range(1, field.q):
-                    assert gm_orbit_check(system, field, pt, c)
+                assert gm_orbit_check(system, field, pt)
+    bad = make_solution_point(F5, [((1, 1), (1, 1))])
+    assert not gm_orbit_check(build_system([2]), F5, bad)
 
 
 def test_point_satisfies_rejects_bad_point():

@@ -206,20 +206,22 @@ def test_traces_multiply_over_disjoint_supports(field, n, n1, seed):
 
 
 def reconstruct_descending(delta):
-    """Oracle for `reconstruct_from_difference`: work down the twist grading
-    (highest twist first), move each extremal term of the remainder into G
-    and subtract its (-1) twist.  A remainder that survives below the
-    original support can never clear, and the input was not a difference."""
+    """Oracle for `reconstruct_from_difference`: work up the weight grading
+    (lowest weight, so highest twist, first), move each extremal term of the
+    remainder into G and subtract its (-1) twist.  A remainder that survives
+    above the original support can never clear, and the input was not a
+    difference."""
     if delta.is_zero():
         return KElement()
-    floor = min(s.twist for s in delta.terms)
+    ceiling = max(s.weight for s in delta.terms)
     g = KElement()
     remainder = delta
     while not remainder.is_zero():
-        top = max(s.twist for s in remainder.terms)
-        if top < floor:
+        bottom = min(s.weight for s in remainder.terms)
+        if bottom > ceiling:
             raise ReconstructionError("input is not a difference G - G(-1)", remainder)
-        batch = KElement({s: c for s, c in remainder.terms.items() if s.twist == top})
+        batch = KElement({s: c for s, c in remainder.terms.items()
+                          if s.weight == bottom})
         g = g + batch
         remainder = remainder - (batch - batch.twisted(-1))
     return g
@@ -248,7 +250,7 @@ differences = k_elements.map(lambda g: g - g.twisted(-1))
 def _class_sums(element):
     sums = {}
     for s, c in element.terms.items():
-        cls = (s.k, s.rep, s.twist % 1)
+        cls = (s.k, s.rep, s.weight % 2)
         sums[cls] = sums.get(cls, 0) + c
     return {cls: total for cls, total in sums.items() if total}
 
@@ -278,8 +280,7 @@ def test_k_element_difference_is_the_sum_with_the_negative(a, b):
     assert (a - a).is_zero()
 
 
-# integral m as an int, which takes the integral fast path, and half-integral
-# m as a Fraction
+# integral m as an int and half-integral m as a Fraction
 twist_shifts = st.integers(-12, 12).map(
     lambda h: h // 2 if h % 2 == 0 else Fraction(h, 2)
 )
@@ -290,10 +291,9 @@ twist_shifts = st.integers(-12, 12).map(
 def test_twisting_by_m_and_back_is_the_identity(g, m):
     shifted = g.twisted(m)
     assert shifted.twisted(-m) == g
-    # the int path agrees with the Fraction path, and stores integral twists
-    # as ints
+    # an int m and the equal Fraction give the same element, of int weights
     assert shifted == g.twisted(Fraction(m))
-    assert all(type(s.twist) is int or s.twist.denominator != 1 for s in shifted.terms)
+    assert all(type(s.weight) is int for s in shifted.terms)
 
 
 @PROPERTY_SETTINGS
@@ -315,11 +315,10 @@ def test_reconstruction_residual_holds_the_nonzero_class_sums(delta):
     assert not residual.is_zero()
     assert _class_sums(residual) == sums
     for s, c in residual.terms.items():
-        lowest = min(
-            t.twist for t in delta.terms
-            if (t.k, t.rep, t.twist % 1) == (s.k, s.rep, s.twist % 1)
-        )
-        assert (s.twist, c) == (lowest - 1, sums[(s.k, s.rep, s.twist % 1)])
+        cls = (s.k, s.rep, s.weight % 2)
+        highest = max(t.weight for t in delta.terms
+                      if (t.k, t.rep, t.weight % 2) == cls)
+        assert (s.weight, c) == (highest + 2, sums[cls])
 
 
 @st.composite
