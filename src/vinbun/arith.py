@@ -106,14 +106,6 @@ class Laurent:
             return NotImplemented
         return self.coeffs == other.coeffs
 
-    def __hash__(self):
-        # constants compare equal to ints, so they must hash like them
-        if not self.coeffs:
-            return hash(0)
-        if len(self.coeffs) == 1 and 0 in self.coeffs:
-            return hash(self.coeffs[0])
-        return hash(frozenset(self.coeffs.items()))
-
     def is_zero(self):
         return not self.coeffs
 
@@ -367,12 +359,12 @@ def build_field(p, e, modulus=None):
     return PrimePowerField(p, e, modulus)
 
 
-def field_from_q(q, modulus=None):
+def field_from_q(q):
     """F_q from the prime power q (q = p^e with e <= 3 and q <= MAX_Q)."""
     found = prime_power(q) if q >= 2 else None
     if found is None:
         raise ValueError(f"{q} is not a prime power p^e with e <= 3")
-    return build_field(*found, modulus)
+    return build_field(*found)
 
 
 # ---------------------------------------------------------------------------
@@ -440,7 +432,7 @@ def poly_mod(field, f, g):
         raise ZeroDivisionError("polynomial division by zero")
     f = list(poly_normalize(f))
     dg = len(g) - 1
-    inv_lead = field.inv(g[-1])
+    inv_lead = 1 if g[-1] == 1 else field.inv(g[-1])  # inv is a slow power above _TABLE_LIMIT
     while len(f) > dg:
         c = field.mul(f.pop(), inv_lead)  # the top coefficient cancels
         shift = len(f) - dg

@@ -38,7 +38,7 @@ those of determinant 1, so there are (q-2) #Aut_SL2 of nonunit determinant.
 
 import itertools
 import math
-from collections import namedtuple
+from collections import Counter, namedtuple
 
 from vinbun.arith import (
     INFINITY,
@@ -46,12 +46,10 @@ from vinbun.arith import (
     divisor_of,
     poly_deg,
     poly_gcd,
-    poly_mul,
     poly_normalize,
-    poly_sub,
 )
 from vinbun.budget import HOM_ENUM_BUDGET, check_power_budget
-from vinbun.kcalc import BOUNDARY, divisor_type, evaluate
+from vinbun.kcalc import BOUNDARY, divisor_type, type_trace
 
 
 def h0_dim(m):
@@ -87,8 +85,11 @@ class HomMatrix(namedtuple("HomMatrix", "a1 a2 entries")):
         return not any(self.entries)
 
     def det(self, field):
-        e = self.entries
-        return poly_sub(field, poly_mul(field, e[0], e[3]), poly_mul(field, e[1], e[2]))
+        """det phi in F_q.  Both bundles have trivial determinant, so det phi
+        is a constant: in e11 e22 and in e12 e21 the degree bounds sum to 0,
+        so an entry whose partner is nonzero has bound 0 and is a constant."""
+        a, b, c, d = (e[0] if e else 0 for e in self.entries)
+        return field.sub(field.mul(a, d), field.mul(b, c))
 
 
 def iter_hom_matrices(field, a1, a2, budget=None):
@@ -152,33 +153,25 @@ def drinfeld_value(a1, a2, field, budget=None, histogram=False):
     """Full enumeration of Hom(E1, E2)(F_q) and the closed formula.
 
     Maps with det = 0 (and phi != 0) contribute their boundary factor, the
-    `kcalc.BOUNDARY` trace prod_x (1 - q^deg x) at their defect divisor; maps
-    with det a nonzero constant are vector-bundle isomorphisms and are
-    excluded from the sum (those with det = 1 are the Isom term).  The
-    result also reports both readings of "is not an isomorphism".
+    `kcalc.BOUNDARY` trace prod_x (1 - q^deg x) at their defect divisor, read
+    once per type off a tally by divisor type, which is the `histogram`.
+    Maps with det a nonzero constant are vector-bundle isomorphisms, excluded
+    from the sum (those with det = 1 are the Isom term).  The result also
+    reports both readings of "is not an isomorphism".
     """
-    q = field.q
-    isom = 0
-    nonunit = 0
-    boundary = 0
-    hist = {}
+    isom = nonunit = 0
+    tally = Counter()
     for phi in iter_hom_matrices(field, a1, a2, budget):
-        if phi.is_zero():
-            continue
         det = phi.det(field)
-        if det:
-            if det == (1,):
-                isom += 1
-            else:
-                nonunit += 1
-            continue
-        divisor = defect_divisor_of_hom(field, phi)
-        boundary += int(evaluate(BOUNDARY, divisor.degree, divisor).at_q(q))
-        if histogram:
-            profile = divisor_type(divisor)
-            hist[profile] = hist.get(profile, 0) + 1
+        if det == 1:
+            isom += 1
+        elif det:
+            nonunit += 1
+        elif not phi.is_zero():
+            tally[divisor_type(defect_divisor_of_hom(field, phi))] += 1
+    boundary = sum(n * int(type_trace(BOUNDARY, t).at_q(field.q)) for t, n in tally.items())
     return _result(isom, boundary, nonunit,
-                   tuple(sorted(hist.items())) if histogram else None)
+                   tuple(sorted(tally.items())) if histogram else None)
 
 
 def sl2_isom_count(a1, a2, q):

@@ -96,11 +96,14 @@ def evaluate(spec, n, divisor):
     product of the local factors over the points of D, cached by type."""
     if divisor.degree != n:
         raise ValueError(f"degree mismatch: deg D = {divisor.degree}, expected {n}")
-    return Laurent(_type_trace(spec, divisor_type(divisor)).coeffs)
+    return type_trace(spec, divisor_type(divisor))
 
 
-# The cache holds Laurent values, whose coefficient dicts are mutable: no
-# cached value reaches a caller, who gets a copy or a fresh product.
+def type_trace(spec, dtype):
+    """The trace at any divisor of type dtype: a copy of the cached, mutable value."""
+    return Laurent(_type_trace(spec, dtype).coeffs)
+
+
 @lru_cache(maxsize=1024)
 def _type_trace(spec, dtype):
     out = Laurent.monomial(spec.scale * sum(d * m for d, m in dtype))
@@ -303,9 +306,6 @@ class KElement:
 
     def __eq__(self, other):
         return isinstance(other, KElement) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
 
     def is_zero(self):
         return not self.terms

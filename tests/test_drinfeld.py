@@ -10,10 +10,11 @@ from divisor_utils import (
     scaled_hom,
 )
 
-from vinbun import arith
+from vinbun import arith, kcalc
 from vinbun.arith import (
     INFINITY,
     EffectiveDivisor,
+    Laurent,
     build_field,
     closed_point,
     poly_add,
@@ -21,6 +22,7 @@ from vinbun.arith import (
     poly_gcd,
     poly_mul,
     poly_normalize,
+    poly_sub,
 )
 from vinbun.budget import BudgetExceededError
 from vinbun.drinfeld import (
@@ -66,6 +68,16 @@ def test_hom_enumeration_size():
     assert all(poly_normalize(e) == e for m in mats for e in m.entries)
 
 
+@pytest.mark.parametrize("field", [F2, F3, F4, F5])
+def test_det_matches_the_polynomial_determinant_on_the_sweeps(field):
+    # det phi = e11 e22 - e12 e21 as polynomials is the constant det(field)
+    for a1, a2 in itertools.product(range(3), repeat=2):
+        for phi in iter_hom_matrices(field, a1, a2):
+            e = phi.entries
+            full = poly_sub(field, poly_mul(field, e[0], e[3]), poly_mul(field, e[1], e[2]))
+            assert full == poly_normalize((phi.det(field),)), phi
+
+
 def test_isom_counts_against_closed_form():
     # the sweep counts the Hom matrices with det identically 1
     for field in (F2, F3, F4):
@@ -82,7 +94,7 @@ def test_isom_counts_against_closed_form():
 
 def test_constant_rank1_matrix_has_empty_divisor():
     phi = HomMatrix(a1=0, a2=0, entries=((1,), (1,), (1,), (1,)))
-    assert phi.det(F3) == ()
+    assert phi.det(F3) == 0
     assert defect_divisor_of_hom(F3, phi).degree == 0
 
 
@@ -222,6 +234,17 @@ def test_drinfeld_value_1_0_q2():
     hist = dict(res.histogram)
     assert hist[()] == 6
     assert hist[((1, 1),)] == 9
+
+
+def test_sweep_reads_each_boundary_factor_once_per_type(monkeypatch):
+    # the tally by divisor type specializes one trace per type, not per map
+    kcalc._type_trace.cache_clear()
+    calls = []
+    at_q = Laurent.at_q
+    monkeypatch.setattr(Laurent, "at_q", lambda self, q: calls.append(q) or at_q(self, q))
+    res = drinfeld_value(3, 3, F2, histogram=True)
+    assert sum(n for _, n in res.histogram) > 100  # maps with det = 0
+    assert 0 < len(calls) <= len(res.histogram)
 
 
 def test_drinfeld_value_budget():
