@@ -275,6 +275,20 @@ def test_laurent_ring_laws():
     assert (a * Laurent.zero()).is_zero()
 
 
+def test_laurent_constants_hash_like_ints():
+    # a constant Laurent value equals its int; it is mutable, so where the
+    # int hashes it refuses, and a set or dict cannot mix the two up; its
+    # value at q is a number again, and hashes as the int does
+    assert Laurent.from_int(5) == 5 and Laurent.zero() == 0
+    assert Laurent.from_int(-1) == Laurent.one() - 2 == -1
+    assert hash(Laurent.from_int(3).at_q(2)) == hash(3)
+    for value in (Laurent.from_int(5), Laurent.zero(), Laurent.one() - 2):
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(value)
+    with pytest.raises(TypeError, match="unhashable"):
+        {Laurent.from_int(7): "seven"}
+
+
 def test_laurent_twist_and_specialize():
     x = Laurent.monomial(2, 3) + Laurent.monomial(-2, 1) + Laurent.from_int(4)
     assert x.at_q(3) == 3 * 3 + Fraction(1, 3) + 4
