@@ -587,11 +587,6 @@ class EffectiveDivisor:
     def is_multiplicity_free(self):
         return all(m == 1 for _, m in self.parts)
 
-    def residue_degrees(self):
-        """Degrees of the distinct points, sorted descending.  For a
-        multiplicity-free divisor of degree n this is an S_n cycle type."""
-        return tuple(sorted((pt.degree for pt, _ in self.parts), reverse=True))
-
     def __add__(self, other):
         return EffectiveDivisor.from_pairs(self.parts + other.parts)
 

@@ -38,21 +38,15 @@ def budget_limit(budget, default):
     return budget
 
 
-def check_budget(space, budget, default, what):
-    limit = budget_limit(budget, default)
-    if space > limit:
-        raise BudgetExceededError(
-            f"{what}: {space} candidates exceed the budget {limit}"
-        )
-
-
 def check_power_budget(exponent, space, budget, default, what):
-    """`check_budget` for a space of at least 2^exponent candidates whose
-    exact size `space()` is computed only when the exponent alone does not
-    put it over the limit, so a huge exponent is refused at once."""
+    """Refuse a space of at least 2^exponent candidates over the limit:
+    its exact size `space()` is computed only when the exponent alone does
+    not put it over, so a huge exponent is refused at once."""
     limit = budget_limit(budget, default)
     if exponent > limit.bit_length():
         raise BudgetExceededError(
             f"{what}: at least 2^{exponent} candidates exceed the budget {limit}"
         )
-    check_budget(space(), limit, default, what)
+    size = space()
+    if size > limit:
+        raise BudgetExceededError(f"{what}: {size} candidates exceed the budget {limit}")

@@ -26,7 +26,7 @@ from operator import attrgetter
 
 from vinbun import arith, drinfeld, kcalc, lefschetz, localmodel, symrep
 from vinbun.arith import MAX_GRID_N, field_from_q
-from vinbun.budget import (DIVISOR_BUDGET, BudgetExceededError, check_budget,
+from vinbun.budget import (DIVISOR_BUDGET, BudgetExceededError, budget_limit,
                            check_power_budget)
 
 DEFAULT_SUITES = (
@@ -70,7 +70,7 @@ class RunConfig:
         if len(set(self.suites)) != len(self.suites):
             raise ValueError(f"duplicate suites: {','.join(self.suites)}")
         # resolves --budget or VINBUN_BUDGET, so a bad one fails before any suite
-        check_budget(0, self.budget, 1, "verify")
+        budget_limit(self.budget, 1)
         if min(self.max_n, self.max_degree, self.max_k) < 1 or self.max_q < 2:
             raise ValueError("max_n, max_degree and max_k must be >= 1 "
                              "and max_q >= 2")
@@ -223,6 +223,8 @@ def _draw_below(bits, n):
 
 
 def suite_reconstruct(config):
+    """The golden delta is [ker N] - [coker N](-1) of the k = 2 oscillator,
+    and its reconstruction is `plo_k_element(2)`; then random round trips."""
     checks = []
     golden_delta = kcalc.KElement(
         {
@@ -512,7 +514,7 @@ def cmd_schur_weyl(args):
 def cmd_drinfeld(args):
     field = field_from_q(args.q)
     # resolves --budget or VINBUN_BUDGET, which only the sweep spends
-    check_budget(0, args.budget, 1, "drinfeld")
+    budget_limit(args.budget, 1)
     if args.histogram:  # the profile of each map needs the sweep
         res = drinfeld.drinfeld_value(
             args.a1, args.a2, field, budget=args.budget, histogram=True
@@ -626,7 +628,7 @@ def main(argv=None):
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, _BadInteger) as exc:  # StalkNotDeterminedError among them
+    except (ValueError, _BadInteger) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:  # the reader left: devnull takes the flush at exit

@@ -35,18 +35,19 @@ it for every d and m), so the normalization c(n) = q^(-n) is v^(scale n) of
 GR_PSI.  The tests keep the
 splitting-sum definition of each spec as the evaluator's oracle.  The rest
 of the module holds formal IC symbols (S_k representation, Weil weight),
-the closed-form reconstruction of G from G - G(-1), and their partial
-stalk evaluation.
+the closed-form reconstruction of G from G - G(-1), and their stalks at
+every divisor.
 """
 
 from collections import namedtuple
 from functools import lru_cache, partial
+from itertools import combinations, combinations_with_replacement, permutations
 from math import comb
 
 from vinbun.arith import Laurent
 from vinbun.lefschetz import predicted_schur_weyl
 from vinbun.symrep import (
-    murnaghan_nakayama,
+    conjugate,
     normalize_partition,
     sign_partition,
     trivial_partition,
@@ -59,10 +60,6 @@ class ReconstructionError(ValueError):
     def __init__(self, message, residual):
         super().__init__(f"{message}; offending residual: {residual}")
         self.residual = residual
-
-
-class StalkNotDeterminedError(ValueError):
-    """Stalk value requested outside the region the theorems determine."""
 
 
 # ---------------------------------------------------------------------------
@@ -389,43 +386,54 @@ def reconstruct_from_difference(delta):
 
 
 # ---------------------------------------------------------------------------
-# partial stalk evaluation of K-elements
+# stalks of K-elements
 # ---------------------------------------------------------------------------
 
 
-def trace_k_element(element, divisor):
-    """Frobenius trace of a K-element at a divisor.
+def _stalk_coefficient(rep, dtype):
+    """<s_rep, prod over (d, m) in dtype of h_m[p_d]>: the Frobenius trace on
+    the stalk of IC(L_rep), a summand of the pushforward of the constant
+    sheaf along X^k -> X^(k), at a divisor of type dtype (Macdonald, I.7-8).
+    It is the coefficient of x^(lam + delta) in a_delta times the product
+    in l = min(rows, columns of rep) variables, lam = rep; with more rows,
+    omega makes h_m[p_d] (-1)^((d - 1) m) e_m[p_d] and lam rep's conjugate.
+    h_m(x^d) and e_m(x^d) sum x^d over the m-multisets and m-subsets of the
+    l variables, and each term past x^(lam + delta) is dropped."""
+    conj = conjugate(rep)
+    omega = len(rep) > len(conj)
+    lam, pick = (conj, combinations) if omega else (rep, combinations_with_replacement)
+    ell = len(lam)
+    target = tuple(p + ell - 1 - i for i, p in enumerate(lam))
+    poly = {(0,) * ell: 1}
+    for d, m in dtype:
+        steps = [[d * chosen.count(i) for i in range(ell)] for chosen in pick(range(ell), m)]
+        out = {}
+        for e, c in poly.items():
+            for step in steps:
+                f = tuple(a + b for a, b in zip(e, step))
+                if all(a <= t for a, t in zip(f, target)):
+                    out[f] = out.get(f, 0) + c
+        poly = out
+    sign = -1 if omega and sum((d - 1) * m for d, m in dtype) % 2 else 1
+    return sign * sum(  # the coefficient of x^(lam + delta) in a_delta * poly
+        (-1) ** sum(a < b for a, b in combinations(perm, 2))
+        * poly.get(tuple(t - p for t, p in zip(target, perm)), 0)
+        for perm in permutations(range(ell - 1, -1, -1)))
 
-    Fully defined at multiplicity-free divisors, where the symbol (rho, w)
-    contributes (-1)^k v^(-k) v^w chi_rho(residue cycle type).  At deeper
-    points only the constant-sheaf symbols (defined everywhere) and the k=2
-    diagonal rule (sign vanishes, trivial is constant) are determined; any
-    other request raises StalkNotDeterminedError.
-    """
-    if element.is_zero():
-        return Laurent.zero()
-    ks = {s.k for s in element.terms}
-    if ks != {divisor.degree}:
-        raise ValueError(
-            f"degree mismatch: symbols on X^({ks}), divisor of degree {divisor.degree}"
-        )
+
+def trace_k_element(element, divisor):
+    """Frobenius trace of a K-element at a divisor D of degree k: the symbol
+    (rho, w) contributes (-1)^k v^(w - k) <s_rho, prod h_m[p_(deg x)]>, the
+    product over the points x of D with multiplicity m, by the IC
+    normalization [k](k/2).  Each rep's stalk is evaluated once."""
     k = divisor.degree
-    # the IC normalization [k](k/2): the sign (-1)^k and v^(-k)
-    top, unit = -k, (-1) ** k
-    multiplicity_free = divisor.is_multiplicity_free()
-    cycle_type = divisor.residue_degrees() if multiplicity_free else None
-    # the symbol (rho, w) adds its coefficient times unit at v^(top + w)
+    ks = {s.k for s in element.terms}
+    if ks - {k}:
+        raise ValueError(f"degree mismatch: symbols on X^({ks}), divisor of degree {k}")
+    dtype = divisor_type(divisor)
+    stalks = {rep: (-1) ** k * _stalk_coefficient(rep, dtype)
+              for rep in {s.rep for s in element.terms}}
     coeffs = {}
-    for s, c in element.terms.items():
-        if multiplicity_free:
-            c *= murnaghan_nakayama(s.rep, cycle_type)
-        elif k == 2 and s.rep == sign_partition(2):
-            continue  # sign symbol vanishes on the diagonal of X^(2)
-        elif s.rep != trivial_partition(k):
-            raise StalkNotDeterminedError(
-                f"stalk of {s!r} at the non-multiplicity-free divisor "
-                f"{divisor!r} is not determined"
-            )
-        e = top + s.weight
-        coeffs[e] = coeffs.get(e, 0) + c * unit
+    for (_, rep, w), c in element.terms.items():
+        coeffs[w - k] = coeffs.get(w - k, 0) + c * stalks[rep]
     return Laurent(coeffs)

@@ -139,11 +139,11 @@ def brute_force_schur_weyl(k):
 def predicted_schur_weyl(k):
     """The k-th oscillator bimodule in closed form, and the one list of its
     summands: U_{k-2r} tensor the two-column irreducible (2^r, 1^(k-2r))
-    for 0 <= r <= k/2.  These partitions ascend with r, so mults is ordered
-    by r.  The K-elements of `kcalc` read it, the kernel of monodromy
-    `ic_kernel_k_element` among them."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    for 0 <= r <= k/2, so U_0 tensor the trivial S_0 at k = 0.  These
+    partitions ascend with r, so mults is ordered by r.  The K-elements of
+    `kcalc` read it, the kernel of monodromy `ic_kernel_k_element` among them."""
+    if k < 0:
+        raise ValueError("k must be >= 0")
     return GradedBiRep.from_dict(
         k, {((2,) * r + (1,) * (k - 2 * r), k - 2 * r): 1 for r in range(k // 2 + 1)}
     )

@@ -295,6 +295,14 @@ def test_trace_command(capsys):
     assert json.loads(out) == {"-2": 1}
 
 
+@pytest.mark.parametrize("divisor", ["t:3", "t^2+1:2,t:1", "0"])
+def test_kelement_trace_is_the_plo_trace(capsys, divisor):
+    outputs = [run_cli(capsys, "trace", "--object", obj, "--q", "3", "--divisor", divisor)
+               for obj in ("kelement", "plo")]
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0] == 0
+
+
 def test_kelement_trace_refuses_before_building_the_class(capsys, monkeypatch):
     def no_k_element(k):
         raise AssertionError("plo_k_element must not run")

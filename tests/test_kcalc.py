@@ -1,6 +1,9 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from functools import reduce
+from itertools import count, islice, product
+from math import factorial, prod
 from operator import mul
 
 import pytest
@@ -8,12 +11,14 @@ from divisor_utils import rational_point
 from kernel_oracle import lowering_kernel_reps
 
 from vinbun.arith import (
+    ClosedPoint,
     EffectiveDivisor,
     Laurent,
     build_field,
     compositions,
     enumerate_closed_points,
     enumerate_divisors,
+    is_irreducible,
     iter_decompositions,
 )
 from vinbun import kcalc
@@ -26,7 +31,6 @@ from vinbun.kcalc import (
     KElement,
     NormLedger,
     ReconstructionError,
-    StalkNotDeterminedError,
     boundary_stalk_trace,
     divisor_type,
     evaluate,
@@ -40,9 +44,11 @@ from vinbun.kcalc import (
     trace_omega_tilde,
     trace_plo,
     _point_factor,
+    _stalk_coefficient,
     _type_trace,
 )
 from vinbun.lefschetz import MAX_BRUTE_K, brute_force_schur_weyl
+from vinbun.symrep import class_size, murnaghan_nakayama, partitions
 
 F2 = build_field(2, 1)
 F3 = build_field(3, 1)
@@ -292,6 +298,17 @@ def test_point_factor_is_affine_in_the_multiplicity():
                 _point_factor(GR_PSI, d, 2) + (m - 2) * step), (d, m)
 
 
+@pytest.mark.parametrize("spec", [PLO, OMEGA_TILDE, GR_PSI, BOUNDARY])
+def test_point_factor_is_the_degree_one_factor_at_v_to_the_d(spec):
+    # base change: Frob_q on the stalk at a degree-d point has the trace of
+    # Frob_(q^d) at one of its geometric points, so v becomes v^d
+    for m in range(9):
+        one = _point_factor(spec, 1, m)
+        for d in range(1, 7):
+            expected = Laurent({d * e: c for e, c in one.coeffs.items()})
+            assert _point_factor(spec, d, m) == expected, (d, m)
+
+
 def test_traces_do_not_alias_cached_factors():
     x = rational_point(F3, 0)
     d = div([(x, 1)])
@@ -538,14 +555,15 @@ def test_trace_k_element_diagonal_rules():
     assert trace_k_element(KElement({s2_sign(1): 1}), d2x).is_zero()
 
 
-def test_trace_k_element_refuses_deep_stalks():
-    f2 = F2
-    x = rational_point(f2, 0)
+def test_trace_k_element_at_deep_stalks():
+    x, y = rational_point(F2, 0), rational_point(F2, 1)
     deep = div([(x, 3)])
-    el = KElement({symbol(3, "sign", 0): 1})
-    with pytest.raises(StalkNotDeterminedError):
-        trace_k_element(el, deep)
-    # but the constant sheaf is defined everywhere
+    # <s_(1,1,1), h_3> = 0: the sign sheaf on X^(3) vanishes at 3x
+    assert trace_k_element(KElement({symbol(3, "sign", 0): 1}), deep).is_zero()
+    # <s_(2,1), h_2 h_1> = 1 at 2x + y
+    ic21 = KElement({symbol(3, (2, 1), 0): 1})
+    assert trace_k_element(ic21, div([(x, 2), (y, 1)])) == Laurent.monomial(-3, -1)
+    # the constant sheaf is 1 at every divisor
     const = KElement({symbol(3, "trivial", 0): 1})
     assert trace_k_element(const, deep) == Laurent.monomial(-3, -1)
 
@@ -577,6 +595,69 @@ def test_plo_k_element_traces_match_plo(field):
         for d in enumerate_divisors(field, k):
             if k == 2 or d.is_multiplicity_free():
                 assert trace_k_element(el, d) == trace_plo(k, d), (k, d)
+
+
+def divisor_types(k, least=(1, 1)):
+    """Every divisor type of degree k whose pairs are all >= least: the
+    sorted tuples of (deg x, m) with the sum of deg x * m equal to k."""
+    if k == 0:
+        yield ()
+        return
+    for d in range(least[0], k + 1):
+        for m in range(least[1] if d == least[0] else 1, k // d + 1):
+            for rest in divisor_types(k - d * m, (d, m)):
+                yield ((d, m),) + rest
+
+
+def plethysm_by_power_sums(rep, dtype):
+    """Oracle for `_stalk_coefficient`: h_m = sum over mu |- m of p_mu / z_mu,
+    so prod h_m[p_d] sums p_c / prod z_(mu^x) over one mu^x per point, with
+    c the union of the parts d mu^x, and <s_rep, p_c> = chi_rep(c)."""
+    total = Fraction(0)
+    for mus in product(*(partitions(m) for _, m in dtype)):
+        cycle = sorted((d * part for (d, _), mu in zip(dtype, mus) for part in mu),
+                       reverse=True)
+        z = prod(factorial(sum(mu)) // class_size(mu) for mu in mus)
+        total += Fraction(murnaghan_nakayama(rep, tuple(cycle)), z)
+    return total
+
+
+def test_stalk_coefficient_matches_the_power_sum_plethysm():
+    pairs = 0
+    for k in range(8):
+        for dtype in divisor_types(k):
+            for rep in partitions(k):
+                assert _stalk_coefficient(rep, dtype) == plethysm_by_power_sums(
+                    rep, dtype), (rep, dtype)
+                pairs += 1
+    assert pairs == 1351
+
+
+def test_plo_k_element_traces_match_plo_at_every_divisor_type():
+    # the first 10 // d points of each degree d over F_11 realize every type
+    # of degree <= 10.  The constant term varies fastest: `monic_polys`
+    # varies the t^(d-1) coefficient fastest, so it reaches a nonzero
+    # constant term, and so an irreducible, only after 11^(d-1) polynomials
+    f11 = build_field(11, 1)
+    points = {}
+    for d in range(1, 11):
+        polys = (tuple(n // 11**i % 11 for i in range(d)) + (1,) for n in count())
+        irreducible = (f for f in polys if is_irreducible(f11, f))
+        points[d] = [ClosedPoint(degree=d, poly=f) for f in islice(irreducible, 10 // d)]
+    types = 0
+    for k in range(11):
+        el = plo_k_element(k)
+        for dtype in divisor_types(k):
+            used = Counter()
+            pairs = []
+            for d, m in dtype:
+                pairs.append((points[d][used[d]], m))
+                used[d] += 1
+            divisor = div(pairs)
+            assert divisor_type(divisor) == dtype
+            assert trace_k_element(el, divisor) == trace_plo(k, divisor), dtype
+            types += 1
+    assert types == 607
 
 
 # ---------------------------------------------------------------------------
