@@ -460,7 +460,8 @@ def poly_gcd(field, f, g):
 
 def monic_polys(field, degree):
     """All monic polynomials of the exact given degree (q^degree of them),
-    lexicographic from the constant term up, counted out lazily."""
+    counted out lazily as base-q numerals whose most significant digit is
+    the constant term: the t^(degree-1) coefficient varies fastest."""
     top = field.q - 1
     f = [0] * degree + [1]
     while True:

@@ -80,22 +80,31 @@ class RunConfig:
             raise ValueError(f"max_k must be <= {lefschetz.MAX_BRUTE_K}")
 
 
-# one report row, its fields in the order of the CSV columns
+# one report row, its fields in the order of the CSV columns.  A suite runner
+# `suite_x(config, rows)` appends its rows without the suite's name, as
+# (name, params, lhs, rhs, status), and `run_suite` puts the name in front
 Check = namedtuple("Check", "suite name params lhs rhs status")
 
 
-def _check(suite, name, params, lhs, rhs, ok):
-    return Check(suite, name, params, str(lhs), str(rhs), "pass" if ok else "fail")
+def _sides(lhs, rhs, ok):
+    """The (lhs, rhs, status) of a row: both sides as text, and `pass` iff ok."""
+    return str(lhs), str(rhs), "pass" if ok else "fail"
 
 
 @contextmanager
-def _skip_over_budget(checks, suite, name, params):
-    """Run the block; if an enumeration in it exceeds its budget, record one
-    `skipped` entry instead of the block's checks."""
+def _skip_over_budget(rows, name, params):
+    """Run the block; if an enumeration in it exceeds its budget, append one
+    `skipped` row instead of the block's rows."""
     try:
         yield
     except BudgetExceededError as exc:
-        checks.append(Check(suite, name, params, str(exc), "", "skipped"))
+        rows.append((name, params, str(exc), "", "skipped"))
+
+
+def _fields(limit):
+    """(q, F_q) for every q of `prime_powers_up_to(limit)`, each field built
+    when the walk reaches it."""
+    return ((q, field_from_q(q)) for q in prime_powers_up_to(limit))
 
 
 def budgeted_divisors(fld, n, budget, max_degree=None, built=0):
@@ -112,16 +121,14 @@ def budgeted_divisors(fld, n, budget, max_degree=None, built=0):
     return arith.enumerate_divisors(fld, n, max_degree)
 
 
-def suite_nearby(config):
-    checks = []
-    by_type = {}  # divisor type -> its (lhs, rhs, status), rendered once per run
-    for q in prime_powers_up_to(config.max_q):
-        fld = field_from_q(q)
+def suite_nearby(config, rows):
+    by_type = {}  # divisor type -> its `_sides`, rendered once per run
+    for q, fld in _fields(config.max_q):
         built = 0  # the budget bounds the divisors built over each field
         names = {}  # point -> its text, so each point is formatted once per field
         for n in range(1, config.max_n + 1):
             params = f"q={q} n={n}"
-            with _skip_over_budget(checks, "nearby", "nearby-vs-boundary", params):
+            with _skip_over_budget(rows, "nearby-vs-boundary", params):
                 divisors = budgeted_divisors(fld, n, config.budget, config.max_degree,
                                              built)
                 built += len(divisors)
@@ -130,48 +137,34 @@ def suite_nearby(config):
                     sides = by_type.get(dtype)
                     if sides is None:
                         lhs, rhs = kcalc.nearby_vs_boundary(n, d)
-                        sides = by_type[dtype] = (str(lhs), str(rhs),
-                                                  "pass" if lhs == rhs else "fail")
+                        sides = by_type[dtype] = _sides(lhs, rhs, lhs == rhs)
                     where = f"{params} D={arith.format_divisor(fld, d, names)}"
-                    checks.append(Check("nearby", "nearby-vs-boundary", where, *sides))
-    return checks
+                    rows.append(("nearby-vs-boundary", where, *sides))
 
 
-def suite_omega(config):
-    checks = []
-    for q in prime_powers_up_to(config.max_q):
-        fld = field_from_q(q)
+def suite_omega(config, rows):
+    for q, fld in _fields(config.max_q):
         built = 0  # the budget bounds the divisors built over each field
         for n in range(1, config.max_n + 1):
-            with _skip_over_budget(checks, "omega", "g-locus-count", f"q={q} n={n}"):
+            with _skip_over_budget(rows, "g-locus-count", f"q={q} n={n}"):
                 divisors = budgeted_divisors(fld, n, config.budget, 1, built)
                 built += len(divisors)
                 for d in divisors:
                     params = f"q={q} n={n} D={arith.format_divisor(fld, d)}"
-                    with _skip_over_budget(checks, "omega", "g-locus-count", params):
+                    with _skip_over_budget(rows, "g-locus-count", params):
                         count, predicted, closed_form = localmodel.omega_point_count(
                             n, d, fld, config.budget
                         )
-                        checks.append(
-                            _check(
-                                "omega",
-                                "omega-point-count",
-                                params,
-                                count,
-                                f"{predicted} (closed form {closed_form})",
-                                count == predicted == closed_form,
-                            )
-                        )
-    return checks
+                        rows.append(("omega-point-count", params, *_sides(
+                            count, f"{predicted} (closed form {closed_form})",
+                            count == predicted == closed_form)))
 
 
-def suite_strata(config):
-    checks = []
-    for q in prime_powers_up_to(config.max_q):
-        fld = field_from_q(q)
+def suite_strata(config, rows):
+    for q, fld in _fields(config.max_q):
         for n in range(1, config.max_n + 1):
             params = f"q={q} n={n}"
-            with _skip_over_budget(checks, "strata", "defect-strata", params):
+            with _skip_over_budget(rows, "defect-strata", params):
                 counts = localmodel.strata_counts(n, fld, config.budget)
                 total = localmodel.count_points(
                     localmodel.build_system([n]), fld, "zero", config.budget
@@ -181,34 +174,19 @@ def suite_strata(config):
                     for k, v in localmodel.expected_strata_counts(n, q).items()
                     if v
                 }
-                checks.append(
-                    _check("strata", "defect-strata", params, counts, expected,
-                           counts == expected)
-                )
-                checks.append(
-                    _check("strata", "b-locus-total", params,
-                           sum(counts.values()), total,
-                           sum(counts.values()) == total)
-                )
-    return checks
+                found = sum(counts.values())
+                rows.append(("defect-strata", params,
+                             *_sides(counts, expected, counts == expected)))
+                rows.append(("b-locus-total", params, *_sides(found, total, found == total)))
 
 
-def suite_schurweyl(config):
-    checks = []
+def suite_schurweyl(config, rows):
     for k in range(1, config.max_k + 1):
         brute = lefschetz.brute_force_schur_weyl(k)
         predicted = lefschetz.predicted_schur_weyl(k)
-        checks.append(
-            _check(
-                "schurweyl",
-                "brute-vs-predicted",
-                f"k={k}",
-                brute.describe(),
-                predicted.describe(),
-                brute == predicted and brute.total_dimension() == 1 << k,
-            )
-        )
-    return checks
+        rows.append(("brute-vs-predicted", f"k={k}", *_sides(
+            brute.describe(), predicted.describe(),
+            brute == predicted and brute.total_dimension() == 1 << k)))
 
 
 def _draw_below(bits, n):
@@ -222,10 +200,9 @@ def _draw_below(bits, n):
     return r
 
 
-def suite_reconstruct(config):
+def suite_reconstruct(config, rows):
     """The golden delta is [ker N] - [coker N](-1) of the k = 2 oscillator,
     and its reconstruction is `plo_k_element(2)`; then random round trips."""
-    checks = []
     golden_delta = kcalc.KElement(
         {
             kcalc.symbol(2, "trivial", 0): 1,
@@ -243,9 +220,7 @@ def suite_reconstruct(config):
         }
     )
     got = kcalc.reconstruct_from_difference(golden_delta)
-    checks.append(
-        _check("reconstruct", "golden-case", "k=2", got, expected, got == expected)
-    )
+    rows.append(("golden-case", "k=2", *_sides(got, expected, got == expected)))
     # symbols[r][t + 5] is the symbol of rep r twisted by t
     symbols = [[kcalc.symbol(2, rep, t) for t in range(-5, 6)]
                for rep in ((2,), (1, 1))]
@@ -260,89 +235,56 @@ def suite_reconstruct(config):
         g = kcalc.KElement(terms)
         if kcalc.reconstruct_from_difference(g - g.twisted(-1)) != g:
             failures += 1
-    checks.append(
-        _check("reconstruct", "random-roundtrips", f"trials={trials}",
-               f"{trials - failures} ok", f"{trials} ok", failures == 0)
-    )
-    return checks
+    rows.append(("random-roundtrips", f"trials={trials}", *_sides(
+        f"{trials - failures} ok", f"{trials} ok", failures == 0)))
 
 
-def suite_drinfeld(config):
-    checks = []
-    for q in prime_powers_up_to(min(config.max_q, 5)):
-        fld = field_from_q(q)
-        params = f"a1=0 a2=0 q={q}"
-        with _skip_over_budget(checks, "drinfeld", "value-0-0", params):
-            res = drinfeld.drinfeld_value(0, 0, fld, budget=config.budget)
-            checks.append(
-                _check("drinfeld", "value-0-0", params, res.value, 1 - q * q,
-                       res.value == 1 - q * q)
-            )
-    params = "a1=1 a2=0 q=2"
-    with _skip_over_budget(checks, "drinfeld", "value-1-0", params):
-        res = drinfeld.drinfeld_value(1, 0, field_from_q(2), budget=config.budget)
-        checks.append(
-            _check("drinfeld", "value-1-0", params, res.value, 3, res.value == 3)
-        )
-    return checks
+def suite_drinfeld(config, rows):
+    cases = [(0, 0, fld, 1 - q * q) for q, fld in _fields(min(config.max_q, 5))]
+    for a1, a2, fld, expected in cases + [(1, 0, field_from_q(2), 3)]:
+        name, params = f"value-{a1}-{a2}", f"a1={a1} a2={a2} q={fld.q}"
+        with _skip_over_budget(rows, name, params):
+            value = drinfeld.drinfeld_value(a1, a2, fld, budget=config.budget).value
+            rows.append((name, params, *_sides(value, expected, value == expected)))
 
 
-def suite_rankone(config):
+def suite_rankone(config, rows):
     """The closed form of the rank-one sum against the Hom sweep, on every
     result field."""
-    checks = []
-    for q in prime_powers_up_to(min(config.max_q, 5)):
-        fld = field_from_q(q)
+    for q, fld in _fields(min(config.max_q, 5)):
         for a1, a2 in product(range(4), repeat=2):
             params = f"a1={a1} a2={a2} q={q}"
-            with _skip_over_budget(checks, "rankone", "sweep-vs-rank-one", params):
+            with _skip_over_budget(rows, "sweep-vs-rank-one", params):
                 sweep = drinfeld.drinfeld_value(a1, a2, fld, budget=config.budget)
                 fast = drinfeld.rank_one_value(a1, a2, q)
-                checks.append(_check("rankone", "sweep-vs-rank-one", params,
-                                     sweep, fast, sweep == fast))
-    return checks
+                rows.append(("sweep-vs-rank-one", params, *_sides(sweep, fast, sweep == fast)))
 
 
-def suite_quadric(config):
-    checks = []
+def suite_quadric(config, rows):
     sys2 = localmodel.build_system([2])
     eqs = sys2.equations_text()
-    checks.append(
-        _check("quadric", "single-equation", "n=[2]", eqs,
-               ["a[-2]*b[1] + a[-1]*b[0] = 0"], len(eqs) == 1)
-    )
+    rows.append(("single-equation", "n=[2]",
+                 *_sides(eqs, ["a[-2]*b[1] + a[-1]*b[0] = 0"], len(eqs) == 1)))
     sys11 = localmodel.build_system([1, 1])
-    for q in prime_powers_up_to(min(config.max_q, 7)):
-        fld = field_from_q(q)
+    for q, fld in _fields(min(config.max_q, 7)):
         expected = q**3 + q**2 - q
         params = f"q={q}"
-        with _skip_over_budget(checks, "quadric", "cone-count", params):
+        with _skip_over_budget(rows, "cone-count", params):
             total = localmodel.count_points(sys2, fld, "any", config.budget)
             coupled = localmodel.count_points(sys11, fld, "any", config.budget)
-            checks.append(
-                _check("quadric", "cone-count", params, total, expected,
-                       total == expected)
-            )
-            checks.append(
-                _check("quadric", "fiber-product-count", params, coupled,
-                       expected, coupled == expected)
-            )
-    return checks
+            rows.append(("cone-count", params, *_sides(total, expected, total == expected)))
+            rows.append(("fiber-product-count", params,
+                         *_sides(coupled, expected, coupled == expected)))
 
 
-def suite_uniformity(config):
-    checks = []
-    for q in prime_powers_up_to(config.max_q):
-        fld = field_from_q(q)
+def suite_uniformity(config, rows):
+    for q, fld in _fields(config.max_q):
         for n in range(1, config.max_n + 1):
             params = f"q={q} n={n}"
-            with _skip_over_budget(checks, "uniformity", "g-fibers-equal", params):
+            with _skip_over_budget(rows, "g-fibers-equal", params):
                 ok = localmodel.per_fiber_uniformity(n, fld, config.budget)
-                checks.append(
-                    _check("uniformity", "g-fibers-equal", params,
-                           "uniform" if ok else "non-uniform", "uniform", ok)
-                )
-    return checks
+                rows.append(("g-fibers-equal", params,
+                             *_sides("uniform" if ok else "non-uniform", "uniform", ok)))
 
 
 _SUITE_RUNNERS = {
@@ -362,13 +304,15 @@ def run_suite(config):
     """Execute the configured suites and assemble the order-normalized report.
     The input was checked before any suite runs, so a ValueError raised in a
     suite is a fault of the program: it becomes one `fail` check in place of
-    that suite's checks."""
+    the rows that suite appended."""
     checks = []
-    for name in config.suites:
+    for suite in config.suites:
+        rows = []
         try:
-            checks.extend(_SUITE_RUNNERS[name](config))
+            _SUITE_RUNNERS[suite](config, rows)
         except ValueError as exc:
-            checks.append(_check(name, "error", type(exc).__name__, exc, "", False))
+            rows = [("error", type(exc).__name__, *_sides(exc, "", False))]
+        checks.extend(Check(suite, *row) for row in rows)
     checks.sort(key=attrgetter("suite", "name", "params"))
     summary = dict.fromkeys(("pass", "fail", "skipped"), 0)
     summary.update(Counter(map(attrgetter("status"), checks)))
@@ -540,10 +484,10 @@ def cmd_drinfeld(args):
 def cmd_character_table(args):
     import csv
 
-    cts, lams, rows = symrep.character_table(args.k)
+    parts, rows = symrep.character_table(args.k)
     writer = csv.writer(sys.stdout)
-    writer.writerow(["irrep\\class"] + [str(list(c)) for c in cts])
-    for lam, row in zip(lams, rows):
+    writer.writerow(["irrep\\class"] + [str(list(c)) for c in parts])
+    for lam, row in zip(parts, rows):
         writer.writerow([str(list(lam))] + [str(v) for v in row])
     return 0
 

@@ -175,10 +175,10 @@ MAX_TABLE_K = 14
 
 
 def character_table(k):
-    """(cycle types, partitions, matrix) with matrix[i][j] = chi_{lam_i}(c_j),
-    for 1 <= k <= MAX_TABLE_K; both lists are `partitions(k)`."""
+    """(partitions, matrix) with matrix[i][j] = chi_{lam_i}(c_j) for
+    1 <= k <= MAX_TABLE_K, where lam_i and c_j both run over `partitions(k)`."""
     if not 1 <= k <= MAX_TABLE_K:
         raise ValueError(f"k must be >= 1 and <= {MAX_TABLE_K}, got {k}")
     parts = partitions(k)
     rows = [[murnaghan_nakayama(lam, c) for c in parts] for lam in parts]
-    return parts, parts, rows
+    return parts, rows

@@ -504,7 +504,7 @@ def test_reconstruct_suite_solves_the_trials_of_the_randint_choice_loop(monkeypa
     seen = []
     monkeypatch.setattr(kcalc, "reconstruct_from_difference",
                         lambda delta: seen.append(delta) or solve(delta))
-    checks = cli.suite_reconstruct(RunConfig(suites=("reconstruct",)))
+    checks = run_suite(RunConfig(suites=("reconstruct",)))["checks"]
     assert [c.status for c in checks] == ["pass", "pass"]
     assert len(seen) == 1001
     assert seen[1:] == expected

@@ -588,13 +588,14 @@ def test_trace_k_element_refuses_a_twist_off_the_half_integers():
 
 @pytest.mark.parametrize("field", [F2, F3, F5])
 def test_plo_k_element_traces_match_plo(field):
-    # every divisor at k = 2, where the diagonal rules determine the stalks,
-    # and every multiplicity-free divisor at k <= 8 for q <= 3
+    # both traces read a divisor only through its type, so one divisor of
+    # each type is checked: every type at k <= 8 for q <= 3, multiple points
+    # included, and at k <= 2 for q = 5
     for k in range(1, 9 if field.q <= 3 else 3):
         el = plo_k_element(k)
-        for d in enumerate_divisors(field, k):
-            if k == 2 or d.is_multiplicity_free():
-                assert trace_k_element(el, d) == trace_plo(k, d), (k, d)
+        one_of_each = {divisor_type(d): d for d in enumerate_divisors(field, k)}
+        for d in one_of_each.values():
+            assert trace_k_element(el, d) == trace_plo(k, d), (k, d)
 
 
 def divisor_types(k, least=(1, 1)):

@@ -139,9 +139,9 @@ def test_decompose_rejects_non_character():
 
 
 def test_character_table_shape():
-    cts, lams, rows = character_table(4)
-    assert len(cts) == len(lams) == 5
-    # first column (identity) lists the dimensions
-    idx = cts.index((1, 1, 1, 1))
-    for lam, row in zip(lams, rows):
+    parts, rows = character_table(4)
+    assert len(parts) == len(rows) == 5
+    # the identity's column lists the dimensions
+    idx = parts.index((1, 1, 1, 1))
+    for lam, row in zip(parts, rows):
         assert row[idx] == hook_length_dimension(lam)
