@@ -14,9 +14,9 @@ from vinbun.localmodel import (
     count_points,
     expected_strata_counts,
     gm_orbit_check,
+    iter_factor_solutions,
     make_solution_point,
     strata_counts,
-    _iter_factor_solutions,
 )
 
 cone = build_system([2])
@@ -46,7 +46,7 @@ for q in (2, 3, 5):
 # lambda, mu in F_5^x on a few random solutions over F_5
 field = field_from_q(5)
 rng = random.Random(0)
-solutions = list(_iter_factor_solutions(field, 2))
+solutions = list(iter_factor_solutions(field, 2))
 for a, b in rng.sample(solutions, 5):
     pt = make_solution_point(field, [(a, b)])
     assert gm_orbit_check(cone, field, pt)

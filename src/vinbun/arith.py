@@ -29,85 +29,88 @@ from functools import lru_cache
 
 
 # ---------------------------------------------------------------------------
-# Laurent values
+# Z-combinations and Laurent values
 # ---------------------------------------------------------------------------
 
 
-class Laurent:
+class Combination:
+    """A finitely supported Z-combination, stored as {key: coefficient} with
+    no zero coefficient: the additive group that `Laurent` and
+    `kcalc.KElement` share.  A value equals, adds to and subtracts only a
+    value of its own type.  A subclass prints its terms through two hooks:
+    `_key_order()`, its keys in print order, and `_term(key, magnitude)`."""
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms=None):
+        self.terms = {k: c for k, c in terms.items() if c} if terms else {}
+
+    @classmethod
+    def _of_nonzero(cls, terms):
+        """Wrap a dict that holds no zero coefficient, without copying it."""
+        out = object.__new__(cls)
+        out.terms = terms
+        return out
+
+    def __add__(self, other):
+        return self._combine(other, 1)
+
+    def __sub__(self, other):
+        return self._combine(other, -1)
+
+    def __neg__(self):
+        return self._of_nonzero({k: -c for k, c in self.terms.items()})
+
+    def _combine(self, other, sign):
+        """self + sign * other in one pass over other's terms."""
+        if type(other) is not type(self):
+            return NotImplemented
+        d = dict(self.terms)
+        for k, c in other.terms.items():
+            c = d.get(k, 0) + sign * c
+            if c:
+                d[k] = c
+            else:
+                del d[k]
+        return self._of_nonzero(d)
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self.terms == other.terms
+
+    def __repr__(self):
+        bits = []
+        for key in self._key_order():
+            c = self.terms[key]
+            term = self._term(key, abs(c))
+            if not bits:
+                bits.append(term if c > 0 else "-" + term)
+            else:
+                bits.append(("+ " if c > 0 else "- ") + term)
+        return " ".join(bits) or "0"
+
+
+class Laurent(Combination):
     """An element of Z[v, v^-1], stored as {exponent: coefficient}.
 
     The universal carrier of Frobenius traces: specializing v^2 = q turns a
     Laurent value into the corresponding point-count rational.
     """
 
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs=None):
-        d = {}
-        if coeffs:
-            for e, c in coeffs.items():
-                if c:
-                    d[int(e)] = int(c)
-        self.coeffs = d
-
-    # -- constructors -------------------------------------------------------
-
-    @staticmethod
-    def zero():
-        return Laurent()
-
-    @staticmethod
-    def one():
-        return Laurent({0: 1})
-
-    @staticmethod
-    def from_int(n):
-        return Laurent({0: n})
+    __slots__ = ()
 
     @staticmethod
     def monomial(exponent, coefficient=1):
-        return Laurent({int(exponent): coefficient})
-
-    # -- ring structure -----------------------------------------------------
-
-    def __add__(self, other):
-        other = _as_laurent(other)
-        d = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            d[e] = d.get(e, 0) + c
-        return Laurent(d)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Laurent({e: -c for e, c in self.coeffs.items()})
-
-    def __sub__(self, other):
-        return self + (-_as_laurent(other))
-
-    def __rsub__(self, other):
-        return _as_laurent(other) + (-self)
+        return Laurent({exponent: coefficient})
 
     def __mul__(self, other):
-        other = _as_laurent(other)
+        if type(other) is not Laurent:
+            return NotImplemented
         d = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
+        for e1, c1 in self.terms.items():
+            for e2, c2 in other.terms.items():
                 e = e1 + e2
                 d[e] = d.get(e, 0) + c1 * c2
         return Laurent(d)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            other = Laurent.from_int(other)
-        if not isinstance(other, Laurent):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def is_zero(self):
-        return not self.coeffs
 
     def at_q(self, q):
         """Specialize v^2 = q.  Defined only when all exponents are even;
@@ -115,42 +118,27 @@ class Laurent:
         and no negative exponents survive denominators).  Exact in integers:
         the q-exponents are shifted up by the lowest negative one, summed,
         and divided once."""
-        odd = next((e for e in self.coeffs if e % 2), None)
+        odd = next((e for e in self.terms if e % 2), None)
         if odd is not None:
             raise ValueError(
                 f"odd v-exponent {odd}: value is not a rational function of q"
             )
-        low = min(min(self.coeffs, default=0) // 2, 0)
-        total = sum(c * q ** (e // 2 - low) for e, c in self.coeffs.items())
+        low = min(min(self.terms, default=0) // 2, 0)
+        total = sum(c * q ** (e // 2 - low) for e, c in self.terms.items())
         return Fraction(total, q**-low)
 
     def to_json_map(self):
-        return {str(e): self.coeffs[e] for e in sorted(self.coeffs)}
+        return {str(e): self.terms[e] for e in sorted(self.terms)}
 
-    def __repr__(self):
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for e in sorted(self.coeffs, reverse=True):
-            c = self.coeffs[e]
-            if e == 0:
-                term = str(abs(c))
-            else:
-                mag = "" if abs(c) == 1 else f"{abs(c)}*"
-                term = f"{mag}v^{e}" if e != 1 else f"{mag}v"
-            if not parts:
-                parts.append(term if c > 0 else "-" + term)
-            else:
-                parts.append(("+ " if c > 0 else "- ") + term)
-        return " ".join(parts)
+    def _key_order(self):  # highest power of v first
+        return sorted(self.terms, reverse=True)
 
-
-def _as_laurent(x):
-    if isinstance(x, Laurent):
-        return x
-    if isinstance(x, int):
-        return Laurent.from_int(x)
-    raise TypeError(f"cannot coerce {x!r} to Laurent")
+    @staticmethod
+    def _term(e, magnitude):
+        if e == 0:
+            return str(magnitude)
+        power = "v" if e == 1 else f"v^{e}"
+        return power if magnitude == 1 else f"{magnitude}*{power}"
 
 
 # ---------------------------------------------------------------------------

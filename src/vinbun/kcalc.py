@@ -44,7 +44,7 @@ from functools import lru_cache, partial
 from itertools import combinations, combinations_with_replacement, permutations
 from math import comb
 
-from vinbun.arith import Laurent
+from vinbun.arith import Combination, Laurent
 from vinbun.lefschetz import predicted_schur_weyl
 from vinbun.symrep import (
     conjugate,
@@ -98,7 +98,7 @@ def evaluate(spec, n, divisor):
 
 def type_trace(spec, dtype):
     """The trace at any divisor of type dtype: a copy of the cached, mutable value."""
-    return Laurent(_type_trace(spec, dtype).coeffs)
+    return Laurent(_type_trace(spec, dtype).terms)
 
 
 @lru_cache(maxsize=1024)
@@ -176,7 +176,7 @@ def trace_gr_psi(n, divisor):
 # normalization ledger and the boundary identity
 # ---------------------------------------------------------------------------
 
-_ONE_MINUS_Q = Laurent.one() - Laurent.monomial(2)  # 1 - q at v^2 = q
+_ONE_MINUS_Q = Laurent({0: 1, 2: -1})  # 1 - q at v^2 = q
 
 
 class NormLedger(namedtuple("NormLedger", "c1")):
@@ -194,7 +194,7 @@ class NormLedger(namedtuple("NormLedger", "c1")):
 
     def c(self, n):
         """c(1)^n, read off the monomial c(1)."""
-        ((exponent, coeff),) = self.c1.coeffs.items()
+        ((exponent, coeff),) = self.c1.terms.items()
         return Laurent.monomial(exponent * n, coeff**n)
 
 
@@ -261,37 +261,10 @@ def symbol(k, rep, twist):
     return IcSymbol(k=k, rep=rep, weight=_weight(twist))
 
 
-class KElement:
+class KElement(Combination):
     """Finitely supported Z-combination of IC symbols, graded by Weil weight."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms = {s: c for s, c in terms.items() if c} if terms else {}
-
-    @staticmethod
-    def _of_nonzero(terms):
-        """Wrap a dict that holds no zero coefficient, without copying it."""
-        out = object.__new__(KElement)
-        out.terms = terms
-        return out
-
-    def __add__(self, other):
-        return self._combine(other, 1)
-
-    def __sub__(self, other):
-        return self._combine(other, -1)
-
-    def _combine(self, other, sign):
-        """self + sign * other in one pass over other's terms."""
-        d = dict(self.terms)
-        for s, c in other.terms.items():
-            c = d.get(s, 0) + sign * c
-            if c:
-                d[s] = c
-            else:
-                del d[s]
-        return KElement._of_nonzero(d)
+    __slots__ = ()
 
     def twisted(self, m):
         """G(m): add the half-integer m to every Tate twist, so -2m to every weight."""
@@ -301,25 +274,12 @@ class KElement:
             for (k, rep, w), c in self.terms.items()
         })
 
-    def __eq__(self, other):
-        return isinstance(other, KElement) and self.terms == other.terms
+    def _key_order(self):  # lowest weight, so highest twist, first
+        return sorted(self.terms, key=lambda s: (s.weight, s.rep))
 
-    def is_zero(self):
-        return not self.terms
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        def key(item):  # lowest weight, so highest twist, first
-            return item[0].weight, item[0].rep
-        bits = []
-        for s, c in sorted(self.terms.items(), key=key):
-            term = repr(s) if abs(c) == 1 else f"{abs(c)}*{s!r}"
-            if not bits:
-                bits.append(term if c > 0 else "-" + term)
-            else:
-                bits.append(("+ " if c > 0 else "- ") + term)
-        return " ".join(bits)
+    @staticmethod
+    def _term(s, magnitude):
+        return repr(s) if magnitude == 1 else f"{magnitude}*{s!r}"
 
 
 def plo_k_element(k):

@@ -23,7 +23,7 @@ free; for a = 0 every b solves.  The torus (a, b) -> (lambda a, mu b)
 preserves the equations and sends d = a_{-m} b_0 to lambda mu d, so every
 fiber over d != 0 holds one point of each pivot-0 line: (q-1) q^(m-1).
 `factor_d_table` and `strata_counts` count each b-fiber by its pivot cell
-instead of listing it, with no field product; `_iter_factor_solutions`
+instead of listing it, with no field product; `iter_factor_solutions`
 lists every point, for the demos and the tests.  A factor has q^m a-codes
 and q^(m+1) + (m-1)(q-1)q^(m-1) points, and the budgets charge both, counted
 or listed.  Coupled counts compose cached per-factor d-tables; the fully
@@ -141,7 +141,7 @@ def _decode(code, q, m):
     return tuple(out)
 
 
-def _iter_factor_solutions(field, m):
+def iter_factor_solutions(field, m):
     """All ((a), (b)) solving the m-1 factor equations.  a[0] encodes
     a_{-m}, b[j] encodes b_j.
 

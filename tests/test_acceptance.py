@@ -171,14 +171,14 @@ def test_a7_subset_identity():
     checked = 0
     for m in range(1, 9):
         for degrees in itertools.combinations_with_replacement(range(1, 6), m):
-            lhs = Laurent.zero()
+            lhs = Laurent()
             for bits in range(1 << m):
                 s = sum(degrees[i] for i in range(m) if bits >> i & 1)
                 size = bin(bits).count("1")
                 lhs = lhs + Laurent.monomial(s, (-1) ** size)
-            rhs = Laurent.one()
+            rhs = Laurent({0: 1})
             for d in degrees:
-                rhs = rhs * (Laurent.one() - Laurent.monomial(d))
+                rhs = rhs * (Laurent({0: 1}) - Laurent.monomial(d))
             assert lhs == rhs, degrees
             checked += 1
     report("A7", True,

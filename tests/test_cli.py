@@ -665,7 +665,7 @@ def test_enumerators_at_depth_count_fibers_without_listing_points(capsys, monkey
             if hasattr(value, "cache_clear"):
                 value.cache_clear()
     calls = {"iter": 0, "mul": 0}
-    iter_solutions, mul = localmodel._iter_factor_solutions, arith.PrimePowerField.mul
+    iter_solutions, mul = localmodel.iter_factor_solutions, arith.PrimePowerField.mul
 
     def counted_iter(*args):
         calls["iter"] += 1
@@ -675,7 +675,7 @@ def test_enumerators_at_depth_count_fibers_without_listing_points(capsys, monkey
         calls["mul"] += 1
         return mul(self, a, b)
 
-    monkeypatch.setattr(localmodel, "_iter_factor_solutions", counted_iter)
+    monkeypatch.setattr(localmodel, "iter_factor_solutions", counted_iter)
     monkeypatch.setattr(arith.PrimePowerField, "mul", counted_mul)
     code, out, _ = run_cli(capsys, "verify", "--suites", "omega,strata,uniformity,quadric",
                            "--max-n", "6", "--max-q", "7")

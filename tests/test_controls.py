@@ -79,9 +79,9 @@ def deep_identity_breaks():
     # a rational double point, which the paper fixes directly, does not see it
     x = EffectiveDivisor.from_pairs([(rational_point(field, 0), 2)])
     assert kcalc.trace_plo(2, x) == Laurent.monomial(-2)
-    # the certificate fails too: 1 - 3u^2 at a degree-2 point of multiplicity 2
-    u = Laurent.monomial(2)
-    assert certificate_failures()[kcalc.GR_PSI, 2, 2] == Laurent.one() - 3 * u * u
+    # the certificate fails too: 1 - 3u^2, u = v^2, at a degree-2 point of
+    # multiplicity 2
+    assert certificate_failures()[kcalc.GR_PSI, 2, 2] == Laurent({0: 1, 4: -3})
 
 
 def plain_permutation_action(mp):

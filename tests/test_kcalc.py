@@ -66,7 +66,7 @@ def div(pairs):
 
 
 V = Laurent.monomial(1)
-ONE = Laurent.one()
+ONE = Laurent({0: 1})
 ONE_MINUS_Q = ONE - Laurent.monomial(2)
 
 
@@ -92,7 +92,7 @@ DEFINITIONS = {
 
 def elementary_symmetric(values, m):
     """e_m of a list of Laurent values (e_0 = 1), by the product expansion."""
-    es = [ONE] + [Laurent.zero()] * m
+    es = [ONE] + [Laurent()] * m
     for x in values:
         for j in range(m, 0, -1):
             es[j] = es[j] + x * es[j - 1]
@@ -106,12 +106,12 @@ def local_exterior_factor(degree, multiplicity, eigenvalues, sign_rule="calibrat
     eigenvalues.  "flip-deep" is the planted fault of the nearby control
     (`test_controls.py`)."""
     if multiplicity > len(eigenvalues):
-        return Laurent.zero()
+        return Laurent()
     sign = (-1) ** ((degree + 1) * multiplicity)
     if sign_rule == "flip-deep" and degree >= 2 and multiplicity >= 2:
         sign = -sign
     powered = [reduce(mul, [alpha] * degree, ONE) for alpha in eigenvalues]
-    return sign * elementary_symmetric(powered, multiplicity)
+    return Laurent({0: sign}) * elementary_symmetric(powered, multiplicity)
 
 
 def shifted_twisted(value, shift, twist):
@@ -127,7 +127,7 @@ def trace_ext_exterior(n, eigenvalues, divisor, shift=0, twist=0):
     at the divisor."""
     if divisor.degree != n:
         raise ValueError(f"degree mismatch: deg D = {divisor.degree}, expected {n}")
-    out = Laurent.one()
+    out = Laurent({0: 1})
     for pt, m in divisor:
         out = out * local_exterior_factor(pt.degree, m, eigenvalues)
     return shifted_twisted(out, shift, twist)
@@ -139,10 +139,10 @@ def splitting_sum(spec, n, divisor):
     those degrees of the product of the slot traces, 1 on a constant slot
     and the exterior trace of the whole piece on an exterior slot."""
     slots, scale = DEFINITIONS[spec]
-    total = Laurent.zero()
+    total = Laurent()
     for degrees in compositions(n, len(slots)):
         for pieces in iter_decompositions(divisor, degrees):
-            term = Laurent.one()
+            term = Laurent({0: 1})
             for slot, j, piece in zip(slots, degrees, pieces):
                 if slot is not None:
                     eigenvalues, shift, twist = slot
@@ -166,7 +166,7 @@ def test_ext_exterior_rank1_single_point_degree3():
 
 def test_ext_exterior_rank1_vanishes_at_multiplicity():
     x = rational_point(F2, 0)
-    assert trace_ext_exterior(2, (ONE,), div([(x, 2)])).is_zero()
+    assert not trace_ext_exterior(2, (ONE,), div([(x, 2)])).terms
 
 
 def test_ext_exterior_rank2_split_pair():
@@ -247,12 +247,12 @@ def plo_closed_form(k, divisor):
     for pt, m in divisor:
         d = pt.degree
         if m > 2:
-            return Laurent.zero()
+            return Laurent()
         sign = (-1) ** ((d + 1) * m)
         if m == 1:
             out = out * Laurent({d: sign, -d: sign})
         else:
-            out = out * Laurent.from_int(sign)
+            out = out * Laurent({0: sign})
     return out
 
 
@@ -267,9 +267,9 @@ def composition_factor(spec, degree, multiplicity, sign_rule="calibrated"):
     """Oracle for `_point_factor`: the sum over every composition of m into
     the slots, constant slots included, of the product of the slot factors."""
     slots, _ = DEFINITIONS[spec]
-    total = Laurent.zero()
+    total = Laurent()
     for parts in compositions(multiplicity, len(slots)):
-        term = Laurent.one()
+        term = Laurent({0: 1})
         for slot, b in zip(slots, parts):
             if slot is None or not b:
                 continue
@@ -295,7 +295,7 @@ def test_point_factor_is_affine_in_the_multiplicity():
         step = _point_factor(GR_PSI, d, 3) - _point_factor(GR_PSI, d, 2)
         for m in (4, 7, 100, 12345):
             assert _point_factor(GR_PSI, d, m) == (
-                _point_factor(GR_PSI, d, 2) + (m - 2) * step), (d, m)
+                _point_factor(GR_PSI, d, 2) + Laurent({0: m - 2}) * step), (d, m)
 
 
 @pytest.mark.parametrize("spec", [PLO, OMEGA_TILDE, GR_PSI, BOUNDARY])
@@ -305,7 +305,7 @@ def test_point_factor_is_the_degree_one_factor_at_v_to_the_d(spec):
     for m in range(9):
         one = _point_factor(spec, 1, m)
         for d in range(1, 7):
-            expected = Laurent({d * e: c for e, c in one.coeffs.items()})
+            expected = Laurent({d * e: c for e, c in one.terms.items()})
             assert _point_factor(spec, d, m) == expected, (d, m)
 
 
@@ -315,7 +315,7 @@ def test_traces_do_not_alias_cached_factors():
     for trace in (lambda: trace_omega_tilde(1, d), lambda: boundary_stalk_trace(d),
                   lambda: trace_gr_psi(1, d), lambda: trace_plo(1, d)):
         before = trace()
-        trace().coeffs[0] = 99
+        trace().terms[0] = 99
         assert trace() == before
 
 
@@ -356,7 +356,7 @@ def test_nearby_sides_do_not_alias_the_cache():
     d = div([(rational_point(F3, 0), 1), (y, 2)])
     before = nearby_vs_boundary(5, d)
     for side in nearby_vs_boundary(5, d):
-        side.coeffs[0] = 99
+        side.terms[0] = 99
     assert nearby_vs_boundary(5, d) == before
 
 
@@ -545,21 +545,21 @@ def test_reconstruction_random_roundtrips():
 def test_reconstruction_rejects_non_difference():
     with pytest.raises(ReconstructionError) as err:
         reconstruct_from_difference(KElement({s2_triv(0): 1}))
-    assert not err.value.residual.is_zero()
+    assert err.value.residual.terms
 
 
 def test_trace_k_element_diagonal_rules():
     x = rational_point(F2, 0)
     d2x = div([(x, 2)])
     assert trace_k_element(KElement({s2_triv(0): 1}), d2x) == Laurent.monomial(-2)
-    assert trace_k_element(KElement({s2_sign(1): 1}), d2x).is_zero()
+    assert not trace_k_element(KElement({s2_sign(1): 1}), d2x).terms
 
 
 def test_trace_k_element_at_deep_stalks():
     x, y = rational_point(F2, 0), rational_point(F2, 1)
     deep = div([(x, 3)])
     # <s_(1,1,1), h_3> = 0: the sign sheaf on X^(3) vanishes at 3x
-    assert trace_k_element(KElement({symbol(3, "sign", 0): 1}), deep).is_zero()
+    assert not trace_k_element(KElement({symbol(3, "sign", 0): 1}), deep).terms
     # <s_(2,1), h_2 h_1> = 1 at 2x + y
     ic21 = KElement({symbol(3, (2, 1), 0): 1})
     assert trace_k_element(ic21, div([(x, 2), (y, 1)])) == Laurent.monomial(-3, -1)

@@ -28,6 +28,7 @@ from vinbun.localmodel import (
     factor_d_table,
     g_locus_count,
     gm_orbit_check,
+    iter_factor_solutions,
     make_solution_point,
     omega_point_count,
     per_fiber_uniformity,
@@ -35,7 +36,6 @@ from vinbun.localmodel import (
     point_satisfies,
     strata_counts,
     _decode,
-    _iter_factor_solutions,
 )
 
 F2 = build_field(2, 1)
@@ -191,7 +191,7 @@ def test_factor_iterators_agree(field):
     q = field.q
     m = 1
     while q ** (2 * m) <= 5 * 10**5:
-        fast = list(_iter_factor_solutions(field, m))
+        fast = list(iter_factor_solutions(field, m))
         assert fast == list(naive_solutions(field, m)), m
         assert len(fast) == q ** (m + 1) + (m - 1) * (q - 1) * q ** (m - 1)
         m += 1
@@ -213,7 +213,7 @@ def test_pivot_cell_kernels_match_solution_tallies(field):
     q = field.q
     m = 1
     while q ** (2 * m) <= 5 * 10**5:
-        for solutions in (list(_iter_factor_solutions(field, m)), naive_solutions(field, m)):
+        for solutions in (list(iter_factor_solutions(field, m)), naive_solutions(field, m)):
             assert factor_d_table(field, m) == d_tally(field, solutions), m
             assert strata_counts(m, field) == defect_tally(field, m, solutions), m
         m += 1
@@ -328,7 +328,7 @@ def test_enumeration_cost_counts_a_codes_and_points():
     for field in (F2, F3, F4, F5):
         q = field.q
         for m in (1, 2, 3, 4):
-            points = list(_iter_factor_solutions(field, m))
+            points = list(iter_factor_solutions(field, m))
             a_codes = len({a for a, _ in points})
             assert enumeration_cost(q, (m,)) == a_codes + len(points)
         assert enumeration_cost(q, (2, 1, 2)) == enumeration_cost(
@@ -447,7 +447,7 @@ def test_defect_examples():
 @pytest.mark.parametrize("field", [F2, F3, F4])
 def test_defect_matches_snf_oracle(field):
     for m in (1, 2, 3):
-        for a, b in _iter_factor_solutions(field, m):
+        for a, b in iter_factor_solutions(field, m):
             if field.mul(a[0], b[0]) != 0:
                 continue
             assert factor_defect(field, m, a, b) == snf_defect_oracle(field, m, a, b)
@@ -470,7 +470,7 @@ def test_defect_zero_locus_is_open_complement():
     # defect 0 <=> not (a_{-n} = 0 and b_0 = 0 and sum_{i+j=0} a_i b_j = 0)
     for field in (F2, F3):
         for n in (1, 2, 3):
-            for a, b in _iter_factor_solutions(field, n):
+            for a, b in iter_factor_solutions(field, n):
                 if field.mul(a[0], b[0]) != 0:
                     continue
                 c0 = 0
@@ -507,7 +507,7 @@ def test_strata_match_closed_form(field):
 def strata_counts_naive(n, field):
     """Every factor point, G-locus dropped, classified by `factor_defect`."""
     counts = {}
-    for a, b in _iter_factor_solutions(field, n):
+    for a, b in iter_factor_solutions(field, n):
         if field.mul(a[0], b[0]) == 0:
             k = factor_defect(field, n, a, b)
             counts[k] = counts.get(k, 0) + 1
@@ -522,7 +522,7 @@ def test_pivot_defect_matches_factor_defect():
         for m in range(1, 6):
             if q ** (2 * m) > 4 * 10**5:
                 continue
-            for a, b in _iter_factor_solutions(field, m):
+            for a, b in iter_factor_solutions(field, m):
                 if field.mul(a[0], b[0]):
                     continue
                 s = next((i for i, x in enumerate(a) if x), m)
@@ -565,7 +565,7 @@ def test_gm_orbit_exhaustive():
     for field in (F2, F3, F4, F5):
         for mults in ([1], [2]):
             system = build_system(mults)
-            for a, b in _iter_factor_solutions(field, mults[0]):
+            for a, b in iter_factor_solutions(field, mults[0]):
                 pt = make_solution_point(field, [(a, b)])
                 assert gm_orbit_check(system, field, pt)
     bad = make_solution_point(F5, [((1, 1), (1, 1))])

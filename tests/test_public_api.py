@@ -5,9 +5,8 @@ demo or the benchmark, not only by the tests.
 A member counts as used when an attribute, or a dotted part of a string
 constant, of its name appears outside its own definition.  The guard reads
 names, not types: a member whose name another class also uses, such as a
-`zero`, `scale` or `twisted` beside `Laurent.zero`, the `Spec.scale` field
-or `KElement.twisted`, is never flagged, and has to be checked by
-reading the code."""
+`scale` or `twisted` beside the `Spec.scale` field or `KElement.twisted`,
+is never flagged, and has to be checked by reading the code."""
 
 import ast
 import importlib
