@@ -13,9 +13,7 @@ from vinbun.localmodel import (
     build_system,
     count_points,
     expected_strata_counts,
-    gm_orbit_check,
     iter_factor_solutions,
-    make_solution_point,
     strata_counts,
 )
 
@@ -45,11 +43,16 @@ for q in (2, 3, 5):
 # the torus (a, b) -> (lambda a, mu b) scales d by lambda mu; check every
 # lambda, mu in F_5^x on a few random solutions over F_5
 field = field_from_q(5)
+mul = field.mul
 rng = random.Random(0)
 solutions = list(iter_factor_solutions(field, 2))
+on_cone = set(solutions)
 for a, b in rng.sample(solutions, 5):
-    pt = make_solution_point(field, [(a, b)])
-    assert gm_orbit_check(cone, field, pt)
+    for lam in range(1, 5):
+        for mu in range(1, 5):
+            moved = (tuple(mul(lam, x) for x in a), tuple(mul(mu, x) for x in b))
+            assert moved in on_cone
+            assert mul(moved[0][0], moved[1][0]) == mul(mul(lam, mu), mul(a[0], b[0]))
 print()
 print("the torus (a, b) -> (lambda a, mu b) preserves the cone and scales d "
       "by lambda mu: OK")

@@ -15,11 +15,8 @@ row of tests/test_controls.py shows as a planted fault.
 from vinbun.arith import enumerate_divisors
 from vinbun.cli import field_from_q
 from vinbun.kcalc import ic_kernel_k_element, plo_k_element, trace_k_element, trace_plo
-from vinbun.lefschetz import (
-    brute_force_schur_weyl,
-    predicted_schur_weyl,
-    sign_on_lowest_lines,
-)
+from vinbun.lefschetz import brute_force_schur_weyl, predicted_schur_weyl
+from vinbun.symrep import murnaghan_nakayama
 
 for k in range(1, 7):
     brute = brute_force_schur_weyl(k)
@@ -35,7 +32,10 @@ for k in (1, 2, 3, 4):
 
 print()
 print("transposition on the lowest weight lines of U_0 and U_2:")
-print("  sign-twisted action :", sign_on_lowest_lines())
+# each summand U_m (x) rho at k = 2 has dim rho = 1, so the transposition
+# acts on the lowest weight line of U_m by the character of rho
+signs = {m: murnaghan_nakayama(rho, (2,)) for (rho, m), _ in brute_force_schur_weyl(2).mults}
+print("  sign-twisted action :", dict(sorted(signs.items())))
 
 print()
 # the weight-line expansion of the k = 2 oscillator evaluates to its trace

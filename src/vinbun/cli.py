@@ -107,7 +107,7 @@ def _fields(limit):
     return ((q, field_from_q(q)) for q in prime_powers_up_to(limit))
 
 
-def budgeted_divisors(fld, n, budget, max_degree=None, built=0):
+def budgeted_divisors(fld, n, budget, max_degree, built):
     """`arith.enumerate_divisors(fld, n, max_degree)`, refused before any
     divisor is built when its `arith.divisor_count` divisors, added to the
     `built` divisors of lower degree already built, exceed the budget."""

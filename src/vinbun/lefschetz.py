@@ -23,7 +23,6 @@ from itertools import combinations
 from vinbun.symrep import (
     decompose_class_function,
     hook_length_dimension,
-    murnaghan_nakayama,
     partitions,
 )
 
@@ -147,14 +146,3 @@ def predicted_schur_weyl(k):
     return GradedBiRep.from_dict(
         k, {((2,) * r + (1,) * (k - 2 * r), k - 2 * r): 1 for r in range(k // 2 + 1)}
     )
-
-
-def sign_on_lowest_lines():
-    """How the transposition acts on the lowest weight lines M_0 of U_0 and
-    M_2 of U_2 inside V tensor V under the sign-twisted action:
-    {0: +1, 2: -1}.  Each summand U_m tensor rho of the bimodule at k = 2
-    has dim rho = 1, so the sign is the character of rho at the
-    transposition.  The plain permutation action would flip both signs;
-    `tests/test_controls.py` plants it as a fault."""
-    return dict(sorted((m, murnaghan_nakayama(rho, (2,)))
-                       for (rho, m), _ in brute_force_schur_weyl(2).mults))

@@ -24,7 +24,7 @@ preserves the equations and sends d = a_{-m} b_0 to lambda mu d, so every
 fiber over d != 0 holds one point of each pivot-0 line: (q-1) q^(m-1).
 `factor_d_table` and `strata_counts` count each b-fiber by its pivot cell
 instead of listing it, with no field product; `iter_factor_solutions`
-lists every point, for the demos and the tests.  A factor has q^m a-codes
+lists every point, for demo 02 and the tests.  A factor has q^m a-codes
 and q^(m+1) + (m-1)(q-1)q^(m-1) points, and the budgets charge both, counted
 or listed.  Coupled counts compose cached per-factor d-tables; the fully
 naive loop over all coordinates lives in the tests as the oracle.
@@ -92,40 +92,6 @@ def build_system(multiplicities):
     if not multiplicities or any(m < 1 for m in multiplicities):
         raise ValueError("multiplicities must be a nonempty list of positive ints")
     return EquationSystem(multiplicities=multiplicities)
-
-
-class SolutionPoint(namedtuple("SolutionPoint", "factors d_value")):
-    """Coordinate assignment for every factor, with the common d-value.
-
-    Factor coordinates are ((a_{-m}, ..., a_{-1}), (b_0, ..., b_{m-1}))."""
-
-    __slots__ = ()
-
-
-def make_solution_point(field, factors):
-    factors = tuple((tuple(a), tuple(b)) for a, b in factors)
-    ds = {field.mul(a[0], b[0]) for a, b in factors}
-    if len(ds) != 1:
-        raise ValueError(f"d-expressions disagree across factors: {sorted(ds)}")
-    return SolutionPoint(factors=factors, d_value=ds.pop())
-
-
-def point_satisfies(system, field, point):
-    """Evaluate every bilinear equation and the d-couplings at the point."""
-    if len(point.factors) != len(system.multiplicities):
-        return False
-    ds = set()
-    for (a, b), m in zip(point.factors, system.multiplicities):
-        if len(a) != m or len(b) != m:
-            return False
-        for eq in system.factor_equations(m):
-            acc = 0
-            for i, j in eq:
-                acc = field.add(acc, field.mul(a[i + m], b[j]))
-            if acc != 0:
-                return False
-        ds.add(field.mul(a[0], b[0]))
-    return len(ds) == 1 and ds.pop() == point.d_value
 
 
 # ---------------------------------------------------------------------------
@@ -305,22 +271,6 @@ def per_fiber_uniformity(n, field, budget=None):
                        POINT_COUNT_BUDGET, f"per_fiber_uniformity[{n}]")
     table = factor_d_table(field, n)
     return len({table.get(c, 0) for c in range(1, field.q)}) == 1
-
-
-def gm_orbit_check(system, field, point):
-    """The torus (a, b) -> (lambda a, mu b) preserves the system and scales d
-    by lambda mu, for every lambda, mu in F_q^x: the fact that makes every
-    fiber over d != 0 alike in `factor_d_table`."""
-    mul = field.mul
-    for lam, mu in product(range(1, field.q), repeat=2):
-        new_point = make_solution_point(field, [
-            (tuple(mul(lam, x) for x in a), tuple(mul(mu, x) for x in b))
-            for a, b in point.factors
-        ])
-        if not (point_satisfies(system, field, new_point)
-                and new_point.d_value == mul(mul(lam, mu), point.d_value)):
-            return False
-    return True
 
 
 def g_locus_count(field, multiplicities, budget=None):

@@ -774,18 +774,18 @@ def test_divisor_budget_refuses_before_enumerating(monkeypatch):
     f2 = field_from_q(2)
     misses = arith.enumerate_divisors.cache_info().misses
     with pytest.raises(BudgetExceededError, match="131072 candidates exceed the budget 100000"):
-        budgeted_divisors(f2, 17, None)
+        budgeted_divisors(f2, 17, None, max_degree=None, built=0)
     # below the degree, the charge is the count of the divisors it builds
     with pytest.raises(BudgetExceededError, match="90 candidates exceed the budget 89"):
-        budgeted_divisors(f2, 17, 89, max_degree=2)
+        budgeted_divisors(f2, 17, 89, max_degree=2, built=0)
     assert arith.enumerate_divisors.cache_info().misses == misses
     # and what was built before counts against the same budget
     with pytest.raises(BudgetExceededError, match="F_2 and 11 of lower degree: "
                        "101 candidates exceed the budget 100"):
         budgeted_divisors(f2, 17, 100, max_degree=2, built=11)
     assert arith.enumerate_divisors.cache_info().misses == misses
-    assert len(budgeted_divisors(f2, 3, None)) == 8
-    assert len(budgeted_divisors(f2, 17, 90, max_degree=2)) == 90
+    assert len(budgeted_divisors(f2, 3, None, max_degree=None, built=0)) == 8
+    assert len(budgeted_divisors(f2, 17, 90, max_degree=2, built=0)) == 90
     assert len(budgeted_divisors(f2, 17, 100, max_degree=2, built=10)) == 90
 
 

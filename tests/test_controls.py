@@ -20,12 +20,14 @@ from collections import namedtuple
 
 import pytest
 from divisor_utils import rational_point
+from kernel_oracle import kernel_traces
 from test_kcalc import certificate_failures, composition_factor
 
 from vinbun import drinfeld, kcalc, lefschetz, localmodel
 from vinbun.arith import EffectiveDivisor, Laurent, enumerate_closed_points, field_from_q
 from vinbun.cli import ALL_SUITES, DEFAULT_SUITES, RunConfig, run_suite
 from vinbun.lefschetz import GradedBiRep
+from vinbun.symrep import murnaghan_nakayama
 
 # verify's grids, as RunConfig arguments
 GRIDS = {
@@ -89,7 +91,12 @@ def plain_permutation_action(mp):
 
 
 def lowest_lines_flip():
-    assert lefschetz.sign_on_lowest_lines() == {0: -1, 2: 1}
+    # the transposition's sign on the lowest weight lines of U_0 and U_2,
+    # read off the bimodule and off ker(f), flips on both
+    for (rho, m), _ in lefschetz.brute_force_schur_weyl(2).mults:
+        sign = {0: -1, 2: 1}[m]
+        assert murnaghan_nakayama(rho, (2,)) == sign
+        assert kernel_traces(2, -m, ((1, 0),)) == [sign]
 
 
 def pivot_defect_plus_one(mp):

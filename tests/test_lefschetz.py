@@ -10,10 +10,9 @@ from vinbun.lefschetz import (
     perm_from_cycle_type,
     perm_sign,
     predicted_schur_weyl,
-    sign_on_lowest_lines,
     weight_of_index,
 )
-from vinbun.symrep import partitions
+from vinbun.symrep import hook_length_dimension, murnaghan_nakayama, partitions
 
 
 # integer matrices as nested tuples, as the module builds them
@@ -191,17 +190,20 @@ def test_lowering_kernel_matches_closed_form():
             assert reps[m] == {(2,) * r + (1,) * (k - 2 * r): 1}, (k, r)
 
 
-def test_sign_on_lowest_lines():
-    assert sign_on_lowest_lines() == {0: 1, 2: -1}
-    # demo 04 prints the dict, so its key order is part of the output
-    assert list(sign_on_lowest_lines()) == [0, 2]
+def test_lowest_line_signs_read_off_the_bimodule():
+    # each summand U_m (x) rho of the bimodule at k = 2 has dim rho = 1, so
+    # the transposition acts on the lowest weight line of U_m by the
+    # character of rho: +1 on U_0 and -1 on U_2 under the sign-twisted action
+    mults = brute_force_schur_weyl(2).mults
+    assert all(hook_length_dimension(rho) == 1 for (rho, _), _ in mults)
+    assert {m: murnaghan_nakayama(rho, (2,)) for (rho, m), _ in mults} == {0: 1, 2: -1}
 
 
-def test_sign_on_lowest_lines_matches_the_kernel():
+def test_lowest_line_signs_match_the_kernel():
     # by row reduction: ker(f) meets the h-weight -m space in one line, and
     # the transposition's trace on it is its sign
-    for m, sign in sign_on_lowest_lines().items():
-        assert kernel_traces(2, -m, ((0, 1), (1, 0))) == [1, sign]
+    for (rho, m), _ in brute_force_schur_weyl(2).mults:
+        assert kernel_traces(2, -m, ((0, 1), (1, 0))) == [1, murnaghan_nakayama(rho, (2,))]
 
 
 def test_transposition_trace_via_matrices():
@@ -211,8 +213,7 @@ def test_transposition_trace_via_matrices():
     # dim(U_0) * chi_triv + dim(U_2) * chi_sign = 1 - 3
     assert sum(diagonal(mat)) == -2
     # on ker(f) = M_0 + M_2 the signs +1 and -1 cancel
-    signs = sign_on_lowest_lines()
-    assert signs[0] + signs[2] == 0
+    assert sum(kernel_traces(2, -m, ((1, 0),))[0] for m in (0, 2)) == 0
 
 
 def test_weight_of_index():

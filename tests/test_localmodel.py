@@ -27,13 +27,10 @@ from vinbun.localmodel import (
     expected_strata_counts,
     factor_d_table,
     g_locus_count,
-    gm_orbit_check,
     iter_factor_solutions,
-    make_solution_point,
     omega_point_count,
     per_fiber_uniformity,
     pivot_defect,
-    point_satisfies,
     strata_counts,
     _decode,
 )
@@ -404,15 +401,17 @@ def factor_defect(field, m, a, b):
     return int(min(m, ord_f, ord_g, ord_gf))
 
 
-def defect_profile(system, field, point):
-    """Per-factor defects of a B-locus point.  Raises on the G-locus."""
-    if point.d_value != 0:
-        raise ValueError("defect is defined on the B-locus only (d = 0)")
-    if not point_satisfies(system, field, point):
+def defect_profile(system, field, factors):
+    """Per-factor defects of a B-locus point, given as its factor pairs
+    ((a_{-m}, ..., a_{-1}), (b_0, ..., b_{m-1})).  Raises off the system and
+    on the G-locus."""
+    mults = system.multiplicities
+    if len(factors) != len(mults) or any(
+            (a, b) not in naive_solutions(field, m) for (a, b), m in zip(factors, mults)):
         raise ValueError("point does not lie on the system")
-    per = []
-    for (a, b), m in zip(point.factors, system.multiplicities):
-        per.append(factor_defect(field, m, a, b))
+    if any(field.mul(a[0], b[0]) for a, b in factors):
+        raise ValueError("defect is defined on the B-locus only (d = 0)")
+    per = [factor_defect(field, m, a, b) for (a, b), m in zip(factors, mults)]
     return DefectProfile(per_factor=tuple(per))
 
 
@@ -455,15 +454,15 @@ def test_defect_matches_snf_oracle(field):
 
 def test_defect_profile_and_errors():
     system = build_system([2, 1])
-    pt = make_solution_point(F3, [((0, 0), (0, 0)), ((0,), (1,))])
-    prof = defect_profile(system, F3, pt)
+    prof = defect_profile(system, F3, [((0, 0), (0, 0)), ((0,), (1,))])
     assert prof.per_factor == (2, 0)
     assert prof.total == 2
-    g_pt = make_solution_point(F3, [((1, 0), (1, 0)), ((1,), (1,))])
-    with pytest.raises(ValueError):
-        defect_profile(system, F3, g_pt)
-    with pytest.raises(ValueError):
-        make_solution_point(F3, [((1, 0), (1, 0)), ((1,), (2,))])
+    with pytest.raises(ValueError):  # the G-locus
+        defect_profile(system, F3, [((1, 0), (1, 0)), ((1,), (1,))])
+    with pytest.raises(ValueError):  # d-expressions 1 and 2 disagree
+        defect_profile(system, F3, [((1, 0), (1, 0)), ((1,), (2,))])
+    with pytest.raises(ValueError):  # off the equation a[-2]*b[1] + a[-1]*b[0] = 0
+        defect_profile(system, F3, [((1, 1), (0, 1)), ((0,), (0,))])
 
 
 def test_defect_zero_locus_is_open_complement():
@@ -560,24 +559,20 @@ def test_per_fiber_uniformity():
 
 
 def test_gm_orbit_exhaustive():
-    # every lambda, mu in F_q^x at every solution, also over F_5, where c^4 = 1
-    # and a scaling by (c^2, c^2) never moves d; a point off the system fails
+    # every lambda, mu in F_q^x at every solution of the naive loop, also
+    # over F_5, where c^4 = 1 and a scaling by (c^2, c^2) never moves d
     for field in (F2, F3, F4, F5):
-        for mults in ([1], [2]):
-            system = build_system(mults)
-            for a, b in iter_factor_solutions(field, mults[0]):
-                pt = make_solution_point(field, [(a, b)])
-                assert gm_orbit_check(system, field, pt)
-    bad = make_solution_point(F5, [((1, 1), (1, 1))])
-    assert not gm_orbit_check(build_system([2]), F5, bad)
-
-
-def test_point_satisfies_rejects_bad_point():
-    system = build_system([2])
-    good = make_solution_point(F3, [((0, 1), (0, 1))])
-    assert point_satisfies(system, F3, good)
-    bad = make_solution_point(F3, [((1, 1), (1, 1))])
-    assert not point_satisfies(system, F3, bad)
+        mul = field.mul
+        for m in (1, 2):
+            solutions = set(naive_solutions(field, m))
+            for a, b in solutions:
+                for lam in range(1, field.q):
+                    for mu in range(1, field.q):
+                        moved_a = tuple(mul(lam, x) for x in a)
+                        moved_b = tuple(mul(mu, x) for x in b)
+                        assert (moved_a, moved_b) in solutions
+                        assert mul(moved_a[0], moved_b[0]) == mul(mul(lam, mu),
+                                                                  mul(a[0], b[0]))
 
 
 def test_omega_identity_examples():

@@ -6,15 +6,30 @@ A member counts as used when an attribute, or a dotted part of a string
 constant, of its name appears outside its own definition.  The guard reads
 names, not types: a member whose name another class also uses, such as a
 `scale` or `twisted` beside the `Spec.scale` field or `KElement.twisted`,
-is never flagged, and has to be checked by reading the code."""
+is never flagged, and has to be checked by reading the code.
+
+The call guard checks what runs, not what is named: a fixed list of CLI
+argv goes through `cli.main` in-process under `sys.setprofile`, and the
+public functions, methods and properties it never calls must be exactly
+the pending names, each waiting on the ROADMAP item that gives it a
+caller or takes it out of `src/`.  Demos do not count."""
 
 import ast
 import importlib
+import inspect
+import io
+import sys
 from collections import Counter
+from contextlib import redirect_stdout
 from pathlib import Path
+
+from test_controls import clear_vinbun_caches
+
+from vinbun import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "vinbun"
+
 
 def top_level_names(tree):
     """(name, defining node) for each def, class and plain assignment."""
@@ -131,3 +146,86 @@ def test_perfbench_traces_and_caches_names_that_exist():
         assert callable(resolve(module, qualname)), (module, qualname)
     for module, name in cached:
         assert hasattr(resolve(module, name), "cache_info"), (module, name)
+
+
+# ---------------------------------------------------------------------------
+# the call guard
+# ---------------------------------------------------------------------------
+
+# CLI argv run in-process, each of which exits 0.  plo over F_2000003 has no
+# log tables, so its irreducibility test inverts by `PrimePowerField.pow`
+GUARD_ARGV = [
+    ["verify"],
+    ["verify", "--format", "csv"],
+    ["verify", "--suites", "rankone", "--max-q", "2"],
+    ["verify", "--suites", "nearby", "--max-n", "4", "--max-q", "3"],
+    ["verify", "--budget", "10"],
+    ["count", "--n", "2", "--q", "3"],
+    ["count", "--n", "2,1", "--q", "4", "--d", "1"],
+    *(["trace", "--object", obj, "--q", "3", "--divisor", "t^2+1:2,t:1"]
+      for obj in ("plo", "omega", "grpsi", "kelement")),
+    ["trace", "--object", "plo", "--q", "2000003", "--divisor", "t^2+1:2"],
+    ["equations", "--n", "2,1"],
+    ["schur-weyl", "--k", "3"],
+    ["drinfeld", "--a1", "1", "--a2", "1", "--q", "3"],
+    ["drinfeld", "--a1", "1", "--a2", "0", "--q", "3", "--histogram",
+     "--include-nonunit-isos"],
+    ["character-table", "--k", "4"],
+]
+
+# each public callable that no argv of GUARD_ARGV calls -> the ROADMAP item
+# that gives it a caller or takes it out of `src/`
+PENDING = {
+    "localmodel.iter_factor_solutions": 2,
+    "kcalc.ic_kernel_k_element": 6,
+    "kcalc.NormLedger.calibrated": 1,
+    "kcalc.NormLedger.c": 1,
+    "arith.decompositions": 1,
+    "arith.iter_decompositions": 1,
+    "arith.compositions": 1,
+    "arith.EffectiveDivisor.is_multiplicity_free": 1,
+}
+
+
+def public_callables():
+    """(module, qualname) for each public function of the package, and each
+    public method and property of a public class."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for name, node in top_level_names(tree):
+            if isinstance(node, ast.FunctionDef) and not name.startswith("_"):
+                yield path.stem, name
+        for qualname, _, _ in public_members(tree):
+            yield path.stem, qualname
+
+
+def code_of(module, qualname):
+    """The code object a call of the named callable runs: a property's
+    getter, a classmethod's function, a cached function's wrapped one."""
+    obj = resolve(module, qualname)
+    obj = getattr(obj, "fget", None) or getattr(obj, "__func__", obj)
+    return inspect.unwrap(obj).__code__
+
+
+def test_every_public_callable_runs_under_the_cli(monkeypatch):
+    monkeypatch.delenv("VINBUN_BUDGET", raising=False)
+    # every code object stays alive through the run, so its id is its own
+    codes = {f"{module}.{qualname}": code_of(module, qualname)
+             for module, qualname in public_callables()}
+    clear_vinbun_caches()  # a warm cache would hide a call
+    called = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            called.add(id(frame.f_code))
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        with redirect_stdout(io.StringIO()):
+            exits = [cli.main(argv) for argv in GUARD_ARGV]
+    finally:
+        sys.setprofile(previous)
+    assert exits == [0] * len(GUARD_ARGV)
+    uncalled = sorted(name for name, code in codes.items() if id(code) not in called)
+    assert uncalled == sorted(PENDING)

@@ -23,7 +23,7 @@ from vinbun.cli import RunConfig
 from vinbun.drinfeld import DrinfeldResult, HomMatrix
 from vinbun.kcalc import PLO, NormLedger, Spec, evaluate, symbol
 from vinbun.lefschetz import GradedBiRep
-from vinbun.localmodel import SolutionPoint, build_system
+from vinbun.localmodel import build_system
 
 F3 = field_from_q(3)
 
@@ -39,7 +39,6 @@ def frozen_instances():
         DrinfeldResult(1, 2, 3, 4, 5, None),
         GradedBiRep.from_dict(2, {((2,), 2): 1}),
         build_system([2, 1]),
-        SolutionPoint((((1,), (0,)),), 0),
         DefectProfile((0, 1)),
         PLO,
     ]
