@@ -145,19 +145,27 @@ def suite_nearby(config, rows):
 def suite_omega(config, rows):
     for q, fld in _fields(config.max_q):
         built = 0  # the budget bounds the divisors built over each field
+        names = {}  # point -> its text, so each point is formatted once per field
+        by_type = {}  # divisor type -> its `_sides`, counted once per field
         for n in range(1, config.max_n + 1):
             with _skip_over_budget(rows, "g-locus-count", f"q={q} n={n}"):
                 divisors = budgeted_divisors(fld, n, config.budget, 1, built)
                 built += len(divisors)
                 for d in divisors:
-                    params = f"q={q} n={n} D={arith.format_divisor(fld, d)}"
-                    with _skip_over_budget(rows, "g-locus-count", params):
-                        count, predicted, closed_form = localmodel.omega_point_count(
-                            n, d, fld, config.budget
-                        )
-                        rows.append(("omega-point-count", params, *_sides(
-                            count, f"{predicted} (closed form {closed_form})",
-                            count == predicted == closed_form)))
+                    params = f"q={q} n={n} D={arith.format_divisor(fld, d, names)}"
+                    dtype = kcalc.divisor_type(d)
+                    if dtype not in by_type:
+                        # a type skipped over budget is not kept: each of its
+                        # divisors gets its own skipped row
+                        with _skip_over_budget(rows, "g-locus-count", params):
+                            count, predicted, closed_form = localmodel.omega_point_count(
+                                n, d, fld, config.budget
+                            )
+                            by_type[dtype] = _sides(
+                                count, f"{predicted} (closed form {closed_form})",
+                                count == predicted == closed_form)
+                    if dtype in by_type:
+                        rows.append(("omega-point-count", params, *by_type[dtype]))
 
 
 def suite_strata(config, rows):

@@ -21,8 +21,10 @@ the boundary sum even when that constant is not 1.  The alternative
 convention (counting nonunit-determinant isomorphisms into the sum with an
 empty defect divisor) is reported alongside.
 
-`drinfeld_value` sweeps all of Hom(E1, E2)(F_q); `rank_one_value` gives the
-same result in closed form, enumerating no map:
+`drinfeld_value` sweeps Hom(E1, E2)(F_q) one line F_q^x phi at a time: scaling
+by c keeps the defect divisor and multiplies det by c^2, so each line's q - 1
+maps are counted from one (the line rule, proved in its docstring).
+`rank_one_value` gives the same result in closed form, enumerating no map:
 
     boundary = 2 #Isom_SL2 - (q-1)(q^2-1),  value = (q-1)(q^2-1) - #Isom_SL2,
 
@@ -81,9 +83,6 @@ class HomMatrix(namedtuple("HomMatrix", "a1 a2 entries")):
     def bounds(self):
         return entry_bounds(self.a1, self.a2)
 
-    def is_zero(self):
-        return not any(self.entries)
-
     def det(self, field):
         """det phi in F_q.  Both bundles have trivial determinant, so det phi
         is a constant: in e11 e22 and in e12 e21 the degree bounds sum to 0,
@@ -92,8 +91,12 @@ class HomMatrix(namedtuple("HomMatrix", "a1 a2 entries")):
         return field.sub(field.mul(a, d), field.mul(b, c))
 
 
-def iter_hom_matrices(field, a1, a2, budget=None):
-    """Exhaustive enumeration of Hom(E1, E2)(F_q)."""
+def iter_hom_lines(field, a1, a2, budget=None):
+    """One nonzero map on each line F_q^x phi of Hom(E1, E2)(F_q): the one
+    whose flat coefficient vector (entries row-major, each entry's
+    coefficients in order) has first nonzero coordinate 1, so (q^N - 1)/(q - 1)
+    maps for N = sum of `hom_space_dims`.  The budget is charged q^N, the
+    size of the whole space."""
     dims = hom_space_dims(a1, a2)
     total = sum(dims)
     check_power_budget(total, lambda: field.q**total, budget, HOM_ENUM_BUDGET,
@@ -102,8 +105,12 @@ def iter_hom_matrices(field, a1, a2, budget=None):
         [poly_normalize(c) for c in itertools.product(field.elements(), repeat=d)]
         for d in dims
     ]
-    for quad in itertools.product(*spaces):
-        yield HomMatrix(a1=a1, a2=a2, entries=quad)
+    for k, space in enumerate(spaces):
+        # entry k holds the first nonzero coordinate: the entries before it are
+        # zero, its lowest nonzero coefficient is 1, the entries after it are free
+        heads = [f for f in space if f and next(filter(None, f)) == 1]
+        for rest in itertools.product(heads, *spaces[k + 1:]):
+            yield HomMatrix(a1=a1, a2=a2, entries=((),) * k + rest)
 
 
 # ---------------------------------------------------------------------------
@@ -149,8 +156,18 @@ def _result(isom, boundary, nonunit, histogram=None):
                           isom - (boundary + nonunit), histogram)
 
 
+def _line_shares(field):
+    """shares[d] for each det d in F_q of a line F_q^x phi: (s, q - 1 - s),
+    where s of the line's q - 1 maps have det 1 and the other q - 1 - s do
+    not.  s = #{c in F_q^x : c^2 d = 1}, which is 0 at d = 0."""
+    ones = [0] * field.q
+    for c in range(1, field.q):
+        ones[field.inv(field.mul(c, c))] += 1
+    return [(s, field.q - 1 - s) for s in ones]
+
+
 def drinfeld_value(a1, a2, field, budget=None, histogram=False):
-    """Full enumeration of Hom(E1, E2)(F_q) and the closed formula.
+    """The closed formula, from one map on each line of Hom(E1, E2)(F_q).
 
     Maps with det = 0 (and phi != 0) contribute their boundary factor, the
     `kcalc.BOUNDARY` trace prod_x (1 - q^deg x) at their defect divisor, read
@@ -158,17 +175,28 @@ def drinfeld_value(a1, a2, field, budget=None, histogram=False):
     Maps with det a nonzero constant are vector-bundle isomorphisms, excluded
     from the sum (those with det = 1 are the Isom term).  The result also
     reports both readings of "is not an isomorphism".
+
+    The line rule.  The nonzero maps fall into the lines F_q^x phi of q - 1
+    maps each, and `iter_hom_lines` gives one map of each.  Scaling by c in
+    F_q^x multiplies every entry by c, which keeps the gcd of the entries and
+    each entry's degree, so the defect divisor of c phi is that of phi; and
+    det(c phi) = c^2 det phi, as det is a quadratic form in the entries.  So
+    a line of det 0 adds q - 1 maps to its defect type's tally, and a line of
+    det d != 0 holds r(d) = #{c : c^2 d = 1} maps of det 1 and q - 1 - r(d) of
+    nonunit det (`_line_shares`).  In characteristic 2 squaring is a
+    bijection of F_q^x, so r(d) = 1; for odd q, c^2 = 1/d has 0 or 2 roots.
     """
+    shares = _line_shares(field)
     isom = nonunit = 0
     tally = Counter()
-    for phi in iter_hom_matrices(field, a1, a2, budget):
+    for phi in iter_hom_lines(field, a1, a2, budget):
         det = phi.det(field)
-        if det == 1:
-            isom += 1
-        elif det:
-            nonunit += 1
-        elif not phi.is_zero():
-            tally[divisor_type(defect_divisor_of_hom(field, phi))] += 1
+        ones, others = shares[det]
+        if det:
+            isom += ones
+            nonunit += others
+        else:
+            tally[divisor_type(defect_divisor_of_hom(field, phi))] += others
     boundary = sum(n * int(type_trace(BOUNDARY, t).at_q(field.q)) for t, n in tally.items())
     return _result(isom, boundary, nonunit,
                    tuple(sorted(tally.items())) if histogram else None)

@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import time
+from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -369,7 +370,7 @@ def test_drinfeld_without_histogram_sweeps_nothing(capsys, monkeypatch):
     def no_sweep(*args, **kwargs):
         raise AssertionError("Hom space swept")
 
-    monkeypatch.setattr(drinfeld, "iter_hom_matrices", no_sweep)
+    monkeypatch.setattr(drinfeld, "iter_hom_lines", no_sweep)
     code, out, _ = run_cli(capsys, "drinfeld", "--a1", "1", "--a2", "1", "--q", "7")
     assert code == 0
     assert json.loads(out) == {"boundary_sum": 3828, "isom": 2058, "value": -1770}
@@ -685,6 +686,29 @@ def test_enumerators_at_depth_count_fibers_without_listing_points(capsys, monkey
     )
     assert calls["iter"] == 0
     assert calls["mul"] <= 2 * DEPTH_GRID_MULS
+
+
+def test_omega_suite_counts_each_divisor_type_once_per_field(capsys, monkeypatch):
+    # the count, the prediction and the closed form depend on D only through
+    # its multiplicities, so the CI grid "Enumerators at depth" counts once
+    # per (q, divisor type) and gives each divisor of the type that row
+    calls = Counter()
+    omega_point_count = localmodel.omega_point_count
+
+    def counted(n, d, field, budget=None):
+        calls[field.q, kcalc.divisor_type(d)] += 1
+        return omega_point_count(n, d, field, budget)
+
+    monkeypatch.setattr(localmodel, "omega_point_count", counted)
+    code, out, _ = run_cli(capsys, "verify", "--suites", "omega", "--max-n", "6",
+                           "--max-q", "7")
+    assert code == 0
+    divisors = [(q, d) for q in prime_powers_up_to(7) for n in range(1, 7)
+                for d in arith.enumerate_divisors(field_from_q(q), n, 1)]
+    assert set(calls) == {(q, kcalc.divisor_type(d)) for q, d in divisors}
+    assert set(calls.values()) == {1}
+    checks = json.loads(out)["checks"]
+    assert len(checks) == len(divisors) > 5 * len(calls)
 
 
 def test_nearby_suite_skips_degrees_over_the_divisor_budget(capsys):

@@ -177,6 +177,18 @@ def infinity_dropped(mp):
     mp.setattr(drinfeld, "defect_divisor_of_hom", finite_part)
 
 
+def det_zero_line_weighted_once(mp):
+    # each line of det 0 in the Hom sweep counted as one map, not q - 1
+    original = drinfeld._line_shares
+
+    def once(field):
+        shares = original(field)
+        shares[0] = (0, 1)
+        return shares
+
+    mp.setattr(drinfeld, "_line_shares", once)
+
+
 # fault: its name; plant: patches the library; failing: grid -> the exact set
 # of suites that fail there; holds: asserts what else the fault changes
 Control = namedtuple("Control", "fault plant failing holds", defaults=(None,))
@@ -199,6 +211,9 @@ CONTROLS = [
             {"default": set(), "rankone --max-q 2": {"rankone"}}),
     Control("closed-form-off-by-one", closed_form_off_by_one,
             {"default": set(), "rankone --max-q 2": {"rankone"}}),
+    # the rankone grid at --max-q 2 sweeps only over F_2, where q - 1 = 1
+    Control("det-zero-line-weighted-once", det_zero_line_weighted_once,
+            {"default": {"drinfeld"}, "rankone --max-q 2": set()}),
 ]
 
 
@@ -214,5 +229,6 @@ def test_every_suite_fails_on_some_fault():
     caught = set().union(*(s for c in CONTROLS for s in c.failing.values()))
     assert caught == set(ALL_SUITES)
     # one row per default suite, two for the opt-in rankone (a fault in the
-    # sweep's isom count, one in the closed form), and the clean run
-    assert len(CONTROLS) == len(DEFAULT_SUITES) + 3
+    # sweep's isom count, one in the closed form), one for the line rule of
+    # the sweep, and the clean run
+    assert len(CONTROLS) == len(DEFAULT_SUITES) + 4

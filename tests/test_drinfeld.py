@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from collections import Counter
 
 import pytest
 from divisor_utils import (
@@ -9,6 +10,7 @@ from divisor_utils import (
     rational_point,
     scaled_hom,
 )
+from hom_sweep import flat_coordinates, is_zero, iter_hom_matrices, swept_value
 
 from vinbun import arith, kcalc
 from vinbun.arith import (
@@ -32,7 +34,7 @@ from vinbun.drinfeld import (
     entry_bounds,
     h0_dim,
     hom_space_dims,
-    iter_hom_matrices,
+    iter_hom_lines,
     rank_one_value,
     sl2_isom_count,
 )
@@ -63,9 +65,28 @@ def test_hom_space_dims():
 def test_hom_enumeration_size():
     mats = list(iter_hom_matrices(F2, 1, 0))
     assert len(mats) == 2**4
-    assert sum(1 for m in mats if m.is_zero()) == 1
+    assert sum(1 for m in mats if is_zero(m)) == 1
     # each entry is listed normalized, with no trailing zero
     assert all(poly_normalize(e) == e for m in mats for e in m.entries)
+
+
+@pytest.mark.parametrize("field", [F2, F3, F4, F5])
+def test_line_walk_takes_one_map_per_line(field):
+    # (q^N - 1)/(q - 1) maps, each with first nonzero coordinate 1, whose
+    # F_q^x multiples are the nonzero maps of the literal sweep, each once
+    q = field.q
+    for a1, a2 in itertools.product(range(3), repeat=2):
+        n = sum(hom_space_dims(a1, a2))
+        if q**n > 5000:
+            continue
+        lines = list(iter_hom_lines(field, a1, a2))
+        assert len(lines) == (q**n - 1) // (q - 1)
+        for phi in lines:
+            assert next(filter(None, flat_coordinates(phi))) == 1, phi
+            assert all(poly_normalize(e) == e for e in phi.entries)
+        multiples = Counter(scaled_hom(field, phi, c) for phi in lines for c in range(1, q))
+        nonzero = Counter(phi for phi in iter_hom_matrices(field, a1, a2) if not is_zero(phi))
+        assert multiples == nonzero
 
 
 @pytest.mark.parametrize("field", [F2, F3, F4, F5])
@@ -131,7 +152,7 @@ def test_defect_divisor_matches_trial_division_on_the_sweeps(field):
     # lookup against factoring the gcd by trial division
     for a1, a2 in itertools.product(range(3), repeat=2):
         for phi in iter_hom_matrices(field, a1, a2):
-            if not phi.is_zero() and not phi.det(field):
+            if not is_zero(phi) and not phi.det(field):
                 assert defect_divisor_of_hom(field, phi) \
                     == factored_defect_divisor(field, phi), phi
 
@@ -149,7 +170,7 @@ def test_sweep_builds_each_sieve_about_once():
 def test_defect_divisor_constant_on_scaling_orbits():
     for field in (F2, F3):
         for phi in iter_hom_matrices(field, 1, 0):
-            if phi.is_zero():
+            if is_zero(phi):
                 continue
             d = defect_divisor_of_hom(field, phi)
             for c in range(1, field.q):
@@ -196,7 +217,7 @@ def test_defect_divisor_invariant_under_automorphisms():
         boundary = [
             phi
             for phi in iter_hom_matrices(field, 1, 1)
-            if not phi.is_zero() and not phi.det(field)
+            if not is_zero(phi) and not phi.det(field)
         ]
         sample = rng.sample(boundary, min(25, len(boundary)))
         for phi in sample:
@@ -223,6 +244,25 @@ def test_drinfeld_value_diagonal(field):
     assert res.boundary_sum == q**3 + q**2 - q - 1
     # the alternative convention differs exactly by the nonunit isomorphisms
     assert res.value_including_nonunit_isos == res.value - (q - 2) * (q**3 - q)
+
+
+F7, F8, F9 = build_field(7, 1), build_field(2, 3), build_field(3, 2)
+
+
+def literal_sweep_grid():
+    """Every (a1, a2) with q^(dim Hom) <= 2 * 10^5 over F_2 .. F_9, both
+    characteristic 2 and odd q."""
+    for field in (F2, F3, F4, F5, F7, F8, F9):
+        for a1, a2 in itertools.product(range(8), repeat=2):
+            if field.q ** sum(hom_space_dims(a1, a2)) <= 2 * 10**5:
+                yield field, a1, a2
+
+
+@pytest.mark.parametrize("field,a1,a2", list(literal_sweep_grid()),
+                         ids=lambda v: getattr(v, "q", v))
+def test_line_rule_matches_the_literal_sweep(field, a1, a2):
+    # isom, boundary_sum, nonunit_isoms and the histogram, map by map
+    assert drinfeld_value(a1, a2, field, histogram=True) == swept_value(a1, a2, field)
 
 
 def test_drinfeld_value_1_0_q2():
@@ -274,7 +314,7 @@ def test_boundary_factor_matches_integer_oracle_on_the_sweeps(field):
     seen = set()
     for a in (0, 1):
         for phi in iter_hom_matrices(field, a, a):
-            if not phi.is_zero() and not phi.det(field):
+            if not is_zero(phi) and not phi.det(field):
                 d = defect_divisor_of_hom(field, phi)
                 seen.update(pt for pt, _ in d)
                 assert boundary_factor(field.q, d) == boundary_product(field.q, d), d
@@ -482,4 +522,4 @@ def test_rank_one_value_charges_nothing():
 
 def test_huge_hom_space_refused_without_its_size():
     with pytest.raises(BudgetExceededError, match="at least 2\\^"):
-        next(iter_hom_matrices(F2, 10**18, 10**18))
+        next(iter_hom_lines(F2, 10**18, 10**18))
