@@ -7,6 +7,7 @@ formal square root of q, so half-integer Tate twists stay exact.
 """
 
 from vinbun.arith import (
+    Laurent,
     enumerate_closed_points,
     enumerate_divisors,
     format_divisor,
@@ -43,9 +44,11 @@ print(f"factorization: plo({format_divisor(field, both)}) = {lhs!r}")
 print(f"             = plo(t) * plo(t+1:2,t^2+1)          = {rhs!r}")
 assert lhs == rhs
 
-# specializing v^2 = q turns the omega trace into the open Zastava count
+# specializing v^2 = q turns the omega trace into the open Zastava count;
+# the twist v^(2n) = q^n clears its q-denominator first, so the count is an
+# int computed in Z
 q = 3
 for n in (1, 2, 3):
     d = parse_divisor(field, f"t:{n}")
-    count = (q**n * trace_omega_tilde(n, d).at_q(q))
+    count = (Laurent.monomial(2 * n) * trace_omega_tilde(n, d)).at_q(q)
     print(f"open fiber count over {n}*x: q^{n} * omega|_(v^2=q) = {count}")

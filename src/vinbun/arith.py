@@ -24,7 +24,6 @@ import itertools
 import math
 import re
 from collections import namedtuple
-from fractions import Fraction
 from functools import lru_cache
 
 
@@ -113,11 +112,12 @@ class Laurent(Combination):
         return Laurent(d)
 
     def at_q(self, q):
-        """Specialize v^2 = q.  Defined only when all exponents are even;
-        returns a Fraction (an integer-valued one whenever q is an integer
-        and no negative exponents survive denominators).  Exact in integers:
-        the q-exponents are shifted up by the lowest negative one, summed,
-        and divided once."""
+        """Specialize v^2 = q, for an integer q.  Defined only when all
+        exponents are even.  Exact in integers: the q-exponents are shifted
+        up by the lowest negative one, summed, and divided once.  Returns
+        the int quotient when the division is exact, as it is for a point
+        count or any value with no negative exponent, and a Fraction only
+        when the value has a q-denominator."""
         odd = next((e for e in self.terms if e % 2), None)
         if odd is not None:
             raise ValueError(
@@ -125,7 +125,11 @@ class Laurent(Combination):
             )
         low = min(min(self.terms, default=0) // 2, 0)
         total = sum(c * q ** (e // 2 - low) for e, c in self.terms.items())
-        return Fraction(total, q**-low)
+        den = q**-low
+        if total % den == 0:
+            return total // den
+        from fractions import Fraction  # only a value with a q-denominator
+        return Fraction(total, den)
 
     def to_json_map(self):
         return {str(e): self.terms[e] for e in sorted(self.terms)}

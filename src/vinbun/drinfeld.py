@@ -197,7 +197,7 @@ def drinfeld_value(a1, a2, field, budget=None, histogram=False):
             nonunit += others
         else:
             tally[divisor_type(defect_divisor_of_hom(field, phi))] += others
-    boundary = sum(n * int(type_trace(BOUNDARY, t).at_q(field.q)) for t, n in tally.items())
+    boundary = sum(n * type_trace(BOUNDARY, t).at_q(field.q) for t, n in tally.items())
     return _result(isom, boundary, nonunit,
                    tuple(sorted(tally.items())) if histogram else None)
 

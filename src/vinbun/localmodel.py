@@ -44,6 +44,7 @@ from itertools import product
 from math import prod
 from types import MappingProxyType
 
+from vinbun.arith import Laurent
 from vinbun.budget import POINT_COUNT_BUDGET, check_power_budget
 from vinbun.kcalc import trace_omega_tilde
 
@@ -280,9 +281,10 @@ def g_locus_count(field, multiplicities, budget=None):
 
 
 def omega_point_count(n, divisor, field, budget=None):
-    """Both sides of #(G-locus of the fiber over D) = q^n (q-1) * omega-trace
-    at v^2 = q, plus the closed form (q-1)^(m+1) q^(n-m) for m distinct
-    points: returns (count, predicted, closed_form).
+    """Both sides of #(G-locus of the fiber over D) = (q-1) * (v^(2n) *
+    omega-trace) at v^2 = q, an int (the twist clears the q-denominator),
+    plus the closed form (q-1)^(m+1) q^(n-m) for m distinct points: returns
+    (count, predicted, closed_form).
 
     D must be supported on rational points (fibers over higher-degree points
     would need coordinates the equations do not provide)."""
@@ -292,6 +294,6 @@ def omega_point_count(n, divisor, field, budget=None):
         raise ValueError("divisor must be supported on rational points of A^1")
     q = field.q
     count = g_locus_count(field, tuple(m for _, m in divisor.parts), budget)
-    predicted = q**n * (q - 1) * trace_omega_tilde(n, divisor).at_q(q)
+    predicted = (q - 1) * (Laurent.monomial(2 * n) * trace_omega_tilde(n, divisor)).at_q(q)
     m = len(divisor.parts)
     return count, predicted, (q - 1) ** (m + 1) * q ** (n - m)

@@ -937,6 +937,27 @@ def test_cli_import_loads_no_dataclasses_or_inspect():
     assert json.loads(done.stdout) == [False, False]
 
 
+def test_cli_runs_load_no_fractions_decimal_or_numbers():
+    # every point count is specialized in Z, so `fractions` (which pulls in
+    # decimal and numbers) is imported only for a value with a q-denominator,
+    # which no command prints; -S, so that no site hook imports them first
+    src = str(Path(vinbun.__file__).resolve().parent.parent)
+    runs = [["verify"],
+            ["verify", "--suites", "omega,strata,uniformity,quadric,drinfeld",
+             "--max-n", "4", "--max-q", "7"],
+            ["drinfeld", "--a1", "2", "--a2", "1", "--q", "3", "--histogram"],
+            ["count", "--n", "2,1", "--q", "4"]]
+    probe = (
+        f"import json, sys; sys.path.insert(0, {src!r}); import vinbun.cli; "
+        f"codes = [vinbun.cli.main(argv) for argv in {runs!r}]; "
+        "print(json.dumps([codes, [m for m in ('fractions', 'decimal', 'numbers') "
+        "if m in sys.modules]]))"
+    )
+    done = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True,
+                          text=True, check=True)
+    assert json.loads(done.stdout.splitlines()[-1]) == [[0, 0, 0, 0], []]
+
+
 def test_json_verify_does_not_import_csv():
     # csv is imported by the CSV report and the character table only
     src = str(Path(vinbun.__file__).resolve().parent.parent)

@@ -1,16 +1,17 @@
 """Property-based tests: field axioms over every defining modulus, Laurent
 ring laws, the group laws that Laurent values and K-elements share,
-specialization at q, hashing, the divisor text round trip, the boundary
-trace against its integer product, the multiplicativity of the traces over
-disjoint supports, K-element difference and twist, the K-element
-reconstruction solver against its descending-loop oracle, and the
-decomposition of virtual characters."""
+specialization at q and the omega prediction made with it, hashing, the
+divisor text round trip, the boundary trace against its integer product, the
+multiplicativity of the traces over disjoint supports, K-element difference
+and twist, the K-element reconstruction solver against its descending-loop
+oracle, and the decomposition of virtual characters."""
 
 import random
 from fractions import Fraction
 
 import pytest
-from divisor_utils import alternative_moduli, boundary_product, random_disjoint_pair
+from divisor_utils import (alternative_moduli, boundary_product, random_disjoint_pair,
+                           rational_point)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,9 +21,11 @@ from vinbun.arith import (
     Laurent,
     build_field,
     enumerate_closed_points,
+    field_from_q,
     format_divisor,
     parse_divisor,
 )
+from vinbun.cli import prime_powers_up_to
 from vinbun.kcalc import (
     BOUNDARY,
     KElement,
@@ -34,6 +37,7 @@ from vinbun.kcalc import (
     trace_omega_tilde,
     trace_plo,
 )
+from vinbun.localmodel import omega_point_count
 from vinbun.symrep import (
     decompose_class_function,
     murnaghan_nakayama,
@@ -161,8 +165,27 @@ def test_at_q_matches_the_fraction_sum(x, q):
             x.at_q(q)
         return
     value = x.at_q(q)
-    assert type(value) is Fraction
+    assert type(value) is (int if expected.denominator == 1 else Fraction)
     assert value == expected
+
+
+def test_omega_prediction_is_the_int_fraction_sum():
+    # `omega_point_count` specializes v^(2n) * omega-trace in Z: its
+    # prediction is an int, q^n (q - 1) times the Fraction sum of the
+    # omega-trace, at one divisor of each rational-support type of degree
+    # <= 4 over every q <= 7, and at one point over every q of the wide-q grid
+    cases = [(q, lam) for q in prime_powers_up_to(7) for n in range(1, 5)
+             for lam in partitions(n) if len(lam) <= q]
+    cases += [(q, (1,)) for q in prime_powers_up_to(1021)]
+    for q, lam in cases:
+        field = field_from_q(q)
+        divisor = EffectiveDivisor.from_pairs(
+            [(rational_point(field, c), m) for c, m in enumerate(lam)])
+        n = divisor.degree
+        _, predicted, _ = omega_point_count(n, divisor, field)
+        assert type(predicted) is int
+        assert predicted == q**n * (q - 1) * at_q_fraction_sum(
+            trace_omega_tilde(n, divisor), q)
 
 
 @PROPERTY_SETTINGS
