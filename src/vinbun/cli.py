@@ -13,7 +13,6 @@ the default budgets.
 """
 
 import argparse
-import io
 import json
 import os
 import random
@@ -345,24 +344,35 @@ _CHECK_JSON = """    {{
     }}"""
 
 
-def render_report(report, fmt):
-    """The report as text.  JSON is written as `json.dumps(report, indent=2,
-    sort_keys=True) + "\\n"` writes it, but each check is filled into a fixed
-    template: only the schema, suites and summary go through `json.dumps`."""
+# checks joined into one `write`: a few hundred, so that an unbuffered or
+# line-buffered stdout takes a few writes per report, not one per check
+_CHECKS_PER_WRITE = 256
+
+
+def render_report(report, fmt, out):
+    """Write the report to the text stream `out`, a few hundred checks at a
+    time, so that the whole text is never held.  JSON is written as
+    `json.dumps(report, indent=2, sort_keys=True) + "\\n"` writes it, but each
+    check is filled into a fixed template: only the schema, suites and
+    summary go through `json.dumps`."""
+    checks = report["checks"]
     if fmt == "json":
         quote = json.encoder.encode_basestring_ascii
-        checks = ",\n".join(_CHECK_JSON.format(*map(quote, c)) for c in report["checks"])
+        head = '{\n  "checks": [\n'
+        for start in range(0, len(checks), _CHECKS_PER_WRITE):
+            block = checks[start:start + _CHECKS_PER_WRITE]
+            out.write(head + ",\n".join(_CHECK_JSON.format(*map(quote, c)) for c in block))
+            head = ",\n"
         rest = json.dumps({k: v for k, v in report.items() if k != "checks"},
                           indent=2, sort_keys=True)
-        checks = f"[\n{checks}\n  ]" if checks else "[]"
-        return f'{{\n  "checks": {checks},\n{rest[2:]}\n'
+        end = "\n  ]" if checks else '{\n  "checks": []'
+        out.write(f"{end},\n{rest[2:]}\n")
+        return
     import csv  # only here and in cmd_character_table, so `import vinbun.cli` skips it
 
-    buf = io.StringIO()
-    writer = csv.writer(buf)
+    writer = csv.writer(out)
     writer.writerow(Check._fields)
-    writer.writerows(report["checks"])
-    return buf.getvalue()
+    writer.writerows(checks)
 
 
 # ---------------------------------------------------------------------------
@@ -387,15 +397,14 @@ def cmd_verify(args):
     except OSError as exc:
         raise ValueError(f"cannot write the report to {args.output}: {exc.strerror}") from None
     report = run_suite(config)
-    text = render_report(report, args.format)
-    if handle:
+    if handle:  # written before stdout, so a failed write leaves stdout empty
         try:
             with handle:
-                handle.write(text)
+                render_report(report, args.format, handle)
         except OSError as exc:  # a full disk fails the write, not the open
             raise ValueError(f"cannot write the report to {args.output}: "
                              f"{exc.strerror}") from None
-    sys.stdout.write(text)
+    render_report(report, args.format, sys.stdout)
     return 1 if report["summary"]["fail"] else 0
 
 

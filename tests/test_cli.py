@@ -193,16 +193,23 @@ def test_a_non_integer_field_is_named(capsys, argv, message):
 
 
 def test_a_closed_stdout_exits_1_without_a_traceback():
-    # the reader is gone before the table is written, as in `| head -c 10`
+    # the reader leaves after `head` bytes, as in `| head -c 10`: before the
+    # table is written, or inside the 436 KB traces report, more than a pipe
+    # holds, so later writes of the report meet the closed pipe
     src = str(Path(vinbun.__file__).resolve().parent.parent)
-    proc = subprocess.Popen([sys.executable, "-m", "vinbun.cli", "character-table",
-                             "--k", "14"], stdout=subprocess.PIPE,
-                            stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": src})
-    proc.stdout.close()
-    err = proc.stderr.read()
-    proc.stderr.close()
-    assert proc.wait(timeout=60) == 1
-    assert err == b""
+    runs = [(("character-table", "--k", "14"), 0),
+            (("verify", "--suites", "nearby", "--max-n", "5", "--max-q", "4",
+              "--max-degree", "5"), 10)]
+    for argv, head in runs:
+        proc = subprocess.Popen([sys.executable, "-m", "vinbun.cli", *argv],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                env={**os.environ, "PYTHONPATH": src})
+        assert len(proc.stdout.read(head)) == head
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 1, argv
+        assert err == b"", argv
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
@@ -215,15 +222,19 @@ def test_a_closed_stdout_exits_1_without_a_traceback():
 def test_a_failed_write_exits_2_with_one_error_line(argv, message):
     # /dev/full fails every write, as a full disk does, but not the open;
     # stdout goes there unless the report does, and the interpreter's flush
-    # at exit must add no "Exception ignored" message
+    # at exit must add no "Exception ignored" message.  The --output file is
+    # written before stdout, so a failed file write leaves stdout empty
     src = str(Path(vinbun.__file__).resolve().parent.parent)
+    to_file = "--output" in argv
     with open("/dev/full", "w") as full:
         done = subprocess.run([sys.executable, "-m", "vinbun.cli", *argv],
-                              stdout=subprocess.DEVNULL if "--output" in argv else full,
+                              stdout=subprocess.PIPE if to_file else full,
                               stderr=subprocess.PIPE, timeout=60,
                               env={**os.environ, "PYTHONPATH": src})
     assert done.returncode == 2
     assert done.stderr.decode() == f"error: {message}: No space left on device\n"
+    if to_file:
+        assert done.stdout == b""
 
 
 def test_grpsi_trace_at_a_huge_multiplicity_answers_within_a_second(capsys):
@@ -575,10 +586,16 @@ def test_budget_starved_report_is_pinned(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == STARVED_REPORT_SHA256
 
 
+def rendered(report, fmt):
+    out = io.StringIO()
+    render_report(report, fmt, out)
+    return out.getvalue()
+
+
 def test_verify_reports_byte_identical_across_runs():
     config = RunConfig(suites=("quadric", "uniformity"), max_q=4)
-    r1 = render_report(run_suite(config), "json")
-    r2 = render_report(run_suite(config), "json")
+    r1 = rendered(run_suite(config), "json")
+    r2 = rendered(run_suite(config), "json")
     assert r1 == r2
 
 
@@ -889,8 +906,40 @@ def test_json_report_writer_matches_json_dumps(checks, suites):
                     for s in ("pass", "fail", "skipped")},
     }
     rows = dict(report, checks=[Check(**c) for c in checks])
-    assert render_report(rows, "json") == json.dumps(report, indent=2,
-                                                     sort_keys=True) + "\n"
+    assert rendered(rows, "json") == json.dumps(report, indent=2,
+                                                sort_keys=True) + "\n"
+
+
+class WriteLog(io.StringIO):
+    """A text stream that records the length of each write."""
+
+    def __init__(self):
+        super().__init__()
+        self.sizes = []
+
+    def write(self, text):
+        self.sizes.append(len(text))
+        return super().write(text)
+
+
+@pytest.mark.parametrize("fmt, grid, pinned", [
+    ("json", dict(suites=("nearby",), max_n=5, max_q=4, max_degree=5),
+     TRACES_REPORT_SHA256),
+    ("csv", {}, DEFAULT_CSV_REPORT_SHA256),
+], ids=["json-traces", "csv-default"])
+def test_report_is_written_in_pieces(fmt, grid, pinned):
+    # the writer never holds the whole text: no write of the 436 KB traces
+    # report (1,789 checks) or of the 213-check CSV report is more than a
+    # small part of it, and the writes join to the pinned report
+    report = run_suite(RunConfig(**grid))
+    out = WriteLog()
+    render_report(report, fmt, out)
+    text = out.getvalue()
+    assert hashlib.sha256(text.encode()).hexdigest() == pinned
+    assert sum(out.sizes) == len(text)
+    assert max(out.sizes) < len(text) / 5
+    if fmt == "json":  # a few hundred checks per write, not one write per check
+        assert len(out.sizes) <= len(report["checks"]) // 100 + 2
 
 
 def test_fault_inside_a_suite_is_one_fail_check(capsys, monkeypatch):
