@@ -17,26 +17,4 @@ Every identity the suite checks is exact (integer or formal Laurent
 equality); see `vinbun.cli` for the batch verification driver.
 """
 
-from vinbun.arith import (
-    Laurent,
-    PrimePowerField,
-    ClosedPoint,
-    EffectiveDivisor,
-    build_field,
-    enumerate_closed_points,
-    enumerate_divisors,
-    decompositions,
-)
-
-__all__ = [
-    "Laurent",
-    "PrimePowerField",
-    "ClosedPoint",
-    "EffectiveDivisor",
-    "build_field",
-    "enumerate_closed_points",
-    "enumerate_divisors",
-    "decompositions",
-]
-
 __version__ = "0.1.0"

@@ -248,34 +248,27 @@ class PrimePowerField:
     def add(self, a, b):
         if self.e == 1:
             return (a + b) % self.p
-        if self.p == 2:  # digit-wise addition mod 2
-            return a ^ b
+        return self._digit_sum(a, b, 1)
+
+    def sub(self, a, b):
+        if self.e == 1:
+            return (a - b) % self.p
+        return self._digit_sum(a, b, -1)
+
+    def neg(self, a):
+        return self.sub(0, a)
+
+    def _digit_sum(self, a, b, sign):
+        """a + sign * b in F_{p^e}, e > 1: base-p digit by digit, mod p."""
         p = self.p
         out = 0
         mult = 1
         for _ in range(self.e):
-            out += ((a + b) % p) * mult
+            out += ((a + sign * b) % p) * mult
             a //= p
             b //= p
             mult *= p
         return out
-
-    def neg(self, a):
-        if self.e == 1:
-            return (-a) % self.p
-        if self.p == 2:
-            return a
-        p = self.p
-        out = 0
-        mult = 1
-        for _ in range(self.e):
-            out += (-a % p) * mult
-            a //= p
-            mult *= p
-        return out
-
-    def sub(self, a, b):
-        return self.add(a, self.neg(b))
 
     def mul(self, a, b):
         log = self._log
@@ -376,18 +369,9 @@ def poly_deg(f):
     return len(f) - 1
 
 
-def poly_add(field, f, g):
-    n = max(len(f), len(g))
-    out = [0] * n
-    for i in range(n):
-        a = f[i] if i < len(f) else 0
-        b = g[i] if i < len(g) else 0
-        out[i] = field.add(a, b)
-    return poly_normalize(out)
-
-
 def poly_sub(field, f, g):
-    return poly_add(field, f, tuple(field.neg(c) for c in g))
+    diff = [field.sub(a, b) for a, b in itertools.zip_longest(f, g, fillvalue=0)]
+    return poly_normalize(diff)
 
 
 def poly_mul(field, f, g):

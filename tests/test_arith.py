@@ -169,17 +169,22 @@ def test_f9_multiplicative_group_cyclic_order_8():
     assert sorted(orders.values()).count(8) == 4  # phi(8) generators
 
 
-def digit_add(fld, a, b):
-    """Addition in F_{p^e} digit by digit in base p: the oracle for `add`."""
-    return fld.from_coeffs([x + y for x, y in zip(fld.to_coeffs(a), fld.to_coeffs(b))])
+def digit_add(fld, a, b, sign=1):
+    """a + sign * b in F_{p^e} through the base-p digits of `to_coeffs` and
+    `from_coeffs`: the oracle for `add` (sign 1) and `sub` (sign -1)."""
+    return fld.from_coeffs([x + sign * y for x, y in zip(fld.to_coeffs(a), fld.to_coeffs(b))])
 
 
-@pytest.mark.parametrize("e", [2, 3])
-def test_characteristic_two_add_matches_digit_loop(e):
-    fld = build_field(2, e)
+# every extension field F_{p^e}, e > 1, with q <= 81: F_4, F_8, F_9, F_25, F_27, F_49
+EXTENSION_FIELDS = [(2, 2), (2, 3), (3, 2), (5, 2), (3, 3), (7, 2)]
+
+
+@pytest.mark.parametrize("p,e", EXTENSION_FIELDS)
+def test_extension_add_sub_neg_match_the_digits(p, e):
+    fld = build_field(p, e)
     for a, b in itertools.product(fld.elements(), repeat=2):
         assert fld.add(a, b) == digit_add(fld, a, b)
-        assert fld.sub(a, b) == digit_add(fld, a, b)
+        assert fld.sub(a, b) == digit_add(fld, a, b, -1)
     for a in fld.elements():
         assert fld.neg(a) == fld.from_coeffs([-x for x in fld.to_coeffs(a)])
 

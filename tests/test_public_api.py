@@ -153,7 +153,8 @@ def test_perfbench_traces_and_caches_names_that_exist():
 # ---------------------------------------------------------------------------
 
 # CLI argv run in-process, each of which exits 0.  plo over F_2000003 has no
-# log tables, so its irreducibility test inverts by `PrimePowerField.pow`
+# log tables, so its irreducibility test inverts by `PrimePowerField.pow`;
+# only the minus sign of a parsed polynomial reaches `PrimePowerField.neg`
 GUARD_ARGV = [
     ["verify"],
     ["verify", "--format", "csv"],
@@ -165,6 +166,7 @@ GUARD_ARGV = [
     *(["trace", "--object", obj, "--q", "3", "--divisor", "t^2+1:2,t:1"]
       for obj in ("plo", "omega", "grpsi", "kelement")),
     ["trace", "--object", "plo", "--q", "2000003", "--divisor", "t^2+1:2"],
+    ["trace", "--object", "grpsi", "--q", "3", "--divisor", "t-1:1"],
     ["equations", "--n", "2,1"],
     ["schur-weyl", "--k", "3"],
     ["drinfeld", "--a1", "1", "--a2", "1", "--q", "3"],
