@@ -642,7 +642,7 @@ def _sieve(field, n):
 
 def _point_multisets(field, points, n):
     """(parts, product polynomial) for every multiset of the given points
-    of total degree n.  points must be sorted by sort key, so by degree;
+    of total degree n >= 1.  points must be sorted by sort key, so by degree;
     parts come out in the same canonical order.  A branch is entered only
     when the points after it can make up the degree it leaves, and each
     point's powers are multiplied out once."""
@@ -653,7 +653,9 @@ def _point_multisets(field, points, n):
         for r in range(d, n + 1):
             mask |= (mask >> (r - d) & 1) << r
         sums[d] = mask
-    powers = {}  # point index -> [its poly, squared, ...]
+    # afters[i]: the degrees the points after points[i] can make up
+    afters = [sums[pt.degree] for pt in points[1:]] + [1]
+    powers = [[pt.poly] for pt in points]  # [its poly, squared, ...]
     out = []
     parts = []
 
@@ -665,19 +667,21 @@ def _point_multisets(field, points, n):
             pt = points[i]
             if pt.degree > remaining:
                 break
-            after = sums[points[i + 1].degree] if i + 1 < len(points) else 1
+            after, power = afters[i], powers[i]
             for m in range(1, remaining // pt.degree + 1):
                 rest = remaining - m * pt.degree
                 if not after >> rest & 1:
                     continue
-                power = powers.setdefault(i, [pt.poly])
                 while len(power) < m:
                     power.append(poly_mul(field, power[-1], pt.poly))
                 parts.append((pt, m))
-                extend(i + 1, rest, poly_mul(field, poly, power[m - 1]))
+                # the first point's power is the product: nothing to multiply
+                extend(i + 1, rest,
+                       power[m - 1] if poly is None else poly_mul(field, poly, power[m - 1]))
                 parts.pop()
 
-    extend(0, n, (1,))
+    extend(0, n, None)
+    del extend  # it refers to itself: a cycle the collector would have to find
     return out
 
 

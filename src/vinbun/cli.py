@@ -13,6 +13,7 @@ the default budgets.
 """
 
 import argparse
+import gc
 import json
 import os
 import random
@@ -21,7 +22,7 @@ import time
 from collections import Counter, namedtuple
 from contextlib import contextmanager
 from itertools import product
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 
 from vinbun import arith, drinfeld, kcalc, lefschetz, localmodel, symrep
 from vinbun.arith import MAX_GRID_N, field_from_q
@@ -332,14 +333,18 @@ def run_suite(config):
 
 
 # A check as `json.dumps(report, indent=2, sort_keys=True)` writes it: its six
-# fields in sorted order, each slot numbered by its field's index in Check and
-# filled with the value escaped as json escapes it
-_CHECK_JSON = """    {{
-      "lhs": {3},
+# fields in sorted order, each filled with the value escaped as json escapes
+# it.  Only `params` tells most checks apart, so a check is written as the
+# head before its params and the tail after them, both filled from the other
+# five fields, numbered by their index in `_FRAME_FIELDS(check)`
+_FRAME_FIELDS = itemgetter(0, 1, 3, 4, 5)  # suite, name, lhs, rhs, status
+_CHECK_HEAD = """    {{
+      "lhs": {2},
       "name": {1},
-      "params": {2},
-      "rhs": {4},
-      "status": {5},
+      "params": """
+_CHECK_TAIL = """,
+      "rhs": {3},
+      "status": {4},
       "suite": {0}
     }}"""
 
@@ -353,15 +358,25 @@ def render_report(report, fmt, out):
     """Write the report to the text stream `out`, a few hundred checks at a
     time, so that the whole text is never held.  JSON is written as
     `json.dumps(report, indent=2, sort_keys=True) + "\\n"` writes it, but each
-    check is filled into a fixed template: only the schema, suites and
-    summary go through `json.dumps`."""
+    check is its escaped params between a head and a tail, which are
+    escaped and filled once per distinct other five fields: only the schema,
+    suites and summary go through `json.dumps`."""
     checks = report["checks"]
     if fmt == "json":
         quote = json.encoder.encode_basestring_ascii
+        frames = {}  # `_FRAME_FIELDS(check)` -> (head, tail)
         head = '{\n  "checks": [\n'
         for start in range(0, len(checks), _CHECKS_PER_WRITE):
-            block = checks[start:start + _CHECKS_PER_WRITE]
-            out.write(head + ",\n".join(_CHECK_JSON.format(*map(quote, c)) for c in block))
+            texts = []
+            for check in checks[start:start + _CHECKS_PER_WRITE]:
+                key = _FRAME_FIELDS(check)
+                frame = frames.get(key)
+                if frame is None:
+                    fields = [quote(f) for f in key]
+                    frame = frames[key] = (_CHECK_HEAD.format(*fields),
+                                            _CHECK_TAIL.format(*fields))
+                texts.append(frame[0] + quote(check.params) + frame[1])
+            out.write(head + ",\n".join(texts))
             head = ",\n"
         rest = json.dumps({k: v for k, v in report.items() if k != "checks"},
                           indent=2, sort_keys=True)
@@ -581,6 +596,10 @@ def build_parser():
 
 
 def main(argv=None):
+    # a run makes no reference cycle per item, so the collector would only
+    # walk live divisors and checks: it is paused, and left as it was found
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         args = build_parser().parse_args(argv)
         code = args.func(args)
@@ -599,7 +618,14 @@ def main(argv=None):
         print(f"error: cannot write to stdout: {exc.strerror}", file=sys.stderr)
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 2
+    finally:
+        if enabled:
+            gc.enable()
 
+
+# the last statement of the import: what it built lives until exit, so the
+# collector, and its full collections at exit, skip it
+gc.freeze()
 
 if __name__ == "__main__":
     sys.exit(main())

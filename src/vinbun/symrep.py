@@ -44,6 +44,7 @@ def partitions(k):
             rec(remaining - part, part, prefix + [part])
 
     rec(k, k, [])
+    del rec  # it refers to itself: a cycle the collector would have to find
     return tuple(out)
 
 

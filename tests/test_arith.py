@@ -1,3 +1,4 @@
+import gc
 import itertools
 import math
 import random
@@ -468,6 +469,23 @@ def test_one_sieve_pass_per_degree(monkeypatch):
     assert len(divisors) == 4**5
     assert [pt for d in divisors for pt, m in d if len(d) == 1 and pt.degree == 5] \
         == [pt for pt in points if pt.degree == 5]
+
+
+def test_point_multisets_leave_no_reference_cycle():
+    # the walk recurses through a closure that refers to itself; a cycle
+    # left per sieve would be kept until exit by the CLI, which pauses the
+    # collector
+    f4 = field_from_q(4)
+    points = enumerate_closed_points(f4, 3)
+    was = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        assert len(arith._point_multisets(f4, points, 5)) == divisor_count(4, 5, 3)
+        assert gc.collect() == 0
+    finally:
+        if was:
+            gc.enable()
 
 
 @pytest.mark.parametrize("q", [4, 8])

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import io
 import json
@@ -235,6 +236,96 @@ def test_a_failed_write_exits_2_with_one_error_line(argv, message):
     assert done.stderr.decode() == f"error: {message}: No space left on device\n"
     if to_file:
         assert done.stdout == b""
+
+
+def _raise_broken_pipe(args):
+    raise BrokenPipeError
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
+@pytest.mark.parametrize("argv, code", [
+    (("schur-weyl", "--k", "2"), 0),
+    (("verify", "--suites", "quadric", "--max-q", "2"), 1),  # a planted failing check
+    (("count", "--n", "2", "--q", "6"), 2),
+    (("count", "--n", "3", "--q", "7", "--budget", "1"), 3),
+    (("equations", "--n", "2"), 1),  # stdout's reader left
+], ids=["pass", "fail", "bad-input", "budget", "broken-pipe"])
+def test_main_leaves_the_collector_as_it_found_it(tmp_path, capsys, monkeypatch,
+                                                  argv, code, enabled):
+    # main runs each command with the collector paused and gives an
+    # in-process caller the collector back as it had it, on every exit path
+    paused = []
+
+    def planted(config, rows):
+        paused.append(not gc.isenabled())
+        rows.append(("planted", "", *cli._sides(1, 2, False)))
+
+    monkeypatch.setitem(cli._SUITE_RUNNERS, "quadric", planted)
+    monkeypatch.setattr(cli, "cmd_equations", _raise_broken_pipe)
+    # a file, so that the broken-pipe branch has a descriptor to point at devnull
+    stdout = open(tmp_path / "stdout", "w")
+    monkeypatch.setattr(sys, "stdout", stdout)
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert main(list(argv)) == code
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+        stdout.close()
+    if argv[0] == "verify":  # the planted suite ran with the collector paused
+        assert paused == [True]
+
+
+def test_main_leaves_the_collector_as_it_found_it_after_an_argparse_exit(capsys):
+    was = gc.isenabled()
+    try:
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            with pytest.raises(SystemExit):
+                main(["verify", "--no-such-option"])
+            assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+def cyclic_garbage(*argv):
+    """The number of objects that `main(argv)`, run in a fresh interpreter
+    after `import vinbun.cli`, leaves to the cyclic collector."""
+    src = str(Path(vinbun.__file__).resolve().parent.parent)
+    probe = f"""
+import contextlib, gc, io, sys
+sys.path.insert(0, {src!r})
+import vinbun.cli
+gc.collect()
+gc.set_debug(gc.DEBUG_SAVEALL)
+with contextlib.redirect_stdout(io.StringIO()):
+    code = vinbun.cli.main({list(argv)!r})
+gc.collect()
+print(code, len(gc.garbage))
+"""
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, check=True, timeout=60)
+    code, garbage = map(int, done.stdout.split())
+    assert code == 0, argv
+    return garbage
+
+
+@pytest.mark.parametrize("small, large", [
+    (("verify", "--suites", "nearby", "--max-n", "2", "--max-q", "2"),
+     ("verify", "--suites", "nearby", "--max-n", "5", "--max-q", "4", "--max-degree", "5")),
+    (("verify", "--suites", "omega", "--max-n", "2", "--max-q", "2"),
+     ("verify", "--suites", "omega", "--max-n", "5", "--max-q", "9")),
+    (("verify", "--budget", "10", "--max-n", "2", "--max-q", "2"),
+     ("verify", "--budget", "10", "--max-n", "5", "--max-q", "7")),
+    (("drinfeld", "--a1", "0", "--a2", "0", "--q", "2", "--histogram"),
+     ("drinfeld", "--a1", "2", "--a2", "1", "--q", "3", "--histogram")),
+], ids=["nearby", "omega", "budget-starved", "drinfeld-histogram"])
+def test_cyclic_garbage_does_not_grow_with_the_grid(small, large):
+    # main pauses the collector, so a reference cycle made per divisor,
+    # point or check would be kept until exit: a run's cyclic garbage (the
+    # argument parser, json's indenting encoder) is the same on a larger grid
+    assert cyclic_garbage(*large) == cyclic_garbage(*small)
 
 
 def test_grpsi_trace_at_a_huge_multiplicity_answers_within_a_second(capsys):
@@ -892,8 +983,18 @@ report_checks = st.lists(st.fixed_dictionaries({
 }), max_size=5)
 
 
+def _shared_frame_checks():
+    """Checks that share every field but params, or all but one other field,
+    so the writer reuses and tells apart the text around params."""
+    base = dict(suite="nearby", name="n\u00e9", params="q=2", lhs="\"1\"", rhs="1",
+                status="pass")
+    return [base, dict(base, params="q=3"), dict(base, rhs="2", status="fail"),
+            dict(base, params="q=3", suite="omega"), base]
+
+
 @settings(max_examples=200, deadline=None, database=None, derandomize=True)
 @example(checks=[], suites=["nearby"])
+@example(checks=_shared_frame_checks(), suites=["nearby", "omega"])
 @given(checks=report_checks, suites=st.lists(st.sampled_from(ALL_SUITES), max_size=3))
 def test_json_report_writer_matches_json_dumps(checks, suites):
     # json.dumps of the report with each check as a dict is the oracle of the

@@ -1,3 +1,4 @@
+import gc
 from math import factorial
 
 import pytest
@@ -32,6 +33,20 @@ def test_partitions_and_conjugate():
     assert partitions(4) == ((4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1))
     assert conjugate((3, 1)) == (2, 1, 1)
     assert conjugate(conjugate((4, 2, 1))) == (4, 2, 1)
+
+
+def test_partitions_leave_no_reference_cycle():
+    # on a cold cache the walk recurses through a closure that refers to
+    # itself, and the CLI pauses the collector
+    was = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        assert len(partitions.__wrapped__(12)) == 77
+        assert gc.collect() == 0
+    finally:
+        if was:
+            gc.enable()
 
 
 def two_column(k, r):
