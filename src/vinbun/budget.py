@@ -1,15 +1,9 @@
 """Enumeration budget plumbing.
 
 Brute-force counters refuse candidate spaces larger than their budget.  The
-limit is resolved in one place: an explicit budget argument wins, then the
-VINBUN_BUDGET environment variable, then the per-module default.  A
-resolved limit that is not a positive integer is a ValueError naming its
-source.
+limit is resolved in one place: an explicit budget argument wins, else the
+per-module default.  An explicit budget below 1 is a ValueError.
 """
-
-import os
-
-from vinbun.arith import _MAX_DIGITS, _parse_int
 
 POINT_COUNT_BUDGET = 10**9  # candidate assignments for local-model fibers
 HOM_ENUM_BUDGET = 10**8  # q^dim for bundle Hom-space sweeps
@@ -21,20 +15,12 @@ class BudgetExceededError(RuntimeError):
 
 
 def budget_limit(budget, default):
-    """The limit in force, validated positive.  VINBUN_BUDGET is read by the
-    ASCII-digit rule of the integer flags, and an overlong value is named
-    by its length instead of echoed."""
-    source = budget
+    """The limit in force: the explicit budget, validated positive, else the
+    default."""
     if budget is None:
-        env = os.environ.get("VINBUN_BUDGET")
-        source = (f"VINBUN_BUDGET={env!r}" if env is None or len(env) <= _MAX_DIGITS
-                  else f"VINBUN_BUDGET of {len(env)} characters")
-        try:
-            budget = _parse_int(env, "VINBUN_BUDGET") if env else default
-        except ValueError:
-            budget = 0
+        return default
     if budget < 1:
-        raise ValueError(f"budget must be positive, got {source}")
+        raise ValueError(f"budget must be positive, got {budget}")
     return budget
 
 

@@ -7,9 +7,8 @@ ALL_SUITES run only when named.  Reports are deterministic (entries
 order-normalized, fixed RNG seeds), so repeated runs emit byte-identical
 output; the process exits nonzero iff some check failed.  Each suite
 compares the two sides that the library's identity functions return.
-Budget overruns are reported as "skipped", never as failures.  An explicit
---budget wins over the VINBUN_BUDGET environment variable, which wins over
-the default budgets.
+Budget overruns are reported as "skipped", never as failures.  --budget,
+and nothing else, replaces the default budgets.
 """
 
 import argparse
@@ -69,7 +68,7 @@ class RunConfig:
             raise ValueError(f"unknown suites: {sorted(unknown)}")
         if len(set(self.suites)) != len(self.suites):
             raise ValueError(f"duplicate suites: {','.join(self.suites)}")
-        # resolves --budget or VINBUN_BUDGET, so a bad one fails before any suite
+        # checks --budget, so a bad one fails before any suite
         budget_limit(self.budget, 1)
         if min(self.max_n, self.max_degree, self.max_k) < 1 or self.max_q < 2:
             raise ValueError("max_n, max_degree and max_k must be >= 1 "
@@ -489,7 +488,7 @@ def cmd_schur_weyl(args):
 
 def cmd_drinfeld(args):
     field = field_from_q(args.q)
-    # resolves --budget or VINBUN_BUDGET, which only the sweep spends
+    # checks --budget, which only the sweep spends
     budget_limit(args.budget, 1)
     if args.histogram:  # the profile of each map needs the sweep
         res = drinfeld.drinfeld_value(

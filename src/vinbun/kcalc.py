@@ -10,8 +10,9 @@ by [1] and multiplied by v^weight on each degree, all times v^(scale n).
 The class on X^(n) sums, over every split of n among the c + 1 pieces, the
 add_* pushforward of their external product.  It is factorizable: its
 trace at D is v^(scale n) times a product of local factors, one per point
-x of D taken with multiplicity m, so `evaluate` caches it by the type of
-D, the multiset of the pairs (deg x, m).  The specs:
+x of D taken with multiplicity m, so `evaluate` reads it off the type of
+D, the multiset of the pairs (deg x, m).  It keeps no cache: the verify
+suites and the Hom sweep already evaluate once per type.  The specs:
 
 * `PLO`, the oscillator: rank 2 with [1](1/2) per degree, so weight -1;
 * `OMEGA_TILDE`, the open Zastava pushforward: one constant, then rank 1
@@ -40,7 +41,7 @@ every divisor.
 """
 
 from collections import namedtuple
-from functools import lru_cache, partial
+from functools import partial
 from itertools import combinations, combinations_with_replacement, permutations
 from math import comb
 
@@ -90,19 +91,14 @@ def divisor_type(divisor):
 
 def evaluate(spec, n, divisor):
     """Trace of the spec on X^(n) at the divisor: v^(scale n) times the
-    product of the local factors over the points of D, cached by type."""
+    product of the local factors over the points of D, read off its type."""
     if divisor.degree != n:
         raise ValueError(f"degree mismatch: deg D = {divisor.degree}, expected {n}")
     return type_trace(spec, divisor_type(divisor))
 
 
 def type_trace(spec, dtype):
-    """The trace at any divisor of type dtype: a copy of the cached, mutable value."""
-    return Laurent(_type_trace(spec, dtype).terms)
-
-
-@lru_cache(maxsize=1024)
-def _type_trace(spec, dtype):
+    """The trace at any divisor of type dtype, a fresh value."""
     out = Laurent.monomial(spec.scale * sum(d * m for d, m in dtype))
     for d, m in dtype:
         out = out * _point_factor(spec, d, m)

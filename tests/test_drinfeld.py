@@ -12,7 +12,7 @@ from divisor_utils import (
 )
 from hom_sweep import flat_coordinates, is_zero, iter_hom_matrices, swept_value
 
-from vinbun import arith, kcalc
+from vinbun import arith
 from vinbun.arith import (
     INFINITY,
     EffectiveDivisor,
@@ -299,7 +299,6 @@ def test_drinfeld_value_1_0_q2():
 
 def test_sweep_reads_each_boundary_factor_once_per_type(monkeypatch):
     # the tally by divisor type specializes one trace per type, not per map
-    kcalc._type_trace.cache_clear()
     calls = []
     at_q = Laurent.at_q
     monkeypatch.setattr(Laurent, "at_q", lambda self, q: calls.append(q) or at_q(self, q))

@@ -45,7 +45,6 @@ from vinbun.kcalc import (
     trace_plo,
     _point_factor,
     _stalk_coefficient,
-    _type_trace,
 )
 from vinbun.lefschetz import MAX_BRUTE_K, brute_force_schur_weyl
 from vinbun.symrep import class_size, murnaghan_nakayama, partitions
@@ -321,7 +320,7 @@ def test_traces_do_not_alias_cached_factors():
 
 def per_point_product(spec, n, divisor):
     """A spec's trace as the product of its per-point factors, one divisor
-    at a time: the oracle for the per-type cache."""
+    at a time: the oracle for the per-type evaluator."""
     out = Laurent.monomial(spec.scale * n)
     for pt, m in divisor:
         out = out * _point_factor(spec, pt.degree, m)
@@ -345,10 +344,6 @@ def test_evaluate_depends_on_the_divisor_type_only():
     with pytest.raises(ValueError, match="degree mismatch"):
         evaluate(PLO, 4, d1)
     assert nearby_vs_boundary(5, d1) == nearby_vs_boundary(5, d2)
-
-
-def test_type_caches_are_bounded():
-    assert _type_trace.cache_info().maxsize is not None
 
 
 def test_nearby_sides_do_not_alias_the_cache():

@@ -148,6 +148,19 @@ def test_perfbench_traces_and_caches_names_that_exist():
         assert hasattr(resolve(module, name), "cache_info"), (module, name)
 
 
+def test_every_cache_is_bounded():
+    # the symmetric-group caches alone take 22,292 entries at
+    # `character-table --k 14`, so no cache may grow without bound
+    sizes = {}
+    for path in sorted(PACKAGE.glob("[!_]*.py")):
+        module = importlib.import_module("vinbun." + path.stem)
+        for name, value in vars(module).items():
+            if callable(getattr(value, "cache_info", None)):
+                sizes[f"{path.stem}.{name}"] = value.cache_info().maxsize
+    assert "arith._sieve" in sizes
+    assert [name for name, size in sizes.items() if size is None] == []
+
+
 # ---------------------------------------------------------------------------
 # the call guard
 # ---------------------------------------------------------------------------
@@ -209,8 +222,7 @@ def code_of(module, qualname):
     return inspect.unwrap(obj).__code__
 
 
-def test_every_public_callable_runs_under_the_cli(monkeypatch):
-    monkeypatch.delenv("VINBUN_BUDGET", raising=False)
+def test_every_public_callable_runs_under_the_cli():
     # every code object stays alive through the run, so its id is its own
     codes = {f"{module}.{qualname}": code_of(module, qualname)
              for module, qualname in public_callables()}
