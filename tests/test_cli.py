@@ -370,6 +370,15 @@ def test_removed_jobs_and_naive_options_exit_2(capsys, argv):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("option", ["--budget"])
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_count_rejects_nonpositive_jobs_and_budget(capsys, option, value):
+    code, out, err = run_cli(capsys, "count", "--n", "2", "--q", "3", option, value)
+    assert code == 2
+    assert out == ""
+    assert "budget must be positive" in err
+
+
 def test_trace_command(capsys):
     code, out, _ = run_cli(
         capsys, "trace", "--object", "omega", "--q", "3", "--divisor", "t:1"
@@ -522,6 +531,16 @@ def test_drinfeld_off_the_diagonal_answers_at_any_size(capsys):
     assert time.perf_counter() - start < 1
     assert code == 0
     assert json.loads(out) == {"boundary_sum": -288, "isom": 0, "value": 288}
+
+
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_drinfeld_rejects_nonpositive_budget(capsys, value):
+    code, out, err = run_cli(
+        capsys, "drinfeld", "--a1", "0", "--a2", "0", "--q", "3", "--budget", value
+    )
+    assert code == 2
+    assert out == ""
+    assert "budget must be positive" in err
 
 
 @pytest.mark.parametrize("k", ["0", "-1"])

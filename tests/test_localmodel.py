@@ -317,6 +317,10 @@ def test_factor_d_table_is_read_only():
     assert count_points(build_system([1]), F9, "zero") == 17
 
 
+def test_factor_d_table_cache_is_bounded():
+    assert factor_d_table.cache_info().maxsize is not None
+
+
 def test_enumeration_cost_counts_a_codes_and_points():
     for field in (F2, F3, F4, F5):
         q = field.q
