@@ -11,17 +11,18 @@ Budget overruns are reported as "skipped", never as failures.  --budget,
 and nothing else, replaces the default budgets.
 """
 
-import argparse
 import gc
 import json
 import os
 import random
+import re
 import sys
 import time
 from collections import Counter, namedtuple
 from contextlib import contextmanager
 from itertools import product
 from operator import attrgetter, itemgetter
+from types import SimpleNamespace
 
 from vinbun import arith, drinfeld, kcalc, lefschetz, localmodel, symrep
 from vinbun.arith import MAX_GRID_N, field_from_q
@@ -56,7 +57,7 @@ def prime_powers_up_to(limit):
 class RunConfig:
     __slots__ = "suites max_n max_q max_degree max_k budget".split()
 
-    # the keyword defaults are the default grid, which `build_parser` reads
+    # the keyword defaults are the default grid, and `verify`'s options in `_COMMANDS`
     def __init__(self, suites=DEFAULT_SUITES, *, max_n=3, max_q=4, max_degree=2,
                  max_k=4, budget=None):
         self.suites, self.max_n, self.max_q = suites, max_n, max_q
@@ -320,7 +321,7 @@ def run_suite(config):
         except ValueError as exc:
             rows = [("error", type(exc).__name__, *_sides(exc, "", False))]
         checks.extend(Check(suite, *row) for row in rows)
-    checks.sort(key=attrgetter("suite", "name", "params"))
+    checks.sort()  # (suite, name, params) tells checks apart: the tuple order is theirs
     summary = dict.fromkeys(("pass", "fail", "skipped"), 0)
     summary.update(Counter(map(attrgetter("status"), checks)))
     return {
@@ -398,14 +399,8 @@ def cmd_verify(args):
     suites = DEFAULT_SUITES
     if args.suites is not None:  # `--suites=` names no suite, which RunConfig refuses
         suites = tuple(args.suites.split(",")) if args.suites else ()
-    config = RunConfig(
-        suites=suites,
-        max_n=args.max_n,
-        max_q=args.max_q,
-        max_degree=args.max_degree,
-        max_k=args.max_k,
-        budget=args.budget,
-    )
+    config = RunConfig(suites, **{option: getattr(args, option)
+                                  for option in RunConfig.__init__.__kwdefaults__})
     try:  # opened before any suite runs, so a bad path fails at once
         handle = open(args.output, "w") if args.output else None
     except OSError as exc:
@@ -452,7 +447,7 @@ def cmd_trace(args):
         value = kcalc.trace_omega_tilde(n, divisor)
     elif args.object == "grpsi":
         value = kcalc.trace_gr_psi(n, divisor)
-    else:  # "kelement", the last of the choices argparse admits
+    else:  # "kelement", the last of the choices `_COMMANDS` admits
         value = kcalc.trace_k_element(kcalc.plo_k_element(n), divisor)
     print(json.dumps(value.to_json_map(), sort_keys=True))
     return 0
@@ -523,75 +518,137 @@ def cmd_character_table(args):
     return 0
 
 
-class _BadInteger(Exception):
-    """An integer option `arith._parse_int` refused.  argparse passes it on
-    to `main`, where a ValueError would have got argparse's usage text."""
+# command -> (runner, help line, {option: default}).  A default of `...`
+# makes the option required and False makes it a flag; a tuple gives its
+# choices, the first its default.  The options in `_INTEGERS` are read by
+# `arith._parse_int`, the others are text
+_COMMANDS = {
+    "verify": (cmd_verify, "run the named suites, a comma-separated subset of "
+               f"{','.join(ALL_SUITES)} (default: {','.join(DEFAULT_SUITES)})",
+               {"suites": None, **RunConfig.__init__.__kwdefaults__, "output": None,
+                "format": ("json", "csv")}),
+    "count": (cmd_count, "count F_q-points of a local-model fiber (--n multiplicities, "
+              "e.g. 2,1; --d any|zero|nonzero|<element code>)",
+              {"n": ..., "q": ..., "d": "any", "budget": None}),
+    "trace": (cmd_trace, "emit a Laurent trace value as JSON (--divisor poly:mult,...)",
+              {"object": (..., "plo", "omega", "grpsi", "kelement"), "q": ..., "divisor": ...}),
+    "equations": (cmd_equations, "print a fiber equation system (--n multiplicities, "
+                  "e.g. 2,1)", {"n": ...}),
+    "schur-weyl": (cmd_schur_weyl, "brute-force vs predicted decomposition", {"k": ...}),
+    "drinfeld": (cmd_drinfeld, "evaluate Drinfeld's function",
+                 {"a1": ..., "a2": ..., "q": ..., "histogram": False,
+                  "include_nonunit_isos": False, "budget": None}),
+    "character-table": (cmd_character_table, "print an S_k character table as CSV",
+                        {"k": ...}),
+}
+_INTEGERS = {"q", "k", "a1", "a2", *RunConfig.__init__.__kwdefaults__}
 
 
-def _int_option(parser, flag, **kwargs):
-    def parse(text):
-        try:
-            return arith._parse_int(text, flag)
-        except ValueError as exc:
-            raise _BadInteger(exc) from None
-
-    parser.add_argument(flag, type=parse, **kwargs)
+def _default(entry):
+    """The default of an option of `_COMMANDS`: `...` when it is required."""
+    return entry[0] if type(entry) is tuple else entry
 
 
-def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="vinbun",
-        description="verification suites for local-model point counts vs "
-        "representation-theoretic trace predictions",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _exit(command, error=None):
+    """Leave as argparse did: the usage and `error` on stderr with status 2,
+    or with no error, the usage and the help on stdout with status 0."""
+    usage = f"usage: vinbun {command or '{' + ','.join(_COMMANDS) + '}'} [-h]"
+    for name, entry in _COMMANDS[command][2].items() if command else ():
+        text = "--" + name.replace("_", "-")
+        if type(entry) is tuple:
+            text += " {%s}" % ",".join(choice for choice in entry if choice is not ...)
+        elif entry is not False:
+            text += " " + name.upper()
+        usage += f" {text}" if _default(entry) is ... else f" [{text}]"
+    if error:
+        print(usage, f"vinbun{' ' + command if command else ''}: error: {error}",
+              sep="\n", file=sys.stderr)
+        raise SystemExit(2)
+    print(usage, "", _COMMANDS[command][1] if command else "\n".join(
+        f"  {name:<16} {line}" for name, (_, line, _) in _COMMANDS.items()), sep="\n")
+    raise SystemExit(0)
 
-    p = sub.add_parser("verify", help="run named verification suites")
-    p.add_argument("--suites", default=None,
-                   help=f"comma-separated subset of {','.join(ALL_SUITES)} "
-                   f"(default: {','.join(DEFAULT_SUITES)})")
-    for option, default in RunConfig.__init__.__kwdefaults__.items():
-        _int_option(p, "--" + option.replace("_", "-"), default=default)
-    p.add_argument("--output", default=None)
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("count", help="count F_q-points of a local-model fiber")
-    p.add_argument("--n", required=True, help="multiplicities, e.g. 2,1")
-    _int_option(p, "--q", required=True)
-    p.add_argument("--d", default="any", help="any|zero|nonzero|<element code>")
-    _int_option(p, "--budget", default=None)
-    p.set_defaults(func=cmd_count)
+def _scan(token, flags, command):
+    """What argparse read `token` as, given `flags` (option -> name): None
+    for a value, else (the option, None if unknown; the text after its "="
+    or after -h, or None).  A prefix of two long options is refused."""
+    head, eq, value = token.partition("=")
+    if token in flags:
+        return token, None
+    if eq and head in flags:
+        return head, value
+    if token[:2] == "-h":
+        return "-h", token[2:]
+    matches = [flag for flag in flags if token[:2] == "--" and flag.startswith(head)]
+    if len(matches) > 1:
+        _exit(command, f"ambiguous option: {token} could match {', '.join(matches)}")
+    if matches:
+        return matches[0], value if eq else None
+    # "-", a negative number or a text with a space is a value
+    if token[:1] == "-" != token and " " not in token and not re.match(r"-\d+$|-\d*\.\d+$", token):
+        return None, None
 
-    p = sub.add_parser("trace", help="emit a Laurent trace value as JSON")
-    p.add_argument("--object", choices=("plo", "omega", "grpsi", "kelement"),
-                   required=True)
-    _int_option(p, "--q", required=True)
-    p.add_argument("--divisor", required=True, help="poly:mult,... format")
-    p.set_defaults(func=cmd_trace)
 
-    p = sub.add_parser("equations", help="print a fiber equation system")
-    p.add_argument("--n", required=True, help="multiplicities, e.g. 2,1")
-    p.set_defaults(func=cmd_equations)
+def _read(command, tokens, flags, options, extras):
+    """Read `tokens` into `options` in order, as argparse did: every token
+    before `--` is scanned first, so an ambiguous option is refused before
+    any is read; unknown options and values go to `extras`."""
+    end = tokens.index("--") if "--" in tokens else len(tokens)
+    scans = [_scan(t, flags, command) for t in tokens[:end]] + [None] * (len(tokens) - end)
+    i = 0
+    while i < len(tokens):
+        flag, value = scans[i] or (None, None)
+        name = flags.get(flag)
+        i += 1
+        if name is None:
+            extras.append(tokens[i - 1])
+            continue
+        if name == "help":  # -hh is -h twice; other text after -h or --help is refused
+            if value is not None and (flag != "-h" or value.strip("h") or not value):
+                _exit(command, f"argument -h/--help: ignored explicit argument {value!r}")
+            _exit(command)
+        entry = _COMMANDS[command][2][name]
+        if entry is False:
+            if value is not None:
+                _exit(command, f"argument {flag}: ignored explicit argument {value!r}")
+            value = True
+        elif value is None:
+            if i >= end or scans[i]:
+                _exit(command, f"argument {flag}: expected one argument")
+            value, i = tokens[i], i + 1
+        if name in _INTEGERS:
+            value = arith._parse_int(value, flag)
+        elif type(entry) is tuple and value not in entry:
+            _exit(command, f"argument {flag}: invalid choice: {value!r}")
+        options[name] = value
 
-    p = sub.add_parser("schur-weyl", help="brute-force vs predicted decomposition")
-    _int_option(p, "--k", required=True)
-    p.set_defaults(func=cmd_schur_weyl)
 
-    p = sub.add_parser("drinfeld", help="evaluate Drinfeld's function")
-    _int_option(p, "--a1", required=True)
-    _int_option(p, "--a2", required=True)
-    _int_option(p, "--q", required=True)
-    p.add_argument("--histogram", action="store_true")
-    p.add_argument("--include-nonunit-isos", action="store_true")
-    _int_option(p, "--budget", default=None)
-    p.set_defaults(func=cmd_drinfeld)
-
-    p = sub.add_parser("character-table", help="print an S_k character table as CSV")
-    _int_option(p, "--k", required=True)
-    p.set_defaults(func=cmd_character_table)
-
-    return parser
+def _parse(argv):
+    """(runner, options) for `argv`, read as argparse read it: -h or the
+    command, then `--opt value` or `--opt=value` in any order, a prefix of
+    one option for that option, the last of repeats.  An integer option
+    that `arith._parse_int` refuses raises its ValueError."""
+    flags, extras = {"-h": "help", "--help": "help"}, []
+    i = 0  # before the command, -h is the only option
+    while i < len(argv) and argv[i] != "--" and _scan(argv[i], flags, None):
+        i += 1
+    _read(None, argv[:i], flags, {}, extras)
+    if i == len(argv):
+        _exit(None, "the following arguments are required: command")
+    if argv[i] not in _COMMANDS:
+        _exit(None, f"argument command: invalid choice: {argv[i]!r}")
+    command = argv[i]
+    run, _, spec = _COMMANDS[command]
+    flags.update(("--" + name.replace("_", "-"), name) for name in spec)
+    options = {name: _default(entry) for name, entry in spec.items()}
+    _read(command, argv[i + 1:], flags, options, extras)
+    missing = [flag for flag, name in flags.items() if options.get(name) is ...]
+    if missing:
+        _exit(command, f"the following arguments are required: {', '.join(missing)}")
+    if extras:
+        _exit(None, f"unrecognized arguments: {' '.join(extras)}")
+    return run, SimpleNamespace(**options)
 
 
 def main(argv=None):
@@ -600,14 +657,14 @@ def main(argv=None):
     enabled = gc.isenabled()
     gc.disable()
     try:
-        args = build_parser().parse_args(argv)
-        code = args.func(args)
+        run, args = _parse(sys.argv[1:] if argv is None else list(argv))
+        code = run(args)
         sys.stdout.flush()  # so that a closed stdout fails here, not at exit
         return code
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, _BadInteger) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:  # the reader left: devnull takes the flush at exit
@@ -622,9 +679,17 @@ def main(argv=None):
             gc.enable()
 
 
+def _entry():
+    """The `vinbun` script and `python -m vinbun.cli`: `main`, then the heap
+    frozen, so that the collections at exit walk none of the run's caches."""
+    code = main()
+    gc.freeze()
+    return code
+
+
 # the last statement of the import: what it built lives until exit, so the
 # collector, and its full collections at exit, skip it
 gc.freeze()
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(_entry())

@@ -10,8 +10,10 @@ import sys
 import time
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
+from operator import attrgetter
 from pathlib import Path
 
+import argparse_oracle
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -145,7 +147,7 @@ SEMIPRIME = (2**31 - 1) * (2**31 - 19)
     ("count", "--n", "1, 1", "--q", "3"),
     ("trace", "--object", "plo", "--q", "2", "--divisor", "t:\u0663"),
     ("trace", "--object", "plo", "--q", "2", "--divisor", "\u0661t+1"),
-    # and the same in the integer options argparse reads
+    # and the same in the integer options the command table reads
     ("count", "--n", "2", "--q", "1_1"),
     ("count", "--n", "2", "--q", "\u0663"),
     ("count", "--n", "2", "--q", " 3"),
@@ -261,7 +263,8 @@ def test_main_leaves_the_collector_as_it_found_it(tmp_path, capsys, monkeypatch,
         rows.append(("planted", "", *cli._sides(1, 2, False)))
 
     monkeypatch.setitem(cli._SUITE_RUNNERS, "quadric", planted)
-    monkeypatch.setattr(cli, "cmd_equations", _raise_broken_pipe)
+    monkeypatch.setitem(cli._COMMANDS, "equations",
+                        (_raise_broken_pipe, *cli._COMMANDS["equations"][1:]))
     # a file, so that the broken-pipe branch has a descriptor to point at devnull
     stdout = open(tmp_path / "stdout", "w")
     monkeypatch.setattr(sys, "stdout", stdout)
@@ -277,7 +280,7 @@ def test_main_leaves_the_collector_as_it_found_it(tmp_path, capsys, monkeypatch,
         assert paused == [True]
 
 
-def test_main_leaves_the_collector_as_it_found_it_after_an_argparse_exit(capsys):
+def test_main_leaves_the_collector_as_it_found_it_after_a_refused_option(capsys):
     was = gc.isenabled()
     try:
         for enabled in (True, False):
@@ -323,8 +326,8 @@ print(code, len(gc.garbage))
 ], ids=["nearby", "omega", "budget-starved", "drinfeld-histogram"])
 def test_cyclic_garbage_does_not_grow_with_the_grid(small, large):
     # main pauses the collector, so a reference cycle made per divisor,
-    # point or check would be kept until exit: a run's cyclic garbage (the
-    # argument parser, json's indenting encoder) is the same on a larger grid
+    # point or check would be kept until exit: a run's cyclic garbage
+    # (json's indenting encoder) is the same on a larger grid
     assert cyclic_garbage(*large) == cyclic_garbage(*small)
 
 
@@ -1083,22 +1086,33 @@ def test_cli_import_loads_no_dataclasses_or_inspect():
 def test_cli_runs_load_no_fractions_decimal_or_numbers():
     # every point count is specialized in Z, so `fractions` (which pulls in
     # decimal and numbers) is imported only for a value with a q-denominator,
-    # which no command prints; -S, so that no site hook imports them first
+    # which no command prints; argv is read off the command table, so no run
+    # loads argparse, nor the gettext and locale it pulls in; -S, so that no
+    # site hook imports them first
     src = str(Path(vinbun.__file__).resolve().parent.parent)
     runs = [["verify"],
             ["verify", "--suites", "omega,strata,uniformity,quadric,drinfeld",
              "--max-n", "4", "--max-q", "7"],
             ["drinfeld", "--a1", "2", "--a2", "1", "--q", "3", "--histogram"],
-            ["count", "--n", "2,1", "--q", "4"]]
+            ["count", "--n", "2,1", "--q", "4"],
+            ["count", "--n", "2", "--q", "x"]]
+    refused = [["verify", "--no-such-option"], ["verify", "--help"]]
     probe = (
-        f"import json, sys; sys.path.insert(0, {src!r}); import vinbun.cli; "
-        f"codes = [vinbun.cli.main(argv) for argv in {runs!r}]; "
-        "print(json.dumps([codes, [m for m in ('fractions', 'decimal', 'numbers') "
-        "if m in sys.modules]]))"
+        f"import contextlib, io, json, sys; sys.path.insert(0, {src!r}); import vinbun.cli\n"
+        f"codes = [vinbun.cli.main(argv) for argv in {runs!r}]\n"
+        f"for argv in {refused!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()), "
+        "contextlib.redirect_stderr(io.StringIO()):\n"
+        "        try:\n"
+        "            vinbun.cli.main(argv)\n"
+        "        except SystemExit as exc:\n"
+        "            codes.append(exc.code)\n"
+        "print(json.dumps([codes, [m for m in ('fractions', 'decimal', 'numbers', "
+        "'argparse', 'gettext', 'locale') if m in sys.modules]]))"
     )
     done = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True,
                           text=True, check=True)
-    assert json.loads(done.stdout.splitlines()[-1]) == [[0, 0, 0, 0], []]
+    assert json.loads(done.stdout.splitlines()[-1]) == [[0, 0, 0, 0, 2, 2, 0], []]
 
 
 def test_json_verify_does_not_import_csv():
@@ -1137,7 +1151,7 @@ def test_cli_import_needs_no_numpy_or_sympy():
 
 # exit codes under hostile input: integer options from negative to huge, q
 # that are not prime powers or are large.  Options are passed as --name=value, so that
-# argparse reads a value like "-3,1" as a value.  Budgets stay at most 10^4, so every run the
+# a value like "-3,1" is read as a value.  Budgets stay at most 10^4, so every run the
 # budget admits is short; an unbudgeted run may rightly take long.
 FUZZ_SETTINGS = settings(max_examples=150, deadline=None, database=None,
                          derandomize=True)
@@ -1161,7 +1175,7 @@ fuzz_budgets = st.one_of(st.integers(1, 10**4),
 
 
 def exit_code(argv):
-    """main's exit code, argparse errors included; stdout and stderr are
+    """main's exit code, option errors included; stdout and stderr are
     dropped.  Any exception other than SystemExit propagates."""
     with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
         try:
@@ -1191,3 +1205,160 @@ def test_count_fuzzed_argv_exits_0_2_or_3(ns, q, d, budget):
     argv = ["count", f"--n={','.join(map(str, ns))}", f"--q={q}", f"--d={d}",
             f"--budget={budget}"]
     assert exit_code(argv) in (0, 2, 3), argv
+
+
+# argv for the parity of `cli._parse` with the argparse parser it replaced
+# (tests/argparse_oracle.py): every option of every command, prefixes of one
+# option and of several, unknown options, and -h with text run on.  From
+# Python 3.13 argparse reads `-hx` as -h and an unknown `-x`, and `-h=hh`
+# as an error; the table keeps the reading of 3.10 to 3.12
+PARITY_OPTIONS = sorted({"--" + name.replace("_", "-") for _, _, spec in cli._COMMANDS.values()
+                         for name in spec}) + [
+    "-h", "--help", "--he", "--h", "--hi", "--in", "--m", "--max", "--max-", "--a", "--d",
+    "--di", "--f", "--o", "--s", "--no-such-option", "-x", "-", "---", "--=", "-hh",
+] + (["-hx", "-h=", "-h=hh", "-hh=x"] if sys.version_info < (3, 13) else [])
+# values: negative, non-ASCII, empty, with a space, option-like, and valid
+# ones for each option.  `--opt=--` is left out: argparse stored an empty
+# list for it (test_a_double_dash_after_equals_is_the_value)
+PARITY_VALUES = ["3", "0", "-1", "-3", "-3,1", "-1.5", "\u0663", "-\u0663", "", "1_0", "a b",
+                 "2,1", "t:2", "json", "csv", "xml", "plo", "kelement", "any", "nearby,omega",
+                 "h", "--q", "verify"]
+
+
+def valid_value(name):
+    """A value the table accepts for the option `name`."""
+    entry = next(spec[name] for _, _, spec in cli._COMMANDS.values() if name in spec)
+    if type(entry) is tuple:
+        return st.sampled_from([choice for choice in entry if choice is not ...])
+    if name in cli._INTEGERS:
+        return st.sampled_from(["3", "-1", "0"])
+    return st.sampled_from({"n": ["2,1", "-3"], "divisor": ["t:2"]}.get(name, ["x", "-3", ""]))
+
+
+def option_tokens(name, value):
+    """The tokens of `--name value`, in the space or the `=` form."""
+    flag = "--" + name.replace("_", "-")
+    return st.sampled_from([[flag, value], [f"{flag}={value}"]])
+
+
+def parity_items(command):
+    """Lists of argv tokens after `command`: an option and its value, in the
+    space or the `=` form, an option alone, a stray value or `--`; half are
+    an option of the command with a value it accepts."""
+    spec = cli._COMMANDS[command][2] if command in cli._COMMANDS else {}
+    own = ["--" + name.replace("_", "-") for name in spec]
+    # the command's own options, whole or cut to a prefix, or any option
+    option = st.sampled_from(PARITY_OPTIONS)
+    if own:
+        option = st.one_of(st.sampled_from(own), option, st.sampled_from(own).flatmap(
+            lambda flag: st.integers(3, len(flag)).map(lambda n: flag[:n])))
+    value = st.sampled_from(PARITY_VALUES)
+    items = st.one_of(st.tuples(option, value).map(list),
+                      st.tuples(option, value).map(lambda pair: ["=".join(pair)]),
+                      option.map(lambda flag: [flag]),
+                      st.sampled_from(PARITY_VALUES + ["--"]).map(lambda v: [v]))
+    if not spec:
+        return items
+
+    def valid(name):
+        if spec[name] is False:
+            return st.just(["--" + name.replace("_", "-")])
+        return valid_value(name).flatmap(lambda v: option_tokens(name, v))
+
+    return st.one_of(st.sampled_from(sorted(spec)).flatmap(valid), items)
+
+
+@st.composite
+def parity_argv(draw):
+    # a top-level option before the command in one argv of four
+    argv = draw(st.sampled_from([[]] * 15 + [["-h"], ["--he"], ["-hh"], ["-x"], ["--no"]]))
+    command = draw(st.sampled_from([*cli._COMMANDS, "verif", "nope", "", "-3", "-", "--", None]))
+    if command is not None:
+        argv.append(command)
+    spec = cli._COMMANDS[command][2] if command in cli._COMMANDS else {}
+    if draw(st.integers(0, 3)):  # the required options, so that most argv parse
+        for name, entry in spec.items():
+            if cli._default(entry) is ...:
+                argv += draw(valid_value(name).flatmap(lambda v: option_tokens(name, v)))
+    for item in draw(st.lists(parity_items(command), max_size=5)):
+        argv += item
+    return argv
+
+
+def parse_outcome(parse, argv):
+    """("options", runner, options) for the argv that `parse` reads, else
+    ("exit", status, stdout, stderr), or ("error", message) for an integer
+    option that `arith._parse_int` refuses."""
+    with redirect_stdout(io.StringIO()) as out, redirect_stderr(io.StringIO()) as err:
+        try:
+            run, options = parse(list(argv))
+        except SystemExit as exc:
+            return "exit", exc.code, out.getvalue(), err.getvalue()
+        except (ValueError, argparse_oracle._BadInteger) as exc:
+            return "error", str(exc)
+    return "options", run, options
+
+
+def oracle_parse(argv):
+    options = vars(argparse_oracle.build_parser().parse_args(argv))
+    del options["command"]
+    return options.pop("func"), options
+
+
+def table_parse(argv):
+    run, options = cli._parse(argv)
+    return run, vars(options)
+
+
+@settings(max_examples=600, deadline=None, database=None, derandomize=True)
+@given(argv=parity_argv())
+@example(argv=[])
+@example(argv=["verify"])
+@example(argv=["-h"])
+@example(argv=["verify", "--he"])
+@example(argv=["drinfeld", "--h"])
+@example(argv=["verify", "--max-n=-1", "--max-n", "5", "--format=csv"])
+@example(argv=["count", "--q", "-3", "--n", "-3,1"])
+@example(argv=["verify", "--", "--max-n", "3"])
+@example(argv=["-x", "verify", "--max", "3", "-h"])
+@example(argv=["drinfeld", "--a1", "0", "--a2=0", "--q", "3", "--histogram=1"])
+def test_table_parser_reads_argv_as_argparse_did(argv):
+    want, got = parse_outcome(oracle_parse, argv), parse_outcome(table_parse, argv)
+    if want[0] == "exit":
+        assert got[:2] == want[:2], argv
+        out, err = got[2:]
+        if got[1] == 0:  # the help, on stdout
+            assert out.startswith("usage: vinbun") and err == "", argv
+        else:  # the usage and one error line, on stderr
+            assert out == "" and err.startswith("usage: vinbun"), argv
+            assert err.count("\n") == 2 and ": error: " in err.splitlines()[1], argv
+    else:
+        assert got == want, argv
+
+
+def test_a_double_dash_after_equals_is_the_value(capsys):
+    # argparse dropped a value of "--" given after "=" and stored an empty
+    # list, which failed with a traceback; the table reads "--" as the value
+    assert run_cli(capsys, "verify", "--max-n=--") == (
+        2, "", "error: --max-n '--' is not an integer\n")
+    assert run_cli(capsys, "count", "--n=--", "--q", "2") == (
+        2, "", "error: multiplicity '--' is not an integer\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["trace", "--object=--", "--q", "2", "--divisor", "t:2"])
+    assert exc.value.code == 2
+    assert "invalid choice: '--'" in capsys.readouterr().err
+    assert cli._parse(["verify", "--output=--"])[1].output == "--"
+
+
+@pytest.mark.parametrize("config", [
+    RunConfig(),
+    RunConfig(budget=10),
+    RunConfig(("nearby",), max_n=5, max_q=4, max_degree=5),
+], ids=["default", "budget-10", "traces"])
+def test_checks_are_unique_by_suite_name_and_params(config):
+    # run_suite sorts the checks as tuples; with no two alike in (suite,
+    # name, params), that is the order of those three fields
+    checks = run_suite(config)["checks"]
+    keys = [(check.suite, check.name, check.params) for check in checks]
+    assert len(set(keys)) == len(keys)
+    assert checks == sorted(checks, key=attrgetter("suite", "name", "params"))
