@@ -18,7 +18,7 @@ from vinbun.cli import field_from_q
 from vinbun.kcalc import NormLedger, nearby_vs_boundary
 
 ledger = NormLedger.calibrated()
-print(f"c(n) = v^(-2n), the scale of GR_PSI: c(1) = {ledger.c(1)!r}")
+print(f"c(n) = v^(-2n), the scale of GR_PSI: c(1) = {ledger.c1!r}")
 print()
 
 total = 0

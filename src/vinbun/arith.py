@@ -98,8 +98,8 @@ class Laurent(Combination):
     __slots__ = ()
 
     @staticmethod
-    def monomial(exponent, coefficient=1):
-        return Laurent({exponent: coefficient})
+    def monomial(exponent):
+        return Laurent({exponent: 1})
 
     def __mul__(self, other):
         if type(other) is not Laurent:
@@ -586,7 +586,7 @@ def enumerate_closed_points(field, max_degree):
     """All closed points of A^1 of degree <= max_degree, i.e. all monic
     irreducibles, sorted by (degree, coefficients): those of lower degree,
     then the one-point divisors of the sieve of degree max_degree.  Counts
-    obey the necklace formula."""
+    obey Gauss's identity q^d = sum over e | d of e * #(degree-e points)."""
     if max_degree < 1:
         raise ValueError("max_degree must be >= 1")
     lower = enumerate_closed_points(field, max_degree - 1) if max_degree > 1 else ()
@@ -866,13 +866,9 @@ def format_divisor(field, divisor, names=None):
 
 
 def necklace_count(q, d):
-    """Number of degree-d monic irreducibles over F_q: (1/d) sum mu(d/e) q^e."""
-    total = 0
-    for e in range(1, d + 1):
-        if d % e == 0:
-            total += _mobius(d // e) * q**e
-    assert total % d == 0
-    return total // d
+    """Number of degree-d monic irreducibles over F_q, by Gauss's identity
+    q^d = sum over e | d of e * necklace_count(q, e)."""
+    return (q**d - sum(e * necklace_count(q, e) for e in range(1, d) if d % e == 0)) // d
 
 
 def divisor_count(q, n, max_degree=None):
@@ -903,19 +899,3 @@ def divisor_count_exponent(q, n, max_degree=None):
         return n * (q.bit_length() - 1)
     return math.comb(n + q - 1, n).bit_length() - 1
 
-
-def _mobius(n):
-    if n == 1:
-        return 1
-    out = 1
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            n //= f
-            if n % f == 0:
-                return 0
-            out = -out
-        f += 1
-    if n > 1:
-        out = -out
-    return out

@@ -178,20 +178,15 @@ _ONE_MINUS_Q = Laurent({0: 1, 2: -1})  # 1 - q at v^2 = q
 class NormLedger(namedtuple("NormLedger", "c1")):
     """The normalization c(n) = c(1)^n of the boundary identity, with c(1)
     the monomial v^(scale) of GR_PSI.  `nearby_vs_boundary` reads the scale
-    directly; the ledger is kept for demo 05 and for the benchmark, which
-    traces `NormLedger.calibrated`, until its traced names are revised
-    (ROADMAP item 1, like `arith.iter_decompositions`)."""
+    directly; the ledger keeps `c1` for demo 05 and `calibrated` for the
+    benchmark's traced names (`TRACED` in perfbench/child.py), until those
+    are revised (ROADMAP item 1, like `arith.iter_decompositions`)."""
 
     __slots__ = ()
 
     @staticmethod
     def calibrated():
         return NormLedger(c1=Laurent.monomial(GR_PSI.scale))
-
-    def c(self, n):
-        """c(1)^n, read off the monomial c(1)."""
-        ((exponent, coeff),) = self.c1.terms.items()
-        return Laurent.monomial(exponent * n, coeff**n)
 
 
 def nearby_vs_boundary(n, divisor):

@@ -100,14 +100,6 @@ def build_system(multiplicities):
 # ---------------------------------------------------------------------------
 
 
-def _decode(code, q, m):
-    out = []
-    for _ in range(m):
-        out.append(code % q)
-        code //= q
-    return tuple(out)
-
-
 def iter_factor_solutions(field, m):
     """All ((a), (b)) solving the m-1 factor equations.  a[0] encodes
     a_{-m}, b[j] encodes b_j.
@@ -120,8 +112,8 @@ def iter_factor_solutions(field, m):
     b_0 = 1."""
     q = field.q
     mul, add, neg, inv = field.mul, field.add, field.neg, field.inv
-    for a_code in range(q**m):
-        a = _decode(a_code, q, m)
+    for digits in product(range(q), repeat=m):
+        a = digits[::-1]  # a-code order: a[m-1] leads
         if a[0]:
             inv0 = neg(inv(a[0]))
             unit = [1]

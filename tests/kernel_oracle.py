@@ -10,7 +10,8 @@ sign-twisted S_k action.  Matrices are nested tuples of ints.
 
 from fractions import Fraction
 
-from vinbun.lefschetz import MAX_BRUTE_K, _act, perm_from_cycle_type, weight_of_index
+from vinbun import lefschetz
+from vinbun.lefschetz import MAX_BRUTE_K, perm_from_cycle_type, weight_of_index
 from vinbun.symrep import decompose_class_function, partitions
 
 
@@ -65,11 +66,12 @@ def kernel_traces(k, w, perms):
     traces = []
     for perm in perms:
         inverse = tuple(sorted(range(k), key=perm.__getitem__))
+        # read through the module, so a fault planted in perm_sign reaches it
+        sign = lefschetz.perm_sign(inverse)
         trace = 0
         for s in free:
             # (P b_s)[s] = sign * b_s[j] for the column j that P sends onto s
-            sign, pre = _act(inverse, cols[s])
-            j = pos[pre]
+            j = pos[lefschetz._act(inverse, cols[s])]
             if j == s:
                 trace += sign
             elif j in pivots:

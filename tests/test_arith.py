@@ -270,9 +270,9 @@ def test_frobenius_identity_all_fields():
 
 def test_laurent_ring_laws():
     v = Laurent.monomial(1)
-    a = v + Laurent.monomial(3, 2) - Laurent({0: 1})
+    a = v + Laurent({3: 2}) - Laurent({0: 1})
     b = Laurent.monomial(-3) - v
-    c = Laurent.monomial(-2, 5) + Laurent({0: 1})
+    c = Laurent({-2: 5}) + Laurent({0: 1})
     assert a + b == b + a
     assert a * b == b * a
     assert (a + b) * c == a * c + b * c
@@ -300,12 +300,12 @@ def test_laurent_constants_hash_like_ints():
 
 
 def test_laurent_twist_and_specialize():
-    x = Laurent.monomial(2, 3) + Laurent.monomial(-2, 1) + Laurent({0: 4})
+    x = Laurent({2: 3}) + Laurent.monomial(-2) + Laurent({0: 4})
     assert x.at_q(3) == 3 * 3 + Fraction(1, 3) + 4
     with pytest.raises(ValueError):
         (Laurent.monomial(1) + Laurent({0: 1})).at_q(2)
     # even exponents + integer q and no denominators -> integer value
-    y = Laurent.monomial(4) + Laurent.monomial(2, -2)
+    y = Laurent.monomial(4) + Laurent({2: -2})
     val = y.at_q(5)
     assert type(val) is int and val == 5**2 - 2 * 5
 
@@ -333,6 +333,39 @@ def test_necklace_formula(p, e):
     pts = enumerate_closed_points(fld, max_d)
     for d in range(1, max_d + 1):
         assert sum(1 for pt in pts if pt.degree == d) == necklace_count(q, d)
+
+
+def mobius(n):
+    """The Moebius function, by trial division."""
+    out, f = 1, 2
+    while f * f <= n:
+        if n % f == 0:
+            n //= f
+            if n % f == 0:
+                return 0
+            out = -out
+        f += 1
+    return -out if n > 1 else out
+
+
+def mobius_necklace_count(q, d):
+    """The Moebius sum (1/d) sum over e | d of mu(d/e) q^e, the oracle of
+    `necklace_count`."""
+    total = sum(mobius(d // e) * q**e for e in range(1, d + 1) if d % e == 0)
+    assert total % d == 0
+    return total // d
+
+
+def test_necklace_count_is_the_mobius_sum():
+    prime_powers = sorted(
+        p**e for p in range(2, 1025) if is_prime(p) for e in range(1, 11) if p**e <= 1024
+    )
+    assert len(prime_powers) == 198
+    grid = [(q, d) for q in prime_powers for d in range(1, 65)]
+    grid += [(q, d) for q in (2**61 - 1, 2**80) for d in range(1, 9)]
+    for q, d in grid:
+        assert necklace_count(q, d) == mobius_necklace_count(q, d), (q, d)
+    assert [mobius(n) for n in range(1, 13)] == [1, -1, -1, 0, -1, 1, -1, 0, 0, 1, -1, 0]
 
 
 @pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2), (5, 1)])

@@ -99,6 +99,19 @@ def lowest_lines_flip():
         assert kernel_traces(2, -m, ((1, 0),)) == [sign]
 
 
+def weight_without_factor_two(mp):
+    # h-weight k - #y in place of (#x) - (#y) = k - 2 #y
+    mp.setattr(lefschetz, "weight_of_index", lambda idx, k: k - bin(idx).count("1"))
+
+
+def wrong_size_fails_as_a_row():
+    # below k = 4 no multiplicity goes negative, so the brute force returns a
+    # bimodule; at k = 2 it has dimension 3, not 4, and its row fails
+    checks = run_suite(RunConfig(("schurweyl",), max_k=3))["checks"]
+    assert [c.status for c in checks] == ["pass", "fail", "pass"]
+    assert lefschetz.brute_force_schur_weyl(2).total_dimension() == 3
+
+
 def pivot_defect_plus_one(mp):
     original = localmodel.pivot_defect
     mp.setattr(localmodel, "pivot_defect", lambda m, s, b: original(m, s, b) + 1)
@@ -204,6 +217,8 @@ CONTROLS = [
             {"default": {"schurweyl"}}, lowest_lines_flip),
     Control("extra-schur-weyl-summand", extra_schur_weyl_summand,
             {"default": {"schurweyl"}}),
+    Control("weight-without-factor-two", weight_without_factor_two,
+            {"default": {"schurweyl"}}, wrong_size_fails_as_a_row),
     Control("twist-off-by-one", twist_off_by_one, {"default": {"reconstruct"}}),
     Control("infinity-dropped", infinity_dropped, {"default": {"drinfeld"}}),
     Control("extra-zero-point", extra_zero_point, {"default": {"quadric", "strata"}}),
@@ -230,5 +245,5 @@ def test_every_suite_fails_on_some_fault():
     assert caught == set(ALL_SUITES)
     # one row per default suite, two for the opt-in rankone (a fault in the
     # sweep's isom count, one in the closed form), one for the line rule of
-    # the sweep, and the clean run
-    assert len(CONTROLS) == len(DEFAULT_SUITES) + 4
+    # the sweep, one for the size of the Schur-Weyl bimodule, and the clean run
+    assert len(CONTROLS) == len(DEFAULT_SUITES) + 5

@@ -3,8 +3,10 @@ from fractions import Fraction
 import pytest
 from kernel_oracle import kernel_traces, lowering_kernel_reps, lowering_matrix, weight_layers
 
+from vinbun import lefschetz
 from vinbun.kcalc import PLO, KElement, ic_kernel_k_element, symbol
 from vinbun.lefschetz import (
+    MAX_BRUTE_K,
     GradedBiRep,
     brute_force_schur_weyl,
     perm_from_cycle_type,
@@ -141,6 +143,20 @@ def test_brute_force_matches_prediction():
         brute = brute_force_schur_weyl(k)
         assert brute == predicted_schur_weyl(k)
         assert brute.total_dimension() == 1 << k
+
+
+def test_brute_force_reads_one_sign_per_cycle_type(monkeypatch):
+    calls = []
+
+    def counted(perm):
+        calls.append(perm)
+        return perm_sign(perm)
+
+    monkeypatch.setattr(lefschetz, "perm_sign", counted)
+    for k in range(1, MAX_BRUTE_K + 1):
+        calls.clear()
+        lefschetz.brute_force_schur_weyl(k)
+        assert calls == [perm_from_cycle_type(c) for c in partitions(k)], k
 
 
 @pytest.mark.slow

@@ -32,7 +32,6 @@ from vinbun.localmodel import (
     per_fiber_uniformity,
     pivot_defect,
     strata_counts,
-    _decode,
 )
 
 F2 = build_field(2, 1)
@@ -50,6 +49,11 @@ F9_ALT = build_field(3, 2, alternative_moduli(3, 2)[1])
 # ---------------------------------------------------------------------------
 # naive oracles: literal loops over all coordinates
 # ---------------------------------------------------------------------------
+
+
+def _decode(code, q, m):
+    """The base-q digits of code, least significant first."""
+    return tuple(code // q**i % q for i in range(m))
 
 
 def iter_factor_solutions_naive(field, m):

@@ -194,7 +194,6 @@ PENDING = {
     "localmodel.iter_factor_solutions": 2,
     "kcalc.ic_kernel_k_element": 6,
     "kcalc.NormLedger.calibrated": 1,
-    "kcalc.NormLedger.c": 1,
     "arith.decompositions": 1,
     "arith.iter_decompositions": 1,
     "arith.compositions": 1,
