@@ -29,18 +29,18 @@ print()
 divs = enumerate_divisors(field, 2)
 print(f"degree-2 divisors over F_3: {len(divs)} = q^2")
 for d in divs:
-    print(f"  {format_divisor(field, d):14}  "
-          f"plo trace = {trace_plo(2, d)!r:24}  "
-          f"omega trace = {trace_omega_tilde(2, d)!r}")
+    print(f"  {format_divisor(d):14}  "
+          f"plo trace = {trace_plo(d)!r:24}  "
+          f"omega trace = {trace_omega_tilde(d)!r}")
 
 print()
 # traces factor over disjoint divisors
 d1 = parse_divisor(field, "t:1")
 d2 = parse_divisor(field, "t+1:2,t^2+1:1")
 both = d1 + d2
-lhs = trace_plo(5, both)
-rhs = trace_plo(1, d1) * trace_plo(4, d2)
-print(f"factorization: plo({format_divisor(field, both)}) = {lhs!r}")
+lhs = trace_plo(both)
+rhs = trace_plo(d1) * trace_plo(d2)
+print(f"factorization: plo({format_divisor(both)}) = {lhs!r}")
 print(f"             = plo(t) * plo(t+1:2,t^2+1)          = {rhs!r}")
 assert lhs == rhs
 
@@ -50,5 +50,5 @@ assert lhs == rhs
 q = 3
 for n in (1, 2, 3):
     d = parse_divisor(field, f"t:{n}")
-    count = (Laurent.monomial(2 * n) * trace_omega_tilde(n, d)).at_q(q)
+    count = (Laurent.monomial(2 * n) * trace_omega_tilde(d)).at_q(q)
     print(f"open fiber count over {n}*x: q^{n} * omega|_(v^2=q) = {count}")

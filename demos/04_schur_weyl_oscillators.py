@@ -42,5 +42,5 @@ print()
 print("k = 2 oscillator as weight lines:", plo_k_element(2))
 field = field_from_q(5)
 for d in enumerate_divisors(field, 2):
-    assert trace_k_element(plo_k_element(2), d) == trace_plo(2, d)
+    assert trace_k_element(plo_k_element(2), d) == trace_plo(d)
 print("symbol-by-symbol stalk traces match the oscillator trace over F_5: OK")

@@ -27,7 +27,7 @@ for q in (2, 3, 4):
     for n in (1, 2, 3):
         divisors = enumerate_divisors(field, n, 2)
         for d in divisors:
-            lhs, rhs = nearby_vs_boundary(n, d)
+            lhs, rhs = nearby_vs_boundary(d)
             assert lhs == rhs
         total += len(divisors)
     print(f"q = {q}: identity holds on all divisors with residue degrees <= 2")
@@ -37,14 +37,14 @@ print()
 field = field_from_q(2)
 example = [d for d in enumerate_divisors(field, 2)
            if len(d.parts) == 1 and d.parts[0][0].degree == 2][0]
-lhs, rhs = nearby_vs_boundary(2, example)
-print(f"sample, D = {format_divisor(field, example)} over F_2:")
+lhs, rhs = nearby_vs_boundary(example)
+print(f"sample, D = {format_divisor(example)} over F_2:")
 print(f"  (1-q) * grPsi trace  = {lhs!r}")
 print(f"  c(2) * boundary stalk = {rhs!r}")
 
 print()
 deep = [d for d in enumerate_divisors(field, 4)
         if len(d.parts) == 1 and d.parts[0][0].degree == 2][0]
-print(f"sign convention experiment on D = {format_divisor(field, deep)}:")
-lhs, rhs = nearby_vs_boundary(4, deep)
+print(f"sign convention experiment on D = {format_divisor(deep)}:")
+lhs, rhs = nearby_vs_boundary(deep)
 print("  fixed sign rule :", lhs == rhs)

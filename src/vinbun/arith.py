@@ -336,7 +336,7 @@ class PrimePowerField:
     def __repr__(self):
         if self.e == 1:
             return f"F_{self.p}"
-        return f"F_{self.q}<{format_poly(self, self.modulus)}>"
+        return f"F_{self.q}<{format_poly(self.modulus)}>"
 
 
 def build_field(p, e, modulus=None):
@@ -508,9 +508,9 @@ def closed_point(field, poly):
     """Validated closed point of A^1 from a monic irreducible polynomial."""
     poly = poly_normalize(poly)
     if poly_deg(poly) < 1 or poly[-1] != 1:
-        raise ValueError(f"{format_poly(field, poly)} is not monic of positive degree")
+        raise ValueError(f"{format_poly(poly)} is not monic of positive degree")
     if not is_irreducible(field, poly):
-        raise ValueError(f"{format_poly(field, poly)} is reducible over {field!r}")
+        raise ValueError(f"{format_poly(poly)} is reducible over {field!r}")
     return ClosedPoint(degree=poly_deg(poly), poly=poly)
 
 
@@ -808,7 +808,7 @@ def parse_poly(field, text):
     return poly_normalize(out)
 
 
-def format_poly(field, poly):
+def format_poly(poly):
     poly = poly_normalize(poly)
     if not poly:
         return "0"
@@ -848,10 +848,10 @@ def parse_divisor(field, text):
     return EffectiveDivisor.from_pairs(pairs)
 
 
-def format_divisor(field, divisor, names=None):
+def format_divisor(divisor, names=None):
     """The `poly:mult,...` text of the divisor.  names, when given, is a dict
-    from each point already named over this field to its text, filled in as
-    points are met: a caller formatting many divisors names each point once."""
+    from each point already named to its text, filled in as points are met:
+    a caller formatting many divisors names each point once."""
     if not divisor.parts:
         return "0"
     if names is None:
@@ -860,7 +860,7 @@ def format_divisor(field, divisor, names=None):
     for pt, m in divisor.parts:
         name = names.get(pt)
         if name is None:
-            name = names[pt] = "inf" if pt.is_infinity else format_poly(field, pt.poly)
+            name = names[pt] = "inf" if pt.is_infinity else format_poly(pt.poly)
         chunks.append(f"{name}:{m}")
     return ",".join(chunks)
 

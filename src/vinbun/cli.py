@@ -110,7 +110,8 @@ def _fields(limit):
 def budgeted_divisors(fld, n, budget, max_degree, built):
     """`arith.enumerate_divisors(fld, n, max_degree)`, refused before any
     divisor is built when its `arith.divisor_count` divisors, added to the
-    `built` divisors of lower degree already built, exceed the budget."""
+    `built` divisors of lower degree already built, exceed the budget.  A
+    walk that builds another number of divisors is a fault: ValueError."""
     q = fld.q
     what = f"divisors of degree {n} over F_{q}"
     if built:
@@ -118,7 +119,11 @@ def budgeted_divisors(fld, n, budget, max_degree, built):
     check_power_budget(arith.divisor_count_exponent(q, n, max_degree),
                        lambda: built + arith.divisor_count(q, n, max_degree),
                        budget, DIVISOR_BUDGET, what)
-    return arith.enumerate_divisors(fld, n, max_degree)
+    divisors = arith.enumerate_divisors(fld, n, max_degree)
+    count = arith.divisor_count(q, n, max_degree)
+    if len(divisors) != count:
+        raise ValueError(f"built {len(divisors)} divisors of degree {n} over F_{q}, not {count}")
+    return divisors
 
 
 def suite_nearby(config, rows):
@@ -136,9 +141,9 @@ def suite_nearby(config, rows):
                     dtype = kcalc.divisor_type(d)
                     sides = by_type.get(dtype)
                     if sides is None:
-                        lhs, rhs = kcalc.nearby_vs_boundary(n, d)
+                        lhs, rhs = kcalc.nearby_vs_boundary(d)
                         sides = by_type[dtype] = _sides(lhs, rhs, lhs == rhs)
-                    where = f"{params} D={arith.format_divisor(fld, d, names)}"
+                    where = f"{params} D={arith.format_divisor(d, names)}"
                     rows.append(("nearby-vs-boundary", where, *sides))
 
 
@@ -152,14 +157,14 @@ def suite_omega(config, rows):
                 divisors = budgeted_divisors(fld, n, config.budget, 1, built)
                 built += len(divisors)
                 for d in divisors:
-                    params = f"q={q} n={n} D={arith.format_divisor(fld, d, names)}"
+                    params = f"q={q} n={n} D={arith.format_divisor(d, names)}"
                     dtype = kcalc.divisor_type(d)
                     if dtype not in by_type:
                         # a type skipped over budget is not kept: each of its
                         # divisors gets its own skipped row
                         with _skip_over_budget(rows, "g-locus-count", params):
                             count, predicted, closed_form = localmodel.omega_point_count(
-                                n, d, fld, config.budget
+                                d, fld, config.budget
                             )
                             by_type[dtype] = _sides(
                                 count, f"{predicted} (closed form {closed_form})",
@@ -213,24 +218,24 @@ def suite_reconstruct(config, rows):
     and its reconstruction is `plo_k_element(2)`; then random round trips."""
     golden_delta = kcalc.KElement(
         {
-            kcalc.symbol(2, "trivial", 0): 1,
-            kcalc.symbol(2, "trivial", -1): -1,
-            kcalc.symbol(2, "sign", 1): 1,
-            kcalc.symbol(2, "sign", -2): -1,
+            kcalc.symbol((2,), 0): 1,
+            kcalc.symbol((2,), -1): -1,
+            kcalc.symbol((1, 1), 1): 1,
+            kcalc.symbol((1, 1), -2): -1,
         }
     )
     expected = kcalc.KElement(
         {
-            kcalc.symbol(2, "sign", 1): 1,
-            kcalc.symbol(2, "sign", 0): 1,
-            kcalc.symbol(2, "sign", -1): 1,
-            kcalc.symbol(2, "trivial", 0): 1,
+            kcalc.symbol((1, 1), 1): 1,
+            kcalc.symbol((1, 1), 0): 1,
+            kcalc.symbol((1, 1), -1): 1,
+            kcalc.symbol((2,), 0): 1,
         }
     )
     got = kcalc.reconstruct_from_difference(golden_delta)
     rows.append(("golden-case", "k=2", *_sides(got, expected, got == expected)))
     # symbols[r][t + 5] is the symbol of rep r twisted by t
-    symbols = [[kcalc.symbol(2, rep, t) for t in range(-5, 6)]
+    symbols = [[kcalc.symbol(rep, t) for t in range(-5, 6)]
                for rep in ((2,), (1, 1))]
     bits = random.Random(0).getrandbits
     failures = 0
@@ -442,11 +447,11 @@ def cmd_trace(args):
     if args.object == "kelement" and n > MAX_GRID_N:
         raise ValueError(f"kelement degree must be <= {MAX_GRID_N}, got {n}")
     if args.object == "plo":
-        value = kcalc.trace_plo(n, divisor)
+        value = kcalc.trace_plo(divisor)
     elif args.object == "omega":
-        value = kcalc.trace_omega_tilde(n, divisor)
+        value = kcalc.trace_omega_tilde(divisor)
     elif args.object == "grpsi":
-        value = kcalc.trace_gr_psi(n, divisor)
+        value = kcalc.trace_gr_psi(divisor)
     else:  # "kelement", the last of the choices `_COMMANDS` admits
         value = kcalc.trace_k_element(kcalc.plo_k_element(n), divisor)
     print(json.dumps(value.to_json_map(), sort_keys=True))

@@ -8,11 +8,12 @@ sheaves and one external exterior power of the rank-2 standard system
 (Frobenius eigenvalues v, v^-1) or of the rank-1 trivial system, shifted
 by [1] and multiplied by v^weight on each degree, all times v^(scale n).
 The class on X^(n) sums, over every split of n among the c + 1 pieces, the
-add_* pushforward of their external product.  It is factorizable: its
-trace at D is v^(scale n) times a product of local factors, one per point
-x of D taken with multiplicity m, so `evaluate` reads it off the type of
-D, the multiset of the pairs (deg x, m).  It keeps no cache: the verify
-suites and the Hom sweep already evaluate once per type.  The specs:
+add_* pushforward of their external product.  Every trace here takes the
+divisor D alone, as n = deg D.  The class is factorizable: its trace at D
+is v^(scale n) times a product of local factors, one per point x of D
+taken with multiplicity m, so `evaluate` reads it off the type of D, the
+multiset of the pairs (deg x, m).  It keeps no cache: the verify suites
+and the Hom sweep already evaluate once per type.  The specs:
 
 * `PLO`, the oscillator: rank 2 with [1](1/2) per degree, so weight -1;
 * `OMEGA_TILDE`, the open Zastava pushforward: one constant, then rank 1
@@ -35,7 +36,7 @@ same local factor 1 - u^2 at every point (`tests/test_kcalc.py` certifies
 it for every d and m), so the normalization c(n) = q^(-n) is v^(scale n) of
 GR_PSI.  The tests keep the
 splitting-sum definition of each spec as the evaluator's oracle.  The rest
-of the module holds formal IC symbols (S_k representation, Weil weight),
+of the module holds formal IC symbols (partition of k, Weil weight),
 the closed-form reconstruction of G from G - G(-1), and their stalks at
 every divisor.
 """
@@ -89,11 +90,9 @@ def divisor_type(divisor):
     return tuple(sorted((pt.degree, m) for pt, m in divisor))
 
 
-def evaluate(spec, n, divisor):
-    """Trace of the spec on X^(n) at the divisor: v^(scale n) times the
-    product of the local factors over the points of D, read off its type."""
-    if divisor.degree != n:
-        raise ValueError(f"degree mismatch: deg D = {divisor.degree}, expected {n}")
+def evaluate(spec, divisor):
+    """Trace of the spec on X^(n) at a divisor D of degree n: v^(scale n) times
+    the product of the local factors over the points of D, read off its type."""
     return type_trace(spec, divisor_type(divisor))
 
 
@@ -134,14 +133,14 @@ def _point_factor(spec, degree, multiplicity):
     return Laurent(coeffs)
 
 
-def trace_plo(k, divisor):
-    """Trace of the k-th Picard-Lefschetz oscillator: the external exterior
-    power of the standard rank-2 system (eigenvalues v, v^-1) normalized by
-    [k](k/2)."""
-    return evaluate(PLO, k, divisor)
+def trace_plo(divisor):
+    """Trace of the k-th Picard-Lefschetz oscillator at D of degree k: the
+    external exterior power of the standard rank-2 system (eigenvalues v,
+    v^-1) normalized by [k](k/2)."""
+    return evaluate(PLO, divisor)
 
 
-def trace_omega_tilde(n, divisor):
+def trace_omega_tilde(divisor):
     """Trace of the compactly-supported pushforward class of the open Zastava
     space (`OMEGA_TILDE`): the sum over splittings D = D1 + D2 with D2
     multiplicity-free factors over the points of D as
@@ -150,12 +149,12 @@ def trace_omega_tilde(n, divisor):
 
     each point either staying in D1 or entering D2 once with the weight
     (-1)^(deg x) v^(-2 deg x) (-1)^(deg x + 1)."""
-    return evaluate(OMEGA_TILDE, n, divisor)
+    return evaluate(OMEGA_TILDE, divisor)
 
 
-def trace_gr_psi(n, divisor):
+def trace_gr_psi(divisor):
     """Trace of the weight-graded nearby-cycles class on the fiber over the
-    divisor (`GR_PSI`): the sum over strata triples (n1, k, n2) and
+    divisor D of degree n (`GR_PSI`): the sum over strata (n1, k, n2) and
     splittings D = D1 + D'' + D2 of v^(-2(n-k)) times the oscillator trace
     at D''.  It factors over the points of D as
 
@@ -165,7 +164,7 @@ def trace_gr_psi(n, divisor):
     with e_1 = v^d + v^-d and e_0 = e_2 = 1 the rank-2 exterior factors at
     x taken b times in D''; m - b + 1 counts the ways to share the rest of
     the multiplicity between D1 and D2."""
-    return evaluate(GR_PSI, n, divisor)
+    return evaluate(GR_PSI, divisor)
 
 
 # ---------------------------------------------------------------------------
@@ -189,20 +188,20 @@ class NormLedger(namedtuple("NormLedger", "c1")):
         return NormLedger(c1=Laurent.monomial(GR_PSI.scale))
 
 
-def nearby_vs_boundary(n, divisor):
+def nearby_vs_boundary(divisor):
     """Both sides of the headline identity, (lhs, rhs): (1-q) times the
-    grPsi trace, and c(n) = v^(-2n), the scale of GR_PSI, times the boundary
-    stalk trace.  The identity holds iff lhs == rhs, which the local factors
-    of GR_PSI and BOUNDARY, both 1 - u^2, make true at every divisor."""
-    return (_ONE_MINUS_Q * trace_gr_psi(n, divisor),
-            Laurent.monomial(GR_PSI.scale * n) * boundary_stalk_trace(divisor))
+    grPsi trace, and c(n) = v^(-2n), n = deg D, the scale of GR_PSI, times
+    the boundary stalk trace.  The identity holds iff lhs == rhs, which the
+    local factors of GR_PSI and BOUNDARY, both 1 - u^2, make true at every D."""
+    return (_ONE_MINUS_Q * trace_gr_psi(divisor),
+            Laurent.monomial(GR_PSI.scale * divisor.degree) * boundary_stalk_trace(divisor))
 
 
 def boundary_stalk_trace(divisor):
     """(1-q) * prod over distinct points of (1 - q^(deg x)), as a Laurent
     value: the *-stalk trace of the extension of the constant sheaf at a
     maximal-defect point, before the c(n) normalization."""
-    return _ONE_MINUS_Q * evaluate(BOUNDARY, divisor.degree, divisor)
+    return _ONE_MINUS_Q * evaluate(BOUNDARY, divisor)
 
 
 # ---------------------------------------------------------------------------
@@ -218,16 +217,17 @@ def _weight(twist):
     return int(w)
 
 
-class IcSymbol(namedtuple("IcSymbol", "k rep weight")):
-    """IC-extension symbol on X^(k): an S_k irreducible (by partition) with
-    the integer Weil weight w of its Tate twist (-w/2)."""
+class IcSymbol(namedtuple("IcSymbol", "rep weight")):
+    """IC-extension symbol on X^(k): an S_k irreducible, by its partition of
+    k, with the integer Weil weight w of its Tate twist (-w/2)."""
 
     __slots__ = ()
 
     def __repr__(self):
-        if self.rep == trivial_partition(self.k):
+        k = sum(self.rep)
+        if self.rep == trivial_partition(k):
             name = "Ql"
-        elif self.rep == sign_partition(self.k) and self.k > 1:
+        elif self.rep == sign_partition(k) and k > 1:
             name = "sign"
         else:
             name = f"IC{self.rep}"
@@ -235,21 +235,15 @@ class IcSymbol(namedtuple("IcSymbol", "k rep weight")):
         return f"{name}({-w}/2)" if w % 2 else f"{name}({-w // 2})"
 
 
-# builds an IcSymbol from a (k, rep, weight) tuple, skipping the namedtuple's
+# builds an IcSymbol from a (rep, weight) tuple, skipping the namedtuple's
 # Python-level __new__
 _new_symbol = partial(tuple.__new__, IcSymbol)
 
 
-def symbol(k, rep, twist):
-    """The symbol of rep twisted by (twist), a half-integer."""
-    if rep == "trivial":
-        rep = trivial_partition(k)
-    elif rep == "sign":
-        rep = sign_partition(k)
-    rep = normalize_partition(rep)
-    if sum(rep) != k:
-        raise ValueError(f"{rep} is not a partition of {k}")
-    return IcSymbol(k=k, rep=rep, weight=_weight(twist))
+def symbol(rep, twist):
+    """The symbol of the S_k irreducible rep, a partition of k, twisted by
+    (twist), a half-integer."""
+    return IcSymbol(rep=normalize_partition(rep), weight=_weight(twist))
 
 
 class KElement(Combination):
@@ -261,8 +255,8 @@ class KElement(Combination):
         """G(m): add the half-integer m to every Tate twist, so -2m to every weight."""
         shift = _weight(m)
         return KElement._of_nonzero({
-            _new_symbol((k, rep, w + shift)): c
-            for (k, rep, w), c in self.terms.items()
+            _new_symbol((rep, w + shift)): c
+            for (rep, w), c in self.terms.items()
         })
 
     def _key_order(self):  # lowest weight, so highest twist, first
@@ -278,7 +272,7 @@ def plo_k_element(k):
     U_m tensor rho of `predicted_schur_weyl(k)` contributes rho with the
     ladder of twists m/2, m/2 - 1, ..., -m/2, so of weights -m, 2 - m, ..., m."""
     return KElement({
-        IcSymbol(k, lam, 2 * i - m): mult
+        IcSymbol(lam, 2 * i - m): mult
         for (lam, m), mult in predicted_schur_weyl(k).mults
         for i in range(m + 1)
     })
@@ -290,7 +284,7 @@ def ic_kernel_k_element(k):
     two-column irreducible rho.  A line of Cartan weight -m has Tate twist
     m/2, so Weil weight -m."""
     return KElement({
-        IcSymbol(k, lam, -m): mult
+        IcSymbol(lam, -m): mult
         for (lam, m), mult in predicted_schur_weyl(k).mults
     })
 
@@ -298,7 +292,7 @@ def ic_kernel_k_element(k):
 def reconstruct_from_difference(delta):
     """Solve G - G(-1) = delta for the unique finitely supported G.
 
-    Symbols that differ by an integral twist form a class (k, rep, w mod 2),
+    Symbols that differ by an integral twist form a class (rep, w mod 2),
     and within a class G is the prefix sum from the lowest weight:
 
         G[w] = sum over j >= 0 of delta[w - 2j],
@@ -310,25 +304,25 @@ def reconstruct_from_difference(delta):
     """
     classes = {}
     for s, c in delta.terms.items():
-        k, rep, w = s
-        classes.setdefault((k, rep, w % 2), []).append((w, c, s))
+        rep, w = s
+        classes.setdefault((rep, w % 2), []).append((w, c, s))
     terms = {}
     residual = {}
-    for (k, rep, _), column in classes.items():
+    for (rep, _), column in classes.items():
         column.sort()  # by weight, which no two terms of a class share
         running = 0
         for w, c, s in column:
             if running:
                 gap = below + 2
                 while gap < w:
-                    terms[_new_symbol((k, rep, gap))] = running
+                    terms[_new_symbol((rep, gap))] = running
                     gap += 2
             running += c
             if running:
                 terms[s] = running
             below = w
         if running:
-            residual[_new_symbol((k, rep, below + 2))] = running
+            residual[_new_symbol((rep, below + 2))] = running
     if residual:
         raise ReconstructionError(
             "input is not a difference G - G(-1)", KElement._of_nonzero(residual)
@@ -378,13 +372,13 @@ def trace_k_element(element, divisor):
     product over the points x of D with multiplicity m, by the IC
     normalization [k](k/2).  Each rep's stalk is evaluated once."""
     k = divisor.degree
-    ks = {s.k for s in element.terms}
+    ks = {sum(s.rep) for s in element.terms}
     if ks - {k}:
         raise ValueError(f"degree mismatch: symbols on X^({ks}), divisor of degree {k}")
     dtype = divisor_type(divisor)
     stalks = {rep: (-1) ** k * _stalk_coefficient(rep, dtype)
               for rep in {s.rep for s in element.terms}}
     coeffs = {}
-    for (_, rep, w), c in element.terms.items():
+    for (rep, w), c in element.terms.items():
         coeffs[w - k] = coeffs.get(w - k, 0) + c * stalks[rep]
     return Laurent(coeffs)

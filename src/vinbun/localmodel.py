@@ -34,8 +34,8 @@ t-adic valuation of the first determinantal ideal of the 2x2 matrix
 [[t^m, f], [-g t^m, -g f]] with f = sum b_j t^j and g t^m = sum a_i t^(m+i):
 the minimum of m, ord(f), ord(g t^m) and ord of the polynomial part of -g f.
 The tests compute it so, as the oracle; `strata_counts` reads it off the
-solver's pivots instead (`pivot_defect`), once per pivot cell and first
-nonzero index of b.
+solver's pivots instead (`pivot_defect`, with m = len(b)), once per pivot
+cell and first nonzero index of b.
 """
 
 from collections import namedtuple
@@ -200,15 +200,15 @@ def count_points(system, field, d_constraint="any", budget=None):
 # ---------------------------------------------------------------------------
 
 
-def pivot_defect(m, s, b):
-    """Defect of a single-factor B-locus point, read off the solver's
-    pivots: s is the first nonzero index of a (m for a = 0) and j that of b.
-    A point with s = 0 has b = 0 and defect 0; otherwise the defect is
-    s + j - m, or s when b = 0."""
+def pivot_defect(s, b):
+    """Defect of a B-locus point (a, b) of a single factor of multiplicity
+    m = len(b), read off the solver's pivots: s is the first nonzero index
+    of a (m for a = 0) and j that of b.  A point with s = 0 has b = 0 and
+    defect 0; otherwise the defect is s + j - m, or s when b = 0."""
     if s == 0:
         return 0
     j = next((i for i, x in enumerate(b) if x), None)
-    return s if j is None else s + j - m
+    return s if j is None else s + j - len(b)
 
 
 def strata_counts(n, field, budget=None):
@@ -228,9 +228,9 @@ def strata_counts(n, field, budget=None):
     zero = (0,) * n
     counts = {}
     for s, weight in enumerate(a_codes):
-        cell = {pivot_defect(n, s, zero): 1}
+        cell = {pivot_defect(s, zero): 1}
         for j in range(n - s, n):
-            k = pivot_defect(n, s, zero[:j] + (1,) + zero[j + 1:])
+            k = pivot_defect(s, zero[:j] + (1,) + zero[j + 1:])
             cell[k] = cell.get(k, 0) + (q - 1) * q ** (n - 1 - j)
         for k, points in cell.items():
             counts[k] = counts.get(k, 0) + weight * points
@@ -272,20 +272,18 @@ def g_locus_count(field, multiplicities, budget=None):
     return count_points(system, field, "nonzero", budget=budget)
 
 
-def omega_point_count(n, divisor, field, budget=None):
+def omega_point_count(divisor, field, budget=None):
     """Both sides of #(G-locus of the fiber over D) = (q-1) * (v^(2n) *
-    omega-trace) at v^2 = q, an int (the twist clears the q-denominator),
-    plus the closed form (q-1)^(m+1) q^(n-m) for m distinct points: returns
-    (count, predicted, closed_form).
+    omega-trace) at v^2 = q, n = deg D, an int (the twist clears the
+    q-denominator), plus the closed form (q-1)^(m+1) q^(n-m) for m distinct
+    points: returns (count, predicted, closed_form).
 
     D must be supported on rational points (fibers over higher-degree points
     would need coordinates the equations do not provide)."""
-    if divisor.degree != n:
-        raise ValueError("degree mismatch")
     if any(pt.degree != 1 or pt.is_infinity for pt, _ in divisor):
         raise ValueError("divisor must be supported on rational points of A^1")
-    q = field.q
+    q, n = field.q, divisor.degree
     count = g_locus_count(field, tuple(m for _, m in divisor.parts), budget)
-    predicted = (q - 1) * (Laurent.monomial(2 * n) * trace_omega_tilde(n, divisor)).at_q(q)
+    predicted = (q - 1) * (Laurent.monomial(2 * n) * trace_omega_tilde(divisor)).at_q(q)
     m = len(divisor.parts)
     return count, predicted, (q - 1) ** (m + 1) * q ** (n - m)

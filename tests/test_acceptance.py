@@ -79,7 +79,7 @@ def test_a2_omega_point_count_identity():
         field = field_from_q(q)
         for n in range(1, 5):
             for d in all_rational_divisors(field, n):
-                count, predicted, closed_form = omega_point_count(n, d, field)
+                count, predicted, closed_form = omega_point_count(d, field)
                 assert count == predicted == closed_form, (q, d)
                 checked += 1
     elapsed = time.perf_counter() - start
@@ -121,13 +121,13 @@ def test_a5_kernel_of_n():
         closed = ic_kernel_k_element(k)
         # ker(f) in the h-weight -m layer, at the lowest weight twist m/2
         literal = KElement({
-            symbol(k, lam, Fraction(m, 2)): mult
+            symbol(lam, Fraction(m, 2)): mult
             for m, rep in lowering_kernel_reps(k).items()
             for lam, mult in rep.items()
         })
         assert len(closed.terms) == k // 2 + 1
         assert closed == literal, k
-    expected = KElement({symbol(2, "sign", 1): 1, symbol(2, "trivial", 0): 1})
+    expected = KElement({symbol((1, 1), 1): 1, symbol((2,), 0): 1})
     assert ic_kernel_k_element(2) == expected
     report("A5", True,
            "kernel of the monodromy operator matches the matrix kernel, k<=6; "
@@ -137,18 +137,18 @@ def test_a5_kernel_of_n():
 def test_a6_reconstruction():
     delta = KElement(
         {
-            symbol(2, "trivial", 0): 1,
-            symbol(2, "trivial", -1): -1,
-            symbol(2, "sign", 1): 1,
-            symbol(2, "sign", -2): -1,
+            symbol((2,), 0): 1,
+            symbol((2,), -1): -1,
+            symbol((1, 1), 1): 1,
+            symbol((1, 1), -2): -1,
         }
     )
     golden = KElement(
         {
-            symbol(2, "sign", 1): 1,
-            symbol(2, "sign", 0): 1,
-            symbol(2, "sign", -1): 1,
-            symbol(2, "trivial", 0): 1,
+            symbol((1, 1), 1): 1,
+            symbol((1, 1), 0): 1,
+            symbol((1, 1), -1): 1,
+            symbol((2,), 0): 1,
         }
     )
     assert reconstruct_from_difference(delta) == golden
@@ -159,7 +159,7 @@ def test_a6_reconstruction():
         usable = [r for r in reps if sum(r) == k_choice]
         terms = {}
         for _ in range(rng.randint(1, 10)):
-            sym = symbol(k_choice, rng.choice(usable), rng.randint(-6, 6))
+            sym = symbol(rng.choice(usable), rng.randint(-6, 6))
             terms[sym] = terms.get(sym, 0) + rng.randint(-4, 4)
         g = KElement(terms)
         assert reconstruct_from_difference(g - g.twisted(-1)) == g
@@ -235,7 +235,7 @@ def test_a10_nearby_vs_boundary():
             for d in enumerate_divisors(field, n):
                 if any(pt.degree > 2 for pt, _ in d):
                     continue
-                lhs, rhs = nearby_vs_boundary(n, d)
+                lhs, rhs = nearby_vs_boundary(d)
                 assert lhs == rhs, (q, d)
                 checked += 1
     report("A10", True,
@@ -254,7 +254,7 @@ def test_a11_determinism():
         for mod in pair:
             field = build_field(p, e, modulus=mod)
             traces = sorted(
-                repr(trace_plo(2, d)) for d in enumerate_divisors(field, 2)
+                repr(trace_plo(d)) for d in enumerate_divisors(field, 2)
             )
             results.append(
                 (
@@ -278,13 +278,9 @@ def test_a12_factorization():
             n1 = rng.randint(0, n - 1) if n > 1 else 0
             d1, d2 = random_disjoint_pair(rng, field, n1, n - n1)
             d = d1 + d2
-            assert trace_plo(n, d) == trace_plo(n1, d1) * trace_plo(n - n1, d2)
-            assert trace_omega_tilde(n, d) == trace_omega_tilde(
-                n1, d1
-            ) * trace_omega_tilde(n - n1, d2)
-            assert trace_gr_psi(n, d) == trace_gr_psi(n1, d1) * trace_gr_psi(
-                n - n1, d2
-            )
+            assert trace_plo(d) == trace_plo(d1) * trace_plo(d2)
+            assert trace_omega_tilde(d) == trace_omega_tilde(d1) * trace_omega_tilde(d2)
+            assert trace_gr_psi(d) == trace_gr_psi(d1) * trace_gr_psi(d2)
             total += 1
     report("A12", True,
            f"oscillator, omega and nearby-cycles traces multiplicative on "

@@ -641,7 +641,7 @@ def test_poly_parse_format_roundtrip():
     f3 = build_field(3, 1)
     for text, coeffs in [("t^2+t+1", (1, 1, 1)), ("t", (0, 1)), ("2t+1", (1, 2))]:
         assert parse_poly(f3, text) == coeffs
-        assert parse_poly(f3, format_poly(f3, coeffs)) == coeffs
+        assert parse_poly(f3, format_poly(coeffs)) == coeffs
     assert parse_poly(f3, "t-1") == (2, 1)
 
 
@@ -666,7 +666,7 @@ def test_parse_divisor():
             parse_divisor(f2, f"{text}:1")
     f3 = build_field(3, 1)
     assert parse_divisor(f3, "t-1:1") == parse_divisor(f3, "t+2:1")
-    rt = format_divisor(f2, d)
+    rt = format_divisor(d)
     assert parse_divisor(f2, rt) == d
 
 

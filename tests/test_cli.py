@@ -600,7 +600,7 @@ def test_reconstruct_suite_solves_the_trials_of_the_randint_choice_loop(monkeypa
     for _ in range(1000):
         terms = {}
         for _ in range(rng.randint(1, 10)):
-            sym = kcalc.symbol(2, rng.choice(reps), rng.randint(-5, 5))
+            sym = kcalc.symbol(rng.choice(reps), rng.randint(-5, 5))
             terms[sym] = terms.get(sym, 0) + rng.randint(-3, 3)
         g = kcalc.KElement(terms)
         negated = {s: -c for s, c in g.twisted(-1).terms.items()}
@@ -805,9 +805,9 @@ def test_omega_suite_counts_each_divisor_type_once_per_field(capsys, monkeypatch
     calls = Counter()
     omega_point_count = localmodel.omega_point_count
 
-    def counted(n, d, field, budget=None):
+    def counted(d, field, budget=None):
         calls[field.q, kcalc.divisor_type(d)] += 1
-        return omega_point_count(n, d, field, budget)
+        return omega_point_count(d, field, budget)
 
     monkeypatch.setattr(localmodel, "omega_point_count", counted)
     code, out, _ = run_cli(capsys, "verify", "--suites", "omega", "--max-n", "6",

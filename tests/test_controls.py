@@ -23,7 +23,7 @@ from divisor_utils import rational_point
 from kernel_oracle import kernel_traces
 from test_kcalc import certificate_failures, composition_factor
 
-from vinbun import drinfeld, kcalc, lefschetz, localmodel
+from vinbun import arith, drinfeld, kcalc, lefschetz, localmodel
 from vinbun.arith import EffectiveDivisor, Laurent, enumerate_closed_points, field_from_q
 from vinbun.cli import ALL_SUITES, DEFAULT_SUITES, RunConfig, run_suite
 from vinbun.lefschetz import GradedBiRep
@@ -76,11 +76,11 @@ def negate_deep_sign(mp):
 def deep_identity_breaks():
     field = field_from_q(2)
     y = next(pt for pt in enumerate_closed_points(field, 2) if pt.degree == 2)
-    lhs, rhs = kcalc.nearby_vs_boundary(4, EffectiveDivisor.from_pairs([(y, 2)]))
+    lhs, rhs = kcalc.nearby_vs_boundary(EffectiveDivisor.from_pairs([(y, 2)]))
     assert lhs != rhs
     # a rational double point, which the paper fixes directly, does not see it
     x = EffectiveDivisor.from_pairs([(rational_point(field, 0), 2)])
-    assert kcalc.trace_plo(2, x) == Laurent.monomial(-2)
+    assert kcalc.trace_plo(x) == Laurent.monomial(-2)
     # the certificate fails too: 1 - 3u^2, u = v^2, at a degree-2 point of
     # multiplicity 2
     assert certificate_failures()[kcalc.GR_PSI, 2, 2] == Laurent({0: 1, 4: -3})
@@ -114,7 +114,24 @@ def wrong_size_fails_as_a_row():
 
 def pivot_defect_plus_one(mp):
     original = localmodel.pivot_defect
-    mp.setattr(localmodel, "pivot_defect", lambda m, s, b: original(m, s, b) + 1)
+    mp.setattr(localmodel, "pivot_defect", lambda s, b: original(s, b) + 1)
+
+
+def multiplicity_capped_at_two(mp):
+    # the divisor walk below the degree drops every multiset that takes a
+    # point three times or more: the suites would check fewer divisors than
+    # `arith.divisor_count` says there are
+    original = arith._point_multisets
+    mp.setattr(arith, "_point_multisets", lambda field, points, n: [
+        (parts, poly) for parts, poly in original(field, points, n)
+        if all(m <= 2 for _, m in parts)])
+
+
+def short_walk_fails_as_error_rows():
+    # one `error` row in place of each suite that walks the divisors
+    checks = run_suite(RunConfig())["checks"]
+    assert [(c.suite, c.name) for c in checks if c.status == "fail"] == [
+        ("nearby", "error"), ("omega", "error")]
 
 
 def patch_d_tables(mp, change):
@@ -213,6 +230,8 @@ CONTROLS = [
     Control("point-moved-to-d2", point_moved_to_d2,
             {"default": {"omega", "quadric", "uniformity"}}),
     Control("pivot-defect-plus-one", pivot_defect_plus_one, {"default": {"strata"}}),
+    Control("multiplicity-capped-at-two", multiplicity_capped_at_two,
+            {"default": {"nearby", "omega"}}, short_walk_fails_as_error_rows),
     Control("plain-permutation-action", plain_permutation_action,
             {"default": {"schurweyl"}}, lowest_lines_flip),
     Control("extra-schur-weyl-summand", extra_schur_weyl_summand,
@@ -245,5 +264,6 @@ def test_every_suite_fails_on_some_fault():
     assert caught == set(ALL_SUITES)
     # one row per default suite, two for the opt-in rankone (a fault in the
     # sweep's isom count, one in the closed form), one for the line rule of
-    # the sweep, one for the size of the Schur-Weyl bimodule, and the clean run
-    assert len(CONTROLS) == len(DEFAULT_SUITES) + 5
+    # the sweep, one for the size of the Schur-Weyl bimodule, one for the
+    # length of the divisor walk, and the clean run
+    assert len(CONTROLS) == len(DEFAULT_SUITES) + 6

@@ -315,7 +315,7 @@ def test_drinfeld_value_budget():
 def boundary_factor(q, divisor):
     """The boundary factor `drinfeld_value` adds for a map with this defect
     divisor."""
-    return int(evaluate(BOUNDARY, divisor.degree, divisor).at_q(q))
+    return int(evaluate(BOUNDARY, divisor).at_q(q))
 
 
 def test_boundary_factor():

@@ -185,14 +185,14 @@ def test_graded_birep_rejects_negative():
 
 def test_kernel_of_n_closed_form():
     # one copy of each two-column irreducible (2^r, 1^(k-2r)), at twist k/2 - r
-    assert ic_kernel_k_element(1) == KElement({symbol(1, (1,), Fraction(1, 2)): 1})
+    assert ic_kernel_k_element(1) == KElement({symbol((1,), Fraction(1, 2)): 1})
     assert ic_kernel_k_element(2) == KElement(
-        {symbol(2, (1, 1), 1): 1, symbol(2, (2,), 0): 1}
+        {symbol((1, 1), 1): 1, symbol((2,), 0): 1}
     )
     # k=4: three summands with twists 2, 1, 0
     assert ic_kernel_k_element(4) == KElement(
-        {symbol(4, (1, 1, 1, 1), 2): 1, symbol(4, (2, 1, 1), 1): 1,
-         symbol(4, (2, 2), 0): 1}
+        {symbol((1, 1, 1, 1), 2): 1, symbol((2, 1, 1), 1): 1,
+         symbol((2, 2), 0): 1}
     )
 
 

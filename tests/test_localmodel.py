@@ -529,7 +529,7 @@ def test_pivot_defect_matches_factor_defect():
                 if field.mul(a[0], b[0]):
                     continue
                 s = next((i for i, x in enumerate(a) if x), m)
-                assert pivot_defect(m, s, b) == factor_defect(field, m, a, b), (q, a, b)
+                assert pivot_defect(s, b) == factor_defect(field, m, a, b), (q, a, b)
                 points += 1
     assert points == 7422
 
@@ -583,17 +583,17 @@ def test_omega_identity_examples():
     x3 = rational_point(F3, 0)
     d = EffectiveDivisor.from_pairs([(x3, 1)])
     assert g_locus_count(F3, (1,)) == 4  # (q-1)^2 = 3*2*(2/3)
-    assert omega_point_count(1, d, F3) == (4, 4, 4)
+    assert omega_point_count(d, F3) == (4, 4, 4)
 
     x2 = rational_point(F2, 0)
     d2 = EffectiveDivisor.from_pairs([(x2, 2)])
     assert g_locus_count(F2, (2,)) == 2  # 4 * 1 * (1/2)
-    assert omega_point_count(2, d2, F2) == (2, 2, 2)
+    assert omega_point_count(d2, F2) == (2, 2, 2)
 
     y1, y2 = rational_point(F3, 0), rational_point(F3, 1)
     dsplit = EffectiveDivisor.from_pairs([(y1, 1), (y2, 1)])
     assert g_locus_count(F3, (1, 1)) == 8  # 9 * 2 * (4/9)
-    assert omega_point_count(2, dsplit, F3) == (8, 8, 8)
+    assert omega_point_count(dsplit, F3) == (8, 8, 8)
 
 
 def test_omega_identity_rejects_irrational_support():
@@ -602,7 +602,7 @@ def test_omega_identity_rejects_irrational_support():
     y = [p for p in enumerate_closed_points(F2, 2) if p.degree == 2][0]
     d = EffectiveDivisor.from_pairs([(y, 1)])
     with pytest.raises(ValueError):
-        omega_point_count(2, d, F2)
+        omega_point_count(d, F2)
 
 
 def test_open_zastava_count_vs_omega_trace():
@@ -613,5 +613,5 @@ def test_open_zastava_count_vs_omega_trace():
         for n in (1, 2, 3):
             x = rational_point(field, 0)
             d = EffectiveDivisor.from_pairs([(x, n)])
-            trace = trace_omega_tilde(n, d).at_q(q)
+            trace = trace_omega_tilde(d).at_q(q)
             assert Fraction(q**n) * trace == factor_d_table(field, n)[1]

@@ -6,7 +6,10 @@ A member counts as used when an attribute, or a dotted part of a string
 constant, of its name appears outside its own definition.  The guard reads
 names, not types: a member whose name another class also uses, such as a
 `scale` or `twisted` beside the `Spec.scale` field or `KElement.twisted`,
-is never flagged, and has to be checked by reading the code.
+is never flagged, and has to be checked by reading the code.  The
+parameter guard reads bodies the same way: a parameter of a public function
+or method that its body never reads is an argument that can only be
+ignored, and fails it.
 
 The call guard checks what runs, not what is named: a fixed list of CLI
 argv goes through `cli.main` in-process under `sys.setprofile`, and the
@@ -120,6 +123,37 @@ def test_every_public_name_has_a_caller_outside_the_tests():
 
 def test_every_public_member_has_a_caller_outside_the_tests():
     assert unreferenced_public_members() == []
+
+
+def unread_parameters():
+    """(module, function, parameter) for each parameter of a public function
+    or method that its body never reads: an argument that can only be
+    ignored.  `self` and `cls` are bound, not passed, and the suite runners
+    of `cli._SUITE_RUNNERS` share the signature `(config, rows)` whether or
+    not each reads its config."""
+    runners = {runner.__name__ for runner in cli._SUITE_RUNNERS.values()}
+    unread = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        functions = [(name, node) for name, node in top_level_names(tree)
+                     if isinstance(node, ast.FunctionDef) and not name.startswith("_")]
+        functions += [(qualname, node) for qualname, _, node in public_members(tree)]
+        for qualname, node in functions:
+            args = node.args
+            params = [a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs,
+                                      args.vararg, args.kwarg) if a is not None]
+            read = {n.id for stmt in node.body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            exempt = {"self", "cls"}
+            if path.stem == "cli" and qualname in runners:
+                exempt |= {"config", "rows"}
+            unread += [(path.stem, qualname, param) for param in params
+                       if param not in read and param not in exempt]
+    return unread
+
+
+def test_every_parameter_is_read():
+    assert unread_parameters() == []
 
 
 def perfbench_names(*names):

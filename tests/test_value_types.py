@@ -33,7 +33,7 @@ def frozen_instances():
     return [
         rational_point(F3, 1),
         EffectiveDivisor.from_pairs([(rational_point(F3, 1), 2)]),
-        symbol(2, "sign", Fraction(1, 2)),
+        symbol((1, 1), Fraction(1, 2)),
         NormLedger.calibrated(),
         HomMatrix(0, 0, ((1,), (), (), (1,))),
         DrinfeldResult(1, 2, 3, 4, 5, None),
@@ -89,7 +89,7 @@ def test_specs_compare_and_hash_by_value():
     twin = Spec(*PLO)
     assert twin == PLO and hash(twin) == hash(PLO) and len({PLO, twin}) == 1
     # the per-type cache keys on the spec's fields, so a twin shares its entries
-    assert evaluate(twin, 2, divisor) == evaluate(PLO, 2, divisor)
+    assert evaluate(twin, divisor) == evaluate(PLO, divisor)
 
 
 def test_validation_still_raises():
@@ -102,8 +102,8 @@ def test_validation_still_raises():
 
 
 def test_value_equality_is_by_class_and_fields():
-    assert symbol(2, "trivial", 0) == symbol(2, "trivial", Fraction(0))
-    assert hash(symbol(2, "trivial", 0)) == hash((2, (2,), 0))
+    assert symbol((2,), 0) == symbol((2,), Fraction(0))
+    assert hash(symbol((2,), 0)) == hash(((2,), 0))
 
 
 def test_effective_divisor_equality_and_hash_match_the_field_tuple():
